@@ -52,19 +52,6 @@ class HypothesisViolationError(ValueError):
         super().__init__(f"{what} reaches {value:.3e} (tolerance {tol:.1e})")
 
 
-def _base_bindings(m: int, n: int, t, x) -> Bindings:
-    t = np.asarray(t, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if t.shape != (m,) or x.shape != (n,):
-        raise ValueError(f"expected base point shapes ({m},) and ({n},)")
-    vals = {}
-    for a in range(m):
-        vals[ex.VariableId(ex.TEMPORAL, alpha=a + 1)] = float(t[a])
-    for i in range(n):
-        vals[ex.VariableId(ex.SPATIAL, i=i + 1)] = float(x[i])
-    return Bindings(m, n, vals)
-
-
 def _check_position_only(e: Expression, m: int, n: int, what: str) -> None:
     ex.check_bounds(e, m, n)
     for vid in ex.free_variables(e):
@@ -123,7 +110,7 @@ class SymmetricCoefficientField:
         return self.comps[i - 1][p - 1][q - 1]
 
     def evaluate(self, t, x) -> np.ndarray:
-        b = _base_bindings(self.m, self.n, t, x)
+        b = Bindings.jet(self.m, self.n, t=t, x=x)
         return np.asarray(ex.evaluate_nested(self.comps, b), dtype=float)
 
 
@@ -213,7 +200,7 @@ class AntisymmetricCouplingField:
         return self.comps[i - 1][alpha - 1][nu - 1][p - 1][q - 1]
 
     def evaluate(self, t, x) -> np.ndarray:
-        b = _base_bindings(self.m, self.n, t, x)
+        b = Bindings.jet(self.m, self.n, t=t, x=x)
         return np.asarray(ex.evaluate_nested(self.comps, b), dtype=float)
 
 
@@ -567,9 +554,7 @@ def extract_structure(
 
     constant_max = float(np.max(np.abs(dec.constant)))
     ht_vals = np.asarray(
-        ex.evaluate_nested(
-            christoffel_sym(h), _base_bindings(m, n, t, np.zeros(n))
-        ),
+        ex.evaluate_nested(christoffel_sym(h), Bindings.jet(m, n, t=t)),
         dtype=float,
     )
     # expected linear part: -Ht^nu_ab on the diagonal spatial positions

@@ -7,7 +7,8 @@ computation or consistency check, and emits a machine-readable report whose
 bytes depend only on (input files, seed, command, tool version).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input,
-3 numeric degeneracy (singular metric or Jacobian).
+3 numeric degeneracy (singular metric or Jacobian) or an out-of-domain
+evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exprlang import Expression, differentiate
 from .jetgeom import (
     MAX_DIM,
     DegenerateMetricError,
-    DTensorValue,
     JetPoint,
     MetricField,
     PdeSystem,
@@ -45,13 +45,7 @@ from .kcccore import (
     invariant_slots,
     jacobi_identity_residual,
 )
-from .dtransform import (
-    CoordinateChange,
-    SingularJacobianError,
-    pushforward_system,
-    transform_dtensor,
-    transform_jet_point,
-)
+from .dtransform import CoordinateChange, SingularJacobianError, two_path_invariants
 from .characterize import (
     HYPOTHESIS_TOL,
     HypothesisViolationError,
@@ -583,7 +577,8 @@ def _parse_which(text: str) -> list:
 
 def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
     """Evaluate the selected invariants at every point; structural zeros are
-    reported exactly, without evaluation."""
+    reported exactly, without evaluation.  A non-finite component raises
+    EvaluationError naming the selector, the component and the point."""
     pipe = InvariantPipeline(problem.system, problem.h)
     blocks = []
     for name in which:
@@ -594,6 +589,13 @@ def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
             entry["components"] = []
         else:
             grid = pipe.evaluate_batch(name, points)
+            bad = np.argwhere(~np.isfinite(grid))
+            if bad.size:
+                *idx, k = bad[0]
+                raise ex.EvaluationError(
+                    f"invariant {name}: component {[int(u) + 1 for u in idx]} "
+                    f"is {grid[tuple(bad[0])]} at point {k + 1} of {len(points)}"
+                )
             entry["structural_zero"] = False
             entry["max_abs"] = float(np.max(np.abs(grid)))
             comps = []
@@ -630,7 +632,9 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 
 
 def _scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| / max(1, |a|, |b|), elementwise then maximized."""
+    """max |a - b| / max(1, |a|, |b|), elementwise then maximized over all
+    components and points at once; a nan anywhere makes the result nan, which
+    fails every ``<= tol`` test."""
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale))
 
@@ -639,24 +643,12 @@ def _cmd_check_transform(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     cc, change_sha = load_change(args.change, problem.m, problem.n)
     points, meta = _select_points(problem, args)
-    new_system, new_h = pushforward_system(cc, problem.system, problem.h)
-    pipe = InvariantPipeline(problem.system, problem.h)
-    new_pipe = InvariantPipeline(new_system, new_h)
-    moved = [transform_jet_point(cc, p) for p in points]
-
+    paths = two_path_invariants(
+        problem.system, problem.h, cc, points, INVARIANT_NAMES
+    )
     checks = []
-    for name in INVARIANT_NAMES:
-        slots = invariant_slots(name)
-        old_grid = pipe.evaluate_batch(name, points)
-        direct_grid = new_pipe.evaluate_batch(name, moved)
-        worst = 0.0
-        for k, p in enumerate(points):
-            pushed = transform_dtensor(
-                DTensorValue(problem.m, problem.n, slots, old_grid[..., k]), cc, p
-            )
-            worst = max(
-                worst, _scaled_deviation(pushed.values, direct_grid[..., k])
-            )
+    for name, (pushed, direct) in paths.items():
+        worst = _scaled_deviation(pushed, direct)
         checks.append(
             {
                 "name": f"invariant {name} transforms as a d-tensor",
@@ -688,7 +680,6 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
     base = batch_bindings(points)
 
     checks = []
-    worst_overall = 0.0
     for i in range(1, problem.n + 1):
         for a in range(1, problem.m + 1):
             for b in range(a, problem.m + 1):
@@ -702,7 +693,6 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
                     lo = ex.evaluate(comp, base.with_value(vid, center - step))
                     fd = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
                     dev = _scaled_deviation(sym, fd)
-                    worst_overall = max(worst_overall, dev)
                     checks.append(
                         {
                             "name": f"dF[{i},{a},{b}]/d{vid.name} vs central FD",
@@ -718,7 +708,9 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
     report["samples"] = meta["count"]
     report["step"] = step
     report["tolerance"] = args.tol
-    report["max_deviation"] = worst_overall
+    report["max_deviation"] = float(
+        np.max([c["value"] for c in checks], initial=0.0)
+    )
     code = _finish_checks(report, checks)
     return report, code
 
@@ -831,7 +823,7 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
 
     try:
         result = star_star_nullspace(h, t)
-    except DegenerateMetricError:
+    except (DegenerateMetricError, ex.EvaluationError):
         raise
     except ValueError as err:  # e.g. a single time: no constraint system
         raise InputError(str(err)) from err
@@ -882,12 +874,12 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
     t_points = rng.uniform(lo, hi, size=(count, problem.m))
 
     rows = []
-    worst = 0.0
+    resids = []
     for t in t_points:
         resid = jacobi_identity_residual(
             problem.system, problem.h, problem.section, problem.variation, t
         )
-        worst = max(worst, float(np.max(np.abs(resid))))
+        resids.append(resid)
         rows.append(
             {
                 "t": [float(u) for u in t],
@@ -895,6 +887,7 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
             }
         )
 
+    worst = float(np.max(np.abs(resids), initial=0.0))
     report = _envelope("check jacobi", problem.sha256)
     report["m"], report["n"] = problem.m, problem.n
     report["seed"] = args.seed
@@ -1048,6 +1041,9 @@ def main(argv=None) -> int:
         return 3
     except np.linalg.LinAlgError as err:
         print(f"numeric degeneracy: {err}", file=sys.stderr)
+        return 3
+    except ex.EvaluationError as err:
+        print(f"evaluation error: {err}", file=sys.stderr)
         return 3
     except (NotVelocityQuadraticError, HypothesisViolationError) as err:
         print(f"check failed: {err}", file=sys.stderr)

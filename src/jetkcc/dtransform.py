@@ -4,10 +4,10 @@ A fibered change keeps times and positions separate: new times depend only
 on old times, new positions only on old positions.  Velocities then
 transform linearly through the two Jacobians, tensor component families
 pick up one Jacobian factor per index slot, and a second-order system can
-be pushed forward symbolically so that solutions map to solutions.  The
-invariance checker runs the two-path comparison (transform the evaluated
-components vs. re-derive them in the new chart) that everything upstream
-exists to support.
+be pushed forward symbolically so that solutions map to solutions.
+``two_path_invariants`` evaluates both sides of the two-path comparison
+(transform the evaluated components vs. re-derive them in the new chart)
+that everything upstream exists to support.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .exprlang import (
     TEMPORAL,
     Bindings,
     Expression,
-    add,
     differentiate,
     expr_sum,
     mul,
@@ -32,7 +31,7 @@ from .exprlang import (
     substitute,
 )
 from .jetgeom import DTensorValue, JetPoint, MAX_DIM, MetricField, PdeSystem
-from .kcccore import InvariantPipeline, SectionMap
+from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
 JACOBIAN_TOL = 1e-10
 
@@ -120,23 +119,8 @@ class CoordinateChange:
 
     # numeric helpers
 
-    def _t_bindings(self, t) -> Bindings:
-        t = np.asarray(t, dtype=float).reshape(-1)
-        vals = {
-            ex.VariableId(TEMPORAL, alpha=a + 1): float(t[a])
-            for a in range(self.m)
-        }
-        return Bindings(self.m, self.n, vals)
-
-    def _x_bindings(self, x) -> Bindings:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        vals = {
-            ex.VariableId(SPATIAL, i=i + 1): float(x[i]) for i in range(self.n)
-        }
-        return Bindings(self.m, self.n, vals)
-
     def temporal_jacobian(self, t) -> np.ndarray:
-        b = self._t_bindings(t)
+        b = Bindings.jet(self.m, self.n, t=t)
         J = np.array(
             [[ex.evaluate(e, b) for e in row] for row in self.jac_t_forward]
         )
@@ -147,7 +131,7 @@ class CoordinateChange:
         return J
 
     def spatial_jacobian(self, x) -> np.ndarray:
-        b = self._x_bindings(x)
+        b = Bindings.jet(self.m, self.n, x=x)
         A = np.array(
             [[ex.evaluate(e, b) for e in row] for row in self.jac_x_forward]
         )
@@ -158,19 +142,19 @@ class CoordinateChange:
         return A
 
     def forward_t(self, t) -> np.ndarray:
-        b = self._t_bindings(t)
+        b = Bindings.jet(self.m, self.n, t=t)
         return np.array([ex.evaluate(e, b) for e in self.t_forward])
 
     def forward_x(self, x) -> np.ndarray:
-        b = self._x_bindings(x)
+        b = Bindings.jet(self.m, self.n, x=x)
         return np.array([ex.evaluate(e, b) for e in self.x_forward])
 
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points."""
         worst = 0.0
         for p in points:
-            tb = self._t_bindings(self.forward_t(p.t))
-            xb = self._x_bindings(self.forward_x(p.x))
+            tb = Bindings.jet(self.m, self.n, t=self.forward_t(p.t))
+            xb = Bindings.jet(self.m, self.n, x=self.forward_x(p.x))
             t_back = np.array([ex.evaluate(e, tb) for e in self.t_inverse])
             x_back = np.array([ex.evaluate(e, xb) for e in self.x_inverse])
             worst = max(
@@ -401,40 +385,43 @@ def transform_section(cc: CoordinateChange, sigma: SectionMap) -> SectionMap:
 
 
 # ---------------------------------------------------------------------------
-# the two-path invariance check
+# the two-path comparison
 # ---------------------------------------------------------------------------
 
-DEVIATION_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    selector: str
-    samples: int
-    max_deviation: float
-
-
-def check_invariance(
+def two_path_invariants(
     system: PdeSystem,
     h: MetricField,
     cc: CoordinateChange,
     points,
-    which: str,
-) -> InvarianceReport:
-    """Compare, at every point: the invariant computed from (system, h)
-    then transformed slot-by-slot, against the invariant recomputed from
-    the pushed-forward pair at the transformed point.  Deviation is
-    per-component |a - b| / max(|a|, |b|, floor), maximized over
-    everything."""
+    selectors,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the two-path comparison, for every selector.
+
+    One side evaluates each invariant from (system, h) and transforms it
+    slot by slot; the other evaluates it from the pushed-forward pair at
+    the transformed point.  Both pipelines are built once and evaluated in
+    batch.  Returns {selector: (pushed, direct)}, two component grids with
+    a trailing axis over the points; reducing them to a deviation is left
+    to the caller.
+    """
     points = list(points)
-    pipe = InvariantPipeline(system, h)
     new_system, new_h = pushforward_system(cc, system, h)
+    pipe = InvariantPipeline(system, h)
     new_pipe = InvariantPipeline(new_system, new_h)
-    worst = 0.0
-    for p in points:
-        moved = transform_dtensor(pipe.evaluate(which, p), cc, p)
-        direct = new_pipe.evaluate(which, transform_jet_point(cc, p))
-        a, b = moved.values, direct.values
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), DEVIATION_FLOOR)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    return InvarianceReport(which, len(points), worst)
+    moved = [transform_jet_point(cc, p) for p in points]
+    out = {}
+    for name in selectors:
+        slots = invariant_slots(name)
+        old_grid = pipe.evaluate_batch(name, points)
+        direct = new_pipe.evaluate_batch(name, moved)
+        pushed = np.stack(
+            [
+                transform_dtensor(
+                    DTensorValue(cc.m, cc.n, slots, old_grid[..., k]), cc, p
+                ).values
+                for k, p in enumerate(points)
+            ],
+            axis=-1,
+        )
+        out[name] = (pushed, direct)
+    return out

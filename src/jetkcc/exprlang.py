@@ -52,10 +52,6 @@ class VariableId:
             return 1 <= self.i <= n
         return 1 <= self.i <= n and 1 <= self.alpha <= m
 
-    def sort_key(self) -> tuple:
-        order = {TEMPORAL: 0, SPATIAL: 1, VELOCITY: 2}
-        return (order[self.kind], self.i, self.alpha)
-
 
 class Expression:
     """Base class; all nodes are immutable and hashable by structure."""
@@ -463,6 +459,43 @@ class Bindings:
     values: dict[VariableId, float | np.ndarray] = field(default_factory=dict)
 
     @classmethod
+    def jet(cls, m: int, n: int, t=(), x=(), v=()) -> "Bindings":
+        """Bind the jet coordinates that are given; an empty block stays
+        unbound.
+
+        ``t``, ``x`` and ``v`` have shapes (m,), (n,) and (n, m) for one
+        point, or those shapes plus a trailing batch axis.  One point is
+        stored as Python floats, so evaluation stays scalar and raises on
+        domain errors (a 0-d array would switch it to the array interpreter,
+        which returns nan instead); a batch is stored as arrays.
+        """
+        vids = {
+            "t": [VariableId(TEMPORAL, alpha=a + 1) for a in range(m)],
+            "x": [VariableId(SPATIAL, i=i + 1) for i in range(n)],
+            "v": [
+                VariableId(VELOCITY, i=i + 1, alpha=a + 1)
+                for i in range(n)
+                for a in range(m)
+            ],
+        }
+        vals: dict[VariableId, float | np.ndarray] = {}
+        blocks = (("t", t, (m,)), ("x", x, (n,)), ("v", v, (n, m)))
+        for label, coords, extents in blocks:
+            arr = np.asarray(coords, dtype=float)
+            if arr.size == 0:
+                continue
+            if arr.shape[: len(extents)] != extents or arr.ndim > len(extents) + 1:
+                raise ValueError(
+                    f"{label} coordinates: expected shape {extents}, optionally "
+                    f"with a trailing batch axis; got {arr.shape}"
+                )
+            # one row per variable, contiguous like a freshly built array
+            rows = np.ascontiguousarray(arr.reshape(len(vids[label]), -1))
+            one_point = arr.ndim == len(extents)
+            vals.update(zip(vids[label], rows[:, 0].tolist() if one_point else rows))
+        return cls(m, n, vals)
+
+    @classmethod
     def from_names(cls, m: int, n: int, by_name: dict) -> "Bindings":
         out = {}
         for name, val in by_name.items():
@@ -479,11 +512,7 @@ _VAR_NAME_RE = re.compile(r"^(?:t([0-9]+)|x([0-9]+)|v([0-9]+)_([0-9]+))$")
 
 
 def parse_variable_name(name: str, m: int, n: int) -> VariableId:
-    mt = _VAR_NAME_RE.match(name)
-    if not mt:
-        raise ParseError(f"unknown identifier '{name}'", 0)
-    vid = _classify(name, m, n, 0)
-    return vid
+    return _classify(name, m, n, 0)
 
 
 def _classify(word: str, m: int, n: int, position: int) -> VariableId:
@@ -666,7 +695,9 @@ def _evaluate_array(e: Expression, bindings: Bindings):
         if op == "*":
             return l * r
         if op == "/":
-            return l / r
+            # np.divide, not /: two constant operands are plain floats, and
+            # float division by zero raises instead of giving inf or nan
+            return np.divide(l, r)
         if np.isscalar(r) and float(r).is_integer():
             return np.power(l, int(r))
         return np.power(l, r)

@@ -23,7 +23,6 @@ from .exprlang import (
     SPATIAL,
     TEMPORAL,
     Bindings,
-    VariableId,
     add,
     differentiate,
     div,
@@ -71,16 +70,7 @@ class JetPoint:
         return self.x.size
 
     def bindings(self) -> Bindings:
-        vals: dict[VariableId, float] = {}
-        for a in range(self.m):
-            vals[VariableId(TEMPORAL, alpha=a + 1)] = float(self.t[a])
-        for i in range(self.n):
-            vals[VariableId(SPATIAL, i=i + 1)] = float(self.x[i])
-            for a in range(self.m):
-                vals[VariableId(ex.VELOCITY, i=i + 1, alpha=a + 1)] = float(
-                    self.v[i, a]
-                )
-        return Bindings(self.m, self.n, vals)
+        return Bindings.jet(self.m, self.n, self.t, self.x, self.v)
 
     def __repr__(self):
         return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
@@ -110,17 +100,11 @@ def batch_bindings(points: list[JetPoint]) -> Bindings:
     """Stack many points into array-valued bindings for vectorized evaluation."""
     if not points:
         raise ValueError("no points")
-    m, n = points[0].m, points[0].n
-    vals: dict[VariableId, np.ndarray] = {}
-    for a in range(m):
-        vals[VariableId(TEMPORAL, alpha=a + 1)] = np.array([p.t[a] for p in points])
-    for i in range(n):
-        vals[VariableId(SPATIAL, i=i + 1)] = np.array([p.x[i] for p in points])
-        for a in range(m):
-            vals[VariableId(ex.VELOCITY, i=i + 1, alpha=a + 1)] = np.array(
-                [p.v[i, a] for p in points]
-            )
-    return Bindings(m, n, vals)
+    # one array per block, the batch axis moved last
+    t = np.moveaxis(np.array([p.t for p in points]), 0, -1)
+    x = np.moveaxis(np.array([p.x for p in points]), 0, -1)
+    v = np.moveaxis(np.array([p.v for p in points]), 0, -1)
+    return Bindings.jet(points[0].m, points[0].n, t, x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +175,10 @@ class MetricField:
         """
         coords = np.asarray(coords, dtype=float)
         d = self.dim
-        vals: dict[VariableId, float] = {}
-        for k in range(d):
-            vid = (
-                VariableId(TEMPORAL, alpha=k + 1)
-                if self.kind == TEMPORAL
-                else VariableId(SPATIAL, i=k + 1)
-            )
-            vals[vid] = float(coords[k])
-        b = Bindings(d if self.kind == TEMPORAL else 1, d if self.kind == SPATIAL else 1, vals)
+        if self.kind == TEMPORAL:
+            b = Bindings.jet(d, 1, t=coords)
+        else:
+            b = Bindings.jet(1, d, x=coords)
         out = np.empty((d, d))
         for a in range(d):
             for c in range(d):
@@ -257,11 +236,6 @@ def _cofactor_expr(rows, a: int, b: int) -> Expression:
 # ---------------------------------------------------------------------------
 # Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
-
-
-def inverse_metric_sym(metric: MetricField):
-    """Symbolic inverse of a factor metric (same as ``metric.inverse()``)."""
-    return metric.inverse()
 
 
 def christoffel_sym(metric: MetricField):
@@ -404,22 +378,6 @@ def canonical_spatial_connection(phi: MetricField, m: int):
             plane.append(tuple(row))
         out.append(tuple(plane))
     return tuple(out)
-
-
-def canonical_objects(h: MetricField, phi: MetricField):
-    """All four canonical objects of a metric pair in one call.
-
-    Returns (temporal semispray, spatial semispray, temporal connection part,
-    spatial connection part) as nested expression tuples; temporal objects use
-    phi.dim spatial components and spatial ones h.dim temporal slots.
-    """
-    m, n = h.dim, phi.dim
-    return (
-        canonical_temporal_semispray(h, n),
-        canonical_spatial_semispray(phi, m),
-        canonical_temporal_connection(h, n),
-        canonical_spatial_connection(phi, m),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Everything in this module is derived from a second-order system
 x''^i_ab + F^i_ab(t, x, v) = 0 together with a temporal metric h.  The
 central object is :class:`InvariantPipeline`, which builds the connection
 and the five deviation invariants of the pair symbolically exactly once
-and caches them; module-level functions wrap it for one-shot use.  After
-the build phase every cached expression is immutable, so point evaluation
-is pure and safe to run from multiple threads.
+and caches them; the module-level residuals along a section build one per
+call.  After the build phase every cached expression is immutable, so
+point evaluation is pure and safe to run from multiple threads.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ def _validate_family(comps, m, n, extents, what, symmetric_last_two=False):
 
 
 @dataclass(frozen=True)
-class TemporalSemispray:
-    """Coefficient family H^i_ab(t, x, v), symmetric in (a, b)."""
+class Semispray:
+    """Coefficient family H^i_ab or G^i_ab(t, x, v) of a temporal or spatial
+    semispray, symmetric in (a, b)."""
 
     m: int
     n: int
@@ -119,30 +120,7 @@ class TemporalSemispray:
             self.m,
             self.n,
             (self.n, self.m, self.m),
-            "temporal semispray",
-            symmetric_last_two=True,
-        )
-
-    def component(self, i: int, a: int, b: int) -> Expression:
-        return self.components[i - 1][a - 1][b - 1]
-
-
-@dataclass(frozen=True)
-class SpatialSemispray:
-    """Coefficient family G^i_ab(t, x, v), symmetric in (a, b)."""
-
-    m: int
-    n: int
-    components: tuple  # [i-1][a-1][b-1]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _freeze(self.components))
-        _validate_family(
-            self.components,
-            self.m,
-            self.n,
-            (self.n, self.m, self.m),
-            "spatial semispray",
+            "semispray",
             symmetric_last_two=True,
         )
 
@@ -190,14 +168,6 @@ def _check_t_only(comps, m, what):
                 )
 
 
-def _t_bindings(m: int, n: int, t) -> Bindings:
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.shape != (m,):
-        raise ValueError(f"expected {m} temporal coordinates, got {t.shape}")
-    vals = {ex.VariableId(TEMPORAL, alpha=a + 1): float(t[a]) for a in range(m)}
-    return Bindings(m, n, vals)
-
-
 @dataclass(frozen=True)
 class SectionMap:
     """A map t -> x(t): one expression per spatial component, t-variables
@@ -236,7 +206,7 @@ class SectionMap:
 
     def prolongation_point(self, t) -> JetPoint:
         """Numeric jet point (t, x(t), dx/dt(t))."""
-        tb = _t_bindings(self.m, self.n, t)
+        tb = Bindings.jet(self.m, self.n, t=t)
         x = np.array([ex.evaluate(c, tb) for c in self.comps])
         v = np.array(
             [[ex.evaluate(d, tb) for d in row] for row in self.velocity]
@@ -274,7 +244,7 @@ class VariationField:
 # ---------------------------------------------------------------------------
 
 
-def connection_part_from_temporal_semispray(H: TemporalSemispray):
+def connection_part_from_temporal_semispray(H: Semispray):
     """Temporal connection part of a temporal semispray: M = 2 H.
 
     The inverse map halves it back; because constant factors collapse, the
@@ -288,18 +258,18 @@ def connection_part_from_temporal_semispray(H: TemporalSemispray):
 
 def temporal_semispray_from_connection_part(
     M, m: int, n: int
-) -> TemporalSemispray:
+) -> Semispray:
     """Temporal semispray whose doubled components reproduce M: H = M / 2."""
     comps = tuple(
         tuple(tuple(mul(0.5, e) for e in row) for row in plane)
         for plane in _freeze(M)
     )
-    return TemporalSemispray(m, n, comps)
+    return Semispray(m, n, comps)
 
 
 def spatial_semispray_from_system(
     system: PdeSystem, h: MetricField
-) -> SpatialSemispray:
+) -> Semispray:
     """G^i_ab = F^i_ab/2 + (1/2) H^u_ab v^i_u, with H the connection
     coefficients of h.  The system is reconstructed from it exactly as
     F = 2G - H v."""
@@ -323,12 +293,12 @@ def spatial_semispray_from_system(
                 )
                 comps[i][a][b] = entry
                 comps[i][b][a] = entry
-    return SpatialSemispray(m, n, _freeze(comps))
+    return Semispray(m, n, _freeze(comps))
 
 
 def spatial_semispray_from_connection(
     connection: NonlinearConnection,
-) -> SpatialSemispray:
+) -> Semispray:
     """Spatial semispray generated by a connection's spatial part:
     G^i_ab = (1/2) N^i_ar v^r_b.
 
@@ -355,7 +325,7 @@ def spatial_semispray_from_connection(
                     entry = mul(0.25, add(one, other))
                 comps[i][a][b] = entry
                 comps[i][b][a] = entry
-    return SpatialSemispray(m, n, _freeze(comps))
+    return Semispray(m, n, _freeze(comps))
 
 
 def _require_temporal(h: MetricField, m: int):
@@ -549,7 +519,7 @@ class InvariantPipeline:
         )
 
     @cached_property
-    def semispray(self) -> SpatialSemispray:
+    def semispray(self) -> Semispray:
         return spatial_semispray_from_system(self.system, self.h)
 
     # -- the five invariants --------------------------------------------------
@@ -876,39 +846,6 @@ class InvariantPipeline:
         return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# module-level wrappers
-# ---------------------------------------------------------------------------
-
-
-def connection_from_system(
-    system: PdeSystem, h: MetricField
-) -> NonlinearConnection:
-    return InvariantPipeline(system, h).connection
-
-
-def h_traces(system: PdeSystem, h: MetricField):
-    """(F^i, H^g): metric traces of the system and of h's connection."""
-    pipe = InvariantPipeline(system, h)
-    return pipe.trace_system, pipe.trace_temporal
-
-
-def first_invariant(system: PdeSystem, h: MetricField):
-    return InvariantPipeline(system, h).first_invariant
-
-
-def deviation_curvature(system: PdeSystem, h: MetricField):
-    return InvariantPipeline(system, h).deviation_curvature
-
-
-def third_invariant(system: PdeSystem, h: MetricField):
-    return InvariantPipeline(system, h).third_invariant
-
-
-def fourth_invariant(system: PdeSystem, h: MetricField):
-    return InvariantPipeline(system, h).fourth_invariant
-
-
 def fifth_invariant(system: PdeSystem):
     """D[i][a][b][j][g][k][e][l][u] = third v-derivative of F^i_ab.
 
@@ -978,7 +915,7 @@ def covariant_derivative_section(
     pipe = InvariantPipeline(system, h)
     fam = pipe.covariant_derivative_family(T)
     prol = sigma.prolongation_map()
-    tb = _t_bindings(system.m, system.n, t)
+    tb = Bindings.jet(system.m, system.n, t=t)
     out = np.empty((system.n, system.m, system.m))
     for i in range(system.n):
         for a in range(system.m):
@@ -999,7 +936,7 @@ def covariant_derivative_variation(
     pipe = InvariantPipeline(system, h)
     N = pipe.connection.spatial
     prol = sigma.prolongation_map()
-    tb = _t_bindings(system.m, system.n, t)
+    tb = Bindings.jet(system.m, system.n, t=t)
     out = np.empty((system.n, system.m))
     for i in range(system.n):
         for a in range(system.m):
@@ -1019,7 +956,7 @@ def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
     if sigma.m != system.m or sigma.n != system.n:
         raise ValueError("section dimensions do not match the system")
     prol = sigma.prolongation_map()
-    tb = _t_bindings(system.m, system.n, t)
+    tb = Bindings.jet(system.m, system.n, t=t)
     out = np.empty((system.n, system.m, system.m))
     for i in range(system.n):
         for a in range(system.m):
@@ -1049,7 +986,7 @@ def variational_residual(
     if xi.m != system.m or xi.n != system.n:
         raise ValueError("variation field dimensions do not match")
     prol = sigma.prolongation_map()
-    tb = _t_bindings(system.m, system.n, t)
+    tb = Bindings.jet(system.m, system.n, t=t)
     m, n = system.m, system.n
     out = np.empty((n, m, m))
     for i in range(n):
@@ -1118,7 +1055,7 @@ def jacobi_identity_residual(
     pipe = InvariantPipeline(system, h)
     resid = pipe.jacobi_lhs_minus_rhs(xi)
     prol = sigma.prolongation_map()
-    tb = _t_bindings(system.m, system.n, t)
+    tb = Bindings.jet(system.m, system.n, t=t)
     return np.array(
         [ex.evaluate(substitute(e, prol), tb) for e in resid]
     )

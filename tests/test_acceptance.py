@@ -16,7 +16,6 @@ import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import Bindings, differentiate, evaluate, fd_partial, parse
 from jetkcc.jetgeom import (
-    DTensorValue,
     JetPoint,
     MetricField,
     PdeSystem,
@@ -31,11 +30,10 @@ from jetkcc.kcccore import (
     INVARIANT_NAMES,
     InvariantPipeline,
     SectionMap,
-    TemporalSemispray,
+    Semispray,
     VariationField,
     connection_part_from_temporal_semispray,
     covariant_derivative_section,
-    invariant_slots,
     jacobi_identity_residual,
     sode_residual,
     spatial_semispray_from_connection,
@@ -47,6 +45,7 @@ from jetkcc.dtransform import (
     transform_dtensor,
     transform_jet_point,
     transform_section,
+    two_path_invariants,
 )
 from jetkcc.characterize import (
     AntisymmetricCouplingField,
@@ -361,23 +360,15 @@ def two_path_worst(system, h, cc, points):
     """Worst scale-aware deviation between transform-then-evaluate and
     evaluate-then-transform, over all five invariants and both canonical
     tensors."""
-    new_system, new_h = pushforward_system(cc, system, h)
-    pipe = InvariantPipeline(system, h)
-    new_pipe = InvariantPipeline(new_system, new_h)
-    moved = [transform_jet_point(cc, p) for p in points]
+    paths = two_path_invariants(system, h, cc, points, INVARIANT_NAMES)
     worst = 0.0
-    for name in INVARIANT_NAMES:
-        slots = invariant_slots(name)
-        old_grid = pipe.evaluate_batch(name, points)
-        new_grid = new_pipe.evaluate_batch(name, moved)
-        for k, p in enumerate(points):
-            pushed = transform_dtensor(
-                DTensorValue(system.m, system.n, slots, old_grid[..., k]), cc, p
-            )
-            worst = max(worst, support.rel_max(pushed.values, new_grid[..., k]))
-    for p, q in zip(points, moved):
+    for pushed, direct in paths.values():
+        for k in range(len(points)):
+            worst = max(worst, support.rel_max(pushed[..., k], direct[..., k]))
+    _, new_h = pushforward_system(cc, system, h)
+    for p in points:
         c_old, j_old = canonical_tensors(h, p)
-        c_new, j_new = canonical_tensors(new_h, q)
+        c_new, j_new = canonical_tensors(new_h, transform_jet_point(cc, p))
         worst = max(
             worst,
             support.rel_max(transform_dtensor(c_old, cc, p).values, c_new.values),
@@ -566,7 +557,7 @@ def test_criterion_05_correspondence_round_trips():
                 plane[a][b] = e
                 plane[b][a] = e
         comps.append(tuple(tuple(r) for r in plane))
-    H = TemporalSemispray(2, 2, tuple(comps))
+    H = Semispray(2, 2, tuple(comps))
     back = temporal_semispray_from_connection_part(
         connection_part_from_temporal_semispray(H), 2, 2
     )

@@ -13,7 +13,7 @@ from jetkcc.cli import (
     main,
     render_json,
 )
-from jetkcc.jetgeom import MetricField, build_affine_system
+from jetkcc.jetgeom import MetricField, build_affine_system, sample_jet_points
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -37,6 +37,18 @@ OSC = {
     "n": 1,
     "temporal_metric": [["1"]],
     "system": {"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "x1"}]},
+}
+
+# log(x1) is out of domain at the 2 of 6 points sampled with seed 0 that have
+# x1 < 0
+LOG_V = dict(
+    OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "log(x1)*v1_1"}]}
+)
+IDENTITY_11 = {
+    "t_forward": ["t1"],
+    "x_forward": ["x1"],
+    "t_inverse": ["t1"],
+    "x_inverse": ["x1"],
 }
 
 
@@ -239,6 +251,18 @@ def test_sample_box_honored(tmp_path):
         assert -0.1 <= pt["v"][0][0] <= 0.1
 
 
+def test_invariants_nonfinite_component_is_exit_3(tmp_path, capsys):
+    path = write_json(tmp_path, "logv.json", LOG_V)
+    code, report = run_cli(
+        ["invariants", path, "--samples", "6", "--seed", "0"], tmp_path
+    )
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: invariant eps: component [1, 1, 1] is nan "
+        "at point 1 of 6\n"
+    )
+
+
 def test_unknown_selector_is_input_error(tmp_path, capsys):
     path = write_json(tmp_path, "osc.json", OSC)
     assert main(["invariants", path, "--which", "eps,Q"]) == 2
@@ -290,6 +314,31 @@ def test_transform_check_singular_jacobian_is_degeneracy(tmp_path, capsys):
     )
     assert main(["check", "transform", prob, change]) == 3
     assert "numeric degeneracy" in capsys.readouterr().err
+
+
+def test_transform_check_fails_on_nan(tmp_path, capsys):
+    assert sum(p.x[0] < 0.0 for p in sample_jet_points(1, 1, 6, seed=0)) == 2
+    prob = write_json(tmp_path, "logv.json", LOG_V)
+    change = write_json(tmp_path, "id.json", IDENTITY_11)
+    code, report = run_cli(
+        ["check", "transform", prob, change, "--samples", "6", "--seed", "0"],
+        tmp_path,
+    )
+    assert code == 1 and report["pass"] is False
+    eps = report["checks"][0]
+    assert eps["name"] == "invariant eps transforms as a d-tensor"
+    assert eps["value"] == "nan" and eps["pass"] is False
+    err = capsys.readouterr().err
+    assert "invariant eps transforms as a d-tensor (value nan" in err
+
+
+def test_fd_check_max_deviation_keeps_nan(tmp_path):
+    prob = write_json(tmp_path, "logv.json", LOG_V)
+    code, report = run_cli(
+        ["check", "fd", prob, "--samples", "6", "--seed", "0"], tmp_path
+    )
+    assert code == 1 and report["pass"] is False
+    assert report["max_deviation"] == "nan"
 
 
 def test_fd_check_passes_and_names_components(tmp_path):
@@ -398,6 +447,14 @@ def test_characterize_oscillator_violates_hypotheses(tmp_path, capsys):
     assert "first invariant" in capsys.readouterr().err
 
 
+def test_characterize_out_of_domain_base_is_exit_3(tmp_path, capsys):
+    path = write_json(tmp_path, "logv.json", LOG_V)
+    assert main(["characterize", path, "--base", "0.1,-0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error: log of non-positive value -0.5")
+    assert len(err.splitlines()) == 1
+
+
 def test_characterize_base_length_checked(tmp_path, capsys):
     path = write_json(tmp_path, "osc.json", OSC)
     assert main(["characterize", path, "--base", "0.3"]) == 2
@@ -429,6 +486,13 @@ def test_nullspace_m_mismatch_and_degenerate(tmp_path, capsys):
     )
     assert main(["nullspace", degen, "--t", "0.0,0.5"]) == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_nullspace_out_of_domain_metric_is_exit_3(tmp_path, capsys):
+    metric = {"m": 2, "temporal_metric": [["log(t1)", "0"], ["0", "1"]]}
+    path = write_json(tmp_path, "logm.json", metric)
+    assert main(["nullspace", path, "--t=-0.5,0.5"]) == 3
+    assert "evaluation error: log of non-positive value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,25 @@ from jetkcc.jetgeom import (
 )
 from jetkcc.kcccore import InvariantPipeline, SectionMap, sode_residual
 from jetkcc.dtransform import (
-    DEVIATION_FLOOR,
     CoordinateChange,
-    InvarianceReport,
     SingularJacobianError,
-    check_invariance,
     identity_change,
     pushforward_system,
     transform_dtensor,
     transform_jet_point,
     transform_section,
+    two_path_invariants,
 )
+
+# floor of the relative two-path deviation below: stricter than the CLI's
+# max(1, |a|, |b|) scale wherever components are small
+DEVIATION_FLOOR = 1e-12
+
+
+def relative_deviation(pushed, direct) -> float:
+    """max |a - b| / max(|a|, |b|, floor) over every component and point."""
+    denom = np.maximum(np.maximum(np.abs(pushed), np.abs(direct)), DEVIATION_FLOOR)
+    return float(np.max(np.abs(pushed - direct) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,7 @@ def test_transformed_velocity_is_the_chain_rule_derivative():
 
     def curve_new(t_new):
         t_old = np.array(
-            [ex.evaluate(cc.t_inverse[0], cc._t_bindings([t_new]))]
+            [ex.evaluate(cc.t_inverse[0], ex.Bindings.jet(m, n, t=[t_new]))]
         )
         return cc.forward_x(sigma.prolongation_point(t_old).x)
 
@@ -607,47 +615,29 @@ def test_section_transport_commutes_with_prolongation():
 def test_identity_change_reports_zero_deviation():
     h, _, system = affine_setup22()
     pts = domain_points(2, 2, 4, seed=43)
-    rep = check_invariance(system, h, identity_change(2, 2), pts, "P")
-    assert isinstance(rep, InvarianceReport)
-    assert rep.selector == "P"
-    assert rep.samples == 4
-    assert rep.max_deviation <= 1e-12
+    paths = two_path_invariants(system, h, identity_change(2, 2), pts, ("P",))
+    assert list(paths) == ["P"]
+    pushed, direct = paths["P"]
+    assert pushed.shape == direct.shape == (2, 2, 4)
+    assert relative_deviation(pushed, direct) <= 1e-12
 
 
 def test_affine_invariants_transform_as_tensors():
-    # Same two-path comparison check_invariance runs (same deviation
-    # formula), with the pushforward pipelines built once and shared
-    # across the four invariants instead of once per selector.
+    # The pushforward pipelines are built once and shared across the five
+    # invariants; the deviation is the relative form with a 1e-12 floor.
     h, _, system = affine_setup22()
     cc = change22()
     pts = domain_points(2, 2, 6, seed=47)
-    pipe = InvariantPipeline(system, h)
-    new_system, new_h = pushforward_system(cc, system, h)
-    new_pipe = InvariantPipeline(new_system, new_h)
-    moved_pts = [transform_jet_point(cc, p) for p in pts]
+    paths = two_path_invariants(system, h, cc, pts, ("eps", "P", "R", "B", "D"))
     for name in ("P", "R", "B", "D"):
-        slots = pipe.evaluate(name, pts[0]).slots
-        old_vals = pipe.evaluate_batch(name, pts)
-        new_vals = new_pipe.evaluate_batch(name, moved_pts)
-        worst = 0.0
-        for k, p in enumerate(pts):
-            a = transform_dtensor(
-                DTensorValue(2, 2, slots, old_vals[..., k]), cc, p
-            ).values
-            b = new_vals[..., k]
-            denom = np.maximum(
-                np.maximum(np.abs(a), np.abs(b)), DEVIATION_FLOOR
-            )
-            worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-        assert worst <= 1e-6, name
+        assert relative_deviation(*paths[name]) <= 1e-6, name
     # The first invariant of the affine pair is identically zero, which the
     # per-component relative report cannot certify beyond its noise floor;
     # the invariance statement that is meaningful here is that both paths
     # vanish absolutely.
-    for p, q in zip(pts, moved_pts):
-        moved = transform_dtensor(pipe.evaluate("eps", p), cc, p)
-        assert np.max(np.abs(moved.values)) < 1e-12
-        assert np.max(np.abs(new_pipe.evaluate("eps", q).values)) < 1e-12
+    pushed, direct = paths["eps"]
+    assert np.max(np.abs(pushed)) < 1e-12
+    assert np.max(np.abs(direct)) < 1e-12
 
 
 def test_cubic_first_invariant_two_path():
@@ -676,18 +666,19 @@ def test_cubic_first_invariant_two_path():
             parse("(sqrt(1 + 0.8*x2) - 1)/0.4", m, n),
         ),
     )
-    rep = check_invariance(
-        system, h, cc, domain_points(m, n, 20, seed=53), "eps"
+    paths = two_path_invariants(
+        system, h, cc, domain_points(m, n, 20, seed=53), ("eps",)
     )
-    assert rep.samples == 20
-    assert rep.max_deviation <= 1e-6
+    pushed, direct = paths["eps"]
+    assert pushed.shape[-1] == direct.shape[-1] == 20
+    assert relative_deviation(pushed, direct) <= 1e-6
 
 
 def test_unknown_selector_is_rejected():
     h, _, system = affine_setup22()
     with pytest.raises(KeyError):
-        check_invariance(
-            system, h, identity_change(2, 2), domain_points(2, 2, 1, seed=1), "Q"
+        two_path_invariants(
+            system, h, identity_change(2, 2), domain_points(2, 2, 1, seed=1), ("Q",)
         )
 
 

@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import (
@@ -374,3 +375,78 @@ def test_bounds_check_helper():
     ex.check_bounds(e, 2, 2)
     with pytest.raises(ParseError, match="out of range"):
         ex.check_bounds(e, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# binding jet coordinates: one point vs a batch
+# ---------------------------------------------------------------------------
+
+BIND_M, BIND_N, BIND_K = 2, 2, 4
+# coordinates on a 1/8 grid over [-2, 2]: exact zeros and poles are hit
+# often, near-cancellations that would amplify the last-bit differences
+# between the math and numpy functions are not
+GRID = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+def grid_array(*shape):
+    size = math.prod(shape)
+    return st.lists(GRID, min_size=size, max_size=size).map(
+        lambda vals: np.array(vals).reshape(shape)
+    )
+
+
+def _grow(inner):
+    return st.one_of(
+        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(ex.FUNCTIONS), inner),
+        st.builds(lambda a: f"-({a})", inner),
+        st.builds(
+            lambda a, op, b: f"({a}) {op} ({b})", inner, st.sampled_from("+-*/^"), inner
+        ),
+    )
+
+
+LEAVES = ("t1", "t2", "x1", "x2", "v1_1", "v1_2", "v2_1", "v2_2")
+LEAVES += ("0", "0.5", "2", "3", "pi")
+EXPRESSIONS = st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8).map(
+    lambda text: parse(text, BIND_M, BIND_N)
+)
+
+
+def test_jet_bindings_store_floats_for_one_point():
+    b = Bindings.jet(1, 1, t=[0.5], x=np.array([-0.5]), v=np.array([[2.0]]))
+    assert all(type(u) is float for u in b.values.values())
+    with pytest.raises(EvaluationError, match="log"):
+        evaluate(parse("log(x1)", 1, 1), b)
+    batch = Bindings.jet(1, 1, x=np.array([[-0.5, 0.5]]))
+    assert np.isnan(evaluate(parse("log(x1)", 1, 1), batch)[0])
+    with pytest.raises(ValueError, match="x coordinates"):
+        Bindings.jet(1, 2, x=[0.5])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    e=EXPRESSIONS,
+    t=grid_array(BIND_M, BIND_K),
+    x=grid_array(BIND_N, BIND_K),
+    v=grid_array(BIND_N, BIND_M, BIND_K),
+)
+def test_one_point_evaluation_matches_batch_column(e, t, x, v):
+    m, n, count = BIND_M, BIND_N, BIND_K
+    batch = np.broadcast_to(evaluate(e, Bindings.jet(m, n, t, x, v)), (count,))
+    for k in range(count):
+        one = Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k])
+        assert all(type(u) is float for u in one.values.values())
+        by_name = {f"t{a + 1}": t[a, k] for a in range(m)}
+        by_name.update({f"x{i + 1}": x[i, k] for i in range(n)})
+        by_name.update(
+            {f"v{i + 1}_{a + 1}": v[i, a, k] for i in range(n) for a in range(m)}
+        )
+        assert one.values == Bindings.from_names(m, n, by_name).values
+        try:
+            value = evaluate(e, one)
+        except EvaluationError:
+            continue  # out of domain at this point: the one-point path raises
+        # where one point evaluates without error, the batch column agrees
+        assert math.isfinite(value) == bool(np.isfinite(batch[k])), (value, batch[k])
+        if math.isfinite(value):
+            assert value == pytest.approx(float(batch[k]), rel=1e-9, abs=1e-12)

@@ -26,25 +26,18 @@ from jetkcc.kcccore import (
     NonlinearConnection,
     SectionMap,
     SectionNotSolutionError,
-    SpatialSemispray,
-    TemporalSemispray,
+    Semispray,
     VariationField,
-    connection_from_system,
     connection_part_from_temporal_semispray,
     covariant_derivative_section,
     covariant_derivative_variation,
-    deviation_curvature,
     fifth_invariant,
-    first_invariant,
-    fourth_invariant,
-    h_traces,
     invariant_slots,
     jacobi_identity_residual,
     sode_residual,
     spatial_semispray_from_connection,
     spatial_semispray_from_system,
     temporal_semispray_from_connection_part,
-    third_invariant,
     variational_residual,
     variational_residual_h_trace,
 )
@@ -171,12 +164,12 @@ def eval_curvature(phi, b):
 
 def test_temporal_semispray_requires_symmetric_storage():
     good = (((parse("v1_1", 1, 1),),),)
-    TemporalSemispray(1, 1, good)
+    Semispray(1, 1, good)
     bad = (
         ((ex.ZERO, parse("t1", 2, 1)), (parse("t2", 2, 1), ex.ZERO)),
     )
     with pytest.raises(ValueError):
-        TemporalSemispray(2, 1, bad)
+        Semispray(2, 1, bad)
 
 
 def test_section_map_rejects_jet_variables():
@@ -205,7 +198,7 @@ def test_connection_part_doubles_canonical_semispray():
     h = support.random_spd_metric(ex.TEMPORAL, 2, seed=31)
     H0 = canonical_temporal_semispray(h, 2)
     M0 = canonical_temporal_connection(h, 2)
-    got = connection_part_from_temporal_semispray(TemporalSemispray(2, 2, H0))
+    got = connection_part_from_temporal_semispray(Semispray(2, 2, H0))
     for p in sample_jet_points(2, 2, 10, seed=1):
         b = p.bindings()
         for i in range(2):
@@ -221,7 +214,7 @@ def test_zero_semispray_maps_to_zero_part():
         tuple(tuple(ex.ZERO for _ in range(2)) for _ in range(2))
         for _ in range(2)
     )
-    M = connection_part_from_temporal_semispray(TemporalSemispray(2, 2, zero))
+    M = connection_part_from_temporal_semispray(Semispray(2, 2, zero))
     assert all(ex.is_zero(e) for e in flatten(M))
 
 
@@ -241,7 +234,7 @@ def test_correspondence_round_trip_is_exact():
                 plane[a][b] = e
                 plane[b][a] = e
         comps.append(tuple(tuple(r) for r in plane))
-    H = TemporalSemispray(2, 2, tuple(comps))
+    H = Semispray(2, 2, tuple(comps))
     back = temporal_semispray_from_connection_part(
         connection_part_from_temporal_semispray(H), 2, 2
     )
@@ -439,7 +432,8 @@ def test_semispray_connection_round_trip_for_quadratic_system():
 
 def test_traces_flat_metric_sum_diagonal():
     system = random_symmetric_system()
-    Ftr, Htr = h_traces(system, support.flat_metric(ex.TEMPORAL, 2))
+    pipe = InvariantPipeline(system, support.flat_metric(ex.TEMPORAL, 2))
+    Ftr, Htr = pipe.trace_system, pipe.trace_temporal
     assert all(ex.is_zero(e) for e in Htr)
     for p in sample_jet_points(2, 2, 10, seed=9):
         b = p.bindings()
@@ -453,7 +447,8 @@ def test_traces_flat_metric_sum_diagonal():
 def test_traces_match_direct_contraction():
     system = random_symmetric_system()
     h = support.trig_diagonal_metric(ex.TEMPORAL, 2, seed=13)
-    Ftr, Htr = h_traces(system, h)
+    pipe = InvariantPipeline(system, h)
+    Ftr, Htr = pipe.trace_system, pipe.trace_temporal
     gt = christoffel_sym(h)
     worst = 0.0
     for p in sample_jet_points(2, 2, 15, seed=10):
@@ -478,7 +473,8 @@ def test_traces_match_direct_contraction():
 def test_traces_m1_reduce_to_single_component():
     F = parse("v1_1^2 + x1", 1, 1)
     system = PdeSystem.from_upper(1, 1, {(1, 1, 1): F})
-    Ftr, Htr = h_traces(system, unit_h1())
+    pipe = InvariantPipeline(system, unit_h1())
+    Ftr, Htr = pipe.trace_system, pipe.trace_temporal
     assert Ftr[0] == F
     assert ex.is_zero(Htr[0])
 
@@ -580,7 +576,7 @@ def test_zero_system_deviation_zero():
 
 def test_oscillator_deviation_is_minus_one():
     system = PdeSystem.from_upper(1, 1, {(1, 1, 1): parse("x1", 1, 1)})
-    P = deviation_curvature(system, unit_h1())
+    P = InvariantPipeline(system, unit_h1()).deviation_curvature
     for p in sample_jet_points(1, 1, 10, seed=15):
         assert ex.evaluate(P[0][0], p.bindings()) == pytest.approx(-1.0, abs=1e-14)
 
