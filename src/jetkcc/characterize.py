@@ -309,16 +309,15 @@ def coupling_constraint_residual(
     hm = h.evaluate(t)
     L = _constraint_matrix(hm, np.linalg.inv(hm))
     vals = coupling.evaluate(t, x)
-    worst = 0.0
     pairs = temporal_pairs(m)
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                if p == q:
-                    continue
-                vec = np.array([vals[i, a - 1, v - 1, p, q] for a, v in pairs])
-                worst = max(worst, float(np.max(np.abs(L @ vec))))
-    return worst
+    residuals = [
+        L @ np.array([vals[i, a - 1, v - 1, p, q] for a, v in pairs])
+        for i in range(n)
+        for p in range(n)
+        for q in range(n)
+        if p != q
+    ]
+    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +352,11 @@ def build_characterized_system(
         raise ValueError("coefficient families have mismatched dimensions")
     if h.kind != ex.TEMPORAL or h.dim != m:
         raise ValueError("expected a temporal metric of matching dimension")
-    worst = 0.0
-    for t, x in _probe_points(m, n):
-        worst = max(worst, coupling_constraint_residual(coupling, h, t, x))
-    if worst > CONSTRAINT_WARN_TOL:
+    residuals = [
+        coupling_constraint_residual(coupling, h, t, x) for t, x in _probe_points(m, n)
+    ]
+    worst = float(np.max(residuals))
+    if not worst <= CONSTRAINT_WARN_TOL:
         warnings.warn(
             f"coupling field violates its constraint system (residual "
             f"{worst:.3e} at probe points); the first invariant of the "
@@ -527,27 +527,26 @@ def extract_structure(
     if all(ex.is_zero(e) for e in leaves(fifth_invariant(system))):
         fifth_max = 0.0
     else:
-        fifth_max = max(
-            float(np.max(np.abs(pipe.evaluate("D", JetPoint(t, x, v)).values)))
-            for v in vs
+        fifth_max = float(
+            np.max(np.abs([pipe.evaluate("D", JetPoint(t, x, v)).values for v in vs]))
         )
-    if fifth_max > QUADRATIC_TOL:
+    if not fifth_max <= QUADRATIC_TOL:
         raise NotVelocityQuadraticError(fifth_max)
 
-    eps_max = max(
-        float(np.max(np.abs(pipe.evaluate("eps", JetPoint(t, x, v)).values)))
-        for v in vs
+    eps_max = float(
+        np.max(np.abs([pipe.evaluate("eps", JetPoint(t, x, v)).values for v in vs]))
     )
-    if eps_max > HYPOTHESIS_TOL:
+    if not eps_max <= HYPOTHESIS_TOL:
         raise HypothesisViolationError("first invariant", eps_max, HYPOTHESIS_TOL)
 
     dec = quadratic_decomposition(system, t, x)
-    sym_residual = max(
-        float(np.max(np.abs(dec.quadratic - dec.quadratic.transpose(0, 2, 1, 3, 4, 5, 6)))),
-        float(np.max(np.abs(dec.linear - dec.linear.transpose(0, 2, 1, 3, 4)))),
-        float(np.max(np.abs(dec.constant - dec.constant.transpose(0, 2, 1)))),
+    sym_gaps = (
+        dec.quadratic - dec.quadratic.transpose(0, 2, 1, 3, 4, 5, 6),
+        dec.linear - dec.linear.transpose(0, 2, 1, 3, 4),
+        dec.constant - dec.constant.transpose(0, 2, 1),
     )
-    if sym_residual > SYMMETRY_TOL:
+    sym_residual = float(np.max([np.max(np.abs(g)) for g in sym_gaps]))
+    if not sym_residual <= SYMMETRY_TOL:
         raise HypothesisViolationError(
             "coefficient symmetry residual", sym_residual, SYMMETRY_TOL
         )
@@ -578,7 +577,7 @@ def extract_structure(
                 coupling_vals[:, a, v, :, :] = dec.quadratic[:, a, a, :, a, :, v]
 
     # rebuild from the recovered values and compare against the system
-    rebuild_residual = 0.0
+    rebuild_gaps = []
     delta = np.eye(m)
     for v in vs:
         want = system.evaluate(JetPoint(t, x, v))
@@ -589,9 +588,8 @@ def extract_structure(
             "iavpq,pa,qv->ia", coupling_vals, v, v
         )
         got += np.einsum("ia,ab->iab", coupling_term, delta)
-        rebuild_residual = max(
-            rebuild_residual, float(np.max(np.abs(got - want)))
-        )
+        rebuild_gaps.append(got - want)
+    rebuild_residual = float(np.max(np.abs(rebuild_gaps)))
 
     diagnostics = ExtractionDiagnostics(
         fifth_max=fifth_max,

@@ -911,10 +911,21 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+def _sample_count(text: str) -> int:
+    """``--samples`` value: an integer of at least 1 (else a usage error)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_sampling(parser, default_samples=None):
     parser.add_argument(
         "--samples",
-        type=int,
+        type=_sample_count,
         default=default_samples,
         metavar="N",
         help="number of random jet points to draw",

@@ -150,19 +150,16 @@ class CoordinateChange:
         return np.array([ex.evaluate(e, b) for e in self.x_forward])
 
     def round_trip_defect(self, points) -> float:
-        """max |inverse(forward(z)) - z| over the t and x parts of points."""
-        worst = 0.0
+        """max |inverse(forward(z)) - z| over the t and x parts of points
+        (nan if any of them is nan)."""
+        defects = []
         for p in points:
             tb = Bindings.jet(self.m, self.n, t=self.forward_t(p.t))
             xb = Bindings.jet(self.m, self.n, x=self.forward_x(p.x))
             t_back = np.array([ex.evaluate(e, tb) for e in self.t_inverse])
             x_back = np.array([ex.evaluate(e, xb) for e in self.x_inverse])
-            worst = max(
-                worst,
-                float(np.max(np.abs(t_back - p.t))),
-                float(np.max(np.abs(x_back - p.x))),
-            )
-        return worst
+            defects.append(np.concatenate([t_back - p.t, x_back - p.x]))
+        return float(np.max(np.abs(defects), initial=0.0))
 
 
 def identity_change(m: int, n: int) -> CoordinateChange:

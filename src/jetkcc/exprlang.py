@@ -1,10 +1,21 @@
 """Symbolic scalar expressions over jet coordinates t^a, x^i and velocities v^i_a.
 
-Expression trees are immutable and freely shared, so results of the builders in
-the geometry modules are DAGs rather than trees.  Every traversal here
-(evaluation, differentiation, substitution, simplification, free-variable
-collection) walks the DAG iteratively with an identity memo: shared subtrees
-are processed once and recursion depth is never an issue.
+Expression nodes are hash-consed: every constructor (``Num``, ``Const``,
+``Var``, ``Unary``, ``Binary``) returns the one node of that structure,
+looked up in a table keyed on the node's class, operator and children
+(themselves interned, so compared by identity), on the ``VariableId`` of a
+variable, or on the bit pattern of a literal (so ``0.0`` and ``-0.0`` stay
+distinct).  Structurally equal expressions are
+therefore the same object: equality is ``is`` and hashing is O(1).  The table
+holds its nodes for the life of the process, so a node's ``id`` is never
+reused, and ``differentiate`` (one memo per variable) and ``simplify`` keep
+their results, keyed by node identity, for the life of the process too.
+
+Results of the builders in the geometry modules are DAGs rather than trees.
+Every traversal here (evaluation, differentiation, substitution,
+simplification, free-variable collection) walks the DAG iteratively with an
+identity memo: shared subtrees are processed once and recursion depth is
+never an issue.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -54,9 +65,19 @@ class VariableId:
 
 
 class Expression:
-    """Base class; all nodes are immutable and hashable by structure."""
+    """Base class; nodes are interned and immutable (see the module doc)."""
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the interned node
+        return (type(self), tuple(getattr(self, f) for f in self.__slots__))
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -95,37 +116,61 @@ class Expression:
         return to_string(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+# every node ever built, by structure; never emptied, so ids stay unique
+_NODES: dict[tuple, Expression] = {}
+
+
+def _intern(cls, key: tuple, *values) -> Expression:
+    """The node stored under ``key``, built from ``values`` (in the order of
+    ``cls.__slots__``) on first use."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(node, name, value)
+        _NODES[key] = node
+    return node
+
+
 class Num(Expression):
     """Nonnegative numeric literal (negatives are ``neg`` nodes, so every
     printed expression re-parses to the same tree)."""
 
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        value = float(value)
+        return _intern(cls, (cls, value.hex()), value)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expression):
     """Named constant: ``pi`` or ``e``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expression):
-    vid: VariableId
+    __slots__ = ("vid",)
+
+    def __new__(cls, vid: VariableId):
+        return _intern(cls, (cls, vid), vid)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Unary(Expression):
-    op: str  # "neg" or a function name
-    arg: Expression
+    __slots__ = ("op", "arg")  # op: "neg" or a function name
+
+    def __new__(cls, op: str, arg: Expression):
+        return _intern(cls, (cls, op, arg), op, arg)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Binary(Expression):
-    op: str  # + - * / ^
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")  # op: + - * / ^
+
+    def __new__(cls, op: str, left: Expression, right: Expression):
+        return _intern(cls, (cls, op, left, right), op, left, right)
 
 
 ZERO = Num(0.0)
@@ -397,12 +442,15 @@ def _children(node: Expression) -> tuple:
     return ()
 
 
-def _postorder_map(root: Expression, compute):
+def _postorder_map(root: Expression, compute, memo: dict | None = None):
     """Apply ``compute(node, child_results)`` bottom-up over the DAG.
 
     Nodes are memoized by identity, so shared subtrees are computed once.
+    A ``memo`` passed in is read and extended, so results carry over between
+    calls with the same ``compute``.
     """
-    memo: dict[int, object] = {}
+    if memo is None:
+        memo = {}
     stack: list[tuple[Expression, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -557,7 +605,10 @@ def _pow_value(base: float, ex: float) -> float:
             raise EvaluationError("overflow in power") from exc
     if base <= 0.0:
         raise EvaluationError("non-integer power of a non-positive base")
-    return math.pow(base, ex)
+    try:
+        return math.pow(base, ex)
+    except OverflowError as exc:
+        raise EvaluationError("overflow in power") from exc
 
 
 _UNARY_SCALAR = {
@@ -710,6 +761,9 @@ def _evaluate_array(e: Expression, bindings: Bindings):
 # differentiation
 # ---------------------------------------------------------------------------
 
+# per variable: id(node) -> derivative, for the life of the process
+_DERIVATIVES: dict[VariableId, dict[int, Expression]] = {}
+
 
 def differentiate(e: Expression, var) -> Expression:
     """Partial derivative with respect to one jet variable.
@@ -769,7 +823,7 @@ def differentiate(e: Expression, var) -> Expression:
         # general u^w: u^w * (dw*log(u) + w*du/u)
         return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))
 
-    return _postorder_map(e, compute)
+    return _postorder_map(e, compute, _DERIVATIVES.setdefault(vid, {}))
 
 
 def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6) -> float:
@@ -814,6 +868,10 @@ def substitute(e: Expression, mapping: dict) -> Expression:
     return _postorder_map(e, compute)
 
 
+# id(node) -> simplified node, for the life of the process
+_SIMPLIFIED: dict[int, Expression] = {}
+
+
 def simplify(e: Expression) -> Expression:
     """Conservative cleanup: rebuilds the DAG through the smart constructors.
 
@@ -832,7 +890,7 @@ def simplify(e: Expression) -> Expression:
             return _binary(node.op, kids[0], kids[1])
         return node
 
-    return _postorder_map(e, compute)
+    return _postorder_map(e, compute, _SIMPLIFIED)
 
 
 def free_variables(e: Expression) -> frozenset[VariableId]:

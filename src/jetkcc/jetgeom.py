@@ -587,14 +587,17 @@ def build_first_order_system(
                     )
                 raw[(i, a, b)] = neg(expr_sum(terms))
 
-    asym = 0.0
+    gaps = []
     if m > 1:
         for p in sample_jet_points(m, n, 5, seed=20):
             vals = {k: ex.evaluate(e, p.bindings()) for k, e in raw.items()}
-            for i in range(1, n + 1):
-                for a in range(1, m + 1):
-                    for b in range(a + 1, m + 1):
-                        asym = max(asym, abs(vals[(i, a, b)] - vals[(i, b, a)]))
+            gaps.extend(
+                vals[(i, a, b)] - vals[(i, b, a)]
+                for i in range(1, n + 1)
+                for a in range(1, m + 1)
+                for b in range(a + 1, m + 1)
+            )
+    asym = float(np.max(np.abs(gaps), initial=0.0))
 
     if symmetrize:
         upper = {}
@@ -606,11 +609,12 @@ def build_first_order_system(
                     )
         return PdeSystem.from_upper(m, n, upper)
 
-    if asym > FIRST_ORDER_ASYM_TOL:
+    symmetric = asym <= FIRST_ORDER_ASYM_TOL  # a nan gap is asymmetric
+    if not symmetric:
         warnings.warn(
             f"first-order prolongation is asymmetric in its time indices "
             f"(max deviation {asym:.3e} at sample points); storing as written",
             RuntimeWarning,
             stacklevel=2,
         )
-    return PdeSystem(m, n, raw, symmetric=asym <= FIRST_ORDER_ASYM_TOL)
+    return PdeSystem(m, n, raw, symmetric=symmetric)

@@ -241,6 +241,12 @@ def test_coupling_constraint_residual_matches_nullspace_operator():
         assert coupling_constraint_residual(coupling, h, t, x) <= 1e-12
 
 
+def test_coupling_constraint_residual_keeps_nan():
+    h, _, coupling = admissible_setup22()
+    t, x = np.array([0.3, 0.5]), np.array([float("nan"), 0.8])
+    assert np.isnan(coupling_constraint_residual(coupling, h, t, x))
+
+
 # ---------------------------------------------------------------------------
 # building systems
 # ---------------------------------------------------------------------------
@@ -303,6 +309,15 @@ def test_constraint_violation_warns_but_builds():
         )
     assert built.m == 2
 
+
+def test_nan_constraint_residual_warns(monkeypatch):
+    h, gamma, coupling = admissible_setup22()
+    nan_probe = [(np.array([0.3, 0.5]), np.array([float("nan"), 0.8]))]
+    monkeypatch.setattr(
+        "jetkcc.characterize._probe_points", lambda m, n: iter(nan_probe)
+    )
+    with pytest.warns(RuntimeWarning, match="residual nan"):
+        build_characterized_system(gamma, coupling, h)
 
 def test_build_rejects_mismatched_dimensions():
     with pytest.raises(ValueError, match="mismatch"):
@@ -430,6 +445,14 @@ def test_build_then_extract_round_trips_the_families():
     assert diag.symmetry_residual < 1e-12
     assert diag.rebuild_residual < 1e-10
 
+
+def test_nan_at_the_base_point_is_refused():
+    h, gamma, coupling = admissible_setup22()
+    built = build_characterized_system(gamma, coupling, h)
+    with pytest.raises(HypothesisViolationError) as info:
+        extract_structure(built, h, [0.4, 0.6], [float("nan"), 0.7])
+    assert info.value.what == "first invariant"
+    assert np.isnan(info.value.value)
 
 def test_cubic_velocity_term_is_refused():
     m1 = support.flat_metric(ex.TEMPORAL, 1)

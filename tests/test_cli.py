@@ -495,6 +495,42 @@ def test_nullspace_out_of_domain_metric_is_exit_3(tmp_path, capsys):
     assert "evaluation error: log of non-positive value" in capsys.readouterr().err
 
 
+def test_power_overflow_is_exit_3(tmp_path, capsys):
+    metric = {"m": 2, "temporal_metric": [["t1^2.5", "0"], ["0", "1"]]}
+    path = write_json(tmp_path, "powm.json", metric)
+    assert main(["nullspace", path, "--t", "1e200,0.5"]) == 3
+    assert capsys.readouterr().err == (
+        "evaluation error: overflow in power in `t1^2.5`\n"
+    )
+    # an overflowing constant stays unfolded: the file loads, and the
+    # infinite invariant is reported as an evaluation error
+    big = dict(
+        OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "1e200^2.5*x1"}]}
+    )
+    prob = write_json(tmp_path, "big.json", big)
+    assert main(["invariants", prob, "--samples", "2"]) == 3
+    assert "is inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["invariants", "oscillator.json"],
+        ["check", "transform", "oscillator.json", "change_stretch.json"],
+        ["check", "fd", "rotation_flow.json"],
+        ["check", "jacobi", "oscillator.json"],
+    ],
+    ids=["invariants", "transform", "fd", "jacobi"],
+)
+def test_samples_below_one_is_usage_error(command, capsys):
+    args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--samples", bad])
+        assert exit_info.value.code == 2
+        assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report determinism
 # ---------------------------------------------------------------------------

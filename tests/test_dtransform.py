@@ -292,6 +292,16 @@ def test_round_trip_defect_flags_a_wrong_inverse():
     assert bad.round_trip_defect(pts) > 1e-2
 
 
+def test_round_trip_defect_keeps_nan():
+    good = change11_time_quadratic()
+    # inf - inf at every point: the inverse time map is nan
+    nan_inverse = parse("t1 + (1e200*t1)*1e200 - (1e200*t1)*1e200", 1, 1)
+    bad = CoordinateChange(
+        1, 1, good.t_forward, good.x_forward, (nan_inverse,), good.x_inverse
+    )
+    assert np.isnan(bad.round_trip_defect(domain_points(1, 1, 3, seed=3)))
+
+
 def test_singular_jacobian_is_refused():
     cc = CoordinateChange(
         1,
@@ -379,6 +389,50 @@ def test_transformed_velocity_is_the_chain_rule_derivative():
     tn = moved.t[0]
     fd = (curve_new(tn + step) - curve_new(tn - step)) / (2 * step)
     assert support.rel_max(moved.v[:, 0], fd) < 1e-8
+
+
+def _node_counts(roots):
+    """(identity-distinct, structurally distinct) nodes reachable from roots."""
+    klass: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+    stack = [(root, False) for root in roots]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in klass:
+            continue
+        kids = ex._children(node)
+        if ready or not kids:
+            if isinstance(node, ex.Num):
+                key = ("num", node.value)
+            elif isinstance(node, ex.Const):
+                key = ("const", node.name)
+            elif isinstance(node, ex.Var):
+                key = ("var", node.vid)
+            else:
+                key = (node.op,) + tuple(klass[id(k)] for k in kids)
+            klass[id(node)] = table.setdefault(key, len(table))
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids if id(k) not in klass)
+    return len(klass), len(table)
+
+
+def test_pushforward_fourth_invariant_shares_equal_subtrees():
+    # without interning, B of this pipeline had 161,702 node objects for
+    # 4,920 distinct subexpressions
+    h, _, system = affine_setup22()
+    new_system, new_h = pushforward_system(change22(), system, h)
+    roots = []
+    stack = [InvariantPipeline(new_system, new_h).expressions("B")]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, tuple):
+            stack.extend(part)
+        else:
+            roots.append(part)
+    identity, structural = _node_counts(roots)
+    assert structural > 1000
+    assert identity <= 1.5 * structural
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_evaluate_domain_errors_identify_subexpression():
 def test_evaluate_integer_power_of_negative_base():
     assert evaluate(parse("x1^3", 1, 1), bnd(1, 1, x1=-2.0)) == -8.0
     assert evaluate(parse("x1^-2", 1, 1), bnd(1, 1, x1=-2.0)) == 0.25
+
+
+def test_power_overflow_is_an_evaluation_error():
+    e = parse("x1^2.5", 1, 1)
+    with pytest.raises(EvaluationError, match="overflow in power"):
+        evaluate(e, Bindings.jet(1, 1, x=[1e200]))
+
+
+def test_simplify_leaves_an_overflowing_power_unfolded():
+    e = simplify(parse("1e200^2.5", 1, 1))
+    assert isinstance(e, ex.Binary) and e.op == "^"
+    with pytest.raises(EvaluationError, match="overflow in power"):
+        evaluate(e, bnd(1, 1))
 
 
 def test_evaluate_vectorized_matches_scalar_loop():
@@ -450,3 +464,114 @@ def test_one_point_evaluation_matches_batch_column(e, t, x, v):
         assert math.isfinite(value) == bool(np.isfinite(batch[k])), (value, batch[k])
         if math.isfinite(value):
             assert value == pytest.approx(float(batch[k]), rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# interning: one node per structure; memos that outlive a call
+# ---------------------------------------------------------------------------
+
+
+def _nodes(e):
+    """Every node reachable from e, each once."""
+    seen = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(ex._children(node))
+    return list(seen.values())
+
+
+def _rebuild(node):
+    if isinstance(node, ex.Binary):
+        return ex.Binary(node.op, node.left, node.right)
+    if isinstance(node, ex.Unary):
+        return ex.Unary(node.op, node.arg)
+    if isinstance(node, ex.Var):
+        return ex.Var(node.vid)
+    if isinstance(node, ex.Const):
+        return ex.Const(node.name)
+    return ex.Num(node.value)
+
+
+def test_literals_intern_by_bit_pattern():
+    assert ex.Num(6.0) is ex.Num(6) is simplify(parse("2 * 3", 1, 1))
+    assert ex.Num(0.0) is ex.ZERO
+    assert ex.Num(0.0) is not ex.Num(-0.0)
+    assert math.copysign(1.0, ex.Num(-0.0).value) == -1.0
+    assert ex.Num(float("nan")) is ex.Num(float("nan"))
+    assert ex.x_var(1) is parse("x1", 1, 1) and ex.PI is ex.Const("pi")
+
+
+def test_nodes_are_immutable_and_hash_by_identity():
+    e = parse("x1 + sin(t1)", 1, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        e.op = "-"
+    assert {e: 1}[parse("x1+sin(t1)", 1, 1)] == 1
+    assert e != parse("x1 + sin(t2)", 2, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=EXPRESSIONS)
+def test_rebuilding_any_node_returns_the_same_object(e):
+    for node in _nodes(e):
+        assert _rebuild(node) is node
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=EXPRESSIONS)
+def test_printed_expression_parses_to_the_same_object(e):
+    assert parse(to_string(e), BIND_M, BIND_N) is e
+    s = simplify(e)
+    assert parse(to_string(s), BIND_M, BIND_N) is s
+
+
+JET_VARS = [ex.t_var(a) for a in (1, 2)] + [ex.x_var(i) for i in (1, 2)]
+JET_VARS += [ex.v_var(i, a) for i in (1, 2) for a in (1, 2)]
+# in-domain points for the derivative oracle: a 1/8 grid on [1/4, 3/2]
+POSITIVE_GRID = st.integers(2, 12).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    e=EXPRESSIONS,
+    other=EXPRESSIONS,
+    pick=st.integers(0, 7),
+    coords=st.lists(POSITIVE_GRID, min_size=8, max_size=8),
+)
+def test_differentiate_matches_fd_with_a_warm_memo(e, other, pick, coords):
+    # differentiate by a variable of e when it has one
+    free = sorted(free_variables(e), key=lambda vid: vid.name)
+    var = ex.Var(free[pick % len(free)]) if free else JET_VARS[pick]
+    # the memos start empty for the cold results, then are warmed by other
+    # derivatives before the same derivative is taken again
+    with mock.patch.object(ex, "_DERIVATIVES", {}), mock.patch.object(
+        ex, "_SIMPLIFIED", {}
+    ):
+        cold = differentiate(e, var)
+        cold_simplified = simplify(e)
+    for w in JET_VARS:
+        differentiate(other, w)
+        differentiate(e, w)
+        differentiate(differentiate(other, w), var)
+    simplify(other)
+    d = differentiate(e, var)
+    assert d is cold and simplify(e) is cold_simplified
+    assert differentiate(e, var) is d
+
+    names = [v.vid.name for v in JET_VARS]
+    b = bnd(BIND_M, BIND_N, **dict(zip(names, coords)))
+    step = 1e-6
+    try:
+        got = evaluate(d, b)
+        want = fd_partial(e, var, b, step)
+        half = fd_partial(e, var, b, step / 2)
+    except EvaluationError:
+        return  # the expression or its derivative is out of domain here
+    if not all(map(math.isfinite, (got, want, half))):
+        return
+    scale = max(1.0, abs(got), abs(evaluate(e, b)))
+    if abs(want - half) > 1e-6 * scale:
+        return  # too close to a singularity for central differences
+    assert abs(got - want) <= 1e-5 * scale, (to_string(e), var, got, want)

@@ -424,6 +424,19 @@ def test_first_order_multi_time_warns_when_asymmetric():
     assert got[0, 1, 0] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_first_order_nan_gap_counts_as_asymmetric(monkeypatch):
+    # X_a = d/dt^a (t1^2 t2^2 / 4): symmetric, but nan at nan sample times
+    X = {(1, 1): parse("t1*t2^2/2", 2, 1), (1, 2): parse("t1^2*t2/2", 2, 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_first_order_system(X, 2, 1).symmetric
+    nan_points = [JetPoint([float("nan"), 0.5], [0.3], [[0.1, 0.2]])]
+    monkeypatch.setattr(
+        "jetkcc.jetgeom.sample_jet_points", lambda *args, **kwargs: nan_points
+    )
+    with pytest.warns(RuntimeWarning, match="max deviation nan"):
+        assert not build_first_order_system(X, 2, 1).symmetric
+
 def test_first_order_symmetrize_averages():
     X = {
         (1, 1): parse("x1*t2", 2, 1),
