@@ -446,7 +446,11 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = [render_json(v, indent + 1) for v in value]
+        if len(value) > 12 and all(type(v) is float for v in value):
+            # a long run of plain floats (per-point values) is never inlined
+            parts = [_fmt_float(v) for v in value]
+        else:
+            parts = [render_json(v, indent + 1) for v in value]
         if all("\n" not in p and len(p) < 25 for p in parts) and len(parts) <= 12:
             return "[" + ", ".join(parts) + "]"
         body = ",\n".join(inner + p for p in parts)
@@ -578,7 +582,8 @@ def _parse_which(text: str) -> list:
 def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
     """Evaluate the selected invariants at every point; structural zeros are
     reported exactly, without evaluation.  A non-finite component raises
-    EvaluationError naming the selector, the component and the point."""
+    EvaluationError naming the selector, the component, the point and the
+    subexpression where the value first turns non-finite."""
     pipe = InvariantPipeline(problem.system, problem.h)
     blocks = []
     for name in which:
@@ -592,9 +597,14 @@ def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
             bad = np.argwhere(~np.isfinite(grid))
             if bad.size:
                 *idx, k = bad[0]
+                leaf = pipe.expressions(name)
+                for u in idx:
+                    leaf = leaf[u]
+                origin, _ = ex.nonfinite_origin(leaf, batch_bindings(points))
                 raise ex.EvaluationError(
                     f"invariant {name}: component {[int(u) + 1 for u in idx]} "
-                    f"is {grid[tuple(bad[0])]} at point {k + 1} of {len(points)}"
+                    f"is {grid[tuple(bad[0])]} at point {k + 1} of {len(points)}",
+                    expression=origin,
                 )
             entry["structural_zero"] = False
             entry["max_abs"] = float(np.max(np.abs(grid)))
@@ -922,6 +932,32 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _step_size(text: str) -> float:
+    """``--step`` value: finite and greater than 0 (else a usage error)."""
+    step = _finite_float(text)
+    if not step > 0.0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text!r}")
+    return step
+
+
+def _tolerance(text: str) -> float:
+    """``--tol`` value: finite and at least 0 (else a usage error)."""
+    tol = _finite_float(text)
+    if tol < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return tol
+
+
 def _add_sampling(parser, default_samples=None):
     parser.add_argument(
         "--samples",
@@ -983,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("problem", help="problem JSON file")
     tr.add_argument("change", help="coordinate-change JSON file")
     _add_sampling(tr)
-    tr.add_argument("--tol", type=float, default=1e-6, help="pass tolerance")
+    tr.add_argument("--tol", type=_tolerance, default=1e-6, help="pass tolerance")
     _add_out(tr)
     tr.set_defaults(handler=_cmd_check_transform)
 
@@ -992,9 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fd.add_argument("problem", help="problem JSON file")
     fd.add_argument(
-        "--step", type=float, default=1e-5, help="finite-difference step"
+        "--step", type=_step_size, default=1e-5, help="finite-difference step"
     )
-    fd.add_argument("--tol", type=float, default=1e-5, help="pass tolerance")
+    fd.add_argument("--tol", type=_tolerance, default=1e-5, help="pass tolerance")
     _add_sampling(fd)
     _add_out(fd)
     fd.set_defaults(handler=_cmd_check_fd)
@@ -1004,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="residual of the deviation form along the file's section",
     )
     jac.add_argument("problem", help="problem JSON file (needs section/variation)")
-    jac.add_argument("--tol", type=float, default=1e-6, help="pass tolerance")
+    jac.add_argument("--tol", type=_tolerance, default=1e-6, help="pass tolerance")
     _add_sampling(jac)
     _add_out(jac)
     jac.set_defaults(handler=_cmd_check_jacobi)

@@ -12,10 +12,11 @@ reused, and ``differentiate`` (one memo per variable) and ``simplify`` keep
 their results, keyed by node identity, for the life of the process too.
 
 Results of the builders in the geometry modules are DAGs rather than trees.
-Every traversal here (evaluation, differentiation, substitution,
-simplification, free-variable collection) walks the DAG iteratively with an
-identity memo: shared subtrees are processed once and recursion depth is
-never an issue.
+Every traversal here walks the DAG iteratively with an identity memo, so
+shared subtrees are processed once and recursion depth is never an issue.
+Batch evaluation lowers a family's union DAG to one tape run with numpy
+(out-of-domain points give nan/inf); one point goes through the scalar
+interpreter, which raises EvaluationError instead.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -24,6 +25,7 @@ Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -338,16 +340,8 @@ def pow_(a, b) -> Expression:
     return Binary("^", a, b)
 
 
-_UNARY_FOLD = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-}
+# math and numpy name the DSL's functions alike
+_UNARY_MATH = {f: getattr(math, f) for f in FUNCTIONS}
 
 
 def _unary(op: str, a: Expression) -> Expression:
@@ -356,7 +350,7 @@ def _unary(op: str, a: Expression) -> Expression:
     av = _as_number(a)
     if av is not None:
         try:
-            v = _UNARY_FOLD[op](av)
+            v = _UNARY_MATH[op](av)
         except (ValueError, OverflowError):
             v = None
         if v is not None and math.isfinite(v):
@@ -364,48 +358,17 @@ def _unary(op: str, a: Expression) -> Expression:
     return Unary(op, a)
 
 
-def sin(a) -> Expression:
-    return _unary("sin", as_expr(a))
+def _function(op: str):
+    def build(a) -> Expression:
+        return _unary(op, as_expr(a))
+
+    build.__name__ = build.__qualname__ = op
+    return build
 
 
-def cos(a) -> Expression:
-    return _unary("cos", as_expr(a))
+sin, cos, tan, exp, log, sqrt, sinh, cosh = map(_function, FUNCTIONS)
 
-
-def tan(a) -> Expression:
-    return _unary("tan", as_expr(a))
-
-
-def exp(a) -> Expression:
-    return _unary("exp", as_expr(a))
-
-
-def log(a) -> Expression:
-    return _unary("log", as_expr(a))
-
-
-def sqrt(a) -> Expression:
-    return _unary("sqrt", as_expr(a))
-
-
-def sinh(a) -> Expression:
-    return _unary("sinh", as_expr(a))
-
-
-def cosh(a) -> Expression:
-    return _unary("cosh", as_expr(a))
-
-
-def _binary(op: str, a: Expression, b: Expression) -> Expression:
-    if op == "+":
-        return add(a, b)
-    if op == "-":
-        return sub(a, b)
-    if op == "*":
-        return mul(a, b)
-    if op == "/":
-        return div(a, b)
-    return pow_(a, b)
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}
 
 
 def expr_sum(terms) -> Expression:
@@ -454,18 +417,17 @@ def _postorder_map(root: Expression, compute, memo: dict | None = None):
     stack: list[tuple[Expression, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
-        key = id(node)
-        if key in memo:
+        if node in memo:
             continue
         kids = _children(node)
         if ready or not kids:
-            memo[key] = compute(node, tuple(memo[id(k)] for k in kids))
+            memo[node] = compute(node, tuple(memo[k] for k in kids))
         else:
             stack.append((node, True))
             for k in kids:
-                if id(k) not in memo:
+                if k not in memo:
                     stack.append((k, False))
-    return memo[id(root)]
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +476,8 @@ class Bindings:
         ``t``, ``x`` and ``v`` have shapes (m,), (n,) and (n, m) for one
         point, or those shapes plus a trailing batch axis.  One point is
         stored as Python floats, so evaluation stays scalar and raises on
-        domain errors (a 0-d array would switch it to the array interpreter,
-        which returns nan instead); a batch is stored as arrays.
+        domain errors (a 0-d array would switch it to the batch tape, which
+        returns nan instead); a batch is stored as arrays.
         """
         vids = {
             "t": [VariableId(TEMPORAL, alpha=a + 1) for a in range(m)],
@@ -545,15 +507,10 @@ class Bindings:
 
     @classmethod
     def from_names(cls, m: int, n: int, by_name: dict) -> "Bindings":
-        out = {}
-        for name, val in by_name.items():
-            out[parse_variable_name(name, m, n)] = val
-        return cls(m, n, out)
+        return cls(m, n, {parse_variable_name(k, m, n): v for k, v in by_name.items()})
 
     def with_value(self, vid: VariableId, value) -> "Bindings":
-        vals = dict(self.values)
-        vals[vid] = value
-        return Bindings(self.m, self.n, vals)
+        return Bindings(self.m, self.n, {**self.values, vid: value})
 
 
 _VAR_NAME_RE = re.compile(r"^(?:t([0-9]+)|x([0-9]+)|v([0-9]+)_([0-9]+))$")
@@ -567,30 +524,17 @@ def _classify(word: str, m: int, n: int, position: int) -> VariableId:
     mt = _VAR_NAME_RE.match(word)
     if not mt:
         raise ParseError(f"unknown identifier '{word}'", position)
-    if mt.group(1) is not None:
-        a = int(mt.group(1))
-        if not 1 <= a <= m:
-            raise ParseError(
-                f"temporal index {a} out of range 1..{m} in '{word}'", position
-            )
-        return VariableId(TEMPORAL, alpha=a)
-    if mt.group(2) is not None:
-        i = int(mt.group(2))
-        if not 1 <= i <= n:
-            raise ParseError(
-                f"spatial index {i} out of range 1..{n} in '{word}'", position
-            )
-        return VariableId(SPATIAL, i=i)
-    i, a = int(mt.group(3)), int(mt.group(4))
-    if not 1 <= i <= n:
-        raise ParseError(
-            f"spatial index {i} out of range 1..{n} in '{word}'", position
-        )
-    if not 1 <= a <= m:
-        raise ParseError(
-            f"temporal index {a} out of range 1..{m} in '{word}'", position
-        )
-    return VariableId(VELOCITY, i=i, alpha=a)
+    t, x, vi, va = (None if g is None else int(g) for g in mt.groups())
+    i = x if x is not None else vi
+    a = t if t is not None else va
+    if i is not None and not 1 <= i <= n:
+        msg = f"spatial index {i} out of range 1..{n} in '{word}'"
+        raise ParseError(msg, position)
+    if a is not None and not 1 <= a <= m:
+        msg = f"temporal index {a} out of range 1..{m} in '{word}'"
+        raise ParseError(msg, position)
+    kind = TEMPORAL if t is not None else SPATIAL if x is not None else VELOCITY
+    return VariableId(kind, i=i or 0, alpha=a or 0)
 
 
 def _pow_value(base: float, ex: float) -> float:
@@ -611,26 +555,88 @@ def _pow_value(base: float, ex: float) -> float:
         raise EvaluationError("overflow in power") from exc
 
 
-_UNARY_SCALAR = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
+_UNARY_ARRAY = {"neg": np.negative} | {f: getattr(np, f) for f in FUNCTIONS}
+
+
+def _power_array(l, r):
+    if np.isscalar(r) and float(r).is_integer():
+        return np.power(l, int(r))
+    return np.power(l, r)
+
+
+_BINARY_ARRAY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    # np.divide, not /: two constant operands are plain floats, and float
+    # division by zero raises instead of giving inf or nan
+    "/": np.divide,
+    "^": _power_array,
 }
 
-_UNARY_ARRAY = {
-    "neg": np.negative,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
+
+def _is_batch(bindings: Bindings) -> bool:
+    return any(isinstance(v, np.ndarray) for v in bindings.values.values())
+
+
+class _Tape:
+    """The union DAG of ``roots`` lowered to a topologically ordered program
+    with one slot per distinct node, run with numpy over a batch.
+
+    Each instruction drops the operand slots it is the last reader of, so
+    only the live frontier of the DAG is held; root slots are kept.
+    """
+
+    def __init__(self, roots):
+        self.nodes: list[Expression] = []  # by slot, in topological order
+
+        def visit(node, _):
+            self.nodes.append(node)
+            return len(self.nodes) - 1
+
+        slot_of: dict[Expression, int] = {}
+        self.outputs = [_postorder_map(r, visit, slot_of) for r in roots]
+        last = [-1] * len(self.nodes)  # slot -> slot of its last reader
+        for s, node in enumerate(self.nodes):
+            for kid in _children(node):
+                last[slot_of[kid]] = s
+        for s in self.outputs:
+            last[s] = len(self.nodes)
+        self.leaves = []  # (slot, node) for literals and variables
+        # (function, left slot, right slot or -1, out slot, drop left, drop right)
+        self.code = []
+        for s, node in enumerate(self.nodes):
+            if isinstance(node, Unary):
+                a = slot_of[node.arg]
+                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, last[a] == s, False))
+            elif isinstance(node, Binary):
+                a, b = slot_of[node.left], slot_of[node.right]
+                fn = _BINARY_ARRAY[node.op]
+                self.code.append((fn, a, b, s, last[a] == s, last[b] == s))
+            else:
+                self.leaves.append((s, node))
+
+    def run(self, bindings: Bindings) -> list:
+        """The root values, in the order of the roots."""
+        slots = [None] * len(self.nodes)
+        values = bindings.values
+        for s, node in self.leaves:
+            if isinstance(node, Num):
+                slots[s] = node.value
+            elif isinstance(node, Const):
+                slots[s] = math.pi if node.name == "pi" else math.e
+            elif node.vid in values:
+                slots[s] = values[node.vid]
+            else:
+                raise EvaluationError(f"unbound variable '{node.vid.name}'", node)
+        with np.errstate(all="ignore"):
+            for fn, a, b, out, drop_a, drop_b in self.code:
+                slots[out] = fn(slots[a]) if b < 0 else fn(slots[a], slots[b])
+                if drop_a:
+                    slots[a] = None
+                if drop_b:
+                    slots[b] = None
+        return [slots[s] for s in self.outputs]
 
 
 def evaluate(e: Expression, bindings: Bindings):
@@ -638,34 +644,78 @@ def evaluate(e: Expression, bindings: Bindings):
 
     With scalar bindings the result is a float and domain errors
     (log/sqrt/division/power) raise EvaluationError identifying the offending
-    subexpression.  With array bindings the evaluation is vectorized through
-    numpy and out-of-domain points come back as nan/inf instead.
+    subexpression.  With array bindings the evaluation runs as a tape over
+    the batch and out-of-domain points come back as nan/inf instead.
     """
-    array_mode = any(isinstance(v, np.ndarray) for v in bindings.values.values())
-    if array_mode:
-        return _evaluate_array(e, bindings)
+    if _is_batch(bindings):
+        return _Tape([e]).run(bindings)[0]
     return _evaluate_scalar(e, bindings)
+
+
+def _nesting(nested, leaves: list) -> tuple:
+    """Shape of a rectangular nesting of tuples/lists; appends its leaves to
+    ``leaves`` in nesting order."""
+    if not isinstance(nested, (tuple, list)):
+        leaves.append(nested)
+        return ()
+    shapes = {_nesting(part, leaves) for part in nested}
+    if len(shapes) > 1:
+        raise ValueError("expressions are not nested rectangularly")
+    return (len(nested),) + (shapes.pop() if shapes else ())
 
 
 def evaluate_nested(nested, bindings: Bindings, batch_size: int | None = None):
     """Evaluate a nested tuple/list of expressions into a float ndarray.
 
-    The array shape mirrors the nesting.  When ``batch_size`` is given the
+    The array shape mirrors the nesting.  Over array bindings the whole
+    family is one tape (see ``_Tape``).  When ``batch_size`` is given the
     bindings are assumed to hold arrays of that length and every leaf that
     evaluates to a plain scalar (a constant expression, say) is broadcast to
     shape ``(batch_size,)`` so the result is always rectangular with the batch
     as the trailing axis.
     """
+    leaves: list[Expression] = []
+    shape = _nesting(nested, leaves)
+    if _is_batch(bindings):
+        values = _Tape(leaves).run(bindings)
+    else:
+        values = [evaluate(e, bindings) for e in leaves]
+    if batch_size is None:
+        batch = np.broadcast_shapes(*(np.shape(v) for v in values))
+    else:
+        batch = (batch_size,)
+    out = np.empty(shape + batch)
+    rows = out.reshape((len(leaves),) + batch)
+    for k, value in enumerate(values):
+        rows[k] = value
+    return out
 
-    def go(node):
-        if isinstance(node, (tuple, list)):
-            return [go(k) for k in node]
-        val = evaluate(node, bindings)
-        if batch_size is not None and not isinstance(val, np.ndarray):
-            return np.full(batch_size, float(val))
-        return val
 
-    return np.asarray(go(nested), dtype=float)
+def nonfinite_origin(e: Expression, bindings: Bindings):
+    """Where a batch evaluation of ``e`` turns non-finite.
+
+    Returns None if ``e`` is finite at every point.  Otherwise, at the first
+    point where it is not, walks back from ``e`` through non-finite operands
+    to a node that is non-finite while all its operands are finite, and
+    returns that node with the indices of the points where it is non-finite.
+    """
+    value = evaluate(e, bindings)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if not bad.size:
+        return None
+    k = bad[0]  # walk back at the first failing point only
+    one = {
+        vid: v[k : k + 1] if isinstance(v, np.ndarray) else v
+        for vid, v in bindings.values.items()
+    }
+    nodes = _Tape([e]).nodes
+    values = _Tape(nodes).run(Bindings(bindings.m, bindings.n, one))
+    finite = {node: np.isfinite(v).all() for node, v in zip(nodes, values)}
+    node = e
+    while failing := [kid for kid in _children(node) if not finite[kid]]:
+        node = failing[0]
+    at = np.broadcast_to(evaluate(node, bindings), np.shape(value))
+    return node, np.flatnonzero(~np.isfinite(at))
 
 
 def _evaluate_scalar(e: Expression, bindings: Bindings) -> float:
@@ -697,7 +747,7 @@ def _evaluate_scalar(e: Expression, bindings: Bindings) -> float:
                     raise EvaluationError(f"sqrt of negative value {a}", node)
                 return math.sqrt(a)
             try:
-                return _UNARY_SCALAR[op](a)
+                return _UNARY_MATH[op](a)
             except (ValueError, OverflowError) as exc:
                 raise EvaluationError(f"domain error in {op}", node) from exc
         l, r = kids
@@ -720,49 +770,12 @@ def _evaluate_scalar(e: Expression, bindings: Bindings) -> float:
     return _postorder_map(e, compute)
 
 
-def _evaluate_array(e: Expression, bindings: Bindings):
-    values = bindings.values
-
-    def compute(node, kids):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return math.pi if node.name == "pi" else math.e
-        if isinstance(node, Var):
-            try:
-                return values[node.vid]
-            except KeyError:
-                raise EvaluationError(
-                    f"unbound variable '{node.vid.name}'", node
-                ) from None
-        if isinstance(node, Unary):
-            return _UNARY_ARRAY[node.op](kids[0])
-        l, r = kids
-        op = node.op
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            # np.divide, not /: two constant operands are plain floats, and
-            # float division by zero raises instead of giving inf or nan
-            return np.divide(l, r)
-        if np.isscalar(r) and float(r).is_integer():
-            return np.power(l, int(r))
-        return np.power(l, r)
-
-    with np.errstate(all="ignore"):
-        return _postorder_map(e, compute)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
 
-# per variable: id(node) -> derivative, for the life of the process
-_DERIVATIVES: dict[VariableId, dict[int, Expression]] = {}
+# per variable: node -> derivative, for the life of the process
+_DERIVATIVES: dict[VariableId, dict[Expression, Expression]] = {}
 
 
 def differentiate(e: Expression, var) -> Expression:
@@ -862,14 +875,14 @@ def substitute(e: Expression, mapping: dict) -> Expression:
         if isinstance(node, Binary):
             if kids[0] is node.left and kids[1] is node.right:
                 return node
-            return _binary(node.op, kids[0], kids[1])
+            return _BINARY[node.op](kids[0], kids[1])
         return node
 
     return _postorder_map(e, compute)
 
 
-# id(node) -> simplified node, for the life of the process
-_SIMPLIFIED: dict[int, Expression] = {}
+# node -> simplified node, for the life of the process
+_SIMPLIFIED: dict[Expression, Expression] = {}
 
 
 def simplify(e: Expression) -> Expression:
@@ -887,7 +900,7 @@ def simplify(e: Expression) -> Expression:
         if isinstance(node, Unary):
             return _unary(node.op, kids[0])
         if isinstance(node, Binary):
-            return _binary(node.op, kids[0], kids[1])
+            return _BINARY[node.op](kids[0], kids[1])
         return node
 
     return _postorder_map(e, compute, _SIMPLIFIED)
@@ -897,12 +910,7 @@ def free_variables(e: Expression) -> frozenset[VariableId]:
     def compute(node, kids):
         if isinstance(node, Var):
             return frozenset((node.vid,))
-        if not kids:
-            return frozenset()
-        out = kids[0]
-        for k in kids[1:]:
-            out = out | k
-        return out
+        return frozenset().union(*kids)
 
     return _postorder_map(e, compute)
 
@@ -1036,27 +1044,18 @@ class _Parser:
             raise ParseError(f"unexpected trailing input '{text}'", pos)
         return e
 
-    def sum_(self) -> Expression:
-        e = self.term()
+    def chain(self, ops: str, operand) -> Expression:
+        """Left-associative chain of ``operand`` joined by one of ``ops``."""
+        e = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                rhs = self.term()
-                e = Binary(text, e, rhs)
-            else:
+            if kind != "op" or text not in ops:
                 return e
+            self.take()
+            e = Binary(text, e, operand())
 
-    def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                rhs = self.factor()
-                e = Binary(text, e, rhs)
-            else:
-                return e
+    def sum_(self) -> Expression:
+        return self.chain("+-", lambda: self.chain("*/", self.factor))
 
     def factor(self) -> Expression:
         kind, text, _ = self.peek()

@@ -257,9 +257,10 @@ def test_invariants_nonfinite_component_is_exit_3(tmp_path, capsys):
         ["invariants", path, "--samples", "6", "--seed", "0"], tmp_path
     )
     assert code == 3 and report is None
+    # the message names the subexpression where the value turns non-finite
     assert capsys.readouterr().err == (
         "evaluation error: invariant eps: component [1, 1, 1] is nan "
-        "at point 1 of 6\n"
+        "at point 1 of 6 in `log(x1)`\n"
     )
 
 
@@ -529,6 +530,43 @@ def test_samples_below_one_is_usage_error(command, capsys):
             main(args + ["--samples", bad])
         assert exit_info.value.code == 2
         assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
+CHECK_FD = ["check", "fd", "rotation_flow.json"]
+CHECK_TRANSFORM = ["check", "transform", "oscillator.json", "change_stretch.json"]
+CHECK_JACOBI = ["check", "jacobi", "oscillator.json"]
+BAD_STEP_OR_TOL = [
+    (CHECK_FD, "--step", "0", "must be greater than 0"),
+    (CHECK_FD, "--step", "-1e-5", "must be greater than 0"),
+    (CHECK_FD, "--step", "nan", "must be finite"),
+    (CHECK_FD, "--step", "inf", "must be finite"),
+    (CHECK_FD, "--tol", "nan", "must be finite"),
+    (CHECK_FD, "--tol", "-1", "must be at least 0"),
+    (CHECK_TRANSFORM, "--tol", "nan", "must be finite"),
+    (CHECK_TRANSFORM, "--tol", "-1", "must be at least 0"),
+    (CHECK_JACOBI, "--tol", "inf", "must be finite"),
+    (CHECK_JACOBI, "--tol", "-1e-9", "must be at least 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad, message",
+    BAD_STEP_OR_TOL,
+    ids=[f"{c[1]}{flag}={bad}" for c, flag, bad, _ in BAD_STEP_OR_TOL],
+)
+def test_bad_step_or_tolerance_is_usage_error(command, flag, bad, message, capsys):
+    args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + [f"{flag}={bad}"])  # "=": argparse reads -1e-5 as a flag
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    code, report = run_cli(
+        ["check", "jacobi", str(PROBLEMS / "oscillator.json"), "--tol", "0"], tmp_path
+    )
+    assert code == 0 and report["tolerance"] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from jetkcc.jetgeom import (
     MetricField,
     PdeSystem,
     Slot,
+    batch_bindings,
     build_affine_system,
     canonical_spatial_connection,
     canonical_spatial_semispray,
@@ -417,22 +419,60 @@ def _node_counts(roots):
     return len(klass), len(table)
 
 
+@functools.cache
+def pushforward_pipeline22() -> InvariantPipeline:
+    """The invariants of the curved 2x2 pair pushed forward under change22."""
+    h, _, system = affine_setup22()
+    return InvariantPipeline(*pushforward_system(change22(), system, h))
+
+
+def _leaves(nested) -> list:
+    if isinstance(nested, tuple):
+        return [leaf for part in nested for leaf in _leaves(part)]
+    return [nested]
+
+
 def test_pushforward_fourth_invariant_shares_equal_subtrees():
     # without interning, B of this pipeline had 161,702 node objects for
     # 4,920 distinct subexpressions
-    h, _, system = affine_setup22()
-    new_system, new_h = pushforward_system(change22(), system, h)
-    roots = []
-    stack = [InvariantPipeline(new_system, new_h).expressions("B")]
-    while stack:
-        part = stack.pop()
-        if isinstance(part, tuple):
-            stack.extend(part)
-        else:
-            roots.append(part)
+    roots = _leaves(pushforward_pipeline22().expressions("B"))
     identity, structural = _node_counts(roots)
     assert structural > 1000
     assert identity <= 1.5 * structural
+
+
+def test_batch_evaluation_is_one_tape_over_the_family_dag():
+    # node visits per evaluation equal the tape length: evaluating B builds
+    # one tape, with one slot per identity-distinct node of its union DAG
+    family = pushforward_pipeline22().expressions("B")
+    identity, _ = _node_counts(_leaves(family))
+    tapes = []
+
+    class Recorded(ex._Tape):
+        def __init__(self, roots):
+            super().__init__(roots)
+            tapes.append(self)
+
+    points = domain_points(2, 2, 4, seed=5)
+    with mock.patch.object(ex, "_Tape", Recorded):
+        grid = ex.evaluate_nested(family, batch_bindings(points), batch_size=4)
+    assert grid.shape[-1] == 4 and grid[..., 0].size == len(_leaves(family))
+    assert [len(t.nodes) for t in tapes] == [identity]
+    assert len(tapes[0].code) + len(tapes[0].leaves) == identity
+
+
+def test_pushforward_batch_matches_one_point_evaluation():
+    # the tape over a batch against the scalar interpreter, point by point
+    pipe = pushforward_pipeline22()
+    cc = change22()
+    points = [transform_jet_point(cc, p) for p in domain_points(2, 2, 3, seed=9)]
+    for name in ("eps", "P", "R", "B", "D"):
+        grid = pipe.evaluate_batch(name, points)
+        for k, p in enumerate(points):
+            one = pipe.evaluate(name, p).values
+            assert np.all(np.isfinite(one))
+            scale = np.maximum(1.0, np.maximum(np.abs(one), np.abs(grid[..., k])))
+            assert np.max(np.abs(one - grid[..., k]) / scale) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------

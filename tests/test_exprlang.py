@@ -466,6 +466,44 @@ def test_one_point_evaluation_matches_batch_column(e, t, x, v):
             assert value == pytest.approx(float(batch[k]), rel=1e-9, abs=1e-12)
 
 
+def _family(rows, cols):
+    """``rows`` x ``cols`` expressions nested as a tuple of tuples."""
+    return st.lists(EXPRESSIONS, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: tuple(tuple(es[r * cols : (r + 1) * cols]) for r in range(rows))
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: _family(*shape)
+    ),
+    t=grid_array(BIND_M, BIND_K),
+    x=grid_array(BIND_N, BIND_K),
+    v=grid_array(BIND_N, BIND_M, BIND_K),
+)
+def test_family_tape_matches_scalar_evaluation(family, t, x, v):
+    m, n, count = BIND_M, BIND_N, BIND_K
+    grid = ex.evaluate_nested(family, Bindings.jet(m, n, t, x, v), batch_size=count)
+    assert grid.shape == (len(family), len(family[0]), count)
+    for k in range(count):
+        one = Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k])
+        for r, row in enumerate(family):
+            for c, e in enumerate(row):
+                batch = float(grid[r, c, k])
+                try:
+                    value = ex._evaluate_scalar(e, one)
+                except EvaluationError:
+                    value = math.nan  # out of domain at this point
+                if math.isfinite(value):
+                    scale = max(1.0, abs(value), abs(batch))
+                    assert abs(value - batch) / scale <= 1e-12, (e, value, batch)
+                # where one point raises, the tape may still be finite
+                # (exp(log(x1)) at x1 = 0), but never the other way round
+                if not math.isfinite(batch):
+                    assert not math.isfinite(value), (e, value, batch)
+
+
 # ---------------------------------------------------------------------------
 # interning: one node per structure; memos that outlive a call
 # ---------------------------------------------------------------------------
