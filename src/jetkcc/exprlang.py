@@ -649,7 +649,7 @@ def evaluate(e: Expression, bindings: Bindings):
     """
     if _is_batch(bindings):
         return _Tape([e]).run(bindings)[0]
-    return _evaluate_scalar(e, bindings)
+    return _evaluate_scalar([e], bindings)[0]
 
 
 def _nesting(nested, leaves: list) -> tuple:
@@ -664,26 +664,23 @@ def _nesting(nested, leaves: list) -> tuple:
     return (len(nested),) + (shapes.pop() if shapes else ())
 
 
-def evaluate_nested(nested, bindings: Bindings, batch_size: int | None = None):
+def evaluate_nested(nested, bindings: Bindings):
     """Evaluate a nested tuple/list of expressions into a float ndarray.
 
-    The array shape mirrors the nesting.  Over array bindings the whole
-    family is one tape (see ``_Tape``).  When ``batch_size`` is given the
-    bindings are assumed to hold arrays of that length and every leaf that
-    evaluates to a plain scalar (a constant expression, say) is broadcast to
-    shape ``(batch_size,)`` so the result is always rectangular with the batch
-    as the trailing axis.
+    The array shape mirrors the nesting, plus a trailing batch axis when the
+    bindings hold arrays (a leaf that evaluates to a plain scalar, a
+    constant say, is broadcast along it).  Over array bindings the whole
+    family is one tape (see ``_Tape``); at one point the scalar interpreter
+    walks the leaves in nesting order with one memo, so a node shared by
+    several leaves is computed once and the first domain error raises.
     """
     leaves: list[Expression] = []
     shape = _nesting(nested, leaves)
     if _is_batch(bindings):
         values = _Tape(leaves).run(bindings)
     else:
-        values = [evaluate(e, bindings) for e in leaves]
-    if batch_size is None:
-        batch = np.broadcast_shapes(*(np.shape(v) for v in values))
-    else:
-        batch = (batch_size,)
+        values = _evaluate_scalar(leaves, bindings)
+    batch = np.broadcast_shapes(*(np.shape(v) for v in bindings.values.values()))
     out = np.empty(shape + batch)
     rows = out.reshape((len(leaves),) + batch)
     for k, value in enumerate(values):
@@ -718,7 +715,8 @@ def nonfinite_origin(e: Expression, bindings: Bindings):
     return node, np.flatnonzero(~np.isfinite(at))
 
 
-def _evaluate_scalar(e: Expression, bindings: Bindings) -> float:
+def _evaluate_scalar(roots, bindings: Bindings) -> list:
+    """The roots' values at one point, in order, through one memo."""
     values = bindings.values
 
     def compute(node, kids):
@@ -767,7 +765,8 @@ def _evaluate_scalar(e: Expression, bindings: Bindings) -> float:
         except EvaluationError as exc:
             raise EvaluationError(str(exc), node) from None
 
-    return _postorder_map(e, compute)
+    memo: dict[Expression, float] = {}
+    return [_postorder_map(e, compute, memo) for e in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +842,8 @@ def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6) -> fl
     """Central finite-difference partial; the numeric oracle for differentiate."""
     vid = var.vid if isinstance(var, Var) else var
     base = float(bindings.values[vid])
-    hi = _evaluate_scalar(e, bindings.with_value(vid, base + step))
-    lo = _evaluate_scalar(e, bindings.with_value(vid, base - step))
+    (hi,) = _evaluate_scalar([e], bindings.with_value(vid, base + step))
+    (lo,) = _evaluate_scalar([e], bindings.with_value(vid, base - step))
     return (hi - lo) / (2.0 * step)
 
 

@@ -4,9 +4,11 @@ Everything in this module is derived from a second-order system
 x''^i_ab + F^i_ab(t, x, v) = 0 together with a temporal metric h.  The
 central object is :class:`InvariantPipeline`, which builds the connection
 and the five deviation invariants of the pair symbolically exactly once
-and caches them; the module-level residuals along a section build one per
-call.  After the build phase every cached expression is immutable, so
-point evaluation is pure and safe to run from multiple threads.
+and caches them.  Each module-level function along a section builds its
+family of jet expressions once per call, restricts it to the section's
+prolongation once and evaluates it at one t or at a batch of t.  After the
+build phase every cached expression is immutable, so point evaluation is
+pure and safe to run from multiple threads.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ def _freeze(nested):
     if isinstance(nested, (tuple, list)):
         return tuple(_freeze(k) for k in nested)
     return ex.as_expr(nested)
+
+
+def _nested(extents, entry, *index):
+    """Nested tuples of entry(i, j, ...) over range(e) for each extent e."""
+    if len(index) == len(extents):
+        return entry(*index)
+    return tuple(
+        _nested(extents, entry, *index, k) for k in range(extents[len(index)])
+    )
 
 
 def _validate_family(comps, m, n, extents, what, symmetric_last_two=False):
@@ -207,10 +218,8 @@ class SectionMap:
     def prolongation_point(self, t) -> JetPoint:
         """Numeric jet point (t, x(t), dx/dt(t))."""
         tb = Bindings.jet(self.m, self.n, t=t)
-        x = np.array([ex.evaluate(c, tb) for c in self.comps])
-        v = np.array(
-            [[ex.evaluate(d, tb) for d in row] for row in self.velocity]
-        )
+        x = ex.evaluate_nested(self.comps, tb)
+        v = ex.evaluate_nested(self.velocity, tb)
         return JetPoint(np.asarray(t, dtype=float), x, v)
 
 
@@ -454,16 +463,11 @@ class InvariantPipeline:
     @cached_property
     def _trace_system_dv(self):
         """table[i][j][g] = d F^i / d v^j_g (derivatives of the trace)."""
-        m, n = self.m, self.n
-        return tuple(
-            tuple(
-                tuple(
-                    differentiate(self.trace_system[i], ex.v_var(j + 1, g + 1))
-                    for g in range(m)
-                )
-                for j in range(n)
-            )
-            for i in range(n)
+        return _nested(
+            (self.n, self.n, self.m),
+            lambda i, j, g: differentiate(
+                self.trace_system[i], ex.v_var(j + 1, g + 1)
+            ),
         )
 
     @cached_property
@@ -494,28 +498,20 @@ class InvariantPipeline:
         m, n = self.m, self.n
         hrows = self.h.rows
         dF = self._trace_system_dv
-        spatial = []
-        for i in range(n):
-            plane = []
-            for a in range(m):
-                row = []
-                for j in range(n):
-                    entry = mul(
-                        0.5,
-                        expr_sum(
-                            mul(dF[i][j][g], hrows[g][a]) for g in range(m)
-                        ),
-                    )
-                    if i == j:
-                        entry = add(entry, self._half_traced_drift[a])
-                    row.append(simplify(entry))
-                plane.append(tuple(row))
-            spatial.append(tuple(plane))
+
+        def entry(i, a, j):
+            out = mul(
+                0.5, expr_sum(mul(dF[i][j][g], hrows[g][a]) for g in range(m))
+            )
+            if i == j:
+                out = add(out, self._half_traced_drift[a])
+            return simplify(out)
+
         return NonlinearConnection(
             m,
             n,
             canonical_temporal_connection(self.h, n),
-            tuple(spatial),
+            _nested((n, m, n), entry),
         )
 
     @cached_property
@@ -530,23 +526,18 @@ class InvariantPipeline:
         m, n = self.m, self.n
         N = self.connection.spatial
         gt = self.temporal_christoffel
-        out = []
-        for i in range(n):
-            plane = []
-            for a in range(m):
-                row = []
-                for b in range(m):
-                    terms = [neg(self.system.component(i + 1, a + 1, b + 1))]
-                    for r in range(n):
-                        terms.append(mul(N[i][a][r], ex.v_var(r + 1, b + 1)))
-                    for u in range(m):
-                        terms.append(
-                            neg(mul(gt[u][a][b], ex.v_var(i + 1, u + 1)))
-                        )
-                    row.append(simplify(expr_sum(terms)))
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
+
+        def entry(i, a, b):
+            terms = [neg(self.system.component(i + 1, a + 1, b + 1))]
+            terms += [
+                mul(N[i][a][r], ex.v_var(r + 1, b + 1)) for r in range(n)
+            ]
+            terms += [
+                neg(mul(gt[u][a][b], ex.v_var(i + 1, u + 1))) for u in range(m)
+            ]
+            return simplify(expr_sum(terms))
+
+        return _nested((n, m, m), entry)
 
     @cached_property
     def deviation_curvature(self):
@@ -668,20 +659,10 @@ class InvariantPipeline:
     @cached_property
     def _deviation_dv(self):
         """table[i][j][k][a] = d P^i_j / d v^k_a."""
-        m, n = self.m, self.n
         P = self.deviation_curvature
-        return tuple(
-            tuple(
-                tuple(
-                    tuple(
-                        differentiate(P[i][j], ex.v_var(k + 1, a + 1))
-                        for a in range(m)
-                    )
-                    for k in range(n)
-                )
-                for j in range(n)
-            )
-            for i in range(n)
+        return _nested(
+            (self.n, self.n, self.n, self.m),
+            lambda i, j, k, a: differentiate(P[i][j], ex.v_var(k + 1, a + 1)),
         )
 
     @cached_property
@@ -712,26 +693,11 @@ class InvariantPipeline:
         """B[i][a][j][k][l][b] = d R^{ia}_{jk} / d v^l_b."""
         m, n = self.m, self.n
         R = self.third_invariant
-        return tuple(
-            tuple(
-                tuple(
-                    tuple(
-                        tuple(
-                            tuple(
-                                differentiate(
-                                    R[i][a][j][k], ex.v_var(l + 1, b + 1)
-                                )
-                                for b in range(m)
-                            )
-                            for l in range(n)
-                        )
-                        for k in range(n)
-                    )
-                    for j in range(n)
-                )
-                for a in range(m)
-            )
-            for i in range(n)
+        return _nested(
+            (n, m, n, n, n, m),
+            lambda i, a, j, k, l, b: differentiate(
+                R[i][a][j][k], ex.v_var(l + 1, b + 1)
+            ),
         )
 
     @cached_property
@@ -754,11 +720,8 @@ class InvariantPipeline:
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
         """Component grid with a trailing axis over the supplied points."""
-        points = list(points)
-        b = batch_bindings(points)
-        return ex.evaluate_nested(
-            self.expressions(name), b, batch_size=len(points)
-        )
+        b = batch_bindings(list(points))
+        return ex.evaluate_nested(self.expressions(name), b)
 
     # -- covariant derivatives and deviation-form residuals -------------------
 
@@ -793,44 +756,37 @@ class InvariantPipeline:
         _validate_family(T, m, n, (n, m), "covariant derivative input")
         N = self.connection.spatial
         gt = self.temporal_christoffel
-        out = []
-        for i in range(n):
-            plane = []
-            for a in range(m):
-                row = []
-                for b in range(m):
-                    terms = [self.total_derivative(T[i][a], b + 1)]
-                    for r in range(n):
-                        terms.append(mul(N[i][a][r], T[r][b]))
-                    for u in range(m):
-                        terms.append(neg(mul(gt[u][a][b], T[i][u])))
-                    row.append(simplify(expr_sum(terms)))
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
+
+        def entry(i, a, b):
+            terms = [self.total_derivative(T[i][a], b + 1)]
+            terms += [mul(N[i][a][r], T[r][b]) for r in range(n)]
+            terms += [neg(mul(gt[u][a][b], T[i][u])) for u in range(m)]
+            return simplify(expr_sum(terms))
+
+        return _nested((n, m, m), entry)
+
+    def variation_derivative(self, xi: VariationField):
+        """Jet expressions of (grad xi)^i_a = d xi^i/d t^a + N^i_ar xi^r."""
+        m, n = self.m, self.n
+        if xi.m != m or xi.n != n:
+            raise ValueError("variation field dimensions do not match")
+        N = self.connection.spatial
+        return _nested(
+            (n, m),
+            lambda i, a: simplify(
+                add(
+                    xi.derivative[i][a],
+                    expr_sum(mul(N[i][a][r], xi.comps[r]) for r in range(n)),
+                )
+            ),
+        )
 
     def jacobi_lhs_minus_rhs(self, xi: VariationField):
         """Jet expressions of h^{ab} (grad grad xi)^i_ab - P^i_r xi^r, the
         two sides of the deviation-form rewriting of the variational
         equations."""
         m, n = self.m, self.n
-        if xi.m != m or xi.n != n:
-            raise ValueError("variation field dimensions do not match")
-        N = self.connection.spatial
-        first = tuple(
-            tuple(
-                simplify(
-                    add(
-                        xi.derivative[i][a],
-                        expr_sum(
-                            mul(N[i][a][r], xi.comps[r]) for r in range(n)
-                        ),
-                    )
-                )
-                for a in range(m)
-            )
-            for i in range(n)
-        )
+        first = self.variation_derivative(xi)
         second = self.covariant_derivative_family(first)
         hinv = self.h_inverse_rows
         P = self.deviation_curvature
@@ -871,58 +827,50 @@ def fifth_invariant(system: PdeSystem):
                 if p3 >= p2:
                     d3[(p1, p2, p3)] = simplify(differentiate(e, vv[p3]))
 
-        def entry(pj, pk, pl):
-            return d3[tuple(sorted((pj, pk, pl)))]
+        def entry(j, g, k, e, l, u):
+            return d3[tuple(sorted(((j, g), (k, e), (l, u))))]
 
-        return tuple(
-            tuple(
-                tuple(
-                    tuple(
-                        tuple(
-                            tuple(
-                                entry((j, g), (k, e), (l, u))
-                                for u in range(m)
-                            )
-                            for l in range(n)
-                        )
-                        for e in range(m)
-                    )
-                    for k in range(n)
-                )
-                for g in range(m)
-            )
-            for j in range(n)
-        )
+        return _nested((n, m, n, m, n, m), entry)
 
-    return tuple(
-        tuple(
-            tuple(block_nested(i, a, b) for b in range(m)) for a in range(m)
-        )
-        for i in range(n)
-    )
+    return _nested((n, m, m), block_nested)
+
+
+def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
+    """Values of a nested family of jet expressions on the prolongation of
+    sigma, as an array of the nesting's shape.
+
+    Each leaf is restricted to the prolongation once, however many t there
+    are, and evaluated once.  ``t`` has shape (m,) for one point, evaluated
+    by the scalar interpreter (an out-of-domain value raises
+    EvaluationError), or (m, K) for a batch, evaluated as a tape that gives
+    a trailing axis of K (out-of-domain values come back as nan/inf); see
+    ``Bindings.jet``.
+    """
+    prol = sigma.prolongation_map()
+    tb = Bindings.jet(sigma.m, sigma.n, t=t)
+    batch = np.shape(t)[1:]
+
+    def values(node):
+        if isinstance(node, tuple):
+            return [values(kid) for kid in node]
+        # a leaf constant along the section evaluates to one float
+        return np.broadcast_to(ex.evaluate(substitute(node, prol), tb), batch)
+
+    return np.array(values(family), dtype=float)
 
 
 def covariant_derivative_section(
     T, system: PdeSystem, h: MetricField, sigma: SectionMap, t
 ) -> np.ndarray:
-    """Values of the covariant derivative of T[i][a] along sigma at one t.
+    """Values of the covariant derivative of T[i][a] along sigma at t.
 
     T may depend on all jet variables; its plain derivative is taken as the
     total derivative along the prolonged section (with x'' supplied by the
     system), then the connection terms are added and everything is
     restricted to the prolongation.
     """
-    pipe = InvariantPipeline(system, h)
-    fam = pipe.covariant_derivative_family(T)
-    prol = sigma.prolongation_map()
-    tb = Bindings.jet(system.m, system.n, t=t)
-    out = np.empty((system.n, system.m, system.m))
-    for i in range(system.n):
-        for a in range(system.m):
-            for b in range(system.m):
-                restricted = substitute(fam[i][a][b], prol)
-                out[i, a, b] = ex.evaluate(restricted, tb)
-    return out
+    fam = InvariantPipeline(system, h).covariant_derivative_family(T)
+    return _on_section(fam, sigma, t)
 
 
 def covariant_derivative_variation(
@@ -933,46 +881,45 @@ def covariant_derivative_variation(
     t,
 ) -> np.ndarray:
     """Values of (grad xi)^i_a = d xi^i/d t^a + N^i_ar xi^r along sigma."""
-    pipe = InvariantPipeline(system, h)
-    N = pipe.connection.spatial
-    prol = sigma.prolongation_map()
-    tb = Bindings.jet(system.m, system.n, t=t)
-    out = np.empty((system.n, system.m))
-    for i in range(system.n):
-        for a in range(system.m):
-            e = add(
-                xi.derivative[i][a],
-                expr_sum(
-                    mul(substitute(N[i][a][r], prol), xi.comps[r])
-                    for r in range(system.n)
-                ),
-            )
-            out[i, a] = ex.evaluate(e, tb)
-    return out
+    fam = InvariantPipeline(system, h).variation_derivative(xi)
+    return _on_section(fam, sigma, t)
 
 
 def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
-    """x''^i_ab + F^i_ab on the prolongation of sigma, at one t point."""
+    """x''^i_ab + F^i_ab on the prolongation of sigma at t."""
     if sigma.m != system.m or sigma.n != system.n:
         raise ValueError("section dimensions do not match the system")
-    prol = sigma.prolongation_map()
-    tb = Bindings.jet(system.m, system.n, t=t)
-    out = np.empty((system.n, system.m, system.m))
-    for i in range(system.n):
-        for a in range(system.m):
-            second = [
-                differentiate(sigma.velocity[i][a], ex.t_var(b + 1))
-                for b in range(system.m)
-            ]
-            for b in range(system.m):
-                e = add(
-                    second[b],
-                    substitute(
-                        system.component(i + 1, a + 1, b + 1), prol
-                    ),
-                )
-                out[i, a, b] = ex.evaluate(e, tb)
-    return out
+    fam = _nested(
+        (system.n, system.m, system.m),
+        lambda i, a, b: add(
+            differentiate(sigma.velocity[i][a], ex.t_var(b + 1)),
+            system.component(i + 1, a + 1, b + 1),
+        ),
+    )
+    return _on_section(fam, sigma, t)
+
+
+def _variational_family(system: PdeSystem, xi: VariationField):
+    """Jet expressions of the linearization of the system applied to xi."""
+    if xi.m != system.m or xi.n != system.n:
+        raise ValueError("variation field dimensions do not match")
+    m, n = system.m, system.n
+
+    def entry(i, a, b):
+        F = system.component(i + 1, a + 1, b + 1)
+        terms = [differentiate(xi.derivative[i][a], ex.t_var(b + 1))]
+        terms += [
+            mul(differentiate(F, ex.x_var(k + 1)), xi.comps[k])
+            for k in range(n)
+        ]
+        terms += [
+            mul(differentiate(F, ex.v_var(r + 1, u + 1)), xi.derivative[r][u])
+            for r in range(n)
+            for u in range(m)
+        ]
+        return expr_sum(terms)
+
+    return _nested((n, m, m), entry)
 
 
 def variational_residual(
@@ -983,41 +930,7 @@ def variational_residual(
     xi''_ab + (dF^i_ab/dx^k) xi^k + (dF^i_ab/dv^r_u) dxi^r/dt^u,
     with the F-derivatives restricted to the prolongation of sigma.
     """
-    if xi.m != system.m or xi.n != system.n:
-        raise ValueError("variation field dimensions do not match")
-    prol = sigma.prolongation_map()
-    tb = Bindings.jet(system.m, system.n, t=t)
-    m, n = system.m, system.n
-    out = np.empty((n, m, m))
-    for i in range(n):
-        for a in range(m):
-            for b in range(m):
-                F = system.component(i + 1, a + 1, b + 1)
-                terms = [
-                    differentiate(xi.derivative[i][a], ex.t_var(b + 1))
-                ]
-                for k in range(n):
-                    terms.append(
-                        mul(
-                            substitute(
-                                differentiate(F, ex.x_var(k + 1)), prol
-                            ),
-                            xi.comps[k],
-                        )
-                    )
-                for r in range(n):
-                    for u in range(m):
-                        terms.append(
-                            mul(
-                                substitute(
-                                    differentiate(F, ex.v_var(r + 1, u + 1)),
-                                    prol,
-                                ),
-                                xi.derivative[r][u],
-                            )
-                        )
-                out[i, a, b] = ex.evaluate(expr_sum(terms), tb)
-    return out
+    return _on_section(_variational_family(system, xi), sigma, t)
 
 
 def variational_residual_h_trace(
@@ -1027,11 +940,18 @@ def variational_residual_h_trace(
     xi: VariationField,
     t,
 ) -> np.ndarray:
-    """Metric trace of the full variational residual: n values."""
+    """Metric trace h^{ab} of the full variational residual: n values."""
     _require_temporal(h, system.m)
-    full = variational_residual(system, sigma, xi, t)
-    hinv = np.linalg.inv(h.evaluate(np.asarray(t, dtype=float)))
-    return np.einsum("ab,iab->i", hinv, full)
+    full = _variational_family(system, xi)
+    hinv = h.inverse().rows
+    m = system.m
+    fam = tuple(
+        expr_sum(
+            mul(hinv[a][b], plane[a][b]) for a in range(m) for b in range(m)
+        )
+        for plane in full
+    )
+    return _on_section(fam, sigma, t)
 
 
 def jacobi_identity_residual(
@@ -1046,16 +966,20 @@ def jacobi_identity_residual(
     The rewriting that makes this the deviation form of the variational
     equations substitutes the system for x'', so sigma must actually solve
     it at t; otherwise SectionNotSolutionError is raised with the measured
-    residual.
+    residual.  Over a batch of t, the first t (in order) at which the
+    section fails, or a value is not finite, is evaluated alone, so the
+    batch raises what a scan one t at a time raises there.
     """
+    t = np.asarray(t, dtype=float)
     sres = sode_residual(system, sigma, t)
-    worst = float(np.max(np.abs(sres)))
-    if worst > SOLUTION_TOL:
-        raise SectionNotSolutionError(worst, SOLUTION_TOL, np.asarray(t))
-    pipe = InvariantPipeline(system, h)
-    resid = pipe.jacobi_lhs_minus_rhs(xi)
-    prol = sigma.prolongation_map()
-    tb = Bindings.jet(system.m, system.n, t=t)
-    return np.array(
-        [ex.evaluate(substitute(e, prol), tb) for e in resid]
+    worst = np.max(np.abs(sres), axis=(0, 1, 2))
+    if t.ndim == 1 and not worst <= SOLUTION_TOL:  # a nan fails too
+        raise SectionNotSolutionError(float(worst), SOLUTION_TOL, t)
+    resid = _on_section(
+        InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi), sigma, t
     )
+    failing = ~(worst <= SOLUTION_TOL) | ~np.isfinite(resid).all(axis=0)
+    if t.ndim > 1 and failing.any():
+        first = t[:, np.argmax(failing)]
+        jacobi_identity_residual(system, h, sigma, xi, first)
+    return resid

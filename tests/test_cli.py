@@ -415,7 +415,84 @@ def test_jacobi_non_solution_section_fails(tmp_path, capsys):
     doc = dict(OSC, section=["t1^2"], variation=["cos(t1)"])
     path = write_json(tmp_path, "nonsol.json", doc)
     assert main(["check", "jacobi", path, "--seed", "1"]) == 1
-    assert "check failed" in capsys.readouterr().err
+    # all t are checked as one batch; the first failing t in sample order is
+    # reported, exactly as a scan one t at a time reports it
+    assert capsys.readouterr().err == (
+        "check failed: section is not a solution at t=(0.023643249400513433,): "
+        "max |x'' + F| = 2.001e+00 exceeds 1.0e-08; the identity being "
+        "evaluated substitutes the system and is meaningless off it\n"
+    )
+
+
+SPHERE_EQUATOR = {
+    "m": 1,
+    "n": 2,
+    "temporal_metric": [["1"]],
+    "spatial_metric": [["1", "0"], ["0", "sin(x1)^2"]],
+    "system": {"type": "affine"},
+    "section": ["pi/2", "t1"],
+    "variation": ["sin(t1)", "0"],
+}
+
+
+@pytest.mark.parametrize("samples", ["5", "50"])
+def test_jacobi_builds_once_whatever_the_number_of_t(tmp_path, monkeypatch, samples):
+    # one pipeline, and one substitution per leaf (2 of the SODE residual and
+    # 2 of the Jacobi residual on the 1x2 sphere), however many t are sampled
+    import jetkcc.kcccore as kc
+
+    calls = {"pipelines": 0, "substitute": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    init = kc.InvariantPipeline.__init__
+    monkeypatch.setattr(kc.InvariantPipeline, "__init__", counted(init, "pipelines"))
+    monkeypatch.setattr(kc, "substitute", counted(ex.substitute, "substitute"))
+    path = write_json(tmp_path, "sphere.json", SPHERE_EQUATOR)
+    code, report = run_cli(["check", "jacobi", path, "--samples", samples], tmp_path)
+    assert code == 0 and len(report["points"]) == int(samples)
+    assert calls == {"pipelines": 1, "substitute": 4}
+
+
+def test_jacobi_out_of_domain_section_is_exit_3(tmp_path, capsys):
+    # x = sqrt(t) solves x'' + 1/(4 x^3) = 0 for t > 0; the first sampled
+    # t < 0 (the second with seed 0) is out of the section's domain
+    doc = dict(
+        OSC,
+        system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "1/(4*x1^3)"}]},
+        section=["sqrt(t1)"],
+        variation=["0"],
+    )
+    path = write_json(tmp_path, "sqrt.json", doc)
+    assert main(["check", "jacobi", path]) == 3
+    assert capsys.readouterr().err == (
+        "evaluation error: sqrt of negative value -0.4604265724722594 "
+        "in `sqrt(t1)`\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, code, start",
+    [
+        # the first t is 0.27: off the solution before any t < 0
+        ("0", 1, "check failed: section is not a solution at t=(0.2739"),
+        # the first t is -0.48: out of domain before any t > 0
+        ("2", 3, "evaluation error: sqrt of negative value -0.4767"),
+    ],
+)
+def test_jacobi_first_failing_t_decides_the_exit_code(
+    tmp_path, capsys, seed, code, start
+):
+    # sqrt(t) does not solve x'' + x = 0 where it is defined
+    doc = dict(OSC, section=["sqrt(t1)"], variation=["0"])
+    path = write_json(tmp_path, "sqrt_osc.json", doc)
+    assert main(["check", "jacobi", path, "--seed", seed]) == code
+    assert capsys.readouterr().err.startswith(start)
 
 
 # ---------------------------------------------------------------------------

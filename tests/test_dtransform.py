@@ -455,7 +455,7 @@ def test_batch_evaluation_is_one_tape_over_the_family_dag():
 
     points = domain_points(2, 2, 4, seed=5)
     with mock.patch.object(ex, "_Tape", Recorded):
-        grid = ex.evaluate_nested(family, batch_bindings(points), batch_size=4)
+        grid = ex.evaluate_nested(family, batch_bindings(points))
     assert grid.shape[-1] == 4 and grid[..., 0].size == len(_leaves(family))
     assert [len(t.nodes) for t in tapes] == [identity]
     assert len(tapes[0].code) + len(tapes[0].leaves) == identity

@@ -484,7 +484,7 @@ def _family(rows, cols):
 )
 def test_family_tape_matches_scalar_evaluation(family, t, x, v):
     m, n, count = BIND_M, BIND_N, BIND_K
-    grid = ex.evaluate_nested(family, Bindings.jet(m, n, t, x, v), batch_size=count)
+    grid = ex.evaluate_nested(family, Bindings.jet(m, n, t, x, v))
     assert grid.shape == (len(family), len(family[0]), count)
     for k in range(count):
         one = Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k])
@@ -492,7 +492,7 @@ def test_family_tape_matches_scalar_evaluation(family, t, x, v):
             for c, e in enumerate(row):
                 batch = float(grid[r, c, k])
                 try:
-                    value = ex._evaluate_scalar(e, one)
+                    value = evaluate(e, one)
                 except EvaluationError:
                     value = math.nan  # out of domain at this point
                 if math.isfinite(value):
@@ -613,3 +613,74 @@ def test_differentiate_matches_fd_with_a_warm_memo(e, other, pick, coords):
     if abs(want - half) > 1e-6 * scale:
         return  # too close to a singularity for central differences
     assert abs(got - want) <= 1e-5 * scale, (to_string(e), var, got, want)
+
+
+def _one_point(coords):
+    names = [v.vid.name for v in JET_VARS]
+    return bnd(BIND_M, BIND_N, **dict(zip(names, coords)))
+
+
+def _agree(got, want):
+    """Equal, or both non-finite alike, up to the rounding of a rebuilt DAG."""
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=EXPRESSIONS, coords=st.lists(GRID, min_size=8, max_size=8))
+def test_simplify_preserves_values_where_defined(e, coords):
+    b = _one_point(coords)
+    try:
+        want = evaluate(e, b)
+    except EvaluationError:
+        return  # the input is undefined here
+    # where the input is defined, the simplified expression is too
+    got = evaluate(simplify(e), b)
+    assert _agree(got, want), (to_string(e), got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    e=EXPRESSIONS,
+    images=st.lists(EXPRESSIONS, min_size=3, max_size=3),
+    pick=st.lists(st.integers(0, 7), min_size=3, max_size=3, unique=True),
+    coords=st.lists(GRID, min_size=8, max_size=8),
+)
+def test_substitute_preserves_values_where_defined(e, images, pick, coords):
+    # substituting three variables by expressions, then evaluating, equals
+    # evaluating the input at the images' values
+    b = _one_point(coords)
+    mapping = {JET_VARS[k]: image for k, image in zip(pick, images)}
+    try:
+        moved = b
+        for var, image in mapping.items():
+            moved = moved.with_value(var.vid, evaluate(image, b))
+        want = evaluate(e, moved)
+    except EvaluationError:
+        return  # an image or the input is undefined here
+    got = evaluate(substitute(e, mapping), b)
+    assert _agree(got, want), (to_string(e), got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: _family(*shape)
+    ),
+    coords=st.lists(GRID, min_size=8, max_size=8),
+)
+def test_one_point_family_matches_leaf_by_leaf(family, coords):
+    # one memo for the whole family: the same values, and the same first
+    # domain error, as evaluating the leaves one by one
+    b = _one_point(coords)
+    try:
+        want = [[evaluate(e, b) for e in row] for row in family]
+    except EvaluationError as err:
+        with pytest.raises(EvaluationError) as got:
+            ex.evaluate_nested(family, b)
+        assert str(got.value) == str(err) and got.value.expression is err.expression
+        return
+    grid = ex.evaluate_nested(family, b)
+    assert grid.shape == (len(family), len(family[0]))
+    assert grid.tobytes() == np.array(want, dtype=float).tobytes()

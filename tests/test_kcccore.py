@@ -1167,6 +1167,80 @@ def test_jacobi_refuses_non_solution():
     assert "not a solution" in str(err.value)
 
 
+def test_jacobi_batch_raises_at_the_first_failing_t():
+    system, _ = sphere_pipeline()
+    bad = SectionMap(1, (parse("t1^2", 1, 2), parse("t1", 1, 2)))
+    xi = VariationField(1, (parse("sin(t1)", 1, 2), ex.ZERO))
+    with pytest.raises(SectionNotSolutionError) as err:
+        jacobi_identity_residual(system, unit_h1(), bad, xi, [[0.7, 0.4, -0.2]])
+    assert err.value.t == (0.7,)
+
+
+def _section_cases():
+    """(system, h, section, variation, T[i][a], batch of t) for the sphere
+    equator and a flat linear section."""
+    sphere, _ = sphere_pipeline()
+    equator = SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))
+    xi1 = VariationField(
+        1, (parse("0.7*sin(2*t1) + 0.1", 1, 2), parse("0.3*t1^2", 1, 2))
+    )
+    T1 = ((parse("x2*t1^2 + v1_1", 1, 2),), (parse("sin(x1)*v2_1", 1, 2),))
+    flat, _ = zero_system_flat()
+    linear = SectionMap(2, (parse("t1 - t2", 2, 2), parse("0.5*t2", 2, 2)))
+    xi2 = VariationField(2, (parse("sin(t1)*t2", 2, 2), parse("t1^3", 2, 2)))
+    T2 = tuple(
+        tuple(parse(f"x{i + 1}*t{a + 1}^2", 2, 2) for a in range(2))
+        for i in range(2)
+    )
+    return {
+        "sphere": (sphere, unit_h1(), equator, xi1, T1, [[0.0, 0.4, 1.3, 2.2]]),
+        "flat": (
+            flat,
+            support.flat_metric(ex.TEMPORAL, 2),
+            linear,
+            xi2,
+            T2,
+            [[0.2, -0.7, 0.5], [0.8, 0.25, -1.0]],
+        ),
+    }
+
+
+SECTION_FUNCTIONS = {
+    "covariant_derivative_section": lambda s, h, sig, xi, T, t: (
+        covariant_derivative_section(T, s, h, sig, t)
+    ),
+    "covariant_derivative_variation": lambda s, h, sig, xi, T, t: (
+        covariant_derivative_variation(xi, s, h, sig, t)
+    ),
+    "sode_residual": lambda s, h, sig, xi, T, t: sode_residual(s, sig, t),
+    "variational_residual": lambda s, h, sig, xi, T, t: (
+        variational_residual(s, sig, xi, t)
+    ),
+    "variational_residual_h_trace": lambda s, h, sig, xi, T, t: (
+        variational_residual_h_trace(s, h, sig, xi, t)
+    ),
+    "jacobi_identity_residual": lambda s, h, sig, xi, T, t: (
+        jacobi_identity_residual(s, h, sig, xi, t)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["sphere", "flat"])
+@pytest.mark.parametrize("name", sorted(SECTION_FUNCTIONS))
+def test_section_batch_is_the_stack_of_one_t_results(name, case):
+    system, h, sigma, xi, T, t = _section_cases()[case]
+    fn = SECTION_FUNCTIONS[name]
+    t = np.array(t)
+    batch = fn(system, h, sigma, xi, T, t)
+    one = np.stack(
+        [fn(system, h, sigma, xi, T, t[:, k]) for k in range(t.shape[1])],
+        axis=-1,
+    )
+    assert batch.shape == one.shape and batch.shape[-1] == t.shape[1]
+    assert batch.dtype == one.dtype == np.float64
+    assert batch.tobytes() == one.tobytes()  # bit for bit
+
+
 # ---------------------------------------------------------------------------
 # evaluation surface
 # ---------------------------------------------------------------------------
