@@ -730,27 +730,32 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_base(text: str, m: int, n: int):
+def _coordinates(text: str, count: int, option: str, order: str = "") -> np.ndarray:
+    """``count`` comma-separated finite numbers given to ``option``."""
     parts = [w.strip() for w in text.split(",")]
-    if len(parts) != m + n:
+    if len(parts) != count:
         raise InputError(
-            f"--base: expected {m + n} comma-separated numbers "
-            f"(t then x), got {len(parts)}"
+            f"{option}: expected {count} comma-separated numbers{order}, "
+            f"got {len(parts)}"
         )
     try:
         vals = [float(w) for w in parts]
     except ValueError as err:
-        raise InputError(f"--base: {err}") from err
-    return np.array(vals[:m]), np.array(vals[m:])
+        raise InputError(f"{option}: {err}") from err
+    for word, value in zip(parts, vals):
+        if not math.isfinite(value):
+            raise InputError(f"{option}: {word!r} is not a finite number")
+    return np.array(vals)
 
 
 def _cmd_characterize(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
-    t, x = _parse_base(args.base, problem.m, problem.n)
+    m, n = problem.m, problem.n
+    base = _coordinates(args.base, m + n, "--base", " (t then x)")
+    t, x = base[:m], base[m:]
     gamma, coupling, diag = extract_structure(
         problem.system, problem.h, t, x
     )
-    n, m = problem.n, problem.m
 
     gamma_rows = [
         {"index": [i + 1, p + 1, q + 1], "value": float(gamma[i, p, q])}
@@ -823,13 +828,7 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
             _fail("m", f"--m {args.m} contradicts the file's m = {m}")
         m = args.m
     h = _load_metric(rows, "temporal_metric", m, 1, m, MetricField.temporal)
-    parts = [w.strip() for w in args.t.split(",")]
-    if len(parts) != m:
-        raise InputError(f"--t: expected {m} comma-separated numbers")
-    try:
-        t = np.array([float(w) for w in parts])
-    except ValueError as err:
-        raise InputError(f"--t: {err}") from err
+    t = _coordinates(args.t, m, "--t")
 
     try:
         result = star_star_nullspace(h, t)
@@ -914,15 +913,19 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_count(text: str) -> int:
-    """``--samples`` value: an integer of at least 1 (else a usage error)."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low`` (else a usage error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -954,14 +957,14 @@ def _tolerance(text: str) -> float:
 def _add_sampling(parser, default_samples=None):
     parser.add_argument(
         "--samples",
-        type=_sample_count,
+        type=_int_at_least(1),
         default=default_samples,
         metavar="N",
         help="number of random jet points to draw",
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_SEED,
         metavar="S",
         help="rng seed for sampling (always recorded in the report)",

@@ -2,14 +2,23 @@
 
 Expression nodes are hash-consed: every constructor (``Num``, ``Const``,
 ``Var``, ``Unary``, ``Binary``) returns the one node of that structure,
-looked up in a table keyed on the node's class, operator and children
-(themselves interned, so compared by identity), on the ``VariableId`` of a
-variable, or on the bit pattern of a literal (so ``0.0`` and ``-0.0`` stay
-distinct).  Structurally equal expressions are
-therefore the same object: equality is ``is`` and hashing is O(1).  The table
-holds its nodes for the life of the process, so a node's ``id`` is never
-reused, and ``differentiate`` (one memo per variable) and ``simplify`` keep
-their results, keyed by node identity, for the life of the process too.
+looked up in a table keyed on the node's class, operator and children tuple
+(interned too, so compared by identity), on the ``VariableId`` of a
+variable, or on the bit pattern of a literal (``Num(-0.0)`` is not ``ZERO``,
+but ``num`` folds ``-0.0`` to ``ZERO``).  Structurally equal expressions are
+therefore the same object: equality is ``is`` and hashing is O(1).  The
+table holds its nodes for the life of the process, so ids are never reused,
+and ``differentiate`` (one memo per variable) and ``simplify`` keep their
+results, keyed by node, for the life of the process too.
+
+Interning also sets four fields on each node: ``kids`` (the children tuple
+of its key), ``lit`` (its value if it is a literal or a negated literal,
+else None), ``mask`` (a bit per jet variable it depends on) and ``index``
+(its creation number).  Children are interned before their parents, so
+creation order is topological.  Walks and constant folding read these
+fields instead of dispatching on the class; ``free_variables`` decodes the mask;
+``differentiate`` does not enter a subtree whose mask lacks its variable
+(the derivative there is ``ZERO``); tapes are lowered by a sort on ``index``.
 
 Results of the builders in the geometry modules are DAGs rather than trees.
 Every traversal here walks the DAG iteratively with an identity memo, so
@@ -69,7 +78,7 @@ class VariableId:
 class Expression:
     """Base class; nodes are interned and immutable (see the module doc)."""
 
-    __slots__ = ()
+    __slots__ = ("kids", "lit", "mask", "index")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -114,22 +123,27 @@ class Expression:
     def __str__(self) -> str:
         return to_string(self)
 
-    def __repr__(self) -> str:
-        return to_string(self)
+    __repr__ = __str__
 
 
-# every node ever built, by structure; never emptied, so ids stay unique
+# every node ever built, by structure; never emptied, so ids stay unique and
+# its size is the next creation number
 _NODES: dict[tuple, Expression] = {}
+# the mask bit of each jet variable, given out as variables are first used
+_VAR_BITS: dict[VariableId, int] = {}
 
 
-def _intern(cls, key: tuple, *values) -> Expression:
-    """The node stored under ``key``, built from ``values`` (in the order of
-    ``cls.__slots__``) on first use."""
+def _intern(cls, key: tuple, kids: tuple, values: tuple, lit=None, mask=0):
+    """The node stored under ``key``; on first use it is built from
+    ``values`` (in the order of ``cls.__slots__``) and the per-node fields."""
     node = _NODES.get(key)
     if node is None:
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(node, name, value)
+        for kid in kids:
+            mask |= kid.mask
+        fields = values + (kids, lit, mask, len(_NODES))
+        for setter, value in zip(_SETTERS[cls], fields):
+            setter(node, value)
         _NODES[key] = node
     return node
 
@@ -142,7 +156,7 @@ class Num(Expression):
 
     def __new__(cls, value: float):
         value = float(value)
-        return _intern(cls, (cls, value.hex()), value)
+        return _intern(cls, (cls, value.hex()), (), (value,), lit=value)
 
 
 class Const(Expression):
@@ -151,30 +165,39 @@ class Const(Expression):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (cls, name), name)
+        return _intern(cls, (cls, name), (), (name,))
 
 
 class Var(Expression):
     __slots__ = ("vid",)
 
     def __new__(cls, vid: VariableId):
-        return _intern(cls, (cls, vid), vid)
+        bit = _VAR_BITS.setdefault(vid, 1 << len(_VAR_BITS))
+        return _intern(cls, (cls, vid), (), (vid,), mask=bit)
 
 
 class Unary(Expression):
     __slots__ = ("op", "arg")  # op: "neg" or a function name
 
     def __new__(cls, op: str, arg: Expression):
-        return _intern(cls, (cls, op, arg), op, arg)
+        kids = (arg,)
+        lit = -arg.value if op == "neg" and type(arg) is Num else None
+        return _intern(cls, (cls, op, kids), kids, (op, arg), lit)
 
 
 class Binary(Expression):
     __slots__ = ("op", "left", "right")  # op: + - * / ^
 
     def __new__(cls, op: str, left: Expression, right: Expression):
-        return _intern(cls, (cls, op, left, right), op, left, right)
+        kids = (left, right)
+        return _intern(cls, (cls, op, kids), kids, (op, left, right))
 
 
+# per class, the slot setters for its own fields, then for the common ones
+_SETTERS = {
+    cls: [getattr(cls, f).__set__ for f in cls.__slots__ + Expression.__slots__]
+    for cls in (Num, Const, Var, Unary, Binary)
+}
 ZERO = Num(0.0)
 ONE = Num(1.0)
 PI = Const("pi")
@@ -194,11 +217,12 @@ def v_var(i: int, alpha: int) -> Var:
 
 
 def num(value: float) -> Expression:
-    """Numeric literal; negatives normalize to neg(positive literal)."""
+    """Numeric literal; negatives normalize to neg(positive literal), and
+    ``-0.0`` to ``ZERO`` (it prints as ``0``, so it must parse back to it)."""
     value = float(value)
     if value < 0.0:
         return Unary("neg", Num(-value))
-    return Num(value)
+    return Num(value) if value else ZERO
 
 
 def as_expr(x) -> Expression:
@@ -207,19 +231,6 @@ def as_expr(x) -> Expression:
     if isinstance(x, (int, float, np.integer, np.floating)):
         return num(float(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Expression")
-
-
-def _as_number(e: Expression) -> float | None:
-    """The numeric value of a literal node (including a negated literal)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Unary) and e.op == "neg" and isinstance(e.arg, Num):
-        return -e.arg.value
-    return None
-
-
-def _is_value(e: Expression, v: float) -> bool:
-    return isinstance(e, Num) and e.value == v
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +247,16 @@ def neg(a) -> Expression:
     a = as_expr(a)
     if isinstance(a, Unary) and a.op == "neg":
         return a.arg
-    if _is_value(a, 0.0):
+    if is_zero(a):
         return ZERO
     return Unary("neg", a)
 
 
 def add(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
-    av, bv = _as_number(a), _as_number(b)
+    av, bv = a.lit, b.lit
+    if av is None and bv is None:
+        return Binary("+", a, b)
     if av == 0.0:
         return b
     if bv == 0.0:
@@ -260,7 +273,7 @@ def sub(a, b) -> Expression:
     if a is b:
         # same node: difference is 0 wherever the operand is defined
         return ZERO
-    av, bv = _as_number(a), _as_number(b)
+    av, bv = a.lit, b.lit
     if bv == 0.0:
         return a
     if av is not None and bv is not None:
@@ -274,7 +287,9 @@ def sub(a, b) -> Expression:
 
 def mul(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
-    av, bv = _as_number(a), _as_number(b)
+    av, bv = a.lit, b.lit
+    if av is None and bv is None:
+        return Binary("*", a, b)
     if av is not None and bv is not None:
         p = av * bv
         if math.isfinite(p):
@@ -290,22 +305,18 @@ def mul(a, b) -> Expression:
     if bv == -1.0:
         return neg(a)
     # collapse stacked constant factors: c1 * (c2 * x) -> (c1*c2) * x
-    if av is not None and isinstance(b, Binary) and b.op == "*":
-        for inner, other in ((b.left, b.right), (b.right, b.left)):
-            iv = _as_number(inner)
-            if iv is not None and math.isfinite(av * iv):
-                return mul(num(av * iv), other)
-    if bv is not None and isinstance(a, Binary) and a.op == "*":
-        for inner, other in ((a.left, a.right), (a.right, a.left)):
-            iv = _as_number(inner)
-            if iv is not None and math.isfinite(bv * iv):
-                return mul(num(bv * iv), other)
+    for c, prod in ((av, b), (bv, a)):
+        if c is not None and isinstance(prod, Binary) and prod.op == "*":
+            for inner, other in (prod.kids, prod.kids[::-1]):
+                iv = inner.lit
+                if iv is not None and math.isfinite(c * iv):
+                    return mul(num(c * iv), other)
     return Binary("*", a, b)
 
 
 def div(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
-    av, bv = _as_number(a), _as_number(b)
+    av, bv = a.lit, b.lit
     if bv == 1.0:
         return a
     if bv == -1.0:
@@ -321,7 +332,7 @@ def div(a, b) -> Expression:
 
 def pow_(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
-    av, bv = _as_number(a), _as_number(b)
+    av, bv = a.lit, b.lit
     if bv == 1.0:
         return a
     if bv == 0.0:
@@ -347,7 +358,7 @@ _UNARY_MATH = {f: getattr(math, f) for f in FUNCTIONS}
 def _unary(op: str, a: Expression) -> Expression:
     if op == "neg":
         return neg(a)
-    av = _as_number(a)
+    av = a.lit
     if av is not None:
         try:
             v = _UNARY_MATH[op](av)
@@ -371,10 +382,18 @@ sin, cos, tan, exp, log, sqrt, sinh, cosh = map(_function, FUNCTIONS)
 _BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}
 
 
+def _rebuild(node: Expression, kids: list) -> Expression:
+    """``node``'s operator applied to ``kids`` by the smart constructors; a
+    leaf is returned as it is."""
+    if len(kids) == 1:
+        return _unary(node.op, kids[0])
+    return _BINARY[node.op](*kids) if kids else node
+
+
 def expr_sum(terms) -> Expression:
     """Balanced sum of many terms (keeps tree depth logarithmic)."""
     items = [as_expr(t) for t in terms]
-    items = [t for t in items if not _is_value(t, 0.0)]
+    items = [t for t in items if not is_zero(t)]
     if not items:
         return ZERO
     while len(items) > 1:
@@ -397,14 +416,6 @@ def is_zero(e: Expression) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _children(node: Expression) -> tuple:
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, Unary):
-        return (node.arg,)
-    return ()
-
-
 def _postorder_map(root: Expression, compute, memo: dict | None = None):
     """Apply ``compute(node, child_results)`` bottom-up over the DAG.
 
@@ -419,9 +430,9 @@ def _postorder_map(root: Expression, compute, memo: dict | None = None):
         node, ready = stack.pop()
         if node in memo:
             continue
-        kids = _children(node)
+        kids = node.kids
         if ready or not kids:
-            memo[node] = compute(node, tuple(memo[k] for k in kids))
+            memo[node] = compute(node, [memo[k] for k in kids])
         else:
             stack.append((node, True))
             for k in kids:
@@ -579,6 +590,17 @@ def _is_batch(bindings: Bindings) -> bool:
     return any(isinstance(v, np.ndarray) for v in bindings.values.values())
 
 
+def _leaf_value(node: Expression, values: dict):
+    """The value of a literal, constant or variable under ``values``."""
+    if type(node) is Var:
+        if node.vid not in values:
+            raise EvaluationError(f"unbound variable '{node.vid.name}'", node)
+        return values[node.vid]
+    if type(node) is Const:
+        return math.pi if node.name == "pi" else math.e
+    return node.value
+
+
 class _Tape:
     """The union DAG of ``roots`` lowered to a topologically ordered program
     with one slot per distinct node, run with numpy over a batch.
@@ -588,47 +610,41 @@ class _Tape:
     """
 
     def __init__(self, roots):
-        self.nodes: list[Expression] = []  # by slot, in topological order
-
-        def visit(node, _):
-            self.nodes.append(node)
-            return len(self.nodes) - 1
-
-        slot_of: dict[Expression, int] = {}
-        self.outputs = [_postorder_map(r, visit, slot_of) for r in roots]
-        last = [-1] * len(self.nodes)  # slot -> slot of its last reader
-        for s, node in enumerate(self.nodes):
-            for kid in _children(node):
-                last[slot_of[kid]] = s
-        for s in self.outputs:
-            last[s] = len(self.nodes)
-        self.leaves = []  # (slot, node) for literals and variables
+        seen = set(roots)
+        stack = list(seen)
+        while stack:
+            for kid in stack.pop().kids:
+                if kid not in seen:
+                    seen.add(kid)
+                    stack.append(kid)
+        # by slot: creation order, a topological order (see the module doc)
+        self.nodes = sorted(seen, key=operator.attrgetter("index"))
+        slot_of = {node: s for s, node in enumerate(self.nodes)}
+        self.outputs = [slot_of[r] for r in roots]
+        read = set(self.outputs)  # slots read by a later slot; roots are kept
+        # (slot, node) for literals and variables
+        self.leaves = [(s, node) for s, node in enumerate(self.nodes) if not node.kids]
         # (function, left slot, right slot or -1, out slot, drop left, drop right)
         self.code = []
-        for s, node in enumerate(self.nodes):
-            if isinstance(node, Unary):
+        for s in range(len(self.nodes) - 1, -1, -1):  # last readers first
+            node = self.nodes[s]
+            if len(node.kids) == 1:
                 a = slot_of[node.arg]
-                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, last[a] == s, False))
-            elif isinstance(node, Binary):
+                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, a not in read, False))
+                read.add(a)
+            elif node.kids:
                 a, b = slot_of[node.left], slot_of[node.right]
                 fn = _BINARY_ARRAY[node.op]
-                self.code.append((fn, a, b, s, last[a] == s, last[b] == s))
-            else:
-                self.leaves.append((s, node))
+                self.code.append((fn, a, b, s, a not in read, b not in read))
+                read.update((a, b))
+        self.code.reverse()
 
     def run(self, bindings: Bindings) -> list:
         """The root values, in the order of the roots."""
         slots = [None] * len(self.nodes)
         values = bindings.values
         for s, node in self.leaves:
-            if isinstance(node, Num):
-                slots[s] = node.value
-            elif isinstance(node, Const):
-                slots[s] = math.pi if node.name == "pi" else math.e
-            elif node.vid in values:
-                slots[s] = values[node.vid]
-            else:
-                raise EvaluationError(f"unbound variable '{node.vid.name}'", node)
+            slots[s] = _leaf_value(node, values)
         with np.errstate(all="ignore"):
             for fn, a, b, out, drop_a, drop_b in self.code:
                 slots[out] = fn(slots[a]) if b < 0 else fn(slots[a], slots[b])
@@ -709,7 +725,7 @@ def nonfinite_origin(e: Expression, bindings: Bindings):
     values = _Tape(nodes).run(Bindings(bindings.m, bindings.n, one))
     finite = {node: np.isfinite(v).all() for node, v in zip(nodes, values)}
     node = e
-    while failing := [kid for kid in _children(node) if not finite[kid]]:
+    while failing := [kid for kid in node.kids if not finite[kid]]:
         node = failing[0]
     at = np.broadcast_to(evaluate(node, bindings), np.shape(value))
     return node, np.flatnonzero(~np.isfinite(at))
@@ -720,20 +736,11 @@ def _evaluate_scalar(roots, bindings: Bindings) -> list:
     values = bindings.values
 
     def compute(node, kids):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return math.pi if node.name == "pi" else math.e
-        if isinstance(node, Var):
-            try:
-                return float(values[node.vid])
-            except KeyError:
-                raise EvaluationError(
-                    f"unbound variable '{node.vid.name}'", node
-                ) from None
-        if isinstance(node, Unary):
+        if not kids:
+            return float(_leaf_value(node, values))
+        op = node.op
+        if len(kids) == 1:
             (a,) = kids
-            op = node.op
             if op == "neg":
                 return -a
             if op == "log":
@@ -749,7 +756,6 @@ def _evaluate_scalar(roots, bindings: Bindings) -> list:
             except (ValueError, OverflowError) as exc:
                 raise EvaluationError(f"domain error in {op}", node) from exc
         l, r = kids
-        op = node.op
         if op == "+":
             return l + r
         if op == "-":
@@ -782,60 +788,80 @@ def differentiate(e: Expression, var) -> Expression:
 
     All jet variables are independent coordinates here: d v1_1/d x1 == 0.
     Results come out pre-simplified (built through the smart constructors).
+    The walk does not enter a subtree whose mask lacks the variable: its
+    derivative is ``ZERO``, which the full rules give there too.
     """
     vid = var.vid if isinstance(var, Var) else var
     if not isinstance(vid, VariableId):
         raise TypeError("var must be a Var node or a VariableId")
+    bit = _VAR_BITS.get(vid, 0)
+    if not e.mask & bit:
+        return ZERO
+    memo = _DERIVATIVES.setdefault(vid, {})
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in memo:
+            continue
+        if ready:
+            kids = [memo[k] if k.mask & bit else ZERO for k in node.kids]
+            memo[node] = _derivative(node, kids)
+        else:
+            stack.append((node, True))
+            for k in node.kids:
+                if k.mask & bit and k not in memo:
+                    stack.append((k, False))
+    return memo[e]
 
-    def compute(node, kids):
-        if isinstance(node, (Num, Const)):
+
+def _derivative(node: Expression, kids: list) -> Expression:
+    """The derivative of ``node`` (which depends on the variable) from its
+    children's derivatives ``kids``."""
+    if not kids:
+        return ONE  # the variable itself
+    op = node.op
+    if len(kids) == 1:
+        (da,) = kids
+        a = node.arg
+        if op == "neg":
+            return neg(da)
+        if is_zero(da):
             return ZERO
-        if isinstance(node, Var):
-            return ONE if node.vid == vid else ZERO
-        if isinstance(node, Unary):
-            (da,) = kids
-            a = node.arg
-            op = node.op
-            if op == "neg":
-                return neg(da)
-            if is_zero(da):
-                return ZERO
-            if op == "sin":
-                return mul(cos(a), da)
-            if op == "cos":
-                return neg(mul(sin(a), da))
-            if op == "tan":
-                return mul(add(ONE, pow_(tan(a), 2.0)), da)
-            if op == "exp":
-                return mul(node, da)
-            if op == "log":
-                return div(da, a)
-            if op == "sqrt":
-                return div(da, mul(2.0, node))
-            if op == "sinh":
-                return mul(cosh(a), da)
-            return mul(sinh(a), da)  # cosh
-        dl, dr = kids
-        l, r = node.left, node.right
-        op = node.op
-        if op == "+":
-            return add(dl, dr)
-        if op == "-":
-            return sub(dl, dr)
-        if op == "*":
-            return add(mul(dl, r), mul(l, dr))
-        if op == "/":
-            return div(sub(mul(dl, r), mul(l, dr)), pow_(r, 2.0))
-        # power
-        rv = _as_number(r)
-        if rv is not None:
-            if is_zero(dl):
-                return ZERO
-            return mul(mul(num(rv), pow_(l, num(rv - 1.0))), dl)
-        # general u^w: u^w * (dw*log(u) + w*du/u)
-        return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))
-
-    return _postorder_map(e, compute, _DERIVATIVES.setdefault(vid, {}))
+        if op == "sin":
+            return mul(cos(a), da)
+        if op == "cos":
+            return neg(mul(sin(a), da))
+        if op == "tan":
+            return mul(add(ONE, pow_(tan(a), 2.0)), da)
+        if op == "exp":
+            return mul(node, da)
+        if op == "log":
+            return div(da, a)
+        if op == "sqrt":
+            return div(da, mul(2.0, node))
+        if op == "sinh":
+            return mul(cosh(a), da)
+        return mul(sinh(a), da)  # cosh
+    dl, dr = kids
+    l, r = node.kids
+    if op == "+":
+        return add(dl, dr)
+    if op == "-":
+        return sub(dl, dr)
+    if op == "*":
+        if dl is ZERO or dr is ZERO:  # the full rule adds ZERO to the other term
+            return mul(l, dr) if dl is ZERO else mul(dl, r)
+        return add(mul(dl, r), mul(l, dr))
+    if op == "/":
+        return div(sub(mul(dl, r), mul(l, dr)), pow_(r, 2.0))
+    # power
+    rv = r.lit
+    if rv is not None:
+        if is_zero(dl):
+            return ZERO
+        return mul(mul(num(rv), pow_(l, num(rv - 1.0))), dl)
+    # general u^w: u^w * (dw*log(u) + w*du/u)
+    return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))
 
 
 def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6) -> float:
@@ -865,17 +891,11 @@ def substitute(e: Expression, mapping: dict) -> Expression:
         table[kid] = as_expr(val)
 
     def compute(node, kids):
-        if isinstance(node, Var):
+        if type(node) is Var:
             return table.get(node.vid, node)
-        if isinstance(node, Unary):
-            if kids[0] is node.arg:
-                return node
-            return _unary(node.op, kids[0])
-        if isinstance(node, Binary):
-            if kids[0] is node.left and kids[1] is node.right:
-                return node
-            return _BINARY[node.op](kids[0], kids[1])
-        return node
+        if all(map(operator.is_, kids, node.kids)):
+            return node  # nothing below it changed
+        return _rebuild(node, kids)
 
     return _postorder_map(e, compute)
 
@@ -892,26 +912,14 @@ def simplify(e: Expression) -> Expression:
     The result evaluates identically to the input on any bindings where the
     input is defined.
     """
-
-    def compute(node, kids):
-        # always rebuild through the smart constructors: the node may predate
-        # them (e.g. it came straight from parse)
-        if isinstance(node, Unary):
-            return _unary(node.op, kids[0])
-        if isinstance(node, Binary):
-            return _BINARY[node.op](kids[0], kids[1])
-        return node
-
-    return _postorder_map(e, compute, _SIMPLIFIED)
+    # always rebuild through the smart constructors: the node may predate
+    # them (e.g. it came straight from parse)
+    return _postorder_map(e, _rebuild, _SIMPLIFIED)
 
 
 def free_variables(e: Expression) -> frozenset[VariableId]:
-    def compute(node, kids):
-        if isinstance(node, Var):
-            return frozenset((node.vid,))
-        return frozenset().union(*kids)
-
-    return _postorder_map(e, compute)
+    """The jet variables ``e`` depends on, decoded from its mask."""
+    return frozenset(vid for vid, bit in _VAR_BITS.items() if e.mask & bit)
 
 
 def check_bounds(e: Expression, m: int, n: int) -> None:

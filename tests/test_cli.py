@@ -539,6 +539,30 @@ def test_characterize_base_length_checked(tmp_path, capsys):
     assert "expected 2" in capsys.readouterr().err
 
 
+NONFINITE_COORDINATES = [
+    ("nullspace", "flat_metric_m3.json", "--t", "1,2,nan", "'nan'"),
+    ("nullspace", "flat_metric_m3.json", "--t", "1,inf,2", "'inf'"),
+    ("nullspace", "flat_metric_m3.json", "--t", "-inf,1,2", "'-inf'"),
+    ("characterize", "affine_curved.json", "--base", "0.2,0.3,nan,0.5", "'nan'"),
+    ("characterize", "affine_curved.json", "--base", "0.2,1e999,0.4,0.5", "'1e999'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, problem, flag, coords, shown",
+    NONFINITE_COORDINATES,
+    ids=[f"{c}{flag}={coords}" for c, _, flag, coords, _ in NONFINITE_COORDINATES],
+)
+def test_nonfinite_coordinate_is_input_error(
+    command, problem, flag, coords, shown, capsys
+):
+    # nullspace used to exit 0 with "nan" in the report, characterize exit 1
+    assert main([command, str(PROBLEMS / problem), f"{flag}={coords}"]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {flag}: {shown} is not a finite number\n"
+    )
+
+
 def test_nullspace_flat_three_times(tmp_path):
     code, report = run_cli(
         ["nullspace", str(PROBLEMS / "flat_metric_m3.json"), "--t", "0.1,0.2,0.3",
@@ -590,7 +614,7 @@ def test_power_overflow_is_exit_3(tmp_path, capsys):
     assert "is inf" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
+SAMPLING_COMMANDS = pytest.mark.parametrize(
     "command",
     [
         ["invariants", "oscillator.json"],
@@ -600,6 +624,9 @@ def test_power_overflow_is_exit_3(tmp_path, capsys):
     ],
     ids=["invariants", "transform", "fd", "jacobi"],
 )
+
+
+@SAMPLING_COMMANDS
 def test_samples_below_one_is_usage_error(command, capsys):
     args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
     for bad in ("0", "-3"):
@@ -607,6 +634,16 @@ def test_samples_below_one_is_usage_error(command, capsys):
             main(args + ["--samples", bad])
         assert exit_info.value.code == 2
         assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
+@SAMPLING_COMMANDS
+def test_negative_seed_is_usage_error(command, capsys):
+    # numpy rejects a negative seed: this ended in a traceback with exit 1
+    args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--seed=-1"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
 CHECK_FD = ["check", "fd", "rotation_flow.json"]

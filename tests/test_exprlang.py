@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import zlib
 from unittest import mock
 
@@ -517,7 +519,7 @@ def _nodes(e):
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(ex._children(node))
+            stack.extend(node.kids)
     return list(seen.values())
 
 
@@ -684,3 +686,126 @@ def test_one_point_family_matches_leaf_by_leaf(family, coords):
     grid = ex.evaluate_nested(family, b)
     assert grid.shape == (len(family), len(family[0]))
     assert grid.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-node fields: literal zero, variable masks, pruned derivatives, tapes
+# ---------------------------------------------------------------------------
+
+
+def test_negative_zero_product_folds_to_zero():
+    assert ex.num(-0.0) is ex.ZERO and ex.Num(-0.0) is not ex.ZERO
+    assert ex.mul(ex.num(-2), ex.ZERO) is ex.ZERO
+    assert ex.mul(ex.ZERO, ex.num(-2)) is ex.ZERO
+    folded = simplify(parse("(0-2)*0", 1, 1))
+    assert folded is ex.ZERO and parse(to_string(folded), 1, 1) is folded
+
+
+def test_derivative_free_of_the_variable_is_zero():
+    # -2*x1 by v1_1: the product rule used to fold -2*0 into Num(-0.0)
+    assert differentiate(parse("-2*x1", 1, 1), ex.v_var(1, 1)) is ex.ZERO
+    with mock.patch.object(ex, "_DERIVATIVES", {}):
+        assert _full_derivative(parse("-2*x1", 1, 1), ex.v_var(1, 1).vid) is ex.ZERO
+
+
+def _full_derivative(e, vid, memo=None):
+    """Reference: every rule applied at every node, no subtree skipped."""
+    memo = {} if memo is None else memo
+    if e in memo:
+        return memo[e]
+    kids = [_full_derivative(k, vid, memo) for k in e.kids]
+    if isinstance(e, ex.Var):
+        d = ex.ONE if e.vid == vid else ex.ZERO
+    elif not kids:
+        d = ex.ZERO
+    elif len(kids) == 1:
+        (da,) = kids
+        a = e.arg
+        rules = {
+            "neg": lambda: ex.neg(da),
+            "sin": lambda: ex.mul(ex.cos(a), da),
+            "cos": lambda: ex.neg(ex.mul(ex.sin(a), da)),
+            "tan": lambda: ex.mul(ex.add(ex.ONE, ex.pow_(ex.tan(a), 2.0)), da),
+            "exp": lambda: ex.mul(e, da),
+            "log": lambda: ex.div(da, a),
+            "sqrt": lambda: ex.div(da, ex.mul(2.0, e)),
+            "sinh": lambda: ex.mul(ex.cosh(a), da),
+            "cosh": lambda: ex.mul(ex.sinh(a), da),
+        }
+        d = ex.ZERO if e.op != "neg" and ex.is_zero(da) else rules[e.op]()
+    else:
+        (dl, dr), (l, r) = kids, e.kids
+        if e.op == "+":
+            d = ex.add(dl, dr)
+        elif e.op == "-":
+            d = ex.sub(dl, dr)
+        elif e.op == "*":
+            d = ex.add(ex.mul(dl, r), ex.mul(l, dr))
+        elif e.op == "/":
+            d = ex.div(ex.sub(ex.mul(dl, r), ex.mul(l, dr)), ex.pow_(r, 2.0))
+        elif r.lit is not None:
+            rv = r.lit
+            d = ex.ZERO if ex.is_zero(dl) else ex.mul(
+                ex.mul(ex.num(rv), ex.pow_(l, ex.num(rv - 1.0))), dl
+            )
+        else:
+            d = ex.mul(e, ex.add(ex.mul(dr, ex.log(l)), ex.mul(r, ex.div(dl, l))))
+    memo[e] = d
+    return d
+
+
+def _variables(e):
+    """The variables of e, by a walk over every node."""
+    return {node.vid for node in _nodes(e) if isinstance(node, ex.Var)}
+
+
+# negative literals (and -0) as leaves, besides those -(...) makes
+SIGNED_LEAVES = LEAVES + ("(-2)", "(-0.5)", "(-0)", "(-3)")
+SIGNED_EXPRESSIONS = st.recursive(
+    st.sampled_from(SIGNED_LEAVES), _grow, max_leaves=8
+).map(lambda text: parse(text, BIND_M, BIND_N))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=SIGNED_EXPRESSIONS)
+def test_mask_decodes_to_the_variables_of_the_walk(e):
+    for node in _nodes(e):
+        assert free_variables(node) == _variables(node)
+        if node.kids:
+            kid_masks = (k.mask for k in node.kids)
+            assert node.mask == functools.reduce(operator.or_, kid_masks)
+        else:  # one bit for a variable, none for a literal or a constant
+            assert bin(node.mask).count("1") == isinstance(node, ex.Var)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=SIGNED_EXPRESSIONS, second=st.integers(0, 7))
+def test_pruned_derivative_is_the_full_rule_node(e, second):
+    # cold memos: the pruned walk and the reference each build from scratch
+    with mock.patch.object(ex, "_DERIVATIVES", {}):
+        for var in JET_VARS:
+            d = differentiate(e, var)
+            want = _full_derivative(e, var.vid)
+            assert d is want, (to_string(e), var, to_string(d), to_string(want))
+            if var.vid not in _variables(e):
+                assert d is ex.ZERO
+            # and once more, as B = dR/dv differentiates a derivative
+            w = JET_VARS[second]
+            assert differentiate(d, w) is _full_derivative(want, w.vid)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.lists(SIGNED_EXPRESSIONS, min_size=1, max_size=4),
+    pick=st.integers(0, 7),
+)
+def test_tape_instructions_read_only_earlier_slots(family, pick):
+    # derivatives are interned after their inputs, as in the invariant builds
+    roots = family + [differentiate(e, JET_VARS[pick]) for e in family]
+    tape = ex._Tape(roots)
+    assert [n.index for n in tape.nodes] == sorted(n.index for n in tape.nodes)
+    assert len(set(tape.nodes)) == len(tape.nodes)
+    for fn, a, b, out, _, _ in tape.code:
+        assert 0 <= a < out and b < out
+        assert tape.nodes[out].kids == tuple(tape.nodes[s] for s in (a, b) if s >= 0)
+    assert [tape.nodes[s] for s in tape.outputs] == roots
