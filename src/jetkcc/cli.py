@@ -141,7 +141,13 @@ def _require_int(obj, path, low=None, high=None):
 def _require_float(obj, path):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, "expected a number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _parse_expr(obj, m, n, path) -> Expression:
@@ -159,6 +165,8 @@ def _parse_box(obj, path):
     hi = _require_float(vals[1], f"{path}[1]")
     if not lo < hi:
         _fail(path, f"box bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        _fail(path, f"box width hi - lo must be finite, got [{lo}, {hi}]")
     return (lo, hi)
 
 

@@ -23,9 +23,11 @@ fields instead of dispatching on the class; ``free_variables`` decodes the mask;
 Results of the builders in the geometry modules are DAGs rather than trees.
 Every traversal here walks the DAG iteratively with an identity memo, so
 shared subtrees are processed once and recursion depth is never an issue.
-Batch evaluation lowers a family's union DAG to one tape run with numpy
-(out-of-domain points give nan/inf); one point goes through the scalar
-interpreter, which raises EvaluationError instead.
+There is one evaluator: a family's union DAG is lowered to one tape, run
+with numpy on Python floats (one point) or on arrays (a batch), and constant
+folding calls the same numpy functions, so every path rounds alike.  Over a
+batch an out-of-domain point gives nan/inf; at one point a non-finite root
+raises EvaluationError at the operation where the value left its domain.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -341,32 +343,23 @@ def pow_(a, b) -> Expression:
         return ONE
     if av == 0.0 and bv is not None and bv > 0.0:
         return ZERO
-    if av is not None and bv is not None:
-        try:
-            p = _pow_value(av, bv)
-        except EvaluationError:
-            p = None
-        if p is not None and math.isfinite(p):
-            return num(p)
-    return Binary("^", a, b)
+    return _folded(np.power, av, bv) or Binary("^", a, b)
 
 
-# math and numpy name the DSL's functions alike
-_UNARY_MATH = {f: getattr(math, f) for f in FUNCTIONS}
+def _folded(fn, *values):
+    """The literal ``fn`` (a function of the tape) gives on literal values;
+    None if a value is None (not a literal) or the result is not finite."""
+    if None in values:
+        return None
+    with np.errstate(all="ignore"):
+        v = fn(*values)
+    return num(v) if math.isfinite(v) else None
 
 
 def _unary(op: str, a: Expression) -> Expression:
     if op == "neg":
         return neg(a)
-    av = a.lit
-    if av is not None:
-        try:
-            v = _UNARY_MATH[op](av)
-        except (ValueError, OverflowError):
-            v = None
-        if v is not None and math.isfinite(v):
-            return num(v)
-    return Unary(op, a)
+    return _folded(_UNARY_ARRAY[op], a.lit) or Unary(op, a)
 
 
 def _function(op: str):
@@ -486,9 +479,9 @@ class Bindings:
 
         ``t``, ``x`` and ``v`` have shapes (m,), (n,) and (n, m) for one
         point, or those shapes plus a trailing batch axis.  One point is
-        stored as Python floats, so evaluation stays scalar and raises on
-        domain errors (a 0-d array would switch it to the batch tape, which
-        returns nan instead); a batch is stored as arrays.
+        stored as Python floats, so the tape runs on floats and a domain
+        error raises (a 0-d array would make it a batch, which returns nan
+        instead); a batch is stored as arrays.
         """
         vids = {
             "t": [VariableId(TEMPORAL, alpha=a + 1) for a in range(m)],
@@ -548,31 +541,7 @@ def _classify(word: str, m: int, n: int, position: int) -> VariableId:
     return VariableId(kind, i=i or 0, alpha=a or 0)
 
 
-def _pow_value(base: float, ex: float) -> float:
-    """Scalar power with the DSL's domain rules."""
-    if float(ex).is_integer():
-        k = int(ex)
-        if base == 0.0 and k < 0:
-            raise EvaluationError("zero raised to a negative power")
-        try:
-            return float(base) ** k
-        except OverflowError as exc:
-            raise EvaluationError("overflow in power") from exc
-    if base <= 0.0:
-        raise EvaluationError("non-integer power of a non-positive base")
-    try:
-        return math.pow(base, ex)
-    except OverflowError as exc:
-        raise EvaluationError("overflow in power") from exc
-
-
 _UNARY_ARRAY = {"neg": np.negative} | {f: getattr(np, f) for f in FUNCTIONS}
-
-
-def _power_array(l, r):
-    if np.isscalar(r) and float(r).is_integer():
-        return np.power(l, int(r))
-    return np.power(l, r)
 
 
 _BINARY_ARRAY = {
@@ -582,12 +551,8 @@ _BINARY_ARRAY = {
     # np.divide, not /: two constant operands are plain floats, and float
     # division by zero raises instead of giving inf or nan
     "/": np.divide,
-    "^": _power_array,
+    "^": np.power,
 }
-
-
-def _is_batch(bindings: Bindings) -> bool:
-    return any(isinstance(v, np.ndarray) for v in bindings.values.values())
 
 
 def _leaf_value(node: Expression, values: dict):
@@ -603,7 +568,7 @@ def _leaf_value(node: Expression, values: dict):
 
 class _Tape:
     """The union DAG of ``roots`` lowered to a topologically ordered program
-    with one slot per distinct node, run with numpy over a batch.
+    with one slot per distinct node, run with numpy on floats or arrays.
 
     Each instruction drops the operand slots it is the last reader of, so
     only the live frontier of the DAG is held; root slots are kept.
@@ -618,26 +583,29 @@ class _Tape:
                     seen.add(kid)
                     stack.append(kid)
         # by slot: creation order, a topological order (see the module doc)
-        self.nodes = sorted(seen, key=operator.attrgetter("index"))
-        slot_of = {node: s for s, node in enumerate(self.nodes)}
+        self.nodes = nodes = sorted(seen, key=operator.attrgetter("index"))
+        slot_of = {node: s for s, node in enumerate(nodes)}
         self.outputs = [slot_of[r] for r in roots]
         read = set(self.outputs)  # slots read by a later slot; roots are kept
-        # (slot, node) for literals and variables
-        self.leaves = [(s, node) for s, node in enumerate(self.nodes) if not node.kids]
+        self.leaves = []  # (slot, node) for literals and variables
         # (function, left slot, right slot or -1, out slot, drop left, drop right)
         self.code = []
-        for s in range(len(self.nodes) - 1, -1, -1):  # last readers first
-            node = self.nodes[s]
-            if len(node.kids) == 1:
-                a = slot_of[node.arg]
+        for s in range(len(nodes) - 1, -1, -1):  # last readers first
+            node = nodes[s]
+            kids = node.kids
+            if not kids:
+                self.leaves.append((s, node))
+            elif len(kids) == 1:
+                a = slot_of[kids[0]]
                 self.code.append((_UNARY_ARRAY[node.op], a, -1, s, a not in read, False))
                 read.add(a)
-            elif node.kids:
-                a, b = slot_of[node.left], slot_of[node.right]
+            else:
+                a, b = slot_of[kids[0]], slot_of[kids[1]]
                 fn = _BINARY_ARRAY[node.op]
                 self.code.append((fn, a, b, s, a not in read, b not in read))
                 read.update((a, b))
         self.code.reverse()
+        self.leaves.reverse()
 
     def run(self, bindings: Bindings) -> list:
         """The root values, in the order of the roots."""
@@ -645,27 +613,83 @@ class _Tape:
         values = bindings.values
         for s, node in self.leaves:
             slots[s] = _leaf_value(node, values)
-        with np.errstate(all="ignore"):
-            for fn, a, b, out, drop_a, drop_b in self.code:
-                slots[out] = fn(slots[a]) if b < 0 else fn(slots[a], slots[b])
-                if drop_a:
-                    slots[a] = None
-                if drop_b:
-                    slots[b] = None
+        if self.code:
+            with np.errstate(all="ignore"):
+                for fn, a, b, out, drop_a, drop_b in self.code:
+                    slots[out] = fn(slots[a]) if b < 0 else fn(slots[a], slots[b])
+                    if drop_a:
+                        slots[a] = None
+                    if drop_b:
+                        slots[b] = None
         return [slots[s] for s in self.outputs]
 
 
-def evaluate(e: Expression, bindings: Bindings):
-    """Evaluate over the bindings.
+def _run(roots, bindings: Bindings) -> list:
+    """The roots' values, in order, from one tape.
 
-    With scalar bindings the result is a float and domain errors
-    (log/sqrt/division/power) raise EvaluationError identifying the offending
-    subexpression.  With array bindings the evaluation runs as a tape over
-    the batch and out-of-domain points come back as nan/inf instead.
+    Over a batch, out-of-domain points come back as nan/inf.  At one point
+    the values are floats, and the first root that is not finite raises
+    EvaluationError at its ``_origin``, unless the operation found there
+    keeps a non-finite result (see ``_domain_error``).
     """
-    if _is_batch(bindings):
-        return _Tape([e]).run(bindings)[0]
-    return _evaluate_scalar([e], bindings)[0]
+    tape = _Tape(roots)
+    values = tape.run(bindings)
+    if any(isinstance(v, np.ndarray) for v in bindings.values.values()):
+        return values  # a batch
+    values = list(map(float, values))
+    table = None
+    for root, value in zip(roots, values):
+        if math.isfinite(value):
+            continue
+        if table is None:  # every node's value, for the walk back
+            table = dict(zip(tape.nodes, _Tape(tape.nodes).run(bindings)))
+        node = _origin(root, table)
+        message = _domain_error(node, [table[kid] for kid in node.kids])
+        if message:
+            raise EvaluationError(message, node)
+    return values
+
+
+def _origin(root: Expression, values: dict) -> Expression:
+    """Walk back from ``root`` through non-finite operands to a node whose
+    operands are all finite; ``values`` maps each node to its value (over
+    one point or a batch, where a value is non-finite if any entry is)."""
+    node = root
+    while failing := [kid for kid in node.kids if not np.isfinite(values[kid]).all()]:
+        node = failing[0]
+    return node
+
+
+def _domain_error(node: Expression, operands: list) -> str | None:
+    """Why ``node`` is not finite while its ``operands`` are, or None where
+    the non-finite value stands: an input, a sum, difference, product or
+    negation that overflows, a quotient by a non-zero divisor."""
+    op = node.op if node.kids else None
+    if op in (None, "+", "-", "*", "neg"):
+        return None
+    a = operands[0]
+    if op == "log":
+        return f"log of non-positive value {a}"
+    if op == "sqrt":
+        return f"sqrt of negative value {a}"
+    if op == "/":
+        return "division by zero" if operands[1] == 0.0 else None
+    if op == "^":
+        b = operands[1]
+        if a == 0.0 and b < 0.0:
+            return "zero raised to a negative power"
+        if a < 0.0 and not float(b).is_integer():
+            return "non-integer power of a non-positive base"
+        return "overflow in power"
+    return f"domain error in {op}"
+
+
+def evaluate(e: Expression, bindings: Bindings):
+    """Evaluate through one tape (see ``_run``): at one point a float, and a
+    domain error raises EvaluationError identifying the offending
+    subexpression; over array bindings an array, nan/inf where out of domain.
+    """
+    return _run([e], bindings)[0]
 
 
 def _nesting(nested, leaves: list) -> tuple:
@@ -685,34 +709,28 @@ def evaluate_nested(nested, bindings: Bindings):
 
     The array shape mirrors the nesting, plus a trailing batch axis when the
     bindings hold arrays (a leaf that evaluates to a plain scalar, a
-    constant say, is broadcast along it).  Over array bindings the whole
-    family is one tape (see ``_Tape``); at one point the scalar interpreter
-    walks the leaves in nesting order with one memo, so a node shared by
-    several leaves is computed once and the first domain error raises.
+    constant say, is broadcast along it).  The whole family is one tape
+    (see ``_Tape``), so a node shared by several leaves is computed once; at
+    one point the first leaf, in nesting order, with a domain error raises.
     """
     leaves: list[Expression] = []
     shape = _nesting(nested, leaves)
-    if _is_batch(bindings):
-        values = _Tape(leaves).run(bindings)
-    else:
-        values = _evaluate_scalar(leaves, bindings)
+    values = _run(leaves, bindings)
     batch = np.broadcast_shapes(*(np.shape(v) for v in bindings.values.values()))
-    out = np.empty(shape + batch)
-    rows = out.reshape((len(leaves),) + batch)
-    for k, value in enumerate(values):
-        rows[k] = value
-    return out
+    rows = [np.broadcast_to(value, batch) for value in values]
+    return np.array(rows, dtype=float).reshape(shape + batch)
 
 
 def nonfinite_origin(e: Expression, bindings: Bindings):
     """Where a batch evaluation of ``e`` turns non-finite.
 
     Returns None if ``e`` is finite at every point.  Otherwise, at the first
-    point where it is not, walks back from ``e`` through non-finite operands
-    to a node that is non-finite while all its operands are finite, and
-    returns that node with the indices of the points where it is non-finite.
+    point where it is not, finds the ``_origin`` of ``e``: a node that is
+    non-finite while all its operands are finite.  Returns that node with the
+    indices of the points where it is non-finite.
     """
-    value = evaluate(e, bindings)
+    tape = _Tape([e])
+    (value,) = tape.run(bindings)
     bad = np.flatnonzero(~np.isfinite(value))
     if not bad.size:
         return None
@@ -721,58 +739,10 @@ def nonfinite_origin(e: Expression, bindings: Bindings):
         vid: v[k : k + 1] if isinstance(v, np.ndarray) else v
         for vid, v in bindings.values.items()
     }
-    nodes = _Tape([e]).nodes
-    values = _Tape(nodes).run(Bindings(bindings.m, bindings.n, one))
-    finite = {node: np.isfinite(v).all() for node, v in zip(nodes, values)}
-    node = e
-    while failing := [kid for kid in node.kids if not finite[kid]]:
-        node = failing[0]
-    at = np.broadcast_to(evaluate(node, bindings), np.shape(value))
-    return node, np.flatnonzero(~np.isfinite(at))
-
-
-def _evaluate_scalar(roots, bindings: Bindings) -> list:
-    """The roots' values at one point, in order, through one memo."""
-    values = bindings.values
-
-    def compute(node, kids):
-        if not kids:
-            return float(_leaf_value(node, values))
-        op = node.op
-        if len(kids) == 1:
-            (a,) = kids
-            if op == "neg":
-                return -a
-            if op == "log":
-                if a <= 0.0:
-                    raise EvaluationError(f"log of non-positive value {a}", node)
-                return math.log(a)
-            if op == "sqrt":
-                if a < 0.0:
-                    raise EvaluationError(f"sqrt of negative value {a}", node)
-                return math.sqrt(a)
-            try:
-                return _UNARY_MATH[op](a)
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(f"domain error in {op}", node) from exc
-        l, r = kids
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            if r == 0.0:
-                raise EvaluationError("division by zero", node)
-            return l / r
-        try:
-            return _pow_value(l, r)
-        except EvaluationError as exc:
-            raise EvaluationError(str(exc), node) from None
-
-    memo: dict[Expression, float] = {}
-    return [_postorder_map(e, compute, memo) for e in roots]
+    at_k = _Tape(tape.nodes).run(Bindings(bindings.m, bindings.n, one))
+    node = _origin(e, dict(zip(tape.nodes, at_k)))
+    (at,) = _Tape([node]).run(bindings)
+    return node, np.flatnonzero(~np.isfinite(np.broadcast_to(at, np.shape(value))))
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +838,8 @@ def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6) -> fl
     """Central finite-difference partial; the numeric oracle for differentiate."""
     vid = var.vid if isinstance(var, Var) else var
     base = float(bindings.values[vid])
-    (hi,) = _evaluate_scalar([e], bindings.with_value(vid, base + step))
-    (lo,) = _evaluate_scalar([e], bindings.with_value(vid, base - step))
+    hi = evaluate(e, bindings.with_value(vid, base + step))
+    lo = evaluate(e, bindings.with_value(vid, base - step))
     return (hi - lo) / (2.0 * step)
 
 

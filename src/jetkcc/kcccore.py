@@ -840,10 +840,9 @@ def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
     sigma, as an array of the nesting's shape.
 
     Each leaf is restricted to the prolongation once, however many t there
-    are, and evaluated once.  ``t`` has shape (m,) for one point, evaluated
-    by the scalar interpreter (an out-of-domain value raises
-    EvaluationError), or (m, K) for a batch, evaluated as a tape that gives
-    a trailing axis of K (out-of-domain values come back as nan/inf); see
+    are, and evaluated once.  ``t`` has shape (m,) for one point, where an
+    out-of-domain value raises EvaluationError, or (m, K) for a batch, which
+    gives a trailing axis of K with nan/inf at out-of-domain points; see
     ``Bindings.jet``.
     """
     prol = sigma.prolongation_map()

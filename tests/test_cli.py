@@ -563,6 +563,49 @@ def test_nonfinite_coordinate_is_input_error(
     )
 
 
+# source -> (text added to the oscillator problem, points file text, message);
+# these exited 3 as out-of-domain evaluations (points) or ended in an
+# OverflowError traceback (boxes)
+NONFINITE_JSON_NUMBERS = {
+    "points-file": (
+        None,
+        '{"points": [{"t": [0.5], "x": [NaN], "v": [[0.2]]}]}',
+        "points[0].x[0]: expected a finite number, got nan",
+    ),
+    "problem-points": (
+        '"points": [{"t": [0.5], "x": [0.5], "v": [[1e999]]}]',
+        None,
+        "points[0].v[0][0]: expected a finite number, got inf",
+    ),
+    "box-bound": (
+        '"sample_box": {"t": [-1e999, 1]}',
+        None,
+        "sample_box.t[0]: expected a finite number, got -inf",
+    ),
+    "box-width": (
+        '"sample_box": {"x": [-1e308, 1e308]}',
+        None,
+        "sample_box.x: box width hi - lo must be finite, got [-1e+308, 1e+308]",
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(NONFINITE_JSON_NUMBERS))
+def test_nonfinite_json_number_is_input_error(source, tmp_path, capsys):
+    extra, points, message = NONFINITE_JSON_NUMBERS[source]
+    text = json.dumps(OSC)
+    if extra is not None:
+        text = f"{text[:-1]}, {extra}}}"
+    problem = tmp_path / "problem.json"
+    problem.write_text(text, encoding="utf-8")
+    argv = ["invariants", str(problem), "--samples", "2"]
+    if points is not None:
+        (tmp_path / "points.json").write_text(points, encoding="utf-8")
+        argv += ["--points", str(tmp_path / "points.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_nullspace_flat_three_times(tmp_path):
     code, report = run_cli(
         ["nullspace", str(PROBLEMS / "flat_metric_m3.json"), "--t", "0.1,0.2,0.3",
