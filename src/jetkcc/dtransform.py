@@ -8,6 +8,12 @@ be pushed forward symbolically so that solutions map to solutions.
 ``two_path_invariants`` evaluates both sides of the two-path comparison
 (transform the evaluated components vs. re-derive them in the new chart)
 that everything upstream exists to support.
+
+Numbers follow one shape convention: coordinates are (d,) at one point or
+(d, K) for K points, and every value computed from them (maps, Jacobians,
+tensor components) gets the same trailing axis of K.  One point and a batch
+run the same code, and the number of table evaluations and matrix products
+does not grow with K.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .exprlang import (
     substitute,
 )
 from .jetgeom import DTensorValue, JetPoint, MAX_DIM, MetricField, PdeSystem
+from .jetgeom import stack_points
 from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
 JACOBIAN_TOL = 1e-10
@@ -54,6 +61,13 @@ def _check_kind(exprs, kind, limit, what):
                 )
 
 
+def _jacobian_table(maps, var):
+    """d map_i / d var(k), for the d maps of one factor and its d variables."""
+    return tuple(
+        tuple(differentiate(f, var(k + 1)) for k in range(len(maps))) for f in maps
+    )
+
+
 @dataclass(eq=False)
 class CoordinateChange:
     """Fibered coordinate change with user-supplied exact inverses.
@@ -74,10 +88,8 @@ class CoordinateChange:
     def __post_init__(self):
         if not 1 <= self.m <= MAX_DIM or not 1 <= self.n <= MAX_DIM:
             raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        self.t_forward = tuple(ex.as_expr(e) for e in self.t_forward)
-        self.x_forward = tuple(ex.as_expr(e) for e in self.x_forward)
-        self.t_inverse = tuple(ex.as_expr(e) for e in self.t_inverse)
-        self.x_inverse = tuple(ex.as_expr(e) for e in self.x_inverse)
+        for name in ("t_forward", "x_forward", "t_inverse", "x_inverse"):
+            setattr(self, name, tuple(ex.as_expr(e) for e in getattr(self, name)))
         if len(self.t_forward) != self.m or len(self.t_inverse) != self.m:
             raise ValueError(f"need {self.m} temporal maps each way")
         if len(self.x_forward) != self.n or len(self.x_inverse) != self.n:
@@ -91,75 +103,69 @@ class CoordinateChange:
 
     @cached_property
     def jac_t_forward(self):
-        return tuple(
-            tuple(differentiate(f, ex.t_var(b + 1)) for b in range(self.m))
-            for f in self.t_forward
-        )
+        return _jacobian_table(self.t_forward, ex.t_var)
 
     @cached_property
     def jac_x_forward(self):
-        return tuple(
-            tuple(differentiate(f, ex.x_var(j + 1)) for j in range(self.n))
-            for f in self.x_forward
-        )
+        return _jacobian_table(self.x_forward, ex.x_var)
 
     @cached_property
     def jac_t_inverse(self):
-        return tuple(
-            tuple(differentiate(f, ex.t_var(b + 1)) for b in range(self.m))
-            for f in self.t_inverse
-        )
+        return _jacobian_table(self.t_inverse, ex.t_var)
 
     @cached_property
     def jac_x_inverse(self):
-        return tuple(
-            tuple(differentiate(f, ex.x_var(j + 1)) for j in range(self.n))
-            for f in self.x_inverse
-        )
+        return _jacobian_table(self.x_inverse, ex.x_var)
 
-    # numeric helpers
+    # numeric helpers: coordinates of shape (d,) for one point or (d, K) for
+    # K points; values take the table's shape plus the same trailing axis
 
-    def temporal_jacobian(self, t) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, t=t)
-        J = np.array(
-            [[ex.evaluate(e, b) for e in row] for row in self.jac_t_forward]
-        )
-        if abs(np.linalg.det(J)) < JACOBIAN_TOL:
+    def _values(self, table, block: str, z) -> np.ndarray:
+        """``table`` evaluated as one family at coordinates ``z`` of the
+        ``block`` ("t" or "x").  A batch with a non-finite value is evaluated
+        once more at the first such point alone, so that an out-of-domain
+        value raises EvaluationError there, as it does at one point."""
+        out = ex.evaluate_nested(table, Bindings.jet(self.m, self.n, **{block: z}))
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 2:
+            bad = np.flatnonzero(~np.isfinite(out.reshape(-1, z.shape[1])).all(0))
+            if bad.size:
+                self._values(table, block, z[:, bad[0]])
+        return out
+
+    def _jacobian(self, table, block: str, z) -> np.ndarray:
+        """The Jacobian table's values; raises SingularJacobianError at the
+        first point where its determinant vanishes."""
+        J = self._values(table, block, z)
+        det = np.linalg.det(np.moveaxis(J, (0, 1), (-2, -1)))
+        bad = np.flatnonzero(np.abs(det) < JACOBIAN_TOL)
+        if bad.size:
+            kind = "temporal" if block == "t" else "spatial"
+            at = np.asarray(z, dtype=float).reshape(len(table), -1)[:, bad[0]]
             raise SingularJacobianError(
-                f"temporal Jacobian is singular at t={np.asarray(t, dtype=float).tolist()}"
+                f"{kind} Jacobian is singular at {block}={at.tolist()}"
             )
         return J
 
+    def temporal_jacobian(self, t) -> np.ndarray:
+        return self._jacobian(self.jac_t_forward, "t", t)
+
     def spatial_jacobian(self, x) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, x=x)
-        A = np.array(
-            [[ex.evaluate(e, b) for e in row] for row in self.jac_x_forward]
-        )
-        if abs(np.linalg.det(A)) < JACOBIAN_TOL:
-            raise SingularJacobianError(
-                f"spatial Jacobian is singular at x={np.asarray(x, dtype=float).tolist()}"
-            )
-        return A
+        return self._jacobian(self.jac_x_forward, "x", x)
 
     def forward_t(self, t) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, t=t)
-        return np.array([ex.evaluate(e, b) for e in self.t_forward])
+        return self._values(self.t_forward, "t", t)
 
     def forward_x(self, x) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, x=x)
-        return np.array([ex.evaluate(e, b) for e in self.x_forward])
+        return self._values(self.x_forward, "x", x)
 
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points
         (nan if any of them is nan)."""
-        defects = []
-        for p in points:
-            tb = Bindings.jet(self.m, self.n, t=self.forward_t(p.t))
-            xb = Bindings.jet(self.m, self.n, x=self.forward_x(p.x))
-            t_back = np.array([ex.evaluate(e, tb) for e in self.t_inverse])
-            x_back = np.array([ex.evaluate(e, xb) for e in self.x_inverse])
-            defects.append(np.concatenate([t_back - p.t, x_back - p.x]))
-        return float(np.max(np.abs(defects), initial=0.0))
+        t, x, _ = stack_points(list(points))
+        t_back = self._values(self.t_inverse, "t", self.forward_t(t))
+        x_back = self._values(self.x_inverse, "x", self.forward_x(x))
+        return float(np.max(np.abs(np.concatenate([t_back - t, x_back - x]))))
 
 
 def identity_change(m: int, n: int) -> CoordinateChange:
@@ -169,46 +175,61 @@ def identity_change(m: int, n: int) -> CoordinateChange:
 
 
 # ---------------------------------------------------------------------------
-# pointwise transformations
+# transformations over a point set
 # ---------------------------------------------------------------------------
 
 
-def transform_jet_point(cc: CoordinateChange, p: JetPoint) -> JetPoint:
-    """New-chart coordinates of a jet point; velocities contract with the
+def _matrices(J) -> np.ndarray:
+    """A (d, d) matrix, or a (d, d, K) stack as C-contiguous (K, d, d): a
+    stacked matmul then runs the same BLAS call on each matrix as a
+    one-point product, so both give the same bits."""
+    return np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
+
+
+def transform_jet_point(cc: CoordinateChange, points) -> list[JetPoint]:
+    """New-chart coordinates of jet points; velocities contract with the
     spatial Jacobian on the left and the inverse temporal Jacobian on the
-    right."""
-    if p.m != cc.m or p.n != cc.n:
+    right.  The maps and Jacobians are evaluated once over all the points."""
+    t, x, v = stack_points(list(points))
+    if len(t) != cc.m or len(x) != cc.n:
         raise ValueError("point dimensions do not match the change")
-    Jt = cc.temporal_jacobian(p.t)
-    A = cc.spatial_jacobian(p.x)
-    v_new = A @ p.v @ np.linalg.inv(Jt)
-    return JetPoint(cc.forward_t(p.t), cc.forward_x(p.x), v_new)
+    Jt = _matrices(cc.temporal_jacobian(t))
+    A = _matrices(cc.spatial_jacobian(x))
+    v_new = A @ np.ascontiguousarray(np.moveaxis(v, -1, 0)) @ np.linalg.inv(Jt)
+    moved = zip(cc.forward_t(t).T, cc.forward_x(x).T, v_new)
+    return [JetPoint(*z) for z in moved]
 
 
-def transform_dtensor(
-    val: DTensorValue, cc: CoordinateChange, p: JetPoint
-) -> DTensorValue:
+def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
     """Apply one Jacobian factor per index slot of a component array.
 
-    Upper spatial slots contract with the spatial Jacobian, lower spatial
-    ones with its transposed inverse; temporal slots use the temporal
-    Jacobian the same way.  Jet-paired slots need no special treatment —
-    their combined factor is exactly the product of the two.
+    ``Jt`` and ``A`` are the temporal and spatial Jacobians, of shapes
+    (m, m) and (n, n) at one point, or (m, m, K) and (n, n, K) for a value
+    with a trailing axis over K points; each slot is then one matrix product
+    over all of them.  Upper spatial slots contract with the spatial
+    Jacobian, lower spatial ones with its transposed inverse; temporal slots
+    use the temporal Jacobian the same way.  Jet-paired slots need no
+    special treatment — their combined factor is exactly the product of the
+    two.
     """
-    if val.m != cc.m or val.n != cc.n:
-        raise ValueError("tensor dimensions do not match the change")
-    Jt = cc.temporal_jacobian(p.t)
-    A = cc.spatial_jacobian(p.x)
-    Ainv = np.linalg.inv(A)
-    Tinv = np.linalg.inv(Jt)
-    out = val.values
-    for axis, slot in enumerate(val.slots):
-        if slot.kind == SPATIAL:
-            M = A if slot.upper else Ainv.T
-        else:
-            M = Jt if slot.upper else Tinv.T
-        out = np.moveaxis(np.tensordot(M, out, axes=(1, axis)), 0, axis)
-    return DTensorValue(val.m, val.n, val.slots, out)
+    if np.shape(Jt)[0] != val.m or np.shape(A)[0] != val.n:
+        raise ValueError("tensor dimensions do not match the Jacobians")
+    Jt, A = _matrices(Jt), _matrices(A)
+    factors = {
+        (SPATIAL, True): A,
+        (SPATIAL, False): np.swapaxes(np.linalg.inv(A), -1, -2),
+        (TEMPORAL, True): Jt,
+        (TEMPORAL, False): np.swapaxes(np.linalg.inv(Jt), -1, -2),
+    }
+    r = len(val.slots)
+    nb = val.values.ndim - r  # 1 with a point axis, which goes first
+    out = np.moveaxis(val.values, range(r, r + nb), range(nb))
+    for axis, slot in enumerate(val.slots, start=nb):
+        w = np.moveaxis(out, axis, nb)
+        prod = factors[slot.kind, slot.upper] @ w.reshape(w.shape[: nb + 1] + (-1,))
+        out = np.moveaxis(prod.reshape(w.shape), nb, axis)
+    values = np.moveaxis(out, range(nb), range(r, r + nb))
+    return DTensorValue(val.m, val.n, val.slots, values)
 
 
 # ---------------------------------------------------------------------------
@@ -238,41 +259,23 @@ def pushforward_system(
         raise ValueError("expected the system's temporal metric")
     m, n = cc.m, cc.n
 
-    base_subst = {}
-    for b in range(m):
-        base_subst[ex.VariableId(TEMPORAL, alpha=b + 1)] = cc.t_inverse[b]
-    for j in range(n):
-        base_subst[ex.VariableId(SPATIAL, i=j + 1)] = cc.x_inverse[j]
+    base_subst = {ex.t_var(b + 1).vid: f for b, f in enumerate(cc.t_inverse)}
+    base_subst.update((ex.x_var(j + 1).vid, f) for j, f in enumerate(cc.x_inverse))
 
     def compose(e: Expression) -> Expression:
         return substitute(e, base_subst)
 
     # Jacobian blocks as functions of the new coordinates
-    A = [
-        [compose(cc.jac_x_forward[k][j]) for j in range(n)] for k in range(n)
-    ]
+    A = [[compose(e) for e in row] for row in cc.jac_x_forward]
     dA = [
-        [
-            [
-                compose(
-                    differentiate(cc.jac_x_forward[k][j], ex.x_var(l + 1))
-                )
-                for l in range(n)
-            ]
-            for j in range(n)
-        ]
-        for k in range(n)
+        [[compose(differentiate(e, ex.x_var(l + 1))) for l in range(n)] for e in row]
+        for row in cc.jac_x_forward
     ]
-    Jt_fwd = [
-        [compose(cc.jac_t_forward[u][b]) for b in range(m)] for u in range(m)
-    ]
+    Jt_fwd = [[compose(e) for e in row] for row in cc.jac_t_forward]
     B = cc.jac_t_inverse  # already in new variables
     d2t = [
-        [
-            [differentiate(B[b][g], ex.t_var(u + 1)) for u in range(m)]
-            for g in range(m)
-        ]
-        for b in range(m)
+        [[differentiate(e, ex.t_var(u + 1)) for u in range(m)] for e in row]
+        for row in B
     ]
     dx_inv = cc.jac_x_inverse
 
@@ -281,10 +284,7 @@ def pushforward_system(
         [
             simplify(
                 expr_sum(
-                    mul(
-                        dx_inv[j][q],
-                        mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)),
-                    )
+                    mul(dx_inv[j][q], mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)))
                     for q in range(n)
                     for u in range(m)
                 )
@@ -304,46 +304,32 @@ def pushforward_system(
     full_subst = dict(base_subst)
     for j in range(n):
         for b in range(m):
-            full_subst[ex.VariableId(ex.VELOCITY, i=j + 1, alpha=b + 1)] = (
-                v_old[j][b]
-            )
+            full_subst[ex.VariableId(ex.VELOCITY, i=j + 1, alpha=b + 1)] = v_old[j][b]
 
     def component_new(k, g, nu):
         terms = []
         for j in range(n):
             for b in range(m):
                 for u in range(m):
-                    old = substitute(
-                        system.component(j + 1, b + 1, u + 1), full_subst
-                    )
-                    terms.append(
-                        mul(A[k][j], mul(B[b][g], mul(B[u][nu], old)))
-                    )
+                    old = substitute(system.component(j + 1, b + 1, u + 1), full_subst)
+                    terms.append(mul(A[k][j], mul(B[b][g], mul(B[u][nu], old))))
         for j in range(n):
             for l in range(n):
-                terms.append(
-                    neg(mul(dA[k][j][l], mul(w[l][nu], w[j][g])))
-                )
+                terms.append(neg(mul(dA[k][j][l], mul(w[l][nu], w[j][g]))))
         for j in range(n):
             for b in range(m):
-                terms.append(
-                    neg(mul(A[k][j], mul(d2t[b][g][nu], v_old[j][b])))
-                )
+                terms.append(neg(mul(A[k][j], mul(d2t[b][g][nu], v_old[j][b]))))
         return simplify(expr_sum(terms))
 
+    comps = {
+        (k + 1, g + 1, nu + 1): component_new(k, g, nu)
+        for k in range(n)
+        for g in range(m)
+        for nu in range(g if system.symmetric else 0, m)
+    }
     if system.symmetric:
-        upper = {}
-        for k in range(n):
-            for g in range(m):
-                for nu in range(g, m):
-                    upper[(k + 1, g + 1, nu + 1)] = component_new(k, g, nu)
-        new_system = PdeSystem.from_upper(m, n, upper)
+        new_system = PdeSystem.from_upper(m, n, comps)
     else:
-        comps = {}
-        for k in range(n):
-            for g in range(m):
-                for nu in range(m):
-                    comps[(k + 1, g + 1, nu + 1)] = component_new(k, g, nu)
         new_system = PdeSystem(m, n, comps, symmetric=False)
 
     h_old = [[compose(h.rows[a][b]) for b in range(m)] for a in range(m)]
@@ -368,14 +354,9 @@ def transform_section(cc: CoordinateChange, sigma: SectionMap) -> SectionMap:
     forward spatial maps, the section, and the inverse temporal maps."""
     if sigma.m != cc.m or sigma.n != cc.n:
         raise ValueError("section dimensions do not match the change")
-    t_subst = {
-        ex.VariableId(TEMPORAL, alpha=b + 1): cc.t_inverse[b]
-        for b in range(cc.m)
-    }
+    t_subst = {ex.t_var(b + 1).vid: f for b, f in enumerate(cc.t_inverse)}
     old_comps = [substitute(c, t_subst) for c in sigma.comps]
-    x_subst = {
-        ex.VariableId(SPATIAL, i=j + 1): old_comps[j] for j in range(cc.n)
-    }
+    x_subst = {ex.x_var(j + 1).vid: c for j, c in enumerate(old_comps)}
     return SectionMap(
         cc.m, tuple(substitute(f, x_subst) for f in cc.x_forward)
     )
@@ -396,29 +377,22 @@ def two_path_invariants(
 
     One side evaluates each invariant from (system, h) and transforms it
     slot by slot; the other evaluates it from the pushed-forward pair at
-    the transformed point.  Both pipelines are built once and evaluated in
-    batch.  Returns {selector: (pushed, direct)}, two component grids with
-    a trailing axis over the points; reducing them to a deviation is left
-    to the caller.
+    the transformed point.  Both pipelines are built once, and each table
+    is evaluated once over the whole point set.  Returns {selector:
+    (pushed, direct)}, two component grids with a trailing axis over the
+    points; reducing them to a deviation is left to the caller.
     """
     points = list(points)
     new_system, new_h = pushforward_system(cc, system, h)
     pipe = InvariantPipeline(system, h)
     new_pipe = InvariantPipeline(new_system, new_h)
-    moved = [transform_jet_point(cc, p) for p in points]
+    moved = transform_jet_point(cc, points)
+    t, x, _ = stack_points(points)
+    Jt, A = cc.temporal_jacobian(t), cc.spatial_jacobian(x)
     out = {}
     for name in selectors:
-        slots = invariant_slots(name)
-        old_grid = pipe.evaluate_batch(name, points)
+        old = pipe.evaluate_batch(name, points)
+        val = DTensorValue(cc.m, cc.n, invariant_slots(name), old)
         direct = new_pipe.evaluate_batch(name, moved)
-        pushed = np.stack(
-            [
-                transform_dtensor(
-                    DTensorValue(cc.m, cc.n, slots, old_grid[..., k]), cc, p
-                ).values
-                for k, p in enumerate(points)
-            ],
-            axis=-1,
-        )
-        out[name] = (pushed, direct)
+        out[name] = (transform_dtensor(val, Jt, A).values, direct)
     return out

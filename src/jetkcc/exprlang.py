@@ -555,6 +555,15 @@ _BINARY_ARRAY = {
 }
 
 
+def _variable_power(a, b):
+    """``a ^ b`` for an exponent that depends on jet variables.  A float
+    exponent of 2, -1 or 0.5 takes a NumPy fast path that rounds unlike the
+    array loop a batch's exponent column runs, so one point runs that loop
+    too."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    return np.power(a, np.reshape(b, np.shape(b) or 1)).reshape(shape)
+
+
 def _leaf_value(node: Expression, values: dict):
     """The value of a literal, constant or variable under ``values``."""
     if type(node) is Var:
@@ -602,6 +611,8 @@ class _Tape:
             else:
                 a, b = slot_of[kids[0]], slot_of[kids[1]]
                 fn = _BINARY_ARRAY[node.op]
+                if node.op == "^" and kids[1].mask:
+                    fn = _variable_power
                 self.code.append((fn, a, b, s, a not in read, b not in read))
                 read.update((a, b))
         self.code.reverse()

@@ -96,14 +96,17 @@ def sample_jet_points(
     return out
 
 
-def batch_bindings(points: list[JetPoint]) -> Bindings:
-    """Stack many points into array-valued bindings for vectorized evaluation."""
+def stack_points(points: list[JetPoint]):
+    """The t, x and v blocks of many points, with the batch axis last:
+    shapes (m, K), (n, K) and (n, m, K)."""
     if not points:
         raise ValueError("no points")
-    # one array per block, the batch axis moved last
-    t = np.moveaxis(np.array([p.t for p in points]), 0, -1)
-    x = np.moveaxis(np.array([p.x for p in points]), 0, -1)
-    v = np.moveaxis(np.array([p.v for p in points]), 0, -1)
+    return tuple(np.stack([getattr(p, b) for p in points], axis=-1) for b in "txv")
+
+
+def batch_bindings(points: list[JetPoint]) -> Bindings:
+    """Stack many points into array-valued bindings for vectorized evaluation."""
+    t, x, v = stack_points(points)
     return Bindings.jet(points[0].m, points[0].n, t, x, v)
 
 
@@ -169,9 +172,11 @@ class MetricField:
         return cls(SPATIAL, tuple(tuple(ex.as_expr(e) for e in r) for r in rows))
 
     def evaluate(self, coords) -> np.ndarray:
-        """Numeric (d, d) matrix at the given factor coordinates.
+        """Numeric (d, d) matrix at factor coordinates of shape (d,), or a
+        (d, d, K) stack at coordinates of shape (d, K).
 
-        Raises DegenerateMetricError when |det| <= 1e-12.
+        Raises DegenerateMetricError at the first point where |det| <= 1e-12,
+        det being ``determinant()`` evaluated once over all the points.
         """
         coords = np.asarray(coords, dtype=float)
         d = self.dim
@@ -179,14 +184,15 @@ class MetricField:
             b = Bindings.jet(d, 1, t=coords)
         else:
             b = Bindings.jet(1, d, x=coords)
-        out = np.empty((d, d))
-        for a in range(d):
-            for c in range(d):
-                out[a, c] = ex.evaluate(self.rows[a][c], b)
-        det = float(np.linalg.det(out))
-        if abs(det) <= DEGENERACY_TOL:
+        out = ex.evaluate_nested(self.rows, b)
+        det = np.abs(ex.evaluate(self.determinant(), b))
+        det = np.broadcast_to(det, coords.shape[1:])  # a constant det is a float
+        bad = np.flatnonzero(det <= DEGENERACY_TOL)
+        if bad.size:
+            k = bad[0]
+            at = coords.reshape(d, -1)[:, k].tolist()
             raise DegenerateMetricError(
-                f"{self.kind} metric degenerate at {coords.tolist()}: |det| = {abs(det):.3e}"
+                f"{self.kind} metric degenerate at {at}: |det| = {det.flat[k]:.3e}"
             )
         return out
 
@@ -402,7 +408,8 @@ class Slot:
 
 @dataclass
 class DTensorValue:
-    """Numeric component array of a distinguished tensor at one jet point."""
+    """Numeric component array of a distinguished tensor at one jet point,
+    or with a trailing axis over a batch of points."""
 
     m: int
     n: int
@@ -414,10 +421,9 @@ class DTensorValue:
         expect = tuple(
             self.m if s.kind == TEMPORAL else self.n for s in self.slots
         )
-        if self.values.shape != expect:
-            raise ValueError(
-                f"component shape {self.values.shape} != slot extents {expect}"
-            )
+        shape = self.values.shape
+        if shape[: len(expect)] != expect or len(shape) > len(expect) + 1:
+            raise ValueError(f"component shape {shape} != slot extents {expect}")
         groups: dict[int, list[Slot]] = {}
         for s in self.slots:
             if s.pair:
@@ -521,11 +527,12 @@ class PdeSystem:
 
     def evaluate(self, point: JetPoint) -> np.ndarray:
         """Numeric (n, m, m) component block at one point."""
-        b = point.bindings()
-        out = np.empty((self.n, self.m, self.m))
-        for (i, al, be), e in self.comps.items():
-            out[i - 1, al - 1, be - 1] = ex.evaluate(e, b)
-        return out
+        ts = range(1, self.m + 1)
+        grid = [
+            [[self.comps[(i, a, b)] for b in ts] for a in ts]
+            for i in range(1, self.n + 1)
+        ]
+        return ex.evaluate_nested(grid, point.bindings())
 
 
 def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:

@@ -41,9 +41,9 @@ from .jetgeom import (
     MetricField,
     PdeSystem,
     Slot,
-    batch_bindings,
     canonical_temporal_connection,
     christoffel_sym,
+    stack_points,
 )
 
 # a section must satisfy the second-order system this tightly before the
@@ -719,8 +719,13 @@ class InvariantPipeline:
         return DTensorValue(self.m, self.n, invariant_slots(name), vals)
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
-        """Component grid with a trailing axis over the supplied points."""
-        b = batch_bindings(list(points))
+        """Component grid with a trailing axis over the supplied points.
+
+        Raises DegenerateMetricError at the first point where h is
+        degenerate."""
+        t, x, v = stack_points(list(points))
+        self.h.evaluate(t)
+        b = Bindings.jet(self.m, self.n, t, x, v)
         return ex.evaluate_nested(self.expressions(name), b)
 
     # -- covariant derivatives and deviation-form residuals -------------------

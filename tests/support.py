@@ -232,6 +232,12 @@ def sphere_metric() -> MetricField:
     )
 
 
+def jacobians(cc, p: JetPoint):
+    """The temporal and spatial Jacobians of a coordinate change at a point,
+    the two factors ``dtransform.transform_dtensor`` takes."""
+    return cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
+
+
 def metric_fn(metric: MetricField):
     """Numeric callable z -> (d, d) from a MetricField (for FD oracles)."""
 

@@ -368,14 +368,15 @@ def two_path_worst(system, h, cc, points):
     _, new_h = pushforward_system(cc, system, h)
     for p in points:
         c_old, j_old = canonical_tensors(h, p)
-        c_new, j_new = canonical_tensors(new_h, transform_jet_point(cc, p))
+        jac = support.jacobians(cc, p)
+        c_new, j_new = canonical_tensors(new_h, transform_jet_point(cc, [p])[0])
         worst = max(
             worst,
-            support.rel_max(transform_dtensor(c_old, cc, p).values, c_new.values),
+            support.rel_max(transform_dtensor(c_old, *jac).values, c_new.values),
         )
         worst = max(
             worst,
-            support.rel_max(transform_dtensor(j_old, cc, p).values, j_new.values),
+            support.rel_max(transform_dtensor(j_old, *jac).values, j_new.values),
         )
     return worst
 

@@ -1,19 +1,25 @@
-"""Every entry point that ``bench/tracer.py`` wraps must still resolve.
+"""Every entry point that ``bench/tracer.py`` wraps must still resolve, and
+every span a benchmark workload declares must fire.
 
 The tracer looks its functions and methods up by name when a traced
-benchmark run starts; a rename that misses it would otherwise surface only
-there.  The two tables are read from the file's source, not imported.
+benchmark run starts; a rename that misses it, or a caller that stops going
+through a traced function, would otherwise surface only there.  The two
+tables are read from the file's source, not imported; the workloads are run
+once each, traced, in this process.
 """
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
+import jetkcc.cli as cli
 from jetkcc.kcccore import InvariantPipeline
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tables() -> dict:
@@ -46,3 +52,35 @@ def test_traced_function_resolves(module, name):
 def test_traced_pipeline_method_resolves(name):
     # the tracer replaces the method in the class's own namespace
     assert callable(InvariantPipeline.__dict__[name])
+
+
+def _bench_modules():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import run
+        import tracer
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return run, tracer
+
+
+@pytest.mark.parametrize(
+    "workload", ["problems-sweep", "pushforward-transform", "jacobi-scan"]
+)
+def test_every_declared_span_fires(workload, tmp_path, monkeypatch):
+    run, tracer = _bench_modules()
+    monkeypatch.chdir(ROOT)  # the workloads name their inputs from the root
+    trace = tracer.Tracer()
+    trace.install()  # rebinds cli.main, so it is called through the module
+    try:
+        codes = [
+            cli.main(cmd.argv + ["--out", str(tmp_path / f"cmd{k}.json")])
+            for k, cmd in enumerate(run.WORKLOADS[workload].commands(0))
+        ]
+    finally:
+        trace.uninstall()
+    assert codes == [0] * len(codes)
+    summary = trace.summary()
+    silent = [s for s in run.WORKLOADS[workload].spans if not summary["calls"].get(s)]
+    assert not silent, f"declared spans never fired: {silent}"
+    assert summary["counts"]["exprlang.nonfinite_values"] == 0

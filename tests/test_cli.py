@@ -333,6 +333,48 @@ def test_transform_check_fails_on_nan(tmp_path, capsys):
     assert "invariant eps transforms as a d-tensor (value nan" in err
 
 
+def test_transform_check_out_of_domain_change_is_exit_3(tmp_path, capsys):
+    # the change is evaluated over all points at once; its first point out of
+    # the domain of log is evaluated again on its own, which names it
+    change = dict(IDENTITY_11, x_forward=["log(x1)"], x_inverse=["exp(x1)"])
+    args = ["check", "transform", str(PROBLEMS / "oscillator.json")]
+    args += [write_json(tmp_path, "logc.json", change), "--samples", "6"]
+    code, report = run_cli(args + ["--seed", "0"], tmp_path)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: log of non-positive value -0.4604265724722594 "
+        "in `log(x1)`\n"
+    )
+
+
+# h = t1 is degenerate at the second of the file's two points
+DEGENERATE_AT_SECOND = dict(
+    OSC,
+    temporal_metric=[["t1"]],
+    points=[
+        {"t": [0.5], "x": [0.3], "v": [[0.2]]},
+        {"t": [0.0], "x": [0.3], "v": [[0.2]]},
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "command", [["invariants"], ["check", "transform"]], ids=["invariants", "transform"]
+)
+def test_metric_degenerate_at_a_point_is_exit_3(command, tmp_path, capsys):
+    # once for the whole point set, before any invariant is evaluated: this
+    # was exit 1 with nan in the transform report, and an evaluation error in
+    # `1/t1` from invariants
+    args = command + [write_json(tmp_path, "degen.json", DEGENERATE_AT_SECOND)]
+    if command[0] == "check":
+        args.append(write_json(tmp_path, "id.json", IDENTITY_11))
+    code, report = run_cli(args, tmp_path)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "numeric degeneracy: temporal metric degenerate at [0.0]: |det| = 0.000e+00\n"
+    )
+
+
 def test_fd_check_max_deviation_keeps_nan(tmp_path):
     prob = write_json(tmp_path, "logv.json", LOG_V)
     code, report = run_cli(

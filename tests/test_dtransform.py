@@ -21,7 +21,13 @@ from jetkcc.jetgeom import (
     canonical_temporal_connection,
     canonical_temporal_semispray,
 )
-from jetkcc.kcccore import InvariantPipeline, SectionMap, sode_residual
+from jetkcc.kcccore import (
+    INVARIANT_NAMES,
+    InvariantPipeline,
+    SectionMap,
+    invariant_slots,
+    sode_residual,
+)
 from jetkcc.dtransform import (
     CoordinateChange,
     SingularJacobianError,
@@ -315,7 +321,7 @@ def test_singular_jacobian_is_refused():
     )
     p = JetPoint(np.array([0.0]), np.array([0.5]), np.array([[0.3]]))
     with pytest.raises(SingularJacobianError):
-        transform_jet_point(cc, p)
+        transform_jet_point(cc, [p])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +332,7 @@ def test_singular_jacobian_is_refused():
 def test_identity_change_fixes_points():
     idc = identity_change(2, 2)
     for p in domain_points(2, 2, 5, seed=11):
-        q = transform_jet_point(idc, p)
+        q = transform_jet_point(idc, [p])[0]
         assert np.array_equal(q.t, p.t)
         assert np.array_equal(q.x, p.x)
         assert np.array_equal(q.v, p.v)
@@ -342,7 +348,7 @@ def test_time_doubling_halves_velocities():
         (parse("x1", 1, 1),),
     )
     p = JetPoint(np.array([0.7]), np.array([0.4]), np.array([[0.6]]))
-    q = transform_jet_point(cc, p)
+    q = transform_jet_point(cc, [p])[0]
     assert q.t[0] == pytest.approx(1.4, abs=1e-15)
     assert q.x[0] == pytest.approx(0.4, abs=1e-15)
     assert q.v[0, 0] == pytest.approx(0.3, abs=1e-15)
@@ -352,7 +358,7 @@ def test_round_trip_restores_points():
     cc = change22()
     back = swap_change(cc)
     for p in domain_points(2, 2, 10, seed=5):
-        q = transform_jet_point(back, transform_jet_point(cc, p))
+        q = transform_jet_point(back, transform_jet_point(cc, [p]))[0]
         assert np.max(np.abs(q.t - p.t)) < 1e-8
         assert np.max(np.abs(q.x - p.x)) < 1e-8
         assert np.max(np.abs(q.v - p.v)) < 1e-8
@@ -386,7 +392,7 @@ def test_transformed_velocity_is_the_chain_rule_derivative():
         return cc.forward_x(sigma.prolongation_point(t_old).x)
 
     t0 = np.array([0.6])
-    moved = transform_jet_point(cc, sigma.prolongation_point(t0))
+    moved = transform_jet_point(cc, [sigma.prolongation_point(t0)])[0]
     step = 1e-6
     tn = moved.t[0]
     fd = (curve_new(tn + step) - curve_new(tn - step)) / (2 * step)
@@ -481,7 +487,7 @@ def test_pushforward_batch_matches_one_point_evaluation():
     # point: one evaluator, so the same bits
     pipe = pushforward_pipeline22()
     cc = change22()
-    points = [transform_jet_point(cc, p) for p in domain_points(2, 2, 3, seed=9)]
+    points = transform_jet_point(cc, domain_points(2, 2, 3, seed=9))
     for name in ("eps", "P", "R", "B", "D"):
         grid = pipe.evaluate_batch(name, points)
         for k, p in enumerate(points):
@@ -499,7 +505,7 @@ def test_scalar_tensor_is_unchanged():
     cc = change22()
     p = domain_points(2, 2, 1, seed=2)[0]
     val = DTensorValue(2, 2, (), np.array(3.25))
-    out = transform_dtensor(val, cc, p)
+    out = transform_dtensor(val, *support.jacobians(cc, p))
     assert out.values == pytest.approx(3.25, abs=0.0)
     assert out.slots == ()
 
@@ -513,7 +519,8 @@ def test_identity_change_fixes_tensors():
         Slot(ex.SPATIAL, False),
     )
     val = DTensorValue(2, 2, slots, rng.normal(size=(2, 2, 2)))
-    out = transform_dtensor(val, idc, domain_points(2, 2, 1, seed=1)[0])
+    p = domain_points(2, 2, 1, seed=1)[0]
+    out = transform_dtensor(val, *support.jacobians(idc, p))
     assert np.array_equal(out.values, val.values)
 
 
@@ -522,8 +529,9 @@ def test_liouville_tensor_transforms_like_the_velocities():
     h, _ = curved_pair22()
     for p in domain_points(2, 2, 6, seed=9):
         c_val, _ = canonical_tensors(h, p)
-        moved = transform_dtensor(c_val, cc, p)
-        assert support.rel_max(moved.values, transform_jet_point(cc, p).v) < 1e-12
+        moved = transform_dtensor(c_val, *support.jacobians(cc, p))
+        q = transform_jet_point(cc, [p])[0]
+        assert support.rel_max(moved.values, q.v) < 1e-12
 
 
 def test_full_contractions_are_invariant_scalars():
@@ -537,7 +545,8 @@ def test_full_contractions_are_invariant_scalars():
     s = DTensorValue(2, 2, (Slot(ex.TEMPORAL, True),), rng.normal(size=2))
     r = DTensorValue(2, 2, (Slot(ex.TEMPORAL, False),), rng.normal(size=2))
     before = float(u.values @ w.values) * float(s.values @ r.values)
-    mu, mw, ms, mr = (transform_dtensor(z, cc, p) for z in (u, w, s, r))
+    jac = support.jacobians(cc, p)
+    mu, mw, ms, mr = (transform_dtensor(z, *jac) for z in (u, w, s, r))
     after = float(mu.values @ mw.values) * float(ms.values @ mr.values)
     assert after == pytest.approx(before, rel=1e-12)
 
@@ -558,11 +567,10 @@ def test_transform_is_multiplicative_under_composition():
     for p in domain_points(1, 1, 6, seed=17):
         val = DTensorValue(1, 1, slots, rng.normal(size=(1, 1)))
         two_step = transform_dtensor(
-            transform_dtensor(val, first, p),
-            second,
-            transform_jet_point(first, p),
+            transform_dtensor(val, *support.jacobians(first, p)),
+            *support.jacobians(second, transform_jet_point(first, [p])[0]),
         )
-        one_step = transform_dtensor(val, combined, p)
+        one_step = transform_dtensor(val, *support.jacobians(combined, p))
         assert support.rel_max(one_step.values, two_step.values) < 1e-8
 
 
@@ -574,7 +582,8 @@ def test_inverse_change_undoes_the_transform():
     for p in domain_points(2, 2, 6, seed=19):
         val = DTensorValue(2, 2, slots, rng.normal(size=(2, 2)))
         restored = transform_dtensor(
-            transform_dtensor(val, cc, p), back, transform_jet_point(cc, p)
+            transform_dtensor(val, *support.jacobians(cc, p)),
+            *support.jacobians(back, transform_jet_point(cc, [p])[0]),
         )
         assert support.rel_max(restored.values, val.values) < 1e-8
 
@@ -630,7 +639,7 @@ def test_affine_first_invariant_vanishes_after_pushforward():
     pipe = InvariantPipeline(new_system, new_h)
     worst = 0.0
     for p in domain_points(2, 2, 20, seed=31):
-        val = pipe.evaluate("eps", transform_jet_point(cc, p)).values
+        val = pipe.evaluate("eps", transform_jet_point(cc, [p])[0]).values
         worst = max(worst, float(np.max(np.abs(val))))
     assert worst < 1e-9
 
@@ -709,7 +718,7 @@ def test_section_transport_commutes_with_prolongation():
     )
     sigma_new = transform_section(cc, sigma)
     for p in domain_points(m, n, 8, seed=41):
-        moved = transform_jet_point(cc, sigma.prolongation_point(p.t))
+        moved = transform_jet_point(cc, [sigma.prolongation_point(p.t)])[0]
         direct = sigma_new.prolongation_point(cc.forward_t(p.t))
         assert np.max(np.abs(moved.t - direct.t)) < 1e-10
         assert np.max(np.abs(moved.x - direct.x)) < 1e-10
@@ -791,6 +800,85 @@ def test_unknown_selector_is_rejected():
         )
 
 
+def test_two_path_lowers_as_many_tapes_for_50_points_as_for_5():
+    # a timing-free guard on batching: the coordinate change and every
+    # invariant are evaluated once per point set, not once per point
+    h, _, system = affine_setup22()
+    lowered = []
+
+    class Counted(ex._Tape):
+        def __init__(self, roots):
+            super().__init__(roots)
+            lowered.append(len(roots))
+
+    counts = []
+    for count in (5, 50):
+        lowered.clear()
+        points = domain_points(2, 2, count, seed=7)
+        with mock.patch.object(ex, "_Tape", Counted):
+            two_path_invariants(system, h, change22(), points, INVARIANT_NAMES)
+        counts.append(len(lowered))
+    assert counts[0] == counts[1]
+
+
+def test_singular_jacobian_names_the_first_singular_point():
+    m, n = 1, 2
+    # spatial Jacobian [[x2, x1], [0, 1]]: singular where x2 = 0
+    cc = CoordinateChange(
+        m,
+        n,
+        (parse("t1", m, n),),
+        (parse("x1*x2", m, n), parse("x2", m, n)),
+        (parse("t1", m, n),),
+        (parse("x1/x2", m, n), parse("x2", m, n)),
+    )
+    xs = ([0.3, 0.5], [0.6, 0.2], [0.4, 0.0], [0.7, 0.9], [0.8, 0.0])
+    points = [JetPoint([0.5], x, [[0.1], [0.2]]) for x in xs]
+    want = "spatial Jacobian is singular at x=[0.4, 0.0]"
+    with pytest.raises(SingularJacobianError) as err:
+        transform_jet_point(cc, points)
+    assert str(err.value) == want
+    with pytest.raises(SingularJacobianError) as err:
+        cc.spatial_jacobian(np.array(xs).T)
+    assert str(err.value) == want
+
+
+def _tensordot_reference(val: DTensorValue, Jt, A) -> np.ndarray:
+    """The slot law point by point with ``np.tensordot``, as the transform
+    was computed before it was batched."""
+    out_all = []
+    for k in range(val.values.shape[-1]):
+        Jk, Ak = Jt[..., k], A[..., k]
+        out = val.values[..., k]
+        for axis, slot in enumerate(val.slots):
+            if slot.kind == ex.SPATIAL:
+                M = Ak if slot.upper else np.linalg.inv(Ak).T
+            else:
+                M = Jk if slot.upper else np.linalg.inv(Jk).T
+            out = np.moveaxis(np.tensordot(M, out, axes=(1, axis)), 0, axis)
+        out_all.append(out)
+    return np.stack(out_all, axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_slot_law_has_the_bits_of_the_pointwise_tensordot(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    count = 4
+    Jt = rng.uniform(-2.0, 2.0, (m, m, count)) + 3.0 * np.eye(m)[..., None]
+    A = rng.uniform(-2.0, 2.0, (n, n, count)) + 3.0 * np.eye(n)[..., None]
+    for name in INVARIANT_NAMES:
+        slots = invariant_slots(name)
+        shape = tuple(n if s.kind == ex.SPATIAL else m for s in slots)
+        val = DTensorValue(m, n, slots, rng.normal(size=shape + (count,)))
+        want = _tensordot_reference(val, Jt, A)
+        got = transform_dtensor(val, Jt, A).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        one = DTensorValue(m, n, slots, val.values[..., 1])
+        got_one = transform_dtensor(one, Jt[..., 1], A[..., 1]).values
+        assert got_one.tobytes() == np.ascontiguousarray(want[..., 1]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # canonical objects under their defining transformation rules
 # ---------------------------------------------------------------------------
@@ -802,14 +890,12 @@ def test_canonical_tensors_obey_the_slot_law():
     _, new_h = pushforward_system(cc, system, h)
     for p in domain_points(2, 2, 6, seed=59):
         c_old, j_old = canonical_tensors(h, p)
-        q = transform_jet_point(cc, p)
+        q = transform_jet_point(cc, [p])[0]
         c_new, j_new = canonical_tensors(new_h, q)
-        assert support.rel_max(
-            transform_dtensor(c_old, cc, p).values, c_new.values
-        ) < 1e-8
-        assert support.rel_max(
-            transform_dtensor(j_old, cc, p).values, j_new.values
-        ) < 1e-8
+        jac = support.jacobians(cc, p)
+        c_moved, j_moved = (transform_dtensor(z, *jac) for z in (c_old, j_old))
+        assert support.rel_max(c_moved.values, c_new.values) < 1e-8
+        assert support.rel_max(j_moved.values, j_new.values) < 1e-8
 
 
 def test_canonical_temporal_semispray_rule():
@@ -828,7 +914,7 @@ def test_canonical_temporal_semispray_rule():
             np.einsum("kgn,ik,ga,nb->iab", ho, A, B, B)
             - 0.5 * np.einsum("ub,iau->iab", B, dxa_dt)
         )
-        got = eval_family(new, transform_jet_point(cc, p))
+        got = eval_family(new, transform_jet_point(cc, [p])[0])
         assert support.rel_max(got, want) < 1e-6
 
 
@@ -841,7 +927,7 @@ def test_canonical_spatial_semispray_rule():
     new = canonical_spatial_semispray(new_phi, m)
     for p in domain_points(m, n, 5, seed=67):
         A, Ainv, _, B, _, dxa_dx = jacobian_data(cc, p)
-        q = transform_jet_point(cc, p)
+        q = transform_jet_point(cc, [p])[0]
         go = eval_family(old, p)
         want = (
             np.einsum("kgn,ik,ga,nb->iab", go, A, B, B)
@@ -866,7 +952,7 @@ def test_canonical_connection_rules():
     new_n = canonical_spatial_connection(new_phi, m)
     for p in domain_points(m, n, 5, seed=71):
         A, Ainv, _, B, dxa_dt, dxa_dx = jacobian_data(cc, p)
-        q = transform_jet_point(cc, p)
+        q = transform_jet_point(cc, [p])[0]
         mo = eval_family(old_m, p)
         want_m = (
             np.einsum("kgn,ik,ga,nb->iab", mo, A, B, B)

@@ -525,6 +525,19 @@ def _assert_same_bits(e, one: Bindings, column):
     assert same or (math.isnan(value) and np.isnan(column)), (value, column)
 
 
+@pytest.mark.parametrize("power", [2.0, -1.0, 0.5, 3.0])
+def test_variable_exponent_has_the_bits_of_the_batch_column(power):
+    # NumPy squares, inverts or takes the root of a float base for a float
+    # exponent of 2, -1 or 0.5, and rounds unlike its array loop; the grid of
+    # the property above makes squares exact, so off-grid bases are used here
+    e = parse("x1^x2", 1, 2)
+    base = np.random.default_rng(3).uniform(0.0 if power == 0.5 else -3.0, 3.0, 500)
+    x = np.stack([base, np.full(base.size, power)])
+    batch = evaluate(e, Bindings.jet(1, 2, x=x))
+    one = [evaluate(e, Bindings.jet(1, 2, x=x[:, k])) for k in range(base.size)]
+    assert np.array(one).tobytes() == batch.tobytes()
+
+
 def _family(rows, cols):
     """``rows`` x ``cols`` expressions nested as a tuple of tuples."""
     return st.lists(EXPRESSIONS, min_size=rows * cols, max_size=rows * cols).map(
