@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from . import exprlang as ex
 from .exprlang import Bindings, Expression, expr_sum, mul, neg
-from .jetgeom import JetPoint, MAX_DIM, MetricField, PdeSystem, christoffel_sym
-from .kcccore import InvariantPipeline, fifth_invariant
+from .jetgeom import MAX_DIM, MetricField, PdeSystem, christoffel_sym
+from .kcccore import InvariantPipeline
 
 CONSTRAINT_WARN_TOL = 1e-9
 RANK_CUTOFF = 1e-10
@@ -446,38 +445,29 @@ def quadratic_decomposition(
 ) -> QuadraticDecomposition:
     """Recover the three parts by evaluating the system at v = 0, at unit
     velocities, and at pairwise sums (polarization).  Works from evaluations
-    only, so it doubles as an oracle for any symbolic path."""
+    only, so it doubles as an oracle for any symbolic path.
+
+    The system is evaluated once, over the velocities 0, +e and -e for each
+    unit velocity e in turn, then e_p + e_q for p < q."""
     m, n = system.m, system.n
-
-    def F(v):
-        return system.evaluate(JetPoint(t, x, v))
-
-    basis = [(j, g) for j in range(n) for g in range(m)]
-    const = F(np.zeros((n, m)))
-    plus = {}
-    minus = {}
-    for j, g in basis:
-        v = np.zeros((n, m))
-        v[j, g] = 1.0
-        plus[(j, g)] = F(v)
-        minus[(j, g)] = F(-v)
-    linear = np.zeros((n, m, m, n, m))
-    diag = {}
-    for j, g in basis:
-        linear[:, :, :, j, g] = 0.5 * (plus[(j, g)] - minus[(j, g)])
-        diag[(j, g)] = 0.5 * (plus[(j, g)] + minus[(j, g)]) - const
-    quad = np.zeros((n, m, m, n, m, n, m))
-    for j, g in basis:
-        quad[:, :, :, j, g, j, g] = diag[(j, g)]
-    for (j, g), (k, e) in permutations(basis, 2):
-        if (j, g) < (k, e):
-            v = np.zeros((n, m))
-            v[j, g] += 1.0
-            v[k, e] += 1.0
-            mixed = 0.5 * (F(v) - plus[(j, g)] - plus[(k, e)] + const)
-            quad[:, :, :, j, g, k, e] = mixed
-            quad[:, :, :, k, e, j, g] = mixed
-    return QuadraticDecomposition(m, n, quad, linear, const)
+    k = n * m  # unit velocity p sets v[j, g] with p = j*m + g
+    units = np.eye(k).reshape(k, n, m)
+    p, q = np.triu_indices(k, 1)
+    signed = [u for e in units for u in (e, -e)]  # -e keeps its -0.0 entries
+    vs = np.stack([np.zeros((n, m)), *signed, *(units[p] + units[q])], axis=-1)
+    vals = system.evaluate(t, x, vs)
+    const, pairs = vals[..., 0], vals[..., 2 * k + 1 :]
+    plus, minus = vals[..., 1 : 2 * k : 2], vals[..., 2 : 2 * k + 1 : 2]
+    quad = np.zeros((n, m, m, k, k))
+    diag = np.arange(k)
+    quad[..., diag, diag] = 0.5 * (plus + minus) - const[..., None]
+    mixed = 0.5 * (pairs - plus[..., p] - plus[..., q] + const[..., None])
+    quad[..., p, q] = mixed
+    quad[..., q, p] = mixed
+    linear = 0.5 * (plus - minus)
+    return QuadraticDecomposition(
+        m, n, quad.reshape(n, m, m, n, m, n, m), linear.reshape(n, m, m, n, m), const
+    )
 
 
 @dataclass(frozen=True)
@@ -514,28 +504,20 @@ def extract_structure(
         raise ValueError("expected a temporal metric of matching dimension")
     t = np.asarray(t, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
+    h.evaluate(t)  # refuses a metric degenerate at the base point
     vs = _probe_velocities(n, m)
+    probes = np.stack(vs, axis=-1)
     pipe = InvariantPipeline(system, h)
 
-    def leaves(nested):
-        if isinstance(nested, tuple):
-            for part in nested:
-                yield from leaves(part)
-        else:
-            yield nested
+    def probe_max(name):
+        b = Bindings.jet(m, n, t, x, probes)
+        return float(np.max(np.abs(ex.evaluate_in_domain(pipe.expressions(name), b))))
 
-    if all(ex.is_zero(e) for e in leaves(fifth_invariant(system))):
-        fifth_max = 0.0
-    else:
-        fifth_max = float(
-            np.max(np.abs([pipe.evaluate("D", JetPoint(t, x, v)).values for v in vs]))
-        )
+    fifth_max = 0.0 if ex.all_zero(pipe.expressions("D")) else probe_max("D")
     if not fifth_max <= QUADRATIC_TOL:
         raise NotVelocityQuadraticError(fifth_max)
 
-    eps_max = float(
-        np.max(np.abs([pipe.evaluate("eps", JetPoint(t, x, v)).values for v in vs]))
-    )
+    eps_max = probe_max("eps")
     if not eps_max <= HYPOTHESIS_TOL:
         raise HypothesisViolationError("first invariant", eps_max, HYPOTHESIS_TOL)
 
@@ -579,8 +561,9 @@ def extract_structure(
     # rebuild from the recovered values and compare against the system
     rebuild_gaps = []
     delta = np.eye(m)
-    for v in vs:
-        want = system.evaluate(JetPoint(t, x, v))
+    wants = system.evaluate(t, x, probes)
+    for k, v in enumerate(vs):
+        want = wants[..., k]
         got = np.einsum("ipq,pa,qb->iab", gamma_vals, v, v) - np.einsum(
             "uab,iu->iab", ht_vals, v
         )

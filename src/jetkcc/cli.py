@@ -561,12 +561,6 @@ def _select_points(problem: ProblemFile, args) -> tuple[list, dict]:
     return pts, {"source": "problem-file", "count": len(pts), "seed": None}
 
 
-def _structurally_zero(nested) -> bool:
-    if isinstance(nested, tuple):
-        return all(_structurally_zero(node) for node in nested)
-    return ex.is_zero(nested)
-
-
 # ---------------------------------------------------------------------------
 # command: invariants
 # ---------------------------------------------------------------------------
@@ -596,7 +590,7 @@ def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
     blocks = []
     for name in which:
         entry = {"name": name, "slots": _slot_labels(name)}
-        if _structurally_zero(pipe.expressions(name)):
+        if ex.all_zero(pipe.expressions(name)):
             entry["structural_zero"] = True
             entry["max_abs"] = 0.0
             entry["components"] = []

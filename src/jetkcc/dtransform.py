@@ -122,16 +122,9 @@ class CoordinateChange:
 
     def _values(self, table, block: str, z) -> np.ndarray:
         """``table`` evaluated as one family at coordinates ``z`` of the
-        ``block`` ("t" or "x").  A batch with a non-finite value is evaluated
-        once more at the first such point alone, so that an out-of-domain
-        value raises EvaluationError there, as it does at one point."""
-        out = ex.evaluate_nested(table, Bindings.jet(self.m, self.n, **{block: z}))
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 2:
-            bad = np.flatnonzero(~np.isfinite(out.reshape(-1, z.shape[1])).all(0))
-            if bad.size:
-                self._values(table, block, z[:, bad[0]])
-        return out
+        ``block`` ("t" or "x"); an out-of-domain value raises EvaluationError
+        at the first such point (``ex.evaluate_in_domain``)."""
+        return ex.evaluate_in_domain(table, Bindings.jet(self.m, self.n, **{block: z}))
 
     def _jacobian(self, table, block: str, z) -> np.ndarray:
         """The Jacobian table's values; raises SingularJacobianError at the

@@ -404,6 +404,13 @@ def is_zero(e: Expression) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
+def all_zero(nested) -> bool:
+    """``is_zero`` of every expression in a nested tuple/list."""
+    if isinstance(nested, (tuple, list)):
+        return all(map(all_zero, nested))
+    return is_zero(nested)
+
+
 # ---------------------------------------------------------------------------
 # traversal core
 # ---------------------------------------------------------------------------
@@ -732,6 +739,31 @@ def evaluate_nested(nested, bindings: Bindings):
     return np.array(rows, dtype=float).reshape(shape + batch)
 
 
+def _point(bindings: Bindings, k) -> Bindings:
+    """Point ``k`` of batch bindings, bound as one point (Python floats)."""
+    one = {
+        vid: float(v[k]) if isinstance(v, np.ndarray) else v
+        for vid, v in bindings.values.items()
+    }
+    return Bindings(bindings.m, bindings.n, one)
+
+
+def evaluate_in_domain(nested, bindings: Bindings):
+    """``evaluate_nested`` with the one-point domain rule over a batch too.
+
+    If some point's values are not all finite, the family is evaluated again
+    at the first such point alone, which raises EvaluationError there if a
+    value left its domain.  A value that stands (an overflow, a non-finite
+    input) is returned in the batch as it is.
+    """
+    out = evaluate_nested(nested, bindings)
+    if any(isinstance(v, np.ndarray) for v in bindings.values.values()):
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(out.ndim - 1))))
+        if bad.size:
+            evaluate_nested(nested, _point(bindings, bad[0]))
+    return out
+
+
 def nonfinite_origin(e: Expression, bindings: Bindings):
     """Where a batch evaluation of ``e`` turns non-finite.
 
@@ -745,12 +777,8 @@ def nonfinite_origin(e: Expression, bindings: Bindings):
     bad = np.flatnonzero(~np.isfinite(value))
     if not bad.size:
         return None
-    k = bad[0]  # walk back at the first failing point only
-    one = {
-        vid: v[k : k + 1] if isinstance(v, np.ndarray) else v
-        for vid, v in bindings.values.items()
-    }
-    at_k = _Tape(tape.nodes).run(Bindings(bindings.m, bindings.n, one))
+    # walk back at the first failing point only
+    at_k = _Tape(tape.nodes).run(_point(bindings, bad[0]))
     node = _origin(e, dict(zip(tape.nodes, at_k)))
     (at,) = _Tape([node]).run(bindings)
     return node, np.flatnonzero(~np.isfinite(np.broadcast_to(at, np.shape(value))))

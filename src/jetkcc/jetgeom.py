@@ -525,14 +525,17 @@ class PdeSystem:
     def component(self, i: int, a: int, b: int) -> Expression:
         return self.comps[(i, a, b)]
 
-    def evaluate(self, point: JetPoint) -> np.ndarray:
-        """Numeric (n, m, m) component block at one point."""
+    def evaluate(self, t, x, v) -> np.ndarray:
+        """Numeric (n, m, m) component block at t, x, v of shapes (m,), (n,)
+        and (n, m), any of them with a trailing batch axis of K, which the
+        block then gets too.  An out-of-domain value raises EvaluationError
+        at the first such point (``ex.evaluate_in_domain``)."""
         ts = range(1, self.m + 1)
         grid = [
             [[self.comps[(i, a, b)] for b in ts] for a in ts]
             for i in range(1, self.n + 1)
         ]
-        return ex.evaluate_nested(grid, point.bindings())
+        return ex.evaluate_in_domain(grid, Bindings.jet(self.m, self.n, t, x, v))
 
 
 def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:
@@ -594,17 +597,12 @@ def build_first_order_system(
                     )
                 raw[(i, a, b)] = neg(expr_sum(terms))
 
-    gaps = []
+    system = PdeSystem(m, n, raw, symmetric=False)
+    asym = 0.0
     if m > 1:
-        for p in sample_jet_points(m, n, 5, seed=20):
-            vals = {k: ex.evaluate(e, p.bindings()) for k, e in raw.items()}
-            gaps.extend(
-                vals[(i, a, b)] - vals[(i, b, a)]
-                for i in range(1, n + 1)
-                for a in range(1, m + 1)
-                for b in range(a + 1, m + 1)
-            )
-    asym = float(np.max(np.abs(gaps), initial=0.0))
+        F = system.evaluate(*stack_points(sample_jet_points(m, n, 5, seed=20)))
+        a, b = np.triu_indices(m, 1)
+        asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
 
     if symmetrize:
         upper = {}
@@ -616,12 +614,12 @@ def build_first_order_system(
                     )
         return PdeSystem.from_upper(m, n, upper)
 
-    symmetric = asym <= FIRST_ORDER_ASYM_TOL  # a nan gap is asymmetric
-    if not symmetric:
+    system.symmetric = asym <= FIRST_ORDER_ASYM_TOL  # a nan gap is asymmetric
+    if not system.symmetric:
         warnings.warn(
             f"first-order prolongation is asymmetric in its time indices "
             f"(max deviation {asym:.3e} at sample points); storing as written",
             RuntimeWarning,
             stacklevel=2,
         )
-    return PdeSystem(m, n, raw, symmetric=symmetric)
+    return system

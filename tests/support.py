@@ -5,6 +5,9 @@ test: finite differences over plain numeric callables, numpy linear algebra,
 and a hand-coded classical (single-time) invariant pipeline.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
 from jetkcc import exprlang as ex
@@ -236,6 +239,21 @@ def jacobians(cc, p: JetPoint):
     """The temporal and spatial Jacobians of a coordinate change at a point,
     the two factors ``dtransform.transform_dtensor`` takes."""
     return cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
+
+
+@contextlib.contextmanager
+def lowered_tapes():
+    """A list that gets the root count of each tape lowered inside the block
+    (a timing-free measure of how often evaluation starts over)."""
+    lowered = []
+    init = ex._Tape.__init__
+
+    def counted(self, roots):
+        lowered.append(len(roots))
+        init(self, roots)
+
+    with mock.patch.object(ex._Tape, "__init__", counted):
+        yield lowered
 
 
 def metric_fn(metric: MetricField):

@@ -8,7 +8,6 @@ import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import parse
 from jetkcc.jetgeom import (
-    JetPoint,
     MetricField,
     PdeSystem,
     build_affine_system,
@@ -274,7 +273,7 @@ def test_christoffel_family_reproduces_the_affine_system():
     )
     reference = build_affine_system(h, phi)
     for p in sample_jet_points(2, 2, 20, seed=3):
-        assert np.array_equal(built.evaluate(p), reference.evaluate(p))
+        assert np.array_equal(built.evaluate(p.t, p.x, p.v), reference.evaluate(p.t, p.x, p.v))
 
 
 def test_built_system_first_invariant_and_fifth_vanish():
@@ -399,8 +398,62 @@ def test_quadratic_decomposition_against_known_coefficients():
     rng = np.random.default_rng(12)
     for _ in range(5):
         v = rng.uniform(-1.5, 1.5, (n, m))
-        want = system.evaluate(JetPoint(t, x, v))
+        want = system.evaluate(t, x, v)
         assert support.rel_max(dec.reconstruct(v), want) < 1e-12
+
+
+def per_velocity_decomposition(system, t, x):
+    """Polarization one velocity at a time, in the order and with the float
+    operations of the batched ``quadratic_decomposition``: its reference."""
+    m, n = system.m, system.n
+
+    def F(v):
+        return system.evaluate(t, x, v)
+
+    basis = [(j, g) for j in range(n) for g in range(m)]
+    const = F(np.zeros((n, m)))
+    plus, minus = {}, {}
+    for j, g in basis:
+        v = np.zeros((n, m))
+        v[j, g] = 1.0
+        plus[(j, g)] = F(v)
+        minus[(j, g)] = F(-v)
+    linear = np.zeros((n, m, m, n, m))
+    quad = np.zeros((n, m, m, n, m, n, m))
+    for j, g in basis:
+        linear[:, :, :, j, g] = 0.5 * (plus[(j, g)] - minus[(j, g)])
+        quad[:, :, :, j, g, j, g] = 0.5 * (plus[(j, g)] + minus[(j, g)]) - const
+    for p, (j, g) in enumerate(basis):
+        for k, e in basis[p + 1 :]:
+            v = np.zeros((n, m))
+            v[j, g] += 1.0
+            v[k, e] += 1.0
+            mixed = 0.5 * (F(v) - plus[(j, g)] - plus[(k, e)] + const)
+            quad[:, :, :, j, g, k, e] = mixed
+            quad[:, :, :, k, e, j, g] = mixed
+    return quad, linear, const
+
+
+def test_batched_decomposition_has_the_bits_of_per_velocity_evaluation():
+    m = n = 2
+    upper = {
+        (1, 1, 1): "sin(v1_1*x2) + v2_2^3*t1 + exp(v1_2)/(1 + x1^2)",
+        (1, 1, 2): "v1_1*v2_1*v1_2 + cos(t2*v2_2)",
+        (1, 2, 2): "sqrt(2 + v1_1)*log(3 + v2_2*x1)",
+        (2, 1, 1): "v1_1^4 - tan(0.3*v2_1)*t1",
+        (2, 1, 2): "sinh(v1_2)*x2 + v2_1/(4 - v2_2)",
+        (2, 2, 2): "cosh(v2_2*t2)*v1_1 + v2_1^2*x1",
+    }
+    system = PdeSystem.from_upper(
+        m, n, {key: parse(text, m, n) for key, text in upper.items()}
+    )
+    t, x = np.array([0.3, -0.7]), np.array([1.1, 0.45])
+    dec = quadratic_decomposition(system, t, x)
+    quad, linear, const = per_velocity_decomposition(system, t, x)
+    assert np.array_equal(dec.quadratic, quad)
+    assert np.array_equal(dec.linear, linear)
+    assert np.array_equal(dec.constant, const)
+    assert np.count_nonzero(quad) > 20  # a generic, non-quadratic system
 
 
 def test_zero_system_extracts_zero_structure():

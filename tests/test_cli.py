@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import support
 import jetkcc.exprlang as ex
 from jetkcc.cli import (
     InputError,
@@ -162,6 +163,29 @@ def test_first_order_builder_requires_full_cover(tmp_path):
     }
     with pytest.raises(InputError, match="cover every"):
         load_problem(write_json(tmp_path, "flow.json", doc))
+
+
+def test_first_order_symmetry_probe_out_of_domain_is_input_error(tmp_path, capsys):
+    # the symmetry probe's sample points include x1 < 0, where log(x1) is not
+    # defined; the probe reports the first such point as one point does
+    doc = {
+        "m": 2,
+        "n": 1,
+        "temporal_metric": [["1", "0"], ["0", "1"]],
+        "system": {
+            "type": "first_order",
+            "X": [
+                {"i": 1, "alpha": 1, "expr": "t2*log(x1)"},
+                {"i": 1, "alpha": 2, "expr": "t1*log(x1)"},
+            ],
+        },
+    }
+    path = write_json(tmp_path, "log_flow.json", doc)
+    assert main(["invariants", path]) == 2
+    assert capsys.readouterr().err == (
+        "input error: system.X: log of non-positive value -0.7565606148471162 "
+        "in `log(x1)`\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +597,59 @@ def test_characterize_out_of_domain_base_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("evaluation error: log of non-positive value -0.5")
     assert len(err.splitlines()) == 1
+
+
+# h = t1: degenerate where |t1| <= 1e-12; these exited 1 (a first invariant
+# of 2.392e+12) and 3 (division by zero in `1/t1`) before the base point was
+# checked
+@pytest.mark.parametrize(
+    "base, shown",
+    [("1e-13,0.5", "[1e-13]: |det| = 1.000e-13"), ("0,0.5", "[0.0]: |det| = 0.000e+00")],
+)
+def test_characterize_degenerate_metric_at_the_base_is_exit_3(
+    base, shown, tmp_path, capsys
+):
+    doc = dict(
+        OSC,
+        temporal_metric=[["t1"]],
+        system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "v1_1^2"}]},
+    )
+    path = write_json(tmp_path, "degenerate_h.json", doc)
+    assert main(["characterize", path, "--base", base]) == 3
+    assert capsys.readouterr().err == (
+        f"numeric degeneracy: temporal metric degenerate at {shown}\n"
+    )
+
+
+def test_characterize_out_of_domain_probe_velocity_is_exit_3(tmp_path, capsys):
+    # the base is in the domain; a probe velocity with v2_1 < 0 is not
+    doc = {
+        "m": 1,
+        "n": 2,
+        "temporal_metric": [["1"]],
+        "system": {
+            "F": [
+                {"i": 1, "alpha": 1, "beta": 1, "expr": "0"},
+                {"i": 2, "alpha": 1, "beta": 1, "expr": "sqrt(v2_1)"},
+            ]
+        },
+    }
+    path = write_json(tmp_path, "sqrt_v.json", doc)
+    assert main(["characterize", path, "--base", "0.1,0.2,0.3"]) == 3
+    assert capsys.readouterr().err == (
+        "evaluation error: sqrt of negative value -0.13537751133827225 in "
+        "`sqrt(v2_1)`\n"
+    )
+
+
+def test_characterize_lowers_at_most_six_tapes(tmp_path):
+    # a timing-free guard on batching: each probe set is one evaluation
+    # (h at the base, D or eps, the polarization, the rebuild), not one per
+    # velocity
+    argv = ["characterize", str(PROBLEMS / "affine_curved.json")]
+    with support.lowered_tapes() as lowered:
+        code, _ = run_cli(argv + ["--base", "0.2,0.3,0.4,0.5"], tmp_path)
+    assert code == 0 and len(lowered) <= 6
 
 
 def test_characterize_base_length_checked(tmp_path, capsys):

@@ -597,7 +597,7 @@ def test_identity_pushforward_is_evaluation_identical():
     h, _, system = affine_setup22()
     new_system, new_h = pushforward_system(identity_change(2, 2), system, h)
     for p in domain_points(2, 2, 8, seed=23):
-        assert np.array_equal(new_system.evaluate(p), system.evaluate(p))
+        assert np.array_equal(new_system.evaluate(p.t, p.x, p.v), system.evaluate(p.t, p.x, p.v))
         assert np.array_equal(new_h.evaluate(p.t), h.evaluate(p.t))
 
 
@@ -804,18 +804,10 @@ def test_two_path_lowers_as_many_tapes_for_50_points_as_for_5():
     # a timing-free guard on batching: the coordinate change and every
     # invariant are evaluated once per point set, not once per point
     h, _, system = affine_setup22()
-    lowered = []
-
-    class Counted(ex._Tape):
-        def __init__(self, roots):
-            super().__init__(roots)
-            lowered.append(len(roots))
-
     counts = []
     for count in (5, 50):
-        lowered.clear()
         points = domain_points(2, 2, count, seed=7)
-        with mock.patch.object(ex, "_Tape", Counted):
+        with support.lowered_tapes() as lowered:
             two_path_invariants(system, h, change22(), points, INVARIANT_NAMES)
         counts.append(len(lowered))
     assert counts[0] == counts[1]

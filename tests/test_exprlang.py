@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import (
     Bindings,
@@ -895,6 +896,26 @@ def test_tape_instructions_read_only_earlier_slots(family, pick):
     assert [tape.nodes[s] for s in tape.outputs] == roots
 
 
+def test_batch_domain_rule_raises_at_the_first_bad_point():
+    family = (parse("log(x1)", 1, 1), parse("x1*1e308", 1, 1))
+    x1 = np.array([0.5, -1.5, -2.0])
+    with pytest.raises(EvaluationError) as info:
+        ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
+    assert str(info.value) == "log of non-positive value -1.5 in `log(x1)`"
+    # what stands at one point stands in the batch: an overflow, a nan input
+    for bad in (1000.0, float("nan")):
+        x1 = np.array([0.5, bad])
+        b = Bindings.jet(1, 1, x=x1[None])
+        got = ex.evaluate_in_domain(family, b)
+        assert np.array_equal(got, ex.evaluate_nested(family, b), equal_nan=True)
+        assert not np.isfinite(got[:, 1]).all()
+    # only the first non-finite point is re-evaluated: an overflow there
+    # hides a domain error at a later point
+    x1 = np.array([1000.0, -1.0])
+    got = ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
+    assert np.isnan(got[0, 1]) and got[1, 0] == np.inf
+
+
 def test_one_point_family_lowers_one_tape():
     # a timing-free guard on the one evaluator: a 3x3 family at one point is
     # one tape, and a domain error adds the one tape its walk back reads
@@ -905,14 +926,7 @@ def test_one_point_family_lowers_one_tape():
         )
         for r in range(3)
     )
-    lowered = []
-    init = ex._Tape.__init__
-
-    def counted(self, roots):
-        lowered.append(len(roots))
-        init(self, roots)
-
-    with mock.patch.object(ex._Tape, "__init__", counted):
+    with support.lowered_tapes() as lowered:
         grid = ex.evaluate_nested(family, bnd(1, 2, x1=0.5, x2=0.25))
         assert grid.shape == (3, 3) and np.all(np.isfinite(grid))
         assert lowered == [9]

@@ -376,7 +376,7 @@ def test_affine_system_matches_fd_built_components():
         want = np.einsum("ipq,pa,qb->iab", gs, p.v, p.v) - np.einsum(
             "uab,iu->iab", gt, p.v
         )
-        got = sys_.evaluate(p)
+        got = sys_.evaluate(p.t, p.x, p.v)
         assert support.rel_max(got, want) < 1e-7
 
 
@@ -391,7 +391,7 @@ def test_affine_system_equals_connection_plus_twice_semispray():
         b = p.bindings()
         m0v = support.eval_nested(m0, b)
         g0v = support.eval_nested(g0, b)
-        got = sys_.evaluate(p)
+        got = sys_.evaluate(p.t, p.x, p.v)
         for i in range(2):
             for a in range(2):
                 for c in range(a, 2):
@@ -406,7 +406,7 @@ def test_first_order_single_time_matches_hand_derivative():
     sys_ = build_first_order_system(X, 1, 1)
     p = JetPoint([0.4], [1.5], [[2.0]])
     want = -(math.cos(0.4) + 2.0 * 1.5 * 2.0)
-    assert sys_.evaluate(p)[0, 0, 0] == pytest.approx(want, rel=1e-12)
+    assert sys_.evaluate(p.t, p.x, p.v)[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_first_order_multi_time_warns_when_asymmetric():
@@ -419,7 +419,7 @@ def test_first_order_multi_time_warns_when_asymmetric():
     assert not sys_.symmetric
     # as-written components: F^1_12 = -(dX^1_1/dt^2 + dX^1_1/dx1 * v1_2)
     p = JetPoint([0.5, 0.3], [1.2], [[0.7, -0.4]])
-    got = sys_.evaluate(p)
+    got = sys_.evaluate(p.t, p.x, p.v)
     assert got[0, 0, 1] == pytest.approx(-(1.2 + 0.3 * -0.4), rel=1e-12)
     assert got[0, 1, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -437,6 +437,22 @@ def test_first_order_nan_gap_counts_as_asymmetric(monkeypatch):
     with pytest.warns(RuntimeWarning, match="max deviation nan"):
         assert not build_first_order_system(X, 2, 1).symmetric
 
+
+def test_first_order_symmetry_probe_lowers_one_tape():
+    # a timing-free guard on batching: the raw grid is evaluated once over
+    # the sample points, not once per entry and point
+    m = n = 2
+    X = {
+        (i, a): parse(f"sin(x{i})*t{a} + x1*x2*t{3 - a}", m, n)
+        for i in (1, 2)
+        for a in (1, 2)
+    }
+    with support.lowered_tapes() as lowered:
+        with pytest.warns(RuntimeWarning, match="asymmetric"):
+            build_first_order_system(X, m, n)
+    assert lowered == [n * m * m]
+
+
 def test_first_order_symmetrize_averages():
     X = {
         (1, 1): parse("x1*t2", 2, 1),
@@ -447,7 +463,7 @@ def test_first_order_symmetrize_averages():
         sys_ = build_first_order_system(X, 2, 1, symmetrize=True)
     assert sys_.symmetric
     p = JetPoint([0.5, 0.3], [1.2], [[0.7, -0.4]])
-    got = sys_.evaluate(p)
+    got = sys_.evaluate(p.t, p.x, p.v)
     expect = 0.5 * (-(1.2 + 0.3 * -0.4) + 0.0)
     assert got[0, 0, 1] == pytest.approx(expect, rel=1e-12)
     assert got[0, 0, 1] == got[0, 1, 0]

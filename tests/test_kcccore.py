@@ -454,7 +454,7 @@ def test_traces_match_direct_contraction():
     for p in sample_jet_points(2, 2, 15, seed=10):
         b = p.bindings()
         hinv = np.linalg.inv(h.evaluate(p.t))
-        fv = system.evaluate(p)
+        fv = system.evaluate(p.t, p.x, p.v)
         gtv = np.array(
             [
                 [[ex.evaluate(gt[g][a][c], b) for c in range(2)] for a in range(2)]
@@ -1040,7 +1040,7 @@ def test_sode_non_solution_matches_fd():
         )
 
     p = sigma.prolongation_point([tval])
-    fv = system.evaluate(p)
+    fv = system.evaluate(p.t, p.x, p.v)
     want = np.empty((2, 1, 1))
     for i in range(2):
         second = (
