@@ -51,6 +51,16 @@ class HypothesisViolationError(ValueError):
         super().__init__(f"{what} reaches {value:.3e} (tolerance {tol:.1e})")
 
 
+def _check_key(key: tuple, bounds: tuple) -> None:
+    """Refuse a 1-based entry key with an index outside 1..bound."""
+    for index, bound in zip(key, bounds):
+        if not 1 <= index <= bound:
+            raise ValueError(
+                f"entry ({','.join(map(str, key))}) has index {index} "
+                f"outside 1..{bound}"
+            )
+
+
 def _check_position_only(e: Expression, m: int, n: int, what: str) -> None:
     ex.check_bounds(e, m, n)
     for vid in ex.free_variables(e):
@@ -91,15 +101,18 @@ class SymmetricCoefficientField:
 
     @classmethod
     def from_upper(cls, m: int, n: int, upper: dict) -> "SymmetricCoefficientField":
-        """Build from 1-based entries with p <= q; the mirror shares nodes."""
-        grid = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, p, q), e in upper.items():
+        """Build from 1-based entries with p <= q; the mirror shares nodes
+        and a missing entry is zero."""
+        for i, p, q in upper:
+            _check_key((i, p, q), (n, n, n))
             if p > q:
                 raise ValueError(f"entry ({i},{p},{q}) must have p <= q")
-            e = ex.as_expr(e)
-            grid[i - 1][p - 1][q - 1] = e
-            grid[i - 1][q - 1][p - 1] = e
-        return cls(m, n, tuple(tuple(tuple(r) for r in p) for p in grid))
+
+        def entry(i, p, q):
+            key = (i + 1, min(p, q) + 1, max(p, q) + 1)
+            return ex.as_expr(upper.get(key, ex.ZERO))
+
+        return cls(m, n, ex.nested((n, n, n), entry))
 
     @classmethod
     def zero(cls, m: int, n: int) -> "SymmetricCoefficientField":
@@ -170,26 +183,21 @@ class AntisymmetricCouplingField:
     @classmethod
     def from_upper(cls, m: int, n: int, upper: dict) -> "AntisymmetricCouplingField":
         """Build from 1-based entries keyed (i, alpha, nu, p, q) with
-        alpha != nu and p < q; the (q, p) mirror shares a negated node."""
-        grid = [
-            [[[[ex.ZERO] * n for _ in range(n)] for _ in range(m)] for _ in range(m)]
-            for _ in range(n)
-        ]
-        for (i, a, v, p, q), e in upper.items():
+        alpha != nu and p < q; the (q, p) mirror is the negated node and a
+        missing entry is zero."""
+        for i, a, v, p, q in upper:
+            _check_key((i, a, v, p, q), (n, m, m, n, n))
             if a == v:
                 raise ValueError(f"entry ({i},{a},{v},{p},{q}) needs alpha != nu")
             if p >= q:
                 raise ValueError(f"entry ({i},{a},{v},{p},{q}) must have p < q")
-            e = ex.as_expr(e)
-            grid[i - 1][a - 1][v - 1][p - 1][q - 1] = e
-            grid[i - 1][a - 1][v - 1][q - 1][p - 1] = ex.simplify(neg(e))
 
-        def freeze(obj):
-            if isinstance(obj, list):
-                return tuple(freeze(o) for o in obj)
-            return obj
+        def entry(i, a, v, p, q):
+            if p > q:
+                return ex.simplify(neg(entry(i, a, v, q, p)))
+            return ex.as_expr(upper.get((i + 1, a + 1, v + 1, p + 1, q + 1), ex.ZERO))
 
-        return cls(m, n, freeze(grid))
+        return cls(m, n, ex.nested((n, m, m, n, n), entry))
 
     @classmethod
     def zero(cls, m: int, n: int) -> "AntisymmetricCouplingField":
@@ -364,42 +372,34 @@ def build_characterized_system(
             stacklevel=2,
         )
     ht = christoffel_sym(h)
-    upper = {}
-    for i in range(n):
-        for a in range(m):
-            for b in range(a, m):
-                terms = [
+    vv = ex.v_var
+
+    def entry(i, a, b):
+        a, b = min(a, b), max(a, b)
+        terms = [
+            mul(gamma.comps[i][p][q], mul(vv(p + 1, a + 1), vv(q + 1, b + 1)))
+            for p in range(n)
+            for q in range(n)
+        ]
+        terms.extend(neg(mul(ht[u][a][b], vv(i + 1, u + 1))) for u in range(m))
+        if a == b:
+            terms.extend(
+                mul(
+                    2.0,
                     mul(
-                        gamma.comps[i][p][q],
-                        mul(ex.v_var(p + 1, a + 1), ex.v_var(q + 1, b + 1)),
-                    )
-                    for p in range(n)
-                    for q in range(n)
-                ]
-                terms.extend(
-                    neg(mul(ht[u][a][b], ex.v_var(i + 1, u + 1)))
-                    for u in range(m)
+                        coupling.comps[i][a][v][p][q],
+                        mul(vv(p + 1, a + 1), vv(q + 1, v + 1)),
+                    ),
                 )
-                if a == b:
-                    terms.extend(
-                        mul(
-                            2.0,
-                            mul(
-                                coupling.comps[i][a][v][p][q],
-                                mul(
-                                    ex.v_var(p + 1, a + 1),
-                                    ex.v_var(q + 1, v + 1),
-                                ),
-                            ),
-                        )
-                        for v in range(m)
-                        if v != a
-                        for p in range(n)
-                        for q in range(n)
-                        if p != q
-                    )
-                upper[(i + 1, a + 1, b + 1)] = ex.simplify(expr_sum(terms))
-    return PdeSystem.from_upper(m, n, upper)
+                for v in range(m)
+                if v != a
+                for p in range(n)
+                for q in range(n)
+                if p != q
+            )
+        return ex.simplify(expr_sum(terms))
+
+    return PdeSystem(m, n, ex.nested((n, m, m), entry))
 
 
 # ---------------------------------------------------------------------------

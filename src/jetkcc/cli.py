@@ -507,6 +507,16 @@ def _slot_labels(name: str) -> list:
     ]
 
 
+def _check(name: str, value: float, tolerance: float) -> dict:
+    """One check row; it passes when value <= tolerance, so a nan fails."""
+    return {
+        "name": name,
+        "value": value,
+        "tolerance": tolerance,
+        "pass": value <= tolerance,
+    }
+
+
 def _finish_checks(report: dict, checks: list) -> int:
     """Attach check rows, print the first failure, return the exit code."""
     report["checks"] = checks
@@ -658,17 +668,14 @@ def _cmd_check_transform(args) -> tuple[dict, int]:
     paths = two_path_invariants(
         problem.system, problem.h, cc, points, INVARIANT_NAMES
     )
-    checks = []
-    for name, (pushed, direct) in paths.items():
-        worst = _scaled_deviation(pushed, direct)
-        checks.append(
-            {
-                "name": f"invariant {name} transforms as a d-tensor",
-                "value": worst,
-                "tolerance": args.tol,
-                "pass": worst <= args.tol,
-            }
+    checks = [
+        _check(
+            f"invariant {name} transforms as a d-tensor",
+            _scaled_deviation(pushed, direct),
+            args.tol,
         )
+        for name, (pushed, direct) in paths.items()
+    ]
 
     report = _envelope("check transform", problem.sha256)
     report["change_sha256"] = change_sha
@@ -704,14 +711,12 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
                     hi = ex.evaluate(comp, base.with_value(vid, center + step))
                     lo = ex.evaluate(comp, base.with_value(vid, center - step))
                     fd = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
-                    dev = _scaled_deviation(sym, fd)
                     checks.append(
-                        {
-                            "name": f"dF[{i},{a},{b}]/d{vid.name} vs central FD",
-                            "value": dev,
-                            "tolerance": args.tol,
-                            "pass": dev <= args.tol,
-                        }
+                        _check(
+                            f"dF[{i},{a},{b}]/d{vid.name} vs central FD",
+                            _scaled_deviation(sym, fd),
+                            args.tol,
+                        )
                     )
 
     report = _envelope("check fd", problem.sha256)
@@ -779,18 +784,16 @@ def _cmd_characterize(args) -> tuple[dict, int]:
         if p != q
     ]
     checks = [
-        {
-            "name": "first invariant vanishes at probe velocities",
-            "value": diag.eps_max,
-            "tolerance": HYPOTHESIS_TOL,
-            "pass": diag.eps_max <= HYPOTHESIS_TOL,
-        },
-        {
-            "name": "quadratic coefficients rebuild the system",
-            "value": diag.rebuild_residual,
-            "tolerance": REBUILD_TOL,
-            "pass": diag.rebuild_residual <= REBUILD_TOL,
-        },
+        _check(
+            "first invariant vanishes at probe velocities",
+            diag.eps_max,
+            HYPOTHESIS_TOL,
+        ),
+        _check(
+            "quadratic coefficients rebuild the system",
+            diag.rebuild_residual,
+            REBUILD_TOL,
+        ),
     ]
 
     report = _envelope("characterize", problem.sha256)
@@ -898,14 +901,7 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
     report["samples"] = count
     report["tolerance"] = args.tol
     report["points"] = rows
-    checks = [
-        {
-            "name": "deviation form of the variational equations",
-            "value": worst,
-            "tolerance": args.tol,
-            "pass": worst <= args.tol,
-        }
-    ]
+    checks = [_check("deviation form of the variational equations", worst, args.tol)]
     code = _finish_checks(report, checks)
     return report, code
 
@@ -1081,19 +1077,17 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    except (DegenerateMetricError, SingularJacobianError) as err:
-        print(f"numeric degeneracy: {err}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as err:
+    except (DegenerateMetricError, SingularJacobianError, np.linalg.LinAlgError) as err:
         print(f"numeric degeneracy: {err}", file=sys.stderr)
         return 3
     except ex.EvaluationError as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return 3
-    except (NotVelocityQuadraticError, HypothesisViolationError) as err:
-        print(f"check failed: {err}", file=sys.stderr)
-        return 1
-    except SectionNotSolutionError as err:
+    except (
+        NotVelocityQuadraticError,
+        HypothesisViolationError,
+        SectionNotSolutionError,
+    ) as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
     _emit(report, args.out)

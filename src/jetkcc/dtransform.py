@@ -259,53 +259,50 @@ def pushforward_system(
         return substitute(e, base_subst)
 
     # Jacobian blocks as functions of the new coordinates
-    A = [[compose(e) for e in row] for row in cc.jac_x_forward]
-    dA = [
-        [[compose(differentiate(e, ex.x_var(l + 1))) for l in range(n)] for e in row]
-        for row in cc.jac_x_forward
-    ]
-    Jt_fwd = [[compose(e) for e in row] for row in cc.jac_t_forward]
+    jac_x = cc.jac_x_forward
+    A = ex.nested((n, n), lambda k, j: compose(jac_x[k][j]))
+    dA = ex.nested(
+        (n, n, n), lambda k, j, l: compose(differentiate(jac_x[k][j], ex.x_var(l + 1)))
+    )
+    Jt_fwd = ex.nested((m, m), lambda u, b: compose(cc.jac_t_forward[u][b]))
     B = cc.jac_t_inverse  # already in new variables
-    d2t = [
-        [[differentiate(e, ex.t_var(u + 1)) for u in range(m)] for e in row]
-        for row in B
-    ]
+    d2t = ex.nested((m, m, m), lambda b, g, u: differentiate(B[b][g], ex.t_var(u + 1)))
     dx_inv = cc.jac_x_inverse
 
     # old velocities in terms of the new jet variables
-    v_old = [
-        [
-            simplify(
-                expr_sum(
-                    mul(dx_inv[j][q], mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)))
-                    for q in range(n)
-                    for u in range(m)
-                )
+    v_old = ex.nested(
+        (n, m),
+        lambda j, b: simplify(
+            expr_sum(
+                mul(dx_inv[j][q], mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)))
+                for q in range(n)
+                for u in range(m)
             )
-            for b in range(m)
-        ]
-        for j in range(n)
-    ]
-    w = [
-        [
-            simplify(expr_sum(mul(B[b][g], v_old[j][b]) for b in range(m)))
-            for g in range(m)
-        ]
-        for j in range(n)
-    ]
+        ),
+    )
+    w = ex.nested(
+        (n, m),
+        lambda j, g: simplify(expr_sum(mul(B[b][g], v_old[j][b]) for b in range(m))),
+    )
 
     full_subst = dict(base_subst)
     for j in range(n):
         for b in range(m):
             full_subst[ex.VariableId(ex.VELOCITY, i=j + 1, alpha=b + 1)] = v_old[j][b]
+    # each old component substituted once, however many new ones read it
+    old = ex.nested(
+        (n, m, m), lambda j, b, u: substitute(system.comps[j][b][u], full_subst)
+    )
 
     def component_new(k, g, nu):
-        terms = []
-        for j in range(n):
-            for b in range(m):
-                for u in range(m):
-                    old = substitute(system.component(j + 1, b + 1, u + 1), full_subst)
-                    terms.append(mul(A[k][j], mul(B[b][g], mul(B[u][nu], old))))
+        if system.symmetric:
+            g, nu = min(g, nu), max(g, nu)
+        terms = [
+            mul(A[k][j], mul(B[b][g], mul(B[u][nu], old[j][b][u])))
+            for j in range(n)
+            for b in range(m)
+            for u in range(m)
+        ]
         for j in range(n):
             for l in range(n):
                 terms.append(neg(mul(dA[k][j][l], mul(w[l][nu], w[j][g]))))
@@ -314,32 +311,23 @@ def pushforward_system(
                 terms.append(neg(mul(A[k][j], mul(d2t[b][g][nu], v_old[j][b]))))
         return simplify(expr_sum(terms))
 
-    comps = {
-        (k + 1, g + 1, nu + 1): component_new(k, g, nu)
-        for k in range(n)
-        for g in range(m)
-        for nu in range(g if system.symmetric else 0, m)
-    }
-    if system.symmetric:
-        new_system = PdeSystem.from_upper(m, n, comps)
-    else:
-        new_system = PdeSystem(m, n, comps, symmetric=False)
+    new_system = PdeSystem(
+        m, n, ex.nested((n, m, m), component_new), symmetric=system.symmetric
+    )
 
-    h_old = [[compose(h.rows[a][b]) for b in range(m)] for a in range(m)]
-    rows = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            entry = simplify(
-                expr_sum(
-                    mul(h_old[u][v], mul(B[u][a], B[v][b]))
-                    for u in range(m)
-                    for v in range(m)
-                )
+    h_old = ex.nested((m, m), lambda a, b: compose(h.rows[a][b]))
+
+    def h_entry(a, b):
+        a, b = min(a, b), max(a, b)
+        return simplify(
+            expr_sum(
+                mul(h_old[u][v], mul(B[u][a], B[v][b]))
+                for u in range(m)
+                for v in range(m)
             )
-            rows[a][b] = entry
-            rows[b][a] = entry
-    new_h = MetricField(TEMPORAL, tuple(tuple(r) for r in rows))
-    return new_system, new_h
+        )
+
+    return new_system, MetricField(TEMPORAL, ex.nested((m, m), h_entry))
 
 
 def transform_section(cc: CoordinateChange, sigma: SectionMap) -> SectionMap:

@@ -20,6 +20,10 @@ fields instead of dispatching on the class; ``free_variables`` decodes the mask;
 ``differentiate`` does not enter a subtree whose mask lacks its variable
 (the derivative there is ``ZERO``); tapes are lowered by a sort on ``index``.
 
+An indexed family of expressions (a system, a connection, an invariant) is
+nested tuples, built by ``nested`` from one entry function, frozen by
+``freeze`` and checked by ``check_family``; ``evaluate_nested`` evaluates it.
+
 Results of the builders in the geometry modules are DAGs rather than trees.
 Every traversal here walks the DAG iteratively with an identity memo, so
 shared subtrees are processed once and recursion depth is never an issue.
@@ -409,6 +413,56 @@ def all_zero(nested) -> bool:
     if isinstance(nested, (tuple, list)):
         return all(map(all_zero, nested))
     return is_zero(nested)
+
+
+# ---------------------------------------------------------------------------
+# families: nested tuples of expressions, indexed [i-1][j-1]...
+#
+# A family stored symmetric in its last two indices is built by an entry
+# that orders that pair first, so interning hands the mirror the very node;
+# an antisymmetric one negates the swapped entry below the diagonal.
+# ---------------------------------------------------------------------------
+
+
+def nested(extents, entry, *index):
+    """Nested tuples of entry(i, j, ...) over range(e) for each extent e."""
+    if len(index) == len(extents):
+        return entry(*index)
+    return tuple(nested(extents, entry, *index, k) for k in range(extents[len(index)]))
+
+
+def freeze(family):
+    """Nested tuples of expressions from nested tuples/lists of anything
+    ``as_expr`` accepts."""
+    if isinstance(family, (tuple, list)):
+        return tuple(map(freeze, family))
+    return as_expr(family)
+
+
+def check_family(family, m: int, n: int, extents, what: str, symmetric=False):
+    """Check a frozen family: its extents, its variables' index bounds
+    (``check_bounds``) and, when ``symmetric``, that each mirror in the last
+    two indices is the same node."""
+
+    def walk(node, shape):
+        if not shape:
+            if not isinstance(node, Expression):
+                raise TypeError(f"{what}: leaf is not an Expression")
+            check_bounds(node, m, n)
+            return
+        if not isinstance(node, tuple) or len(node) != shape[0]:
+            raise ValueError(f"{what}: expected extent {shape[0]} at depth")
+        for kid in node:
+            walk(kid, shape[1:])
+        if symmetric and len(shape) == 2:
+            d = shape[0]
+            if any(node[a][b] is not node[b][a] for a in range(d) for b in range(a)):
+                raise ValueError(
+                    f"{what}: components must be stored symmetric "
+                    f"in the two trailing indices"
+                )
+
+    walk(family, tuple(extents))
 
 
 # ---------------------------------------------------------------------------

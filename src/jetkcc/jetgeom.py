@@ -165,11 +165,11 @@ class MetricField:
 
     @classmethod
     def temporal(cls, rows) -> "MetricField":
-        return cls(TEMPORAL, tuple(tuple(ex.as_expr(e) for e in r) for r in rows))
+        return cls(TEMPORAL, ex.freeze(rows))
 
     @classmethod
     def spatial(cls, rows) -> "MetricField":
-        return cls(SPATIAL, tuple(tuple(ex.as_expr(e) for e in r) for r in rows))
+        return cls(SPATIAL, ex.freeze(rows))
 
     def evaluate(self, coords) -> np.ndarray:
         """Numeric (d, d) matrix at factor coordinates of shape (d,), or a
@@ -201,16 +201,13 @@ class MetricField:
 
     def inverse(self) -> "MetricField":
         """Symbolic inverse via the adjugate (dimension <= 4)."""
-        d = self.dim
         det = _det_expr(self.rows)
-        inv = [[None] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                cof = _cofactor_expr(self.rows, a, b)
-                entry = simplify(div(cof, det))
-                inv[a][b] = entry
-                inv[b][a] = entry
-        return MetricField(self.kind, tuple(tuple(r) for r in inv))
+
+        def entry(a, b):
+            a, b = min(a, b), max(a, b)
+            return simplify(div(_cofactor_expr(self.rows, a, b), det))
+
+        return MetricField(self.kind, ex.nested((self.dim, self.dim), entry))
 
 
 def _minor(rows, drop_r: int, drop_c: int):
@@ -253,28 +250,19 @@ def christoffel_sym(metric: MetricField):
     d = metric.dim
     inv = metric.inverse()
     coord = [_coord_var(metric.kind, k + 1) for k in range(d)]
-    dg = [
-        [
-            [differentiate(metric.rows[a][b], coord[c]) for c in range(d)]
-            for b in range(d)
+    dg = ex.nested(
+        (d, d, d), lambda a, b, c: differentiate(metric.rows[a][b], coord[c])
+    )
+
+    def entry(a, b, c):
+        b, c = min(b, c), max(b, c)
+        terms = [
+            mul(inv.rows[a][u], sub(add(dg[b][u][c], dg[c][u][b]), dg[b][c][u]))
+            for u in range(d)
         ]
-        for a in range(d)
-    ]
-    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            for c in range(b, d):
-                terms = [
-                    mul(
-                        inv.rows[a][u],
-                        sub(add(dg[b][u][c], dg[c][u][b]), dg[b][c][u]),
-                    )
-                    for u in range(d)
-                ]
-                entry = simplify(mul(0.5, expr_sum(terms)))
-                gamma[a][b][c] = entry
-                gamma[a][c][b] = entry
-    return tuple(tuple(tuple(r) for r in plane) for plane in gamma)
+        return simplify(mul(0.5, expr_sum(terms)))
+
+    return ex.nested((d, d, d), entry)
 
 
 def curvature_sym(metric: MetricField):
@@ -289,22 +277,18 @@ def curvature_sym(metric: MetricField):
     n = metric.dim
     gam = christoffel_sym(metric)
     xs = [ex.x_var(j + 1) for j in range(n)]
-    out = [[[[ex.ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                for j in range(q + 1, n):
-                    terms = [differentiate(gam[i][p][q], xs[j])]
-                    terms.append(neg(differentiate(gam[i][p][j], xs[q])))
-                    for r in range(n):
-                        terms.append(mul(gam[r][p][q], gam[i][r][j]))
-                        terms.append(neg(mul(gam[r][p][j], gam[i][r][q])))
-                    entry = simplify(expr_sum(terms))
-                    out[i][p][q][j] = entry
-                    out[i][p][j][q] = neg(entry)
-    return tuple(
-        tuple(tuple(tuple(r) for r in plane) for plane in block) for block in out
-    )
+
+    def entry(i, p, q, j):
+        if q >= j:
+            return neg(entry(i, p, j, q)) if q > j else ex.ZERO
+        terms = [differentiate(gam[i][p][q], xs[j])]
+        terms.append(neg(differentiate(gam[i][p][j], xs[q])))
+        for r in range(n):
+            terms.append(mul(gam[r][p][q], gam[i][r][j]))
+            terms.append(neg(mul(gam[r][p][j], gam[i][r][q])))
+        return simplify(expr_sum(terms))
+
+    return ex.nested((n, n, n, n), entry)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +302,12 @@ def canonical_temporal_semispray(h: MetricField, n: int):
         raise ValueError("expected the temporal metric")
     m = h.dim
     gt = christoffel_sym(h)
-    out = []
-    for i in range(n):
-        plane = []
-        for a in range(m):
-            row = []
-            for b in range(m):
-                s = expr_sum(
-                    mul(gt[u][a][b], ex.v_var(i + 1, u + 1)) for u in range(m)
-                )
-                row.append(mul(-0.5, s))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+
+    def entry(i, a, b):
+        s = expr_sum(mul(gt[u][a][b], ex.v_var(i + 1, u + 1)) for u in range(m))
+        return mul(-0.5, s)
+
+    return ex.nested((n, m, m), entry)
 
 
 def canonical_spatial_semispray(phi: MetricField, m: int):
@@ -339,51 +316,34 @@ def canonical_spatial_semispray(phi: MetricField, m: int):
         raise ValueError("expected the spatial metric")
     n = phi.dim
     gs = christoffel_sym(phi)
-    out = []
-    for i in range(n):
-        plane = []
-        for a in range(m):
-            row = []
-            for b in range(m):
-                terms = [
-                    mul(
-                        gs[i][p][q],
-                        mul(ex.v_var(p + 1, a + 1), ex.v_var(q + 1, b + 1)),
-                    )
-                    for p in range(n)
-                    for q in range(n)
-                ]
-                row.append(mul(0.5, expr_sum(terms)))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+
+    def entry(i, a, b):
+        terms = [
+            mul(gs[i][p][q], mul(ex.v_var(p + 1, a + 1), ex.v_var(q + 1, b + 1)))
+            for p in range(n)
+            for q in range(n)
+        ]
+        return mul(0.5, expr_sum(terms))
+
+    return ex.nested((n, m, m), entry)
 
 
 def canonical_temporal_connection(h: MetricField, n: int):
     """M0[i][a][b] = 2 * H0[i][a][b] (nodes shared with the semispray)."""
     h0 = canonical_temporal_semispray(h, n)
-    return tuple(
-        tuple(tuple(mul(2.0, e) for e in row) for row in plane) for plane in h0
-    )
+    return ex.nested((n, h.dim, h.dim), lambda i, a, b: mul(2.0, h0[i][a][b]))
 
 
 def canonical_spatial_connection(phi: MetricField, m: int):
     """N0[i][a][j] = sum_r Gs^i_jr v^r_a."""
     n = phi.dim
     gs = christoffel_sym(phi)
-    out = []
-    for i in range(n):
-        plane = []
-        for a in range(m):
-            row = [
-                expr_sum(
-                    mul(gs[i][j][r], ex.v_var(r + 1, a + 1)) for r in range(n)
-                )
-                for j in range(n)
-            ]
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    return ex.nested(
+        (n, m, n),
+        lambda i, a, j: expr_sum(
+            mul(gs[i][j][r], ex.v_var(r + 1, a + 1)) for r in range(n)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,60 +442,59 @@ def canonical_tensors(h: MetricField, point: JetPoint):
 class PdeSystem:
     """Right-hand side family F^i_ab of a second-order system.
 
-    Components are stored on the full (i, a, b) grid; the ``symmetric`` flag
-    records whether they were given (or forced) symmetric under a <-> b, in
-    which case mirrored entries share nodes.
+    Components are stored as nested tuples ``comps[i-1][a-1][b-1]`` on the
+    full grid; the ``symmetric`` flag records whether they were given (or
+    forced) symmetric under a <-> b, in which case each mirror is the same
+    node.
     """
 
     m: int
     n: int
-    comps: dict[tuple[int, int, int], Expression]
+    comps: tuple
     symmetric: bool = True
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_DIM or not 1 <= self.n <= MAX_DIM:
             raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        want = {
-            (i, a, b)
-            for i in range(1, self.n + 1)
-            for a in range(1, self.m + 1)
-            for b in range(1, self.m + 1)
-        }
-        if set(self.comps) != want:
-            missing = sorted(want - set(self.comps))
-            extra = sorted(set(self.comps) - want)
-            raise ValueError(
-                f"component grid mismatch: missing {missing[:4]}, extra {extra[:4]}"
-            )
-        for key, e in self.comps.items():
-            ex.check_bounds(e, self.m, self.n)
+        self.comps = ex.freeze(self.comps)
+        m, n = self.m, self.n
+        ex.check_family(self.comps, m, n, (n, m, m), "system", self.symmetric)
 
     @classmethod
     def from_upper(cls, m: int, n: int, upper: dict) -> "PdeSystem":
-        """Build from entries with a <= b; the mirror shares nodes."""
-        comps: dict[tuple[int, int, int], Expression] = {}
-        for (i, a, b), e in upper.items():
+        """Build from 1-based entries keyed (i, a, b) with a <= b, one for
+        each such triple; the mirror shares nodes."""
+        for i, a, b in upper:
             if a > b:
                 raise ValueError(f"entry ({i},{a},{b}) must have a <= b")
-            e = ex.as_expr(e)
-            comps[(i, a, b)] = e
-            comps[(i, b, a)] = e
-        return cls(m, n, comps, symmetric=True)
+        want = {
+            (i, a, b)
+            for i in range(1, n + 1)
+            for a in range(1, m + 1)
+            for b in range(a, m + 1)
+        }
+        if set(upper) != want:
+            missing = sorted(want - set(upper))
+            extra = sorted(set(upper) - want)
+            raise ValueError(
+                f"component grid mismatch: missing {missing[:4]}, extra {extra[:4]}"
+            )
+
+        def entry(i, a, b):
+            return upper[(i + 1, min(a, b) + 1, max(a, b) + 1)]
+
+        return cls(m, n, ex.nested((n, m, m), entry))
 
     def component(self, i: int, a: int, b: int) -> Expression:
-        return self.comps[(i, a, b)]
+        return self.comps[i - 1][a - 1][b - 1]
 
     def evaluate(self, t, x, v) -> np.ndarray:
         """Numeric (n, m, m) component block at t, x, v of shapes (m,), (n,)
         and (n, m), any of them with a trailing batch axis of K, which the
         block then gets too.  An out-of-domain value raises EvaluationError
         at the first such point (``ex.evaluate_in_domain``)."""
-        ts = range(1, self.m + 1)
-        grid = [
-            [[self.comps[(i, a, b)] for b in ts] for a in ts]
-            for i in range(1, self.n + 1)
-        ]
-        return ex.evaluate_in_domain(grid, Bindings.jet(self.m, self.n, t, x, v))
+        b = Bindings.jet(self.m, self.n, t, x, v)
+        return ex.evaluate_in_domain(self.comps, b)
 
 
 def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:
@@ -548,14 +507,12 @@ def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:
     m, n = h.dim, phi.dim
     m0 = canonical_temporal_connection(h, n)
     g0 = canonical_spatial_semispray(phi, m)
-    upper = {}
-    for i in range(n):
-        for a in range(m):
-            for b in range(a, m):
-                upper[(i + 1, a + 1, b + 1)] = add(
-                    m0[i][a][b], mul(2.0, g0[i][a][b])
-                )
-    return PdeSystem.from_upper(m, n, upper)
+
+    def entry(i, a, b):
+        a, b = min(a, b), max(a, b)
+        return add(m0[i][a][b], mul(2.0, g0[i][a][b]))
+
+    return PdeSystem(m, n, ex.nested((n, m, m), entry))
 
 
 FIRST_ORDER_ASYM_TOL = 1e-9
@@ -569,7 +526,8 @@ def build_first_order_system(
     F^i_ab = -(dX^i_a/dt^b + sum_r dX^i_a/dx^r * v^r_b).  For m >= 2 these
     components need not be symmetric in (a, b); by default they are stored
     as written (with a warning when the asymmetry at sample points exceeds
-    tolerance), with ``symmetrize=True`` the average is stored instead.
+    tolerance), with ``symmetrize=True`` the average is stored instead,
+    without probing the asymmetry.
     """
     table: dict[tuple[int, int], Expression] = {}
     for (i, a), e in X.items():
@@ -585,17 +543,21 @@ def build_first_order_system(
     if set(table) != want:
         raise ValueError("first-order components must cover every (i, a)")
 
-    raw: dict[tuple[int, int, int], Expression] = {}
-    for i in range(1, n + 1):
-        for a in range(1, m + 1):
-            xi = table[(i, a)]
-            for b in range(1, m + 1):
-                terms = [differentiate(xi, ex.t_var(b))]
-                for r in range(1, n + 1):
-                    terms.append(
-                        mul(differentiate(xi, ex.x_var(r)), ex.v_var(r, b))
-                    )
-                raw[(i, a, b)] = neg(expr_sum(terms))
+    def raw_entry(i, a, b):
+        xi = table[(i + 1, a + 1)]
+        terms = [differentiate(xi, ex.t_var(b + 1))]
+        for r in range(1, n + 1):
+            terms.append(mul(differentiate(xi, ex.x_var(r)), ex.v_var(r, b + 1)))
+        return neg(expr_sum(terms))
+
+    raw = ex.nested((n, m, m), raw_entry)
+    if symmetrize:
+
+        def entry(i, a, b):
+            a, b = min(a, b), max(a, b)
+            return simplify(mul(0.5, add(raw[i][a][b], raw[i][b][a])))
+
+        return PdeSystem(m, n, ex.nested((n, m, m), entry))
 
     system = PdeSystem(m, n, raw, symmetric=False)
     asym = 0.0
@@ -603,17 +565,6 @@ def build_first_order_system(
         F = system.evaluate(*stack_points(sample_jet_points(m, n, 5, seed=20)))
         a, b = np.triu_indices(m, 1)
         asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
-
-    if symmetrize:
-        upper = {}
-        for i in range(1, n + 1):
-            for a in range(1, m + 1):
-                for b in range(a, m + 1):
-                    upper[(i, a, b)] = simplify(
-                        mul(0.5, add(raw[(i, a, b)], raw[(i, b, a)]))
-                    )
-        return PdeSystem.from_upper(m, n, upper)
-
     system.symmetric = asym <= FIRST_ORDER_ASYM_TOL  # a nan gap is asymmetric
     if not system.symmetric:
         warnings.warn(

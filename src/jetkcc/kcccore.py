@@ -71,50 +71,6 @@ class SectionNotSolutionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _freeze(nested):
-    if isinstance(nested, (tuple, list)):
-        return tuple(_freeze(k) for k in nested)
-    return ex.as_expr(nested)
-
-
-def _nested(extents, entry, *index):
-    """Nested tuples of entry(i, j, ...) over range(e) for each extent e."""
-    if len(index) == len(extents):
-        return entry(*index)
-    return tuple(
-        _nested(extents, entry, *index, k) for k in range(extents[len(index)])
-    )
-
-
-def _validate_family(comps, m, n, extents, what, symmetric_last_two=False):
-    """Check a nested expression family: shape, index bounds, and (when
-    asked) structural symmetry of the trailing two axes."""
-
-    def walk(node, shape):
-        if not shape:
-            if not isinstance(node, Expression):
-                raise TypeError(f"{what}: leaf is not an Expression")
-            ex.check_bounds(node, m, n)
-            return
-        if not isinstance(node, tuple) or len(node) != shape[0]:
-            raise ValueError(f"{what}: expected extent {shape[0]} at depth")
-        for kid in node:
-            walk(kid, shape[1:])
-
-    walk(comps, list(extents))
-    if symmetric_last_two:
-        last = extents[-1]
-        for block in comps:
-            for a in range(last):
-                for b in range(a + 1, last):
-                    lhs, rhs = block[a][b], block[b][a]
-                    if lhs is not rhs and lhs != rhs:
-                        raise ValueError(
-                            f"{what}: components must be stored symmetric "
-                            f"in the two trailing indices"
-                        )
-
-
 @dataclass(frozen=True)
 class Semispray:
     """Coefficient family H^i_ab or G^i_ab(t, x, v) of a temporal or spatial
@@ -125,15 +81,9 @@ class Semispray:
     components: tuple  # [i-1][a-1][b-1]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _freeze(self.components))
-        _validate_family(
-            self.components,
-            self.m,
-            self.n,
-            (self.n, self.m, self.m),
-            "semispray",
-            symmetric_last_two=True,
-        )
+        object.__setattr__(self, "components", ex.freeze(self.components))
+        m, n = self.m, self.n
+        ex.check_family(self.components, m, n, (n, m, m), "semispray", True)
 
     def component(self, i: int, a: int, b: int) -> Expression:
         return self.components[i - 1][a - 1][b - 1]
@@ -150,23 +100,13 @@ class NonlinearConnection:
     spatial: tuple  # [i-1][a-1][j-1]
 
     def __post_init__(self):
-        object.__setattr__(self, "temporal", _freeze(self.temporal))
-        object.__setattr__(self, "spatial", _freeze(self.spatial))
-        _validate_family(
-            self.temporal,
-            self.m,
-            self.n,
-            (self.n, self.m, self.m),
-            "connection temporal part",
-            symmetric_last_two=True,
+        object.__setattr__(self, "temporal", ex.freeze(self.temporal))
+        object.__setattr__(self, "spatial", ex.freeze(self.spatial))
+        m, n = self.m, self.n
+        ex.check_family(
+            self.temporal, m, n, (n, m, m), "connection temporal part", True
         )
-        _validate_family(
-            self.spatial,
-            self.m,
-            self.n,
-            (self.n, self.m, self.n),
-            "connection spatial part",
-        )
+        ex.check_family(self.spatial, m, n, (n, m, n), "connection spatial part")
 
 
 def _check_t_only(comps, m, what):
@@ -259,21 +199,18 @@ def connection_part_from_temporal_semispray(H: Semispray):
     The inverse map halves it back; because constant factors collapse, the
     round trip returns the original expression objects.
     """
-    return tuple(
-        tuple(tuple(mul(2.0, e) for e in row) for row in plane)
-        for plane in H.components
-    )
+    comps = H.components
+    return ex.nested((H.n, H.m, H.m), lambda i, a, b: mul(2.0, comps[i][a][b]))
 
 
 def temporal_semispray_from_connection_part(
     M, m: int, n: int
 ) -> Semispray:
     """Temporal semispray whose doubled components reproduce M: H = M / 2."""
-    comps = tuple(
-        tuple(tuple(mul(0.5, e) for e in row) for row in plane)
-        for plane in _freeze(M)
-    )
-    return Semispray(m, n, comps)
+    M = ex.freeze(M)
+    ex.check_family(M, m, n, (n, m, m), "connection part")
+    halves = ex.nested((n, m, m), lambda i, a, b: mul(0.5, M[i][a][b]))
+    return Semispray(m, n, halves)
 
 
 def spatial_semispray_from_system(
@@ -289,20 +226,13 @@ def spatial_semispray_from_system(
         )
     m, n = system.m, system.n
     gt = christoffel_sym(h)
-    comps = [[[None] * m for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for a in range(m):
-            for b in range(a, m):
-                drift = expr_sum(
-                    mul(gt[u][a][b], ex.v_var(i + 1, u + 1)) for u in range(m)
-                )
-                entry = add(
-                    mul(0.5, system.component(i + 1, a + 1, b + 1)),
-                    mul(0.5, drift),
-                )
-                comps[i][a][b] = entry
-                comps[i][b][a] = entry
-    return Semispray(m, n, _freeze(comps))
+
+    def entry(i, a, b):
+        a, b = min(a, b), max(a, b)
+        drift = expr_sum(mul(gt[u][a][b], ex.v_var(i + 1, u + 1)) for u in range(m))
+        return add(mul(0.5, system.comps[i][a][b]), mul(0.5, drift))
+
+    return Semispray(m, n, ex.nested((n, m, m), entry))
 
 
 def spatial_semispray_from_connection(
@@ -317,24 +247,16 @@ def spatial_semispray_from_connection(
     """
     m, n = connection.m, connection.n
     N = connection.spatial
-    comps = [[[None] * m for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for a in range(m):
-            for b in range(a, m):
-                one = expr_sum(
-                    mul(N[i][a][r], ex.v_var(r + 1, b + 1)) for r in range(n)
-                )
-                if a == b:
-                    entry = mul(0.5, one)
-                else:
-                    other = expr_sum(
-                        mul(N[i][b][r], ex.v_var(r + 1, a + 1))
-                        for r in range(n)
-                    )
-                    entry = mul(0.25, add(one, other))
-                comps[i][a][b] = entry
-                comps[i][b][a] = entry
-    return Semispray(m, n, _freeze(comps))
+
+    def entry(i, a, b):
+        a, b = min(a, b), max(a, b)
+        one = expr_sum(mul(N[i][a][r], ex.v_var(r + 1, b + 1)) for r in range(n))
+        if a == b:
+            return mul(0.5, one)
+        other = expr_sum(mul(N[i][b][r], ex.v_var(r + 1, a + 1)) for r in range(n))
+        return mul(0.25, add(one, other))
+
+    return Semispray(m, n, ex.nested((n, m, m), entry))
 
 
 def _require_temporal(h: MetricField, m: int):
@@ -463,7 +385,7 @@ class InvariantPipeline:
     @cached_property
     def _trace_system_dv(self):
         """table[i][j][g] = d F^i / d v^j_g (derivatives of the trace)."""
-        return _nested(
+        return ex.nested(
             (self.n, self.n, self.m),
             lambda i, j, g: differentiate(
                 self.trace_system[i], ex.v_var(j + 1, g + 1)
@@ -511,7 +433,7 @@ class InvariantPipeline:
             m,
             n,
             canonical_temporal_connection(self.h, n),
-            _nested((n, m, n), entry),
+            ex.nested((n, m, n), entry),
         )
 
     @cached_property
@@ -537,7 +459,7 @@ class InvariantPipeline:
             ]
             return simplify(expr_sum(terms))
 
-        return _nested((n, m, m), entry)
+        return ex.nested((n, m, m), entry)
 
     @cached_property
     def deviation_curvature(self):
@@ -552,13 +474,9 @@ class InvariantPipeline:
         tv = [ex.t_var(g + 1) for g in range(m)]
         xv = [ex.x_var(r + 1) for r in range(n)]
         vv = [[ex.v_var(r + 1, g + 1) for g in range(m)] for r in range(n)]
-        dh = [
-            [
-                [differentiate(hrows[u][g], tv[e]) for e in range(m)]
-                for g in range(m)
-            ]
-            for u in range(m)
-        ]
+        dh = ex.nested(
+            (m, m, m), lambda u, g, e: differentiate(hrows[u][g], tv[e])
+        )
 
         # scalar part multiplying the identity
         k_terms = [
@@ -589,78 +507,69 @@ class InvariantPipeline:
         )
         k_scalar = simplify(expr_sum(k_terms))
 
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                terms = [neg(differentiate(Ftr[i], xv[j]))]
-                terms.append(
+        F = self.system.comps
+
+        def entry(i, j):
+            terms = [neg(differentiate(Ftr[i], xv[j]))]
+            terms.append(
+                mul(0.5, expr_sum(differentiate(dF[i][j][g], tv[g]) for g in range(m)))
+            )
+            terms.append(
+                mul(
+                    0.5,
+                    expr_sum(
+                        mul(differentiate(dF[i][j][g], xv[r]), vv[r][g])
+                        for r in range(n)
+                        for g in range(m)
+                    ),
+                )
+            )
+            terms.append(
+                neg(
                     mul(
                         0.5,
                         expr_sum(
-                            differentiate(dF[i][j][g], tv[g]) for g in range(m)
-                        ),
-                    )
-                )
-                terms.append(
-                    mul(
-                        0.5,
-                        expr_sum(
-                            mul(differentiate(dF[i][j][g], xv[r]), vv[r][g])
-                            for r in range(n)
-                            for g in range(m)
-                        ),
-                    )
-                )
-                terms.append(
-                    neg(
-                        mul(
-                            0.5,
-                            expr_sum(
-                                mul(
-                                    differentiate(dF[i][j][u], vv[r][g]),
-                                    self.system.component(r + 1, g + 1, u + 1),
-                                )
-                                for r in range(n)
-                                for g in range(m)
-                                for u in range(m)
-                            ),
-                        )
-                    )
-                )
-                terms.append(
-                    mul(
-                        0.25,
-                        expr_sum(
-                            mul(hrows[g][u], mul(dF[i][r][g], dF[r][j][u]))
+                            mul(differentiate(dF[i][j][u], vv[r][g]), F[r][g][u])
                             for r in range(n)
                             for g in range(m)
                             for u in range(m)
                         ),
                     )
                 )
-                terms.append(
-                    mul(
-                        0.5,
-                        expr_sum(
-                            mul(hinv[g][e], mul(dh[u][g][e], dF[i][j][u]))
-                            for g in range(m)
-                            for e in range(m)
-                            for u in range(m)
-                        ),
-                    )
+            )
+            terms.append(
+                mul(
+                    0.25,
+                    expr_sum(
+                        mul(hrows[g][u], mul(dF[i][r][g], dF[r][j][u]))
+                        for r in range(n)
+                        for g in range(m)
+                        for u in range(m)
+                    ),
                 )
-                if i == j:
-                    terms.append(k_scalar)
-                row.append(simplify(expr_sum(terms)))
-            out.append(tuple(row))
-        return tuple(out)
+            )
+            terms.append(
+                mul(
+                    0.5,
+                    expr_sum(
+                        mul(hinv[g][e], mul(dh[u][g][e], dF[i][j][u]))
+                        for g in range(m)
+                        for e in range(m)
+                        for u in range(m)
+                    ),
+                )
+            )
+            if i == j:
+                terms.append(k_scalar)
+            return simplify(expr_sum(terms))
+
+        return ex.nested((n, n), entry)
 
     @cached_property
     def _deviation_dv(self):
         """table[i][j][k][a] = d P^i_j / d v^k_a."""
         P = self.deviation_curvature
-        return _nested(
+        return ex.nested(
             (self.n, self.n, self.n, self.m),
             lambda i, j, k, a: differentiate(P[i][j], ex.v_var(k + 1, a + 1)),
         )
@@ -669,31 +578,21 @@ class InvariantPipeline:
     def third_invariant(self):
         """R[i][a][j][k] = (1/3)(dP^i_j/dv^k_a - dP^i_k/dv^j_a); stored
         antisymmetric in (j, k) with shared negated mirrors."""
-        m, n = self.m, self.n
         dP = self._deviation_dv
-        out = [
-            [[[ex.ZERO] * n for _ in range(n)] for _ in range(m)]
-            for _ in range(n)
-        ]
-        third = 1.0 / 3.0
-        for i in range(n):
-            for a in range(m):
-                for j in range(n):
-                    for k in range(j, n):
-                        entry = simplify(
-                            mul(third, sub(dP[i][j][k][a], dP[i][k][j][a]))
-                        )
-                        out[i][a][j][k] = entry
-                        if k != j:
-                            out[i][a][k][j] = neg(entry)
-        return _freeze(out)
+
+        def entry(i, a, j, k):
+            if j >= k:
+                return neg(entry(i, a, k, j)) if j > k else ex.ZERO
+            return simplify(mul(1.0 / 3.0, sub(dP[i][j][k][a], dP[i][k][j][a])))
+
+        return ex.nested((self.n, self.m, self.n, self.n), entry)
 
     @cached_property
     def fourth_invariant(self):
         """B[i][a][j][k][l][b] = d R^{ia}_{jk} / d v^l_b."""
         m, n = self.m, self.n
         R = self.third_invariant
-        return _nested(
+        return ex.nested(
             (n, m, n, n, n, m),
             lambda i, a, j, k, l, b: differentiate(
                 R[i][a][j][k], ex.v_var(l + 1, b + 1)
@@ -715,6 +614,9 @@ class InvariantPipeline:
         return getattr(self, attr)
 
     def evaluate(self, name: str, point: JetPoint) -> DTensorValue:
+        """Components at one point; raises DegenerateMetricError where h is
+        degenerate, as ``evaluate_batch`` does."""
+        self.h.evaluate(point.t)
         vals = ex.evaluate_nested(self.expressions(name), point.bindings())
         return DTensorValue(self.m, self.n, invariant_slots(name), vals)
 
@@ -757,8 +659,8 @@ class InvariantPipeline:
         (grad T)^i_ab = D_b T^i_a + N^i_ar T^r_b - H^u_ab T^i_u
         """
         m, n = self.m, self.n
-        T = _freeze(T)
-        _validate_family(T, m, n, (n, m), "covariant derivative input")
+        T = ex.freeze(T)
+        ex.check_family(T, m, n, (n, m), "covariant derivative input")
         N = self.connection.spatial
         gt = self.temporal_christoffel
 
@@ -768,7 +670,7 @@ class InvariantPipeline:
             terms += [neg(mul(gt[u][a][b], T[i][u])) for u in range(m)]
             return simplify(expr_sum(terms))
 
-        return _nested((n, m, m), entry)
+        return ex.nested((n, m, m), entry)
 
     def variation_derivative(self, xi: VariationField):
         """Jet expressions of (grad xi)^i_a = d xi^i/d t^a + N^i_ar xi^r."""
@@ -776,7 +678,7 @@ class InvariantPipeline:
         if xi.m != m or xi.n != n:
             raise ValueError("variation field dimensions do not match")
         N = self.connection.spatial
-        return _nested(
+        return ex.nested(
             (n, m),
             lambda i, a: simplify(
                 add(
@@ -835,9 +737,9 @@ def fifth_invariant(system: PdeSystem):
         def entry(j, g, k, e, l, u):
             return d3[tuple(sorted(((j, g), (k, e), (l, u))))]
 
-        return _nested((n, m, n, m, n, m), entry)
+        return ex.nested((n, m, n, m, n, m), entry)
 
-    return _nested((n, m, m), block_nested)
+    return ex.nested((n, m, m), block_nested)
 
 
 def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
@@ -893,7 +795,7 @@ def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
     """x''^i_ab + F^i_ab on the prolongation of sigma at t."""
     if sigma.m != system.m or sigma.n != system.n:
         raise ValueError("section dimensions do not match the system")
-    fam = _nested(
+    fam = ex.nested(
         (system.n, system.m, system.m),
         lambda i, a, b: add(
             differentiate(sigma.velocity[i][a], ex.t_var(b + 1)),
@@ -923,7 +825,7 @@ def _variational_family(system: PdeSystem, xi: VariationField):
         ]
         return expr_sum(terms)
 
-    return _nested((n, m, m), entry)
+    return ex.nested((n, m, m), entry)
 
 
 def variational_residual(

@@ -132,6 +132,28 @@ def test_coupling_field_from_upper_validates_keys():
         )
 
 
+def test_from_upper_refuses_keys_outside_the_index_ranges():
+    # an index of 0 used to wrap to the last plane, and one beyond the range
+    # raised IndexError
+    for key in ((0, 1, 1), (3, 1, 1), (1, 0, 2), (1, 1, 3)):
+        want = f"entry \\({','.join(map(str, key))}\\) has index"
+        with pytest.raises(ValueError, match=want):
+            SymmetricCoefficientField.from_upper(1, 2, {key: parse("x1", 1, 2)})
+    # spatial slots run over 1..n = 1..2, temporal ones over 1..m = 1..3
+    keys = [
+        (0, 1, 2, 1, 2),
+        (3, 1, 2, 1, 2),
+        (1, 0, 2, 1, 2),
+        (1, 1, 4, 1, 2),
+        (1, 1, 2, 0, 2),
+        (1, 1, 2, 1, 3),
+    ]
+    for key in keys:
+        want = f"entry \\({','.join(map(str, key))}\\) has index"
+        with pytest.raises(ValueError, match=want):
+            AntisymmetricCouplingField.from_upper(3, 2, {key: parse("x1", 3, 2)})
+
+
 def test_coupling_field_enforces_structural_zeros_and_antisymmetry():
     good = AntisymmetricCouplingField.from_upper(
         2, 2, {(1, 1, 2, 1, 2): parse("x1", 2, 2)}

@@ -111,8 +111,7 @@ def test_affine_builder_matches_library_constructor():
         ]
     )
     want = build_affine_system(h, phi)
-    for key, e in want.comps.items():
-        assert problem.system.comps[key] == e
+    assert problem.system.comps == want.comps
 
 
 def test_schema_error_paths_name_the_key(tmp_path):
@@ -186,6 +185,30 @@ def test_first_order_symmetry_probe_out_of_domain_is_input_error(tmp_path, capsy
         "input error: system.X: log of non-positive value -0.7565606148471162 "
         "in `log(x1)`\n"
     )
+
+
+def test_symmetrized_first_order_flow_is_not_probed(tmp_path):
+    # the asymmetry probe's sample points include x1 < 0, where log(x1) is
+    # not defined; a symmetrized flow stores the average without probing, so
+    # only the sampled points, inside the box, are evaluated
+    doc = {
+        "m": 2,
+        "n": 1,
+        "temporal_metric": [["1", "0"], ["0", "1"]],
+        "system": {
+            "type": "first_order",
+            "symmetrize": True,
+            "X": [
+                {"i": 1, "alpha": 1, "expr": "t2*log(x1)"},
+                {"i": 1, "alpha": 2, "expr": "t1*log(x1)"},
+            ],
+        },
+        "sample_box": {"x": [0.5, 1.5]},
+    }
+    path = write_json(tmp_path, "log_flow.json", doc)
+    code, report = run_cli(["invariants", path, "--samples", "3"], tmp_path)
+    assert code == 0
+    assert report["pass"] is True
 
 
 # ---------------------------------------------------------------------------

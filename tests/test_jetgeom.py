@@ -347,9 +347,16 @@ def test_pde_system_from_upper_mirrors_and_shares():
 
 def test_pde_system_rejects_incomplete_grid():
     with pytest.raises(ValueError, match="grid mismatch"):
-        PdeSystem(1, 1, {})
+        PdeSystem.from_upper(1, 1, {})
     with pytest.raises(ValueError, match="a <= b"):
         PdeSystem.from_upper(2, 1, {(1, 2, 1): ex.ZERO})
+
+
+def test_symmetric_pde_system_requires_shared_mirrors():
+    comps = (((ex.ZERO, parse("t1", 2, 1)), (parse("t2", 2, 1), ex.ZERO)),)
+    with pytest.raises(ValueError, match="stored symmetric"):
+        PdeSystem(2, 1, comps)
+    assert PdeSystem(2, 1, comps, symmetric=False).component(1, 2, 1) is ex.t_var(2)
 
 
 def test_pde_system_rejects_out_of_range_variables():
@@ -361,7 +368,7 @@ def test_affine_system_flat_pair_structurally_zero():
     sys_ = build_affine_system(
         support.flat_metric(ex.TEMPORAL, 2), support.flat_metric(ex.SPATIAL, 2)
     )
-    assert all(ex.is_zero(ex.simplify(e)) for e in sys_.comps.values())
+    assert all(ex.is_zero(ex.simplify(e)) for p in sys_.comps for r in p for e in r)
 
 
 def test_affine_system_matches_fd_built_components():

@@ -9,6 +9,8 @@ import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import Bindings, parse
 from jetkcc.jetgeom import (
+    DegenerateMetricError,
+    JetPoint,
     MetricField,
     PdeSystem,
     build_affine_system,
@@ -112,9 +114,7 @@ def random_symmetric_system():
 
 @functools.cache
 def zero_system_flat():
-    zero = {
-        (i, a, b): ex.ZERO for i in (1, 2) for a in (1, 2) for b in (1, 2)
-    }
+    zero = ex.nested((2, 2, 2), lambda i, a, b: ex.ZERO)
     system = PdeSystem(2, 2, zero)
     return system, InvariantPipeline(system, support.flat_metric(ex.TEMPORAL, 2))
 
@@ -1254,6 +1254,23 @@ def test_evaluate_batch_matches_pointwise():
     for k, p in enumerate(pts):
         single = pipe.evaluate("P", p).values
         assert np.max(np.abs(batch[..., k] - single)) <= 1e-14
+
+
+def test_one_point_evaluation_refuses_a_degenerate_temporal_metric():
+    # the rule evaluate_batch applies: near t1 = 0, h = [[t1]] gave eps of
+    # -5e11 and P of -3.1e38 at one point, and at t1 = 0 a division error
+    h = MetricField.temporal([[parse("t1", 1, 1)]])
+    system = PdeSystem.from_upper(1, 1, {(1, 1, 1): parse("v1_1^2", 1, 1)})
+    pipe = InvariantPipeline(system, h)
+    for t in (1e-13, 0.0):
+        point = JetPoint([t], [0.5], [[0.2]])
+        for name in ("eps", "P"):
+            with pytest.raises(DegenerateMetricError) as one:
+                pipe.evaluate(name, point)
+            with pytest.raises(DegenerateMetricError) as batch:
+                pipe.evaluate_batch(name, [point])
+            assert str(one.value) == str(batch.value)
+            assert str(one.value).startswith(f"temporal metric degenerate at [{t}]")
 
 
 def test_invariant_slot_signatures():
