@@ -119,7 +119,7 @@ class SymmetricCoefficientField:
         return cls.from_upper(m, n, {})
 
     def component(self, i: int, p: int, q: int) -> Expression:
-        return self.comps[i - 1][p - 1][q - 1]
+        return ex.entry_at(self.comps, (i, p, q), "sss")
 
     def evaluate(self, t, x) -> np.ndarray:
         b = Bindings.jet(self.m, self.n, t=t, x=x)
@@ -204,7 +204,7 @@ class AntisymmetricCouplingField:
         return cls.from_upper(m, n, {})
 
     def component(self, i: int, alpha: int, nu: int, p: int, q: int) -> Expression:
-        return self.comps[i - 1][alpha - 1][nu - 1][p - 1][q - 1]
+        return ex.entry_at(self.comps, (i, alpha, nu, p, q), "sttss")
 
     def evaluate(self, t, x) -> np.ndarray:
         b = Bindings.jet(self.m, self.n, t=t, x=x)

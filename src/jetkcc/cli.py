@@ -14,6 +14,7 @@ evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -28,12 +29,13 @@ from .exprlang import Expression, differentiate
 from .jetgeom import (
     MAX_DIM,
     DegenerateMetricError,
-    JetPoint,
+    JetPointSet,
     MetricField,
     PdeSystem,
     batch_bindings,
     build_affine_system,
     build_first_order_system,
+    point_set,
     sample_jet_points,
 )
 from .kcccore import (
@@ -213,7 +215,7 @@ class ProblemFile:
     h: MetricField
     phi: MetricField | None
     system: PdeSystem
-    points: tuple | None  # tuple[JetPoint] when given in-file
+    points: JetPointSet | None  # when given in-file
     section: SectionMap | None
     variation: VariationField | None
     t_box: tuple[float, float]
@@ -292,11 +294,11 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
     _fail("system", "must contain 'F' or 'type' in {'affine', 'first_order'}")
 
 
-def _load_points(obj, m, n) -> tuple:
+def _load_points(obj, m, n) -> JetPointSet:
     entries = _require_list(obj, "points")
     if not entries:
         _fail("points", "must contain at least one point")
-    out = []
+    ts, xs, vs = [], [], []
     for k, entry in enumerate(entries):
         path = f"points[{k}]"
         entry = _require_dict(entry, path, allowed={"t", "x", "v"})
@@ -321,8 +323,12 @@ def _load_points(obj, m, n) -> tuple:
             ]
             for i, row in enumerate(vrows)
         ]
-        out.append(JetPoint(t, x, v))
-    return tuple(out)
+        ts.append(t)
+        xs.append(x)
+        vs.append(v)
+    return JetPointSet(
+        np.array(ts).T, np.array(xs).T, np.moveaxis(np.array(vs), 0, -1)
+    )
 
 
 def _load_t_curves(obj, m, n, path, factory):
@@ -436,11 +442,75 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _inline(parts: list) -> str:
+    return "[" + ", ".join(parts) + "]"
+
+
+def _broken(parts: list, indent: int, brackets: str = "[]") -> str:
+    inner = "  " * (indent + 1)
+    body = (",\n" + inner).join(parts)
+    return f"{brackets[0]}\n{inner}{body}\n{'  ' * indent}{brackets[1]}"
+
+
+def _list_layout(parts: list, indent: int) -> str:
+    """Rendered items as one JSON array: inline when there are at most 12
+    and each is one line shorter than 25 characters, else one per line."""
+    if len(parts) <= 12 and all("\n" not in p and len(p) < 25 for p in parts):
+        return _inline(parts)
+    return _broken(parts, indent)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(size: int, indent: int) -> str:
+    """``_list_layout`` of ``size`` finite floats as a ``%`` template
+    (``"%.17g" % x`` is ``format(x, ".17g")``): a finite float takes at
+    most 24 characters at 17 digits, so the layout depends on the count
+    alone."""
+    return _list_layout(["%.17g"] * size, indent)
+
+
+def _render_row(row: np.ndarray, indent: int) -> str:
+    """A 1-D float array, as ``render_json`` renders the list of its values."""
+    if np.isfinite(row).all():
+        return _row_template(row.size, indent) % tuple(row.tolist())
+    return _list_layout([_fmt_float(u) for u in row.tolist()], indent)
+
+
+def _render_points(points: JetPointSet, indent: int) -> str:
+    """A point set, as ``render_json`` renders the list of its points as
+    ``{"t": [...], "x": [...], "v": [[...], ...]}`` dicts, formatted from
+    the stacks.  t and x are always inline: they hold at most 4 floats, and
+    a float at 17 digits is at most 24 characters.  A point's v is inline
+    unless one of its rows, ``"[" + ", ".join(parts) + "]"``, is 25
+    characters or longer."""
+    m, n, count = points.m, points.n, len(points)
+    cols = np.concatenate([points.t, points.x, points.v.reshape(n * m, count)]).T
+    flat = cols.ravel().tolist()
+    if np.isfinite(cols).all():
+        strs = ("\n".join(["%.17g"] * len(flat)) % tuple(flat)).split("\n")
+    else:
+        strs = [_fmt_float(u) for u in flat]
+    lens = np.array(list(map(len, strs))).reshape(cols.shape)[:, m + n :]
+    broken = (lens.reshape(count, n, m).sum(axis=2) + 2 * m >= 25).any(axis=1)
+    key = "  " * (indent + 2)
+    rows = [_inline(["%s"] * m)] * n
+    templates = [
+        "{\n"
+        + f'{key}"t": {_inline(["%s"] * m)},\n'
+        + f'{key}"x": {_inline(["%s"] * n)},\n'
+        + f'{key}"v": {v}\n'
+        + "  " * (indent + 1)
+        + "}"
+        for v in (_inline(rows), _broken(rows, indent + 2))
+    ]
+    return _list_layout([templates[b] for b in broken.tolist()], indent) % tuple(strs)
+
+
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON text: floats at 17 significant digits, dicts in
-    insertion order (construction order is itself deterministic)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    insertion order (construction order is itself deterministic).  A 1-D
+    float array renders as the list of its values, and a JetPointSet as the
+    list of its points' {"t", "x", "v"} dicts."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -452,17 +522,11 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if len(value) > 12 and all(type(v) is float for v in value):
-            # a long run of plain floats (per-point values) is never inlined
-            parts = [_fmt_float(v) for v in value]
-        else:
-            parts = [render_json(v, indent + 1) for v in value]
-        if all("\n" not in p and len(p) < 25 for p in parts) and len(parts) <= 12:
-            return "[" + ", ".join(parts) + "]"
-        body = ",\n".join(inner + p for p in parts)
-        return "[\n" + body + "\n" + pad + "]"
+        return _list_layout([render_json(v, indent + 1) for v in value], indent)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        return _render_row(value, indent)
+    if isinstance(value, JetPointSet):
+        return _render_points(value, indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -470,8 +534,7 @@ def render_json(value, indent: int = 0) -> str:
             f"{json.dumps(str(k))}: {render_json(v, indent + 1)}"
             for k, v in value.items()
         ]
-        body = ",\n".join(inner + p for p in parts)
-        return "{\n" + body + "\n" + pad + "}"
+        return _broken(parts, indent, "{}")
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
@@ -490,14 +553,6 @@ def _envelope(command: str, problem_sha: str) -> dict:
         "version": __version__,
         "command": command,
         "input_sha256": problem_sha,
-    }
-
-
-def _point_dict(p: JetPoint) -> dict:
-    return {
-        "t": [float(u) for u in p.t],
-        "x": [float(u) for u in p.x],
-        "v": [[float(u) for u in row] for row in p.v],
     }
 
 
@@ -538,7 +593,7 @@ def _finish_checks(report: dict, checks: list) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _select_points(problem: ProblemFile, args) -> tuple[list, dict]:
+def _select_points(problem: ProblemFile, args) -> tuple[JetPointSet, dict]:
     """Points for a command: --points file, --samples/--seed, in-file points,
     or default sampling — in that order of precedence."""
     points_file = getattr(args, "points", None)
@@ -546,7 +601,7 @@ def _select_points(problem: ProblemFile, args) -> tuple[list, dict]:
         doc, digest = _read_json(points_file)
         if isinstance(doc, dict):
             doc = _require_dict(doc, "<root>", allowed={"points"}).get("points")
-        pts = list(_load_points(doc, problem.m, problem.n))
+        pts = _load_points(doc, problem.m, problem.n)
         meta = {
             "source": "file",
             "points_sha256": digest,
@@ -567,7 +622,7 @@ def _select_points(problem: ProblemFile, args) -> tuple[list, dict]:
             v_box=problem.v_box,
         )
         return pts, {"source": "samples", "count": count, "seed": seed}
-    pts = list(problem.points)
+    pts = problem.points
     return pts, {"source": "problem-file", "count": len(pts), "seed": None}
 
 
@@ -591,11 +646,13 @@ def _parse_which(text: str) -> list:
     return names
 
 
-def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
+def run_invariants(problem: ProblemFile, points, which: list) -> dict:
     """Evaluate the selected invariants at every point; structural zeros are
-    reported exactly, without evaluation.  A non-finite component raises
+    reported exactly, without evaluation.  Each component's values are a
+    1-D array over the points.  A non-finite component raises
     EvaluationError naming the selector, the component, the point and the
     subexpression where the value first turns non-finite."""
+    points = point_set(points)
     pipe = InvariantPipeline(problem.system, problem.h)
     blocks = []
     for name in which:
@@ -620,15 +677,10 @@ def run_invariants(problem: ProblemFile, points: list, which: list) -> dict:
                 )
             entry["structural_zero"] = False
             entry["max_abs"] = float(np.max(np.abs(grid)))
-            comps = []
-            for idx in np.ndindex(grid.shape[:-1]):
-                comps.append(
-                    {
-                        "index": [k + 1 for k in idx],
-                        "values": [float(u) for u in grid[idx]],
-                    }
-                )
-            entry["components"] = comps
+            entry["components"] = [
+                {"index": [k + 1 for k in idx], "values": grid[idx]}
+                for idx in np.ndindex(grid.shape[:-1])
+            ]
         blocks.append(entry)
     return {"invariants": blocks}
 
@@ -641,7 +693,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
     report["m"], report["n"] = problem.m, problem.n
     report["which"] = which
     report["seed"] = meta["seed"]
-    report["points"] = dict(meta, values=[_point_dict(p) for p in points])
+    report["points"] = dict(meta, values=points)
     report.update(run_invariants(problem, points, which))
     report["checks"] = []
     report["pass"] = True

@@ -36,8 +36,8 @@ from .exprlang import (
     simplify,
     substitute,
 )
-from .jetgeom import DTensorValue, JetPoint, MAX_DIM, MetricField, PdeSystem
-from .jetgeom import stack_points
+from .jetgeom import DTensorValue, JetPointSet, MAX_DIM, MetricField, PdeSystem
+from .jetgeom import point_set, stack_points
 from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
 JACOBIAN_TOL = 1e-10
@@ -155,7 +155,7 @@ class CoordinateChange:
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points
         (nan if any of them is nan)."""
-        t, x, _ = stack_points(list(points))
+        t, x, _ = stack_points(points)
         t_back = self._values(self.t_inverse, "t", self.forward_t(t))
         x_back = self._values(self.x_inverse, "x", self.forward_x(x))
         return float(np.max(np.abs(np.concatenate([t_back - t, x_back - x]))))
@@ -179,18 +179,17 @@ def _matrices(J) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
 
 
-def transform_jet_point(cc: CoordinateChange, points) -> list[JetPoint]:
+def transform_jet_point(cc: CoordinateChange, points) -> JetPointSet:
     """New-chart coordinates of jet points; velocities contract with the
     spatial Jacobian on the left and the inverse temporal Jacobian on the
     right.  The maps and Jacobians are evaluated once over all the points."""
-    t, x, v = stack_points(list(points))
+    t, x, v = stack_points(points)
     if len(t) != cc.m or len(x) != cc.n:
         raise ValueError("point dimensions do not match the change")
     Jt = _matrices(cc.temporal_jacobian(t))
     A = _matrices(cc.spatial_jacobian(x))
     v_new = A @ np.ascontiguousarray(np.moveaxis(v, -1, 0)) @ np.linalg.inv(Jt)
-    moved = zip(cc.forward_t(t).T, cc.forward_x(x).T, v_new)
-    return [JetPoint(*z) for z in moved]
+    return JetPointSet(cc.forward_t(t), cc.forward_x(x), np.moveaxis(v_new, 0, -1))
 
 
 def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
@@ -363,7 +362,7 @@ def two_path_invariants(
     (pushed, direct)}, two component grids with a trailing axis over the
     points; reducing them to a deviation is left to the caller.
     """
-    points = list(points)
+    points = point_set(points)
     new_system, new_h = pushforward_system(cc, system, h)
     pipe = InvariantPipeline(system, h)
     new_pipe = InvariantPipeline(new_system, new_h)

@@ -431,6 +431,22 @@ def nested(extents, entry, *index):
     return tuple(nested(extents, entry, *index, k) for k in range(extents[len(index)]))
 
 
+def entry_at(family, index, kinds: str):
+    """The entry of a nested family at a 1-based index.  ``kinds`` gives
+    each position's range, "s" for spatial (1..n) or "t" for temporal
+    (1..m); an index outside its range raises ValueError naming it."""
+    node = family
+    for pos, (k, kind) in enumerate(zip(index, kinds)):
+        if not 1 <= k <= len(node):
+            label = "spatial" if kind == "s" else "temporal"
+            raise ValueError(
+                f"component {tuple(index)}: index {pos + 1} is {k}, "
+                f"outside the {label} range 1..{len(node)}"
+            )
+        node = node[k - 1]
+    return node
+
+
 def freeze(family):
     """Nested tuples of expressions from nested tuples/lists of anything
     ``as_expr`` accepts."""

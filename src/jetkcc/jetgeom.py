@@ -76,6 +76,54 @@ class JetPoint:
         return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
 
 
+class JetPointSet:
+    """Immutable set of K jet points, held as three stacks with the batch
+    axis last: t (m, K), x (n, K) and v (n, m, K).  Indexing and iteration
+    give ``JetPoint``s."""
+
+    __slots__ = ("t", "x", "v")
+
+    def __init__(self, t, x, v):
+        stacks = [np.array(a, dtype=float, order="C") for a in (t, x, v)]
+        t, x, v = stacks
+        if (
+            t.ndim != 2
+            or x.shape[1:] != t.shape[1:]
+            or v.shape != (x.shape[0],) + t.shape
+        ):
+            raise ValueError(
+                f"point set shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
+            )
+        if not 1 <= len(t) <= MAX_DIM or not 1 <= len(x) <= MAX_DIM:
+            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
+        for name, stack in zip(self.__slots__, stacks):
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JetPointSet is immutable; cannot set {name!r}")
+
+    @property
+    def m(self) -> int:
+        return len(self.t)
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
+
+    def __len__(self) -> int:
+        return self.t.shape[1]
+
+    def __getitem__(self, k: int) -> JetPoint:
+        return JetPoint(self.t[:, k], self.x[:, k], self.v[..., k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __repr__(self):
+        return f"JetPointSet(m={self.m}, n={self.n}, count={len(self)})"
+
+
 def sample_jet_points(
     m: int,
     n: int,
@@ -84,30 +132,51 @@ def sample_jet_points(
     t_box: tuple[float, float] = (-1.0, 1.0),
     x_box: tuple[float, float] = (-1.0, 1.0),
     v_box: tuple[float, float] = (-2.0, 2.0),
-) -> list[JetPoint]:
-    """Deterministic uniform sample of jet points (one rng stream per call)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        t = rng.uniform(t_box[0], t_box[1], size=m)
-        x = rng.uniform(x_box[0], x_box[1], size=n)
-        v = rng.uniform(v_box[0], v_box[1], size=(n, m))
-        out.append(JetPoint(t, x, v))
-    return out
+) -> JetPointSet:
+    """Deterministic uniform sample of jet points (one rng stream per call).
+
+    Point k takes draws k*w .. k*w + w - 1 of the stream, w = m + n + n*m:
+    first its t, then its x, then its v row by row, each scaled into its
+    box as ``low + (high - low) * u``, which is what ``Generator.uniform``
+    computes, so the values are those of m, n and n*m uniform draws per
+    point in that order."""
+    u = np.random.default_rng(seed).random((count, m + n + n * m))
+
+    def scale(block, box):
+        return box[0] + (box[1] - box[0]) * block
+
+    t = scale(u[:, :m].T, t_box)
+    x = scale(u[:, m : m + n].T, x_box)
+    v = scale(np.moveaxis(u[:, m + n :].reshape(count, n, m), 0, -1), v_box)
+    return JetPointSet(t, x, v)
 
 
-def stack_points(points: list[JetPoint]):
-    """The t, x and v blocks of many points, with the batch axis last:
-    shapes (m, K), (n, K) and (n, m, K)."""
-    if not points:
+def point_set(points) -> JetPointSet:
+    """A JetPointSet as it is; any other sequence of JetPoints stacked.
+    Raises ValueError when there are no points."""
+    if not isinstance(points, JetPointSet):
+        points = list(points)
+        if points:
+            points = JetPointSet(
+                *(np.stack([getattr(p, b) for p in points], axis=-1) for b in "txv")
+            )
+    if not len(points):
         raise ValueError("no points")
-    return tuple(np.stack([getattr(p, b) for p in points], axis=-1) for b in "txv")
+    return points
 
 
-def batch_bindings(points: list[JetPoint]) -> Bindings:
+def stack_points(points):
+    """The t, x and v blocks of many points, with the batch axis last:
+    shapes (m, K), (n, K) and (n, m, K).  A JetPointSet gives its own
+    stacks, with no copy."""
+    s = point_set(points)
+    return s.t, s.x, s.v
+
+
+def batch_bindings(points) -> Bindings:
     """Stack many points into array-valued bindings for vectorized evaluation."""
     t, x, v = stack_points(points)
-    return Bindings.jet(points[0].m, points[0].n, t, x, v)
+    return Bindings.jet(len(t), len(x), t, x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +555,7 @@ class PdeSystem:
         return cls(m, n, ex.nested((n, m, m), entry))
 
     def component(self, i: int, a: int, b: int) -> Expression:
-        return self.comps[i - 1][a - 1][b - 1]
+        return ex.entry_at(self.comps, (i, a, b), "stt")
 
     def evaluate(self, t, x, v) -> np.ndarray:
         """Numeric (n, m, m) component block at t, x, v of shapes (m,), (n,)

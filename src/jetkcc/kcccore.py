@@ -86,7 +86,7 @@ class Semispray:
         ex.check_family(self.components, m, n, (n, m, m), "semispray", True)
 
     def component(self, i: int, a: int, b: int) -> Expression:
-        return self.components[i - 1][a - 1][b - 1]
+        return ex.entry_at(self.components, (i, a, b), "stt")
 
 
 @dataclass(frozen=True)
@@ -625,7 +625,7 @@ class InvariantPipeline:
 
         Raises DegenerateMetricError at the first point where h is
         degenerate."""
-        t, x, v = stack_points(list(points))
+        t, x, v = stack_points(points)
         self.h.evaluate(t)
         b = Bindings.jet(self.m, self.n, t, x, v)
         return ex.evaluate_nested(self.expressions(name), b)

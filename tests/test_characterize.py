@@ -121,6 +121,31 @@ def test_symmetric_field_requires_mirror_equality():
         SymmetricCoefficientField(1, 2, asym)
 
 
+def test_symmetric_field_component_refuses_indices_outside_their_range():
+    field = SymmetricCoefficientField.from_upper(1, 2, {(2, 1, 2): parse("x1", 1, 2)})
+    assert field.component(2, 2, 1) is ex.x_var(1)
+    for index, pos in [((0, 1, 1), 1), ((1, -1, 1), 2), ((1, 1, 3), 3)]:
+        with pytest.raises(
+            ValueError,
+            match=f"index {pos} is {index[pos - 1]}, outside the spatial range 1..2",
+        ):
+            field.component(*index)
+
+
+def test_coupling_field_component_refuses_indices_outside_their_ranges():
+    field = AntisymmetricCouplingField.zero(2, 2)
+    assert ex.is_zero(field.component(2, 2, 1, 2, 1))
+    for index, message in [
+        ((0, 1, 2, 1, 2), "index 1 is 0, outside the spatial range 1..2"),
+        ((1, 3, 2, 1, 2), "index 2 is 3, outside the temporal range 1..2"),
+        ((1, 1, 0, 1, 2), "index 3 is 0, outside the temporal range 1..2"),
+        ((1, 1, 2, -1, 2), "index 4 is -1, outside the spatial range 1..2"),
+        ((1, 1, 2, 1, 3), "index 5 is 3, outside the spatial range 1..2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            field.component(*index)
+
+
 def test_coupling_field_from_upper_validates_keys():
     with pytest.raises(ValueError, match="p < q"):
         AntisymmetricCouplingField.from_upper(

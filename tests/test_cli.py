@@ -1,10 +1,13 @@
 """Command-line surface: problem loading, reports, determinism, exit codes."""
 
+import hashlib
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 import jetkcc.exprlang as ex
@@ -14,7 +17,12 @@ from jetkcc.cli import (
     main,
     render_json,
 )
-from jetkcc.jetgeom import MetricField, build_affine_system, sample_jet_points
+from jetkcc.jetgeom import (
+    JetPointSet,
+    MetricField,
+    build_affine_system,
+    sample_jet_points,
+)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -911,3 +919,111 @@ def test_stdout_report_matches_out_file(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(args + ["--out", str(out)]) == 0
     assert printed == out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# rendering arrays and point sets
+# ---------------------------------------------------------------------------
+
+
+def _oracle_render(value, indent=0):
+    """The per-element renderer that float arrays and point sets replaced:
+    one format call per float and a layout probe per list."""
+
+    def fmt(x):
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".17g")
+
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if len(value) > 12 and all(type(v) is float for v in value):
+            parts = [fmt(v) for v in value]
+        else:
+            parts = [_oracle_render(v, indent + 1) for v in value]
+        if all("\n" not in p and len(p) < 25 for p in parts) and len(parts) <= 12:
+            return "[" + ", ".join(parts) + "]"
+        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        parts = [f'"{k}": {_oracle_render(v, indent + 1)}' for k, v in value.items()]
+        return "{\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "}"
+    raise TypeError(type(value).__name__)
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        0.0,
+        5e-324,
+        -2.2250738585072009e-308,
+        1e308,
+        -1e308,
+        -1.2345678901234567e-05,
+    ]
+)
+_ROW_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _EDGE_FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_ROW_FLOATS, min_size=0, max_size=30),
+    st.integers(min_value=0, max_value=4),
+)
+def test_render_json_float_array_matches_per_element_renderer(values, indent):
+    row = np.array(values, dtype=float)
+    assert render_json(row, indent) == _oracle_render(row.tolist(), indent)
+
+
+@pytest.mark.parametrize("size", [12, 13])
+@pytest.mark.parametrize("fill", [-1.2345678901234567e-05, math.nan])
+def test_render_json_float_array_layout_boundary(size, fill):
+    # at most 12 floats render inline, more break one per line
+    row = np.full(size, fill)
+    text = render_json(row, 2)
+    assert text == _oracle_render(row.tolist(), 2)
+    assert ("\n" in text) == (size > 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.lists(_ROW_FLOATS, min_size=1, max_size=60),
+    st.integers(min_value=0, max_value=4),
+)
+def test_render_json_point_set_matches_per_point_dicts(m, n, values, indent):
+    width = m + n + n * m
+    count = max(1, len(values) // width)
+    flat = np.resize(np.array(values, dtype=float), (count, width))
+    v = np.moveaxis(flat[:, m + n :].reshape(count, n, m), 0, -1)
+    points = JetPointSet(flat[:, :m].T, flat[:, m : m + n].T, v)
+    dicts = [
+        {"t": p.t.tolist(), "x": p.x.tolist(), "v": p.v.tolist()} for p in points
+    ]
+    assert render_json(points, indent) == _oracle_render(dicts, indent)
+
+
+def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
+    # the 2000-sample baseline: sha256 of the report the per-element
+    # renderer wrote, with stdout and --out alike
+    args = [
+        "invariants", str(PROBLEMS / "affine_curved.json"),
+        "--which", "eps,P,R,B,D", "--samples", "2000", "--seed", "0",
+    ]
+    assert main(args) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "stress.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert printed == out.read_bytes()
+    assert hashlib.sha256(printed).hexdigest() == (
+        "f336e83b7f6289c55d39f4da421122df345c1640568ca2b16da80f8665ec8ac4"
+    )

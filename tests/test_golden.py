@@ -1,5 +1,6 @@
-"""Golden reports: the README's sample commands and two stress commands must
-reproduce the reports in ``tests/golden/`` byte for byte.
+"""Golden reports: the README's sample commands, two stress commands and one
+command on a ``--points`` file must reproduce the reports in
+``tests/golden/`` byte for byte.
 
 The stress pair (the curved 2x2 affine pair under ``change22``) is written to
 input files from the ``test_dtransform`` fixtures, so its report's input
@@ -17,7 +18,8 @@ from test_dtransform import change22, curved_pair22
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+TESTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 # name -> argv; "{pair}" and "{change}" name the files written from fixtures
 COMMANDS = {
@@ -44,6 +46,12 @@ COMMANDS = {
     "stress_invariants_affine_curved": [
         "invariants", f"{PROBLEMS}/affine_curved.json",
         "--which", "eps,P,R,B,D", "--samples", "20", "--seed", "0",
+    ],
+    # a --points file whose third point has a v row of exactly 25
+    # characters, which breaks across lines while its neighbours stay inline
+    "points_invariants_oscillator": [
+        "invariants", f"{PROBLEMS}/oscillator.json", "--which", "eps,P",
+        "--points", f"{TESTS}/inputs/oscillator_points.json",
     ],
     "stress_check_transform_pair22": [
         "check", "transform", "{pair}", "{change}", "--samples", "20",

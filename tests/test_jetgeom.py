@@ -11,6 +11,7 @@ from jetkcc.jetgeom import (
     DegenerateMetricError,
     DTensorValue,
     JetPoint,
+    JetPointSet,
     MetricField,
     PdeSystem,
     Slot,
@@ -24,7 +25,9 @@ from jetkcc.jetgeom import (
     canonical_tensors,
     christoffel_sym,
     curvature_sym,
+    point_set,
     sample_jet_points,
+    stack_points,
 )
 
 
@@ -54,6 +57,46 @@ def test_sample_jet_points_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.t, pb.t)
         assert np.array_equal(pa.v, pb.v)
+
+
+@pytest.mark.parametrize(
+    "m, n, seed, boxes",
+    [
+        (2, 2, 0, {}),
+        (1, 3, 41, {"t_box": (0.5, 3.0), "x_box": (-7.0, -2.0)}),
+        (3, 1, 7, {"v_box": (-0.1, 10.0)}),
+    ],
+)
+def test_sample_jet_points_keeps_the_per_point_draws(m, n, seed, boxes):
+    # the values of m, n and n*m Generator.uniform draws per point, in order
+    got = sample_jet_points(m, n, 50, seed, **boxes)
+    rng = np.random.default_rng(seed)
+    t_box = boxes.get("t_box", (-1.0, 1.0))
+    x_box = boxes.get("x_box", (-1.0, 1.0))
+    v_box = boxes.get("v_box", (-2.0, 2.0))
+    assert len(got) == 50
+    for p in got:
+        assert np.array_equal(p.t, rng.uniform(*t_box, size=m))
+        assert np.array_equal(p.x, rng.uniform(*x_box, size=n))
+        assert np.array_equal(p.v, rng.uniform(*v_box, size=(n, m)))
+
+
+def test_point_set_indexes_as_jet_points_and_stacks_without_copy():
+    pts = sample_jet_points(2, 3, 6, seed=2)
+    assert isinstance(pts, JetPointSet) and (pts.m, pts.n, len(pts)) == (2, 3, 6)
+    assert [p.t.tolist() for p in pts] == pts.t.T.tolist()
+    assert np.array_equal(pts[-1].v, pts.v[..., 5])
+    t, x, v = stack_points(pts)
+    assert t is pts.t and x is pts.x and v is pts.v
+    assert not t.flags.writeable
+    with pytest.raises(AttributeError):
+        pts.t = t
+    restacked = point_set(list(pts))
+    assert all(np.array_equal(a, b) for a, b in zip(stack_points(restacked), (t, x, v)))
+    with pytest.raises(ValueError, match="no points"):
+        stack_points([])
+    with pytest.raises(ValueError, match="inconsistent"):
+        JetPointSet(t, x, v[..., :5])
 
 
 def test_batch_bindings_matches_per_point():
@@ -343,6 +386,22 @@ def test_pde_system_from_upper_mirrors_and_shares():
     )
     assert sys_.component(1, 2, 1) is sys_.component(1, 1, 2)
     assert sys_.symmetric
+
+
+def test_pde_system_component_refuses_indices_outside_their_ranges():
+    x1, x2 = ex.x_var(1), ex.x_var(2)
+    sys_ = PdeSystem.from_upper(1, 2, {(1, 1, 1): x1, (2, 1, 1): x2})
+    assert sys_.component(2, 1, 1) is x2
+    for index, pos, label in [
+        ((0, 1, 1), 1, "spatial range 1..2"),
+        ((-1, 1, 1), 1, "spatial range 1..2"),
+        ((3, 1, 1), 1, "spatial range 1..2"),
+        ((1, 0, 1), 2, "temporal range 1..1"),
+        ((1, 1, 2), 3, "temporal range 1..1"),
+    ]:
+        message = f"index {pos} is {index[pos - 1]}, outside the {label}"
+        with pytest.raises(ValueError, match=message):
+            sys_.component(*index)
 
 
 def test_pde_system_rejects_incomplete_grid():

@@ -172,6 +172,19 @@ def test_temporal_semispray_requires_symmetric_storage():
         Semispray(2, 1, bad)
 
 
+def test_semispray_component_refuses_indices_outside_their_ranges():
+    H = Semispray(2, 1, (((parse("v1_1", 2, 1), ex.ZERO), (ex.ZERO, ex.ZERO)),))
+    assert H.component(1, 1, 1) is ex.v_var(1, 1)
+    for index, message in [
+        ((0, 1, 1), "index 1 is 0, outside the spatial range 1..1"),
+        ((2, 1, 1), "index 1 is 2, outside the spatial range 1..1"),
+        ((1, -1, 1), "index 2 is -1, outside the temporal range 1..2"),
+        ((1, 1, 3), "index 3 is 3, outside the temporal range 1..2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            H.component(*index)
+
+
 def test_section_map_rejects_jet_variables():
     with pytest.raises(ValueError):
         SectionMap(1, (parse("x1", 1, 1),))
