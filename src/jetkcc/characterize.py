@@ -308,22 +308,36 @@ def star_star_nullspace(h: MetricField, t) -> NullspaceResult:
 def coupling_constraint_residual(
     coupling: AntisymmetricCouplingField, h: MetricField, t, x
 ) -> float:
-    """Worst constraint violation of the coupling field at one (t, x),
-    maximized over the spatial value index and spatial pairs."""
+    """Worst constraint violation of the coupling field at (t, x), maximized
+    over the spatial value index and spatial pairs.  ``t`` and ``x`` have
+    shapes (m,) and (n,) for one point, or (m, K) and (n, K) for K points,
+    evaluated as one batch and maximized over them too; the first point
+    whose values are not all finite is evaluated again alone, which raises
+    where a value left its domain, as a scan of single points does."""
     m, n = coupling.m, coupling.n
     if m < 2:
         return 0.0
     hm = h.evaluate(t)
-    L = _constraint_matrix(hm, np.linalg.inv(hm))
     vals = coupling.evaluate(t, x)
+    if hm.ndim == 2:  # one point
+        hm, vals = hm[..., None], vals[..., None]
+    else:
+        count = hm.shape[-1]
+        both = np.concatenate([hm.reshape(-1, count), vals.reshape(-1, count)])
+        bad = np.flatnonzero(~np.isfinite(both).all(axis=0))
+        if bad.size:
+            coupling_constraint_residual(coupling, h, t[:, bad[0]], x[:, bad[0]])
     pairs = temporal_pairs(m)
-    residuals = [
-        L @ np.array([vals[i, a - 1, v - 1, p, q] for a, v in pairs])
-        for i in range(n)
-        for p in range(n)
-        for q in range(n)
-        if p != q
-    ]
+    residuals = []
+    for k in range(hm.shape[-1]):
+        L = _constraint_matrix(hm[..., k], np.linalg.inv(hm[..., k]))
+        residuals.extend(
+            L @ np.array([vals[i, a - 1, v - 1, p, q, k] for a, v in pairs])
+            for i in range(n)
+            for p in range(n)
+            for q in range(n)
+            if p != q
+        )
     return float(np.max(np.abs(residuals), initial=0.0))
 
 
@@ -359,10 +373,9 @@ def build_characterized_system(
         raise ValueError("coefficient families have mismatched dimensions")
     if h.kind != ex.TEMPORAL or h.dim != m:
         raise ValueError("expected a temporal metric of matching dimension")
-    residuals = [
-        coupling_constraint_residual(coupling, h, t, x) for t, x in _probe_points(m, n)
-    ]
-    worst = float(np.max(residuals))
+    # the probe points as one batch: t (m, K) and x (n, K)
+    t, x = (np.stack(block, axis=-1) for block in zip(*_probe_points(m, n)))
+    worst = coupling_constraint_residual(coupling, h, t, x)
     if not worst <= CONSTRAINT_WARN_TOL:
         warnings.warn(
             f"coupling field violates its constraint system (residual "

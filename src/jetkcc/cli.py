@@ -469,8 +469,16 @@ def _row_template(size: int, indent: int) -> str:
     return _list_layout(["%.17g"] * size, indent)
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_row(size: int, indent: int) -> str:
+    """``_row_template`` filled with ``size`` zeros."""
+    return _row_template(size, indent) % ((0.0,) * size)
+
+
 def _render_row(row: np.ndarray, indent: int) -> str:
     """A 1-D float array, as ``render_json`` renders the list of its values."""
+    if not row.any() and not np.signbit(row).any():  # all +0.0, so no -0
+        return _zero_row(row.size, indent)
     if np.isfinite(row).all():
         return _row_template(row.size, indent) % tuple(row.tolist())
     return _list_layout([_fmt_float(u) for u in row.tolist()], indent)
@@ -654,10 +662,12 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
     subexpression where the value first turns non-finite."""
     points = point_set(points)
     pipe = InvariantPipeline(problem.system, problem.h)
+    # every family built before the first evaluate_batch: they are one tape
+    families = {name: pipe.expressions(name) for name in which}
     blocks = []
     for name in which:
         entry = {"name": name, "slots": _slot_labels(name)}
-        if ex.all_zero(pipe.expressions(name)):
+        if ex.all_zero(families[name]):
             entry["structural_zero"] = True
             entry["max_abs"] = 0.0
             entry["components"] = []
@@ -666,7 +676,7 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
             bad = np.argwhere(~np.isfinite(grid))
             if bad.size:
                 *idx, k = bad[0]
-                leaf = pipe.expressions(name)
+                leaf = families[name]
                 for u in idx:
                     leaf = leaf[u]
                 origin, _ = ex.nonfinite_origin(leaf, batch_bindings(points))

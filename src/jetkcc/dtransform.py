@@ -179,15 +179,18 @@ def _matrices(J) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
 
 
-def transform_jet_point(cc: CoordinateChange, points) -> JetPointSet:
+def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPointSet:
     """New-chart coordinates of jet points; velocities contract with the
     spatial Jacobian on the left and the inverse temporal Jacobian on the
-    right.  The maps and Jacobians are evaluated once over all the points."""
+    right.  The maps and Jacobians are evaluated once over all the points;
+    ``jacobians``, the pair (temporal, spatial) already evaluated at these
+    points, skips the latter."""
     t, x, v = stack_points(points)
     if len(t) != cc.m or len(x) != cc.n:
         raise ValueError("point dimensions do not match the change")
-    Jt = _matrices(cc.temporal_jacobian(t))
-    A = _matrices(cc.spatial_jacobian(x))
+    if jacobians is None:
+        jacobians = cc.temporal_jacobian(t), cc.spatial_jacobian(x)
+    Jt, A = map(_matrices, jacobians)
     v_new = A @ np.ascontiguousarray(np.moveaxis(v, -1, 0)) @ np.linalg.inv(Jt)
     return JetPointSet(cc.forward_t(t), cc.forward_x(x), np.moveaxis(v_new, 0, -1))
 
@@ -357,18 +360,21 @@ def two_path_invariants(
 
     One side evaluates each invariant from (system, h) and transforms it
     slot by slot; the other evaluates it from the pushed-forward pair at
-    the transformed point.  Both pipelines are built once, and each table
-    is evaluated once over the whole point set.  Returns {selector:
-    (pushed, direct)}, two component grids with a trailing axis over the
-    points; reducing them to a deviation is left to the caller.
+    the transformed point.  Both pipelines are built once, each evaluates
+    all its selected families as one tape over its point set, and the maps
+    and Jacobians are evaluated once over the whole point set.  Returns
+    {selector: (pushed, direct)}, two component grids with a trailing axis
+    over the points; reducing them to a deviation is left to the caller.
     """
     points = point_set(points)
     new_system, new_h = pushforward_system(cc, system, h)
     pipe = InvariantPipeline(system, h)
     new_pipe = InvariantPipeline(new_system, new_h)
-    moved = transform_jet_point(cc, points)
-    t, x, _ = stack_points(points)
-    Jt, A = cc.temporal_jacobian(t), cc.spatial_jacobian(x)
+    Jt, A = cc.temporal_jacobian(points.t), cc.spatial_jacobian(points.x)
+    moved = transform_jet_point(cc, points, (Jt, A))
+    for name in selectors:  # all built before the first evaluate_batch
+        pipe.expressions(name)
+        new_pipe.expressions(name)
     out = {}
     for name in selectors:
         old = pipe.evaluate_batch(name, points)

@@ -670,9 +670,12 @@ class _Tape:
                     stack.append(kid)
         # by slot: creation order, a topological order (see the module doc)
         self.nodes = nodes = sorted(seen, key=operator.attrgetter("index"))
+        del seen  # freed before the program is built, which lowers the peak
         slot_of = {node: s for s, node in enumerate(nodes)}
         self.outputs = [slot_of[r] for r in roots]
-        read = set(self.outputs)  # slots read by a later slot; roots are kept
+        read = bytearray(len(nodes))  # 1 where a later slot reads it; roots are kept
+        for s in self.outputs:
+            read[s] = 1
         self.leaves = []  # (slot, node) for literals and variables
         # (function, left slot, right slot or -1, out slot, drop left, drop right)
         self.code = []
@@ -683,15 +686,15 @@ class _Tape:
                 self.leaves.append((s, node))
             elif len(kids) == 1:
                 a = slot_of[kids[0]]
-                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, a not in read, False))
-                read.add(a)
+                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, not read[a], False))
+                read[a] = 1
             else:
                 a, b = slot_of[kids[0]], slot_of[kids[1]]
                 fn = _BINARY_ARRAY[node.op]
                 if node.op == "^" and kids[1].mask:
                     fn = _variable_power
-                self.code.append((fn, a, b, s, a not in read, b not in read))
-                read.update((a, b))
+                self.code.append((fn, a, b, s, not read[a], not read[b]))
+                read[a] = read[b] = 1
         self.code.reverse()
         self.leaves.reverse()
 

@@ -8,7 +8,9 @@ and caches them.  Each module-level function along a section builds its
 family of jet expressions once per call, restricts it to the section's
 prolongation once and evaluates it at one t or at a batch of t.  After the
 build phase every cached expression is immutable, so point evaluation is
-pure and safe to run from multiple threads.
+pure and safe to run from multiple threads (a pipeline's memo of batch
+grids is keyed on one point set, so a race between threads can only repeat
+work).
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from .jetgeom import (
     MAX_DIM,
     DTensorValue,
     JetPoint,
+    JetPointSet,
     MetricField,
     PdeSystem,
     Slot,
     canonical_temporal_connection,
     christoffel_sym,
-    stack_points,
+    point_set,
 )
 
 # a section must satisfy the second-order system this tightly before the
@@ -338,6 +341,10 @@ class InvariantPipeline:
         self.h = h
         self.m = system.m
         self.n = system.n
+        # selector -> family, in the order first built through expressions()
+        self._built: dict = {}
+        # the remembered point set and its grids (see evaluate_batch)
+        self._memo: tuple = (None, {})
 
     # -- metric-level pieces ------------------------------------------------
 
@@ -611,7 +618,8 @@ class InvariantPipeline:
             attr = _SELECTOR_ATTR[name]
         except KeyError:
             raise KeyError(f"unknown invariant selector '{name}'") from None
-        return getattr(self, attr)
+        family = self._built[name] = getattr(self, attr)
+        return family
 
     def evaluate(self, name: str, point: JetPoint) -> DTensorValue:
         """Components at one point; raises DegenerateMetricError where h is
@@ -621,14 +629,56 @@ class InvariantPipeline:
         return DTensorValue(self.m, self.n, invariant_slots(name), vals)
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
-        """Component grid with a trailing axis over the supplied points.
+        """Read-only component grid with a trailing axis over the supplied
+        points.  Raises DegenerateMetricError at the first point where h is
+        degenerate.
 
-        Raises DegenerateMetricError at the first point where h is
-        degenerate."""
-        t, x, v = stack_points(points)
-        self.h.evaluate(t)
-        b = Bindings.jet(self.m, self.n, t, x, v)
-        return ex.evaluate_nested(self.expressions(name), b)
+        The pipeline remembers one ``JetPointSet`` (by identity; its stacks
+        are read-only) and the grids computed over it.  A call over a set it
+        does not remember checks h once and evaluates every family built so
+        far through ``expressions`` as one tape, so a node that several
+        families share is computed once; later calls over that set return
+        their grids from the memo, and a family built after the first call
+        is evaluated when it is asked for.  A plain sequence of points is not
+        remembered, and only ``name`` is evaluated over it.
+        """
+        self.expressions(name)
+        remembered, grids = self._memo
+        if points is not remembered:
+            stacks = point_set(points)
+            self.h.evaluate(stacks.t)
+            if stacks is not points:  # a plain sequence, not remembered
+                return self._grids(stacks, [name])[name]
+            grids = {}
+            self._memo = (points, grids)  # one assignment: a race repeats work
+        if name not in grids:
+            todo = [s for s in list(self._built) if s not in grids]
+            grids.update(self._grids(points, todo))
+        return grids[name]
+
+    def _grids(self, points: JetPointSet, names) -> dict:
+        """{selector: grid} over ``points`` for the built families ``names``,
+        the leaves of those not all ``ZERO`` evaluated as one
+        ``evaluate_nested`` call and split into read-only views."""
+        grids, parts = {}, []
+        for name in names:
+            leaves = np.array(self._built[name], dtype=object)
+            if all(leaf is ex.ZERO for leaf in leaves.flat):
+                grids[name] = np.zeros(leaves.shape + (len(points),))
+                grids[name].flags.writeable = False
+            else:
+                parts.append((name, leaves))
+        if parts:
+            b = Bindings.jet(self.m, self.n, points.t, points.x, points.v)
+            flat = [leaf for _, leaves in parts for leaf in leaves.flat]
+            values = ex.evaluate_nested(flat, b)
+            values.flags.writeable = False
+            start = 0
+            for name, leaves in parts:
+                end = start + leaves.size
+                grids[name] = values[start:end].reshape(leaves.shape + (len(points),))
+                start = end
+        return grids
 
     # -- covariant derivatives and deviation-form residuals -------------------
 

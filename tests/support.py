@@ -242,18 +242,30 @@ def jacobians(cc, p: JetPoint):
 
 
 @contextlib.contextmanager
-def lowered_tapes():
-    """A list that gets the root count of each tape lowered inside the block
-    (a timing-free measure of how often evaluation starts over)."""
+def _recorded_tapes(measure):
+    """A list that gets ``measure(tape, roots)`` of each tape lowered inside
+    the block."""
     lowered = []
     init = ex._Tape.__init__
 
     def counted(self, roots):
-        lowered.append(len(roots))
         init(self, roots)
+        lowered.append(measure(self, roots))
 
     with mock.patch.object(ex._Tape, "__init__", counted):
         yield lowered
+
+
+def lowered_tapes():
+    """A list that gets the root count of each tape lowered inside the block
+    (a timing-free measure of how often evaluation starts over)."""
+    return _recorded_tapes(lambda tape, roots: len(roots))
+
+
+def lowered_slots():
+    """A list that gets the slot count of each tape lowered inside the block
+    (a timing-free measure of how much evaluation runs)."""
+    return _recorded_tapes(lambda tape, roots: len(tape.nodes))
 
 
 def metric_fn(metric: MetricField):

@@ -569,3 +569,28 @@ def test_nonvanishing_first_invariant_is_refused():
         extract_structure(oscillator, m1, [0.3], [0.4])
     assert info.value.what == "first invariant"
     assert info.value.value == pytest.approx(0.4, abs=1e-12)
+
+
+def test_probe_check_is_one_batch():
+    # a timing-free guard on batching: the three probe points are one batch,
+    # so h (its entries and its determinant) and the coupling field lower
+    # one tape each, not one per probe point
+    h, gamma, coupling = admissible_setup22()
+    with support.lowered_tapes() as lowered:
+        build_characterized_system(gamma, coupling, h)
+    assert len(lowered) == 3
+
+
+def test_probe_batch_keeps_the_one_point_domain_rule():
+    # log(x1 - 0.5) leaves its domain at the probe point x1 = 0.3: the batch
+    # raises there, as probing one point at a time does, instead of warning
+    # about a nan residual
+    bad = AntisymmetricCouplingField.from_upper(
+        2, 2, {(1, 1, 2, 1, 2): parse("log(x1 - 0.5)", 2, 2)}
+    )
+    with pytest.raises(ex.EvaluationError, match="log of non-positive value -0.2"):
+        build_characterized_system(
+            SymmetricCoefficientField.zero(2, 2),
+            bad,
+            support.flat_metric(ex.TEMPORAL, 2),
+        )

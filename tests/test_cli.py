@@ -319,6 +319,18 @@ def test_invariants_nonfinite_component_is_exit_3(tmp_path, capsys):
     )
 
 
+def test_nonfinite_message_follows_selector_order(tmp_path, capsys):
+    # eps and P are evaluated as one tape, and both are nan at point 1; the
+    # message names the first selector asked for
+    path = write_json(tmp_path, "logv.json", LOG_V)
+    argv = ["invariants", path, "--which", "P,eps", "--samples", "6", "--seed", "0"]
+    assert run_cli(argv, tmp_path) == (3, None)
+    assert capsys.readouterr().err == (
+        "evaluation error: invariant P: component [1, 1] is nan "
+        "at point 1 of 6 in `log(x1)`\n"
+    )
+
+
 def test_unknown_selector_is_input_error(tmp_path, capsys):
     path = write_json(tmp_path, "osc.json", OSC)
     assert main(["invariants", path, "--which", "eps,Q"]) == 2
@@ -984,13 +996,23 @@ def test_render_json_float_array_matches_per_element_renderer(values, indent):
 
 
 @pytest.mark.parametrize("size", [12, 13])
-@pytest.mark.parametrize("fill", [-1.2345678901234567e-05, math.nan])
+@pytest.mark.parametrize("fill", [-1.2345678901234567e-05, math.nan, 0.0, -0.0])
 def test_render_json_float_array_layout_boundary(size, fill):
     # at most 12 floats render inline, more break one per line
     row = np.full(size, fill)
     text = render_json(row, 2)
     assert text == _oracle_render(row.tolist(), 2)
     assert ("\n" in text) == (size > 12)
+
+
+@pytest.mark.parametrize("size", [3, 2000])
+def test_zero_row_with_one_negative_zero_renders_it(size):
+    # an all-zero row renders from cached text only when no zero is -0.0
+    row = np.zeros(size)
+    row[1] = -0.0
+    text = render_json(row, 2)
+    assert text == _oracle_render(row.tolist(), 2)
+    assert "-0" in text and render_json(np.zeros(size), 2) == text.replace("-0", "0")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import functools
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import support
 from jetkcc import exprlang as ex
+from jetkcc.cli import load_problem
 from jetkcc.exprlang import parse, substitute
 from jetkcc.jetgeom import (
     DTensorValue,
@@ -20,6 +22,7 @@ from jetkcc.jetgeom import (
     canonical_tensors,
     canonical_temporal_connection,
     canonical_temporal_semispray,
+    sample_jet_points,
 )
 from jetkcc.kcccore import (
     INVARIANT_NAMES,
@@ -38,6 +41,8 @@ from jetkcc.dtransform import (
     transform_section,
     two_path_invariants,
 )
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 # floor of the relative two-path deviation below: stricter than the CLI's
 # max(1, |a|, |b|) scale wherever components are small
@@ -494,6 +499,93 @@ def test_pushforward_batch_matches_one_point_evaluation():
             one = pipe.evaluate(name, p).values
             assert np.all(np.isfinite(one))
             assert one.tobytes() == np.ascontiguousarray(grid[..., k]).tobytes(), name
+
+
+def union_case(pair: str):
+    """A fresh pipeline with its five families built, and a point set in its
+    domain: the curved 2x2 pair pushed forward under change22, or the
+    affine_curved problem."""
+    if pair == "pushed":
+        h, _, system = affine_setup22()
+        pipe = InvariantPipeline(*pushforward_system(change22(), system, h))
+        points = transform_jet_point(change22(), domain_points(2, 2, 6, seed=11))
+    else:
+        problem = load_problem(str(PROBLEMS / "affine_curved.json"))
+        pipe = InvariantPipeline(problem.system, problem.h)
+        points = sample_jet_points(2, 2, 6, seed=11)
+    for name in INVARIANT_NAMES:
+        pipe.expressions(name)
+    return pipe, points
+
+
+@pytest.mark.parametrize("pair", ["pushed", "affine_curved"])
+def test_union_tape_keeps_the_bits_of_each_family_alone(pair):
+    # the five families over one point set are one tape, which runs the same
+    # numpy operation on the same operands for every node as the family's
+    # own tape does
+    pipe, points = union_case(pair)
+    b = batch_bindings(points)
+    with support.lowered_tapes() as lowered:
+        grids = {name: pipe.evaluate_batch(name, points) for name in INVARIANT_NAMES}
+    assert len(lowered) == 3  # h's entries, its determinant, one union tape
+    for name, grid in grids.items():
+        alone = ex.evaluate_nested(pipe.expressions(name), b)
+        assert grid.shape == alone.shape
+        assert grid.tobytes() == alone.tobytes(), name
+
+
+def test_evaluate_batch_remembers_one_point_set():
+    problem = load_problem(str(PROBLEMS / "affine_curved.json"))
+    pipe = InvariantPipeline(problem.system, problem.h)
+    pipe.expressions("eps")
+    pipe.expressions("P")
+    first = sample_jet_points(2, 2, 5, seed=1)
+    eps = pipe.evaluate_batch("eps", first)
+    with support.lowered_tapes() as lowered:  # from the memo
+        assert pipe.evaluate_batch("eps", first) is eps
+        P = pipe.evaluate_batch("P", first)
+    assert lowered == []
+    with pytest.raises(ValueError):
+        eps[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        P[...] = 0.0
+
+    def alone(name, points):
+        family = pipe.expressions(name)
+        return ex.evaluate_nested(family, batch_bindings(points)).tobytes()
+
+    # a family built after the first call is evaluated when asked for
+    pipe.expressions("R")
+    assert pipe.evaluate_batch("R", first).tobytes() == alone("R", first)
+    # a second point set with other values gets fresh grids
+    second = sample_jet_points(2, 2, 5, seed=2)
+    eps2 = pipe.evaluate_batch("eps", second)
+    assert eps2.tobytes() == alone("eps", second) != eps.tobytes()
+    # a plain list is not remembered: each call evaluates its family
+    listed = list(second)
+    with support.lowered_tapes() as lowered:
+        again = pipe.evaluate_batch("eps", listed)
+        assert pipe.evaluate_batch("eps", listed) is not again
+    assert len(lowered) == 6  # twice h's two tapes and eps's one
+    assert again.tobytes() == eps2.tobytes()
+    # an all-zero family lowers nothing beyond the check of h
+    fresh = InvariantPipeline(problem.system, problem.h)
+    with support.lowered_tapes() as lowered:
+        D = fresh.evaluate_batch("D", first)
+    assert len(lowered) == 2 and not D.any() and D.shape[-1] == 5
+
+
+def test_two_path_on_the_pushed_pair_lowers_one_tape_per_pipeline():
+    # per point set: two Jacobians and two maps; per pipeline: h's entries,
+    # its determinant and one union tape of the four non-zero families (D is
+    # all zero).  One tape per selector and call lowered 36 tapes with
+    # 20,145 slots
+    h, _, system = affine_setup22()
+    points = domain_points(2, 2, 20, seed=7)
+    with support.lowered_slots() as slots:
+        two_path_invariants(system, h, change22(), points, INVARIANT_NAMES)
+    assert len(slots) <= 10
+    assert sum(slots) <= 12_700
 
 
 # ---------------------------------------------------------------------------
