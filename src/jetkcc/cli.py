@@ -679,7 +679,7 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
                 leaf = families[name]
                 for u in idx:
                     leaf = leaf[u]
-                origin, _ = ex.nonfinite_origin(leaf, batch_bindings(points))
+                origin = ex.nonfinite_origin(leaf, batch_bindings(points))
                 raise ex.EvaluationError(
                     f"invariant {name}: component {[int(u) + 1 for u in idx]} "
                     f"is {grid[tuple(bad[0])]} at point {k + 1} of {len(points)}",
@@ -719,8 +719,9 @@ def _scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / max(1, |a|, |b|), elementwise then maximized over all
     components and points at once; a nan anywhere makes the result nan, which
     fails every ``<= tol`` test."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / scale))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives that nan
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        return float(np.max(np.abs(a - b) / scale))
 
 
 def _cmd_check_transform(args) -> tuple[dict, int]:
@@ -772,7 +773,8 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
                     center = base.values[vid]
                     hi = ex.evaluate(comp, base.with_value(vid, center + step))
                     lo = ex.evaluate(comp, base.with_value(vid, center - step))
-                    fd = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
+                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                        fd = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
                     checks.append(
                         _check(
                             f"dF[{i},{a},{b}]/d{vid.name} vs central FD",

@@ -30,8 +30,9 @@ shared subtrees are processed once and recursion depth is never an issue.
 There is one evaluator: a family's union DAG is lowered to one tape, run
 with numpy on Python floats (one point) or on arrays (a batch), and constant
 folding calls the same numpy functions, so every path rounds alike.  Over a
-batch an out-of-domain point gives nan/inf; at one point a non-finite root
-raises EvaluationError at the operation where the value left its domain.
+batch an out-of-domain point gives nan/inf.  At one point, and over a batch
+in ``evaluate_in_domain``, EvaluationError is raised at the first operation,
+in sample order, where a value left its domain, found by one walk (``_scan``).
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -652,6 +653,18 @@ def _leaf_value(node: Expression, values: dict):
     return node.value
 
 
+def _reachable(roots) -> list:
+    """Every node the roots reach, in creation (so topological) order."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for kid in stack.pop().kids:
+            if kid not in seen:
+                seen.add(kid)
+                stack.append(kid)
+    return sorted(seen, key=operator.attrgetter("index"))
+
+
 class _Tape:
     """The union DAG of ``roots`` lowered to a topologically ordered program
     with one slot per distinct node, run with numpy on floats or arrays.
@@ -661,16 +674,7 @@ class _Tape:
     """
 
     def __init__(self, roots):
-        seen = set(roots)
-        stack = list(seen)
-        while stack:
-            for kid in stack.pop().kids:
-                if kid not in seen:
-                    seen.add(kid)
-                    stack.append(kid)
-        # by slot: creation order, a topological order (see the module doc)
-        self.nodes = nodes = sorted(seen, key=operator.attrgetter("index"))
-        del seen  # freed before the program is built, which lowers the peak
+        self.nodes = nodes = _reachable(roots)  # by slot
         slot_of = {node: s for s, node in enumerate(nodes)}
         self.outputs = [slot_of[r] for r in roots]
         read = bytearray(len(nodes))  # 1 where a later slot reads it; roots are kept
@@ -716,39 +720,50 @@ class _Tape:
 
 
 def _run(roots, bindings: Bindings) -> list:
-    """The roots' values, in order, from one tape.
-
-    Over a batch, out-of-domain points come back as nan/inf.  At one point
-    the values are floats, and the first root that is not finite raises
-    EvaluationError at its ``_origin``, unless the operation found there
-    keeps a non-finite result (see ``_domain_error``).
-    """
-    tape = _Tape(roots)
-    values = tape.run(bindings)
+    """The roots' values, in order, from one tape.  Over a batch, out-of-domain
+    points come back as nan/inf; at one point the values are floats, and the
+    first domain error ``_scan`` finds raises EvaluationError."""
+    values = _Tape(roots).run(bindings)
     if any(isinstance(v, np.ndarray) for v in bindings.values.values()):
         return values  # a batch
     values = list(map(float, values))
-    table = None
-    for root, value in zip(roots, values):
-        if math.isfinite(value):
-            continue
-        if table is None:  # every node's value, for the walk back
-            table = dict(zip(tape.nodes, _Tape(tape.nodes).run(bindings)))
-        node = _origin(root, table)
-        message = _domain_error(node, [table[kid] for kid in node.kids])
+    for _, origin, message in _scan(roots, values, bindings):
         if message:
-            raise EvaluationError(message, node)
+            raise EvaluationError(message, origin)
     return values
 
 
-def _origin(root: Expression, values: dict) -> Expression:
-    """Walk back from ``root`` through non-finite operands to a node whose
-    operands are all finite; ``values`` maps each node to its value (over
-    one point or a batch, where a value is non-finite if any entry is)."""
-    node = root
-    while failing := [kid for kid in node.kids if not np.isfinite(values[kid]).all()]:
-        node = failing[0]
-    return node
+def _scan(roots, values, bindings: Bindings):
+    """At each point where some root is not finite, in sample (C) order, and
+    for each such root in order, yields the root, its origin (reached through
+    the first non-finite operand until all operands are finite) and
+    ``_domain_error``'s message.  ``values`` are the roots' values: floats at
+    one point, else an array of shape (roots,) + batch shape.  One tape of
+    every node runs over those points only (one point stays on floats)."""
+    if isinstance(values, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(values.reshape(len(roots), -1)).all(axis=0))
+        flat = {
+            vid: np.broadcast_to(v, values.shape[1:]).reshape(-1)[bad]
+            for vid, v in bindings.values.items()
+        }
+        bindings = Bindings(bindings.m, bindings.n, flat)
+    else:
+        bad = [] if all(map(math.isfinite, values)) else [0]
+    if not len(bad):
+        return
+    nodes = _reachable(roots)
+    table = dict(zip(nodes, _Tape(nodes).run(bindings)))
+    for k in range(len(bad)):
+
+        def value(node):  # a 0-d array comes from a one-point variable power
+            v = table[node]
+            return float(v[k] if np.ndim(v) else v)
+
+        for root in (r for r in roots if not math.isfinite(value(r))):
+            node = root
+            while failing := [kid for kid in node.kids if not math.isfinite(value(kid))]:
+                node = failing[0]
+            yield root, node, _domain_error(node, [value(kid) for kid in node.kids])
 
 
 def _domain_error(node: Expression, operands: list) -> str | None:
@@ -772,7 +787,9 @@ def _domain_error(node: Expression, operands: list) -> str | None:
         if a < 0.0 and not float(b).is_integer():
             return "non-integer power of a non-positive base"
         return "overflow in power"
-    return f"domain error in {op}"
+    # from finite operands only exp, sinh and cosh get here (sin, cos and
+    # tan of a finite float are finite), and each only by overflowing
+    return f"overflow in {op}"
 
 
 def evaluate(e: Expression, bindings: Bindings):
@@ -812,49 +829,29 @@ def evaluate_nested(nested, bindings: Bindings):
     return np.array(rows, dtype=float).reshape(shape + batch)
 
 
-def _point(bindings: Bindings, k) -> Bindings:
-    """Point ``k`` of batch bindings, bound as one point (Python floats)."""
-    one = {
-        vid: float(v[k]) if isinstance(v, np.ndarray) else v
-        for vid, v in bindings.values.items()
-    }
-    return Bindings(bindings.m, bindings.n, one)
-
-
 def evaluate_in_domain(nested, bindings: Bindings):
-    """``evaluate_nested`` with the one-point domain rule over a batch too.
-
-    If some point's values are not all finite, the family is evaluated again
-    at the first such point alone, which raises EvaluationError there if a
-    value left its domain.  A value that stands (an overflow, a non-finite
-    input) is returned in the batch as it is.
-    """
+    """``evaluate_nested`` with the one-point domain rule over a batch too: a
+    batch raises what evaluating its points one at a time, in sample order,
+    raises first (``_scan``).  Non-finite values that stand (an overflow, a
+    non-finite input) are returned as they are."""
     out = evaluate_nested(nested, bindings)
-    if any(isinstance(v, np.ndarray) for v in bindings.values.values()):
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=tuple(range(out.ndim - 1))))
-        if bad.size:
-            evaluate_nested(nested, _point(bindings, bad[0]))
+    is_batch = any(isinstance(v, np.ndarray) for v in bindings.values.values())
+    if is_batch and not np.isfinite(out).all():
+        leaves: list[Expression] = []
+        values = out.reshape((-1,) + out.shape[len(_nesting(nested, leaves)) :])
+        for _, origin, message in _scan(leaves, values, bindings):
+            if message:
+                raise EvaluationError(message, origin)
     return out
 
 
-def nonfinite_origin(e: Expression, bindings: Bindings):
-    """Where a batch evaluation of ``e`` turns non-finite.
-
-    Returns None if ``e`` is finite at every point.  Otherwise, at the first
-    point where it is not, finds the ``_origin`` of ``e``: a node that is
-    non-finite while all its operands are finite.  Returns that node with the
-    indices of the points where it is non-finite.
-    """
-    tape = _Tape([e])
-    (value,) = tape.run(bindings)
-    bad = np.flatnonzero(~np.isfinite(value))
-    if not bad.size:
-        return None
-    # walk back at the first failing point only
-    at_k = _Tape(tape.nodes).run(_point(bindings, bad[0]))
-    node = _origin(e, dict(zip(tape.nodes, at_k)))
-    (at,) = _Tape([node]).run(bindings)
-    return node, np.flatnonzero(~np.isfinite(np.broadcast_to(at, np.shape(value))))
+def nonfinite_origin(e: Expression, bindings: Bindings) -> Expression | None:
+    """Where a batch evaluation of ``e`` first turns non-finite: at the first
+    point, in sample order, where ``e`` is not finite, the node ``_scan``
+    walks back to (non-finite while all its operands are finite); None if
+    ``e`` is finite at every point."""
+    values = evaluate_nested([e], bindings)
+    return next((origin for _, origin, _ in _scan([e], values, bindings)), None)
 
 
 # ---------------------------------------------------------------------------

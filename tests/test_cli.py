@@ -400,9 +400,41 @@ def test_transform_check_fails_on_nan(tmp_path, capsys):
     assert "invariant eps transforms as a d-tensor (value nan" in err
 
 
+# cosh(1000*x1) overflows to inf at every sampled point, so both paths of
+# check transform, and both sides of a central difference, meet inf - inf
+COSH_V = dict(
+    OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "cosh(1000*x1)*v1_1"}]}
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, more, failed",
+    [
+        (
+            "transform",
+            [str(PROBLEMS / "change_stretch.json"), "--samples", "3"],
+            "invariant P transforms as a d-tensor (value nan > tolerance 1.000e-06)",
+        ),
+        (
+            "fd",
+            ["--samples", "5"],
+            "dF[1,1,1]/dv1_1 vs central FD (value nan > tolerance 1.000e-05)",
+        ),
+    ],
+)
+def test_overflowed_check_fails_without_numpy_warnings(
+    command, more, failed, tmp_path, capsys
+):
+    problem = write_json(tmp_path, "cosh.json", COSH_V)
+    code, report = run_cli(["check", command, problem] + more, tmp_path)
+    assert code == 1 and "nan" in [c["value"] for c in report["checks"]]
+    assert capsys.readouterr().err == f"check failed: {failed}\n"
+
+
 def test_transform_check_out_of_domain_change_is_exit_3(tmp_path, capsys):
     # the change is evaluated over all points at once; its first point out of
-    # the domain of log is evaluated again on its own, which names it
+    # the domain of log names it, as a scan of single points does
     change = dict(IDENTITY_11, x_forward=["log(x1)"], x_inverse=["exp(x1)"])
     args = ["check", "transform", str(PROBLEMS / "oscillator.json")]
     args += [write_json(tmp_path, "logc.json", change), "--samples", "6"]

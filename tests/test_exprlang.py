@@ -150,9 +150,9 @@ DOMAIN_ERRORS = [
     ),
     ("x1^2.5", 1e200, "x1^2.5", "overflow in power"),
     ("(x1^2)^3", 1e60, "(x1^2)^3", "overflow in power"),
-    ("2*exp(x1)", 1000.0, "exp(x1)", "domain error in exp"),
-    ("sinh(x1) - cosh(x1)", 800.0, "sinh(x1)", "domain error in sinh"),
-    ("cosh(-x1)", 800.0, "cosh(-x1)", "domain error in cosh"),
+    ("2*exp(x1)", 1000.0, "exp(x1)", "overflow in exp"),
+    ("sinh(x1) - cosh(x1)", 800.0, "sinh(x1)", "overflow in sinh"),
+    ("cosh(-x1)", 800.0, "cosh(-x1)", "overflow in cosh"),
 ]
 
 
@@ -909,16 +909,70 @@ def test_batch_domain_rule_raises_at_the_first_bad_point():
         got = ex.evaluate_in_domain(family, b)
         assert np.array_equal(got, ex.evaluate_nested(family, b), equal_nan=True)
         assert not np.isfinite(got[:, 1]).all()
-    # only the first non-finite point is re-evaluated: an overflow there
-    # hides a domain error at a later point
+    # an overflow at an earlier point does not hide a domain error at a later
+    # one: the batch raises what a scan of single points raises
     x1 = np.array([1000.0, -1.0])
-    got = ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
-    assert np.isnan(got[0, 1]) and got[1, 0] == np.inf
+    with pytest.raises(EvaluationError) as info:
+        ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
+    assert str(info.value) == "log of non-positive value -1.0 in `log(x1)`"
+
+
+# ordinary values, a zero, values that overflow and a nan input
+DOMAIN_POOL = (-1.5, -1.0, 0.0, 0.5, 2.0, 1000.0, 1e300, math.nan)
+
+
+def _domain_batch(count):
+    """Coordinates (t, x, v stacked: 8 rows) of ``count`` points."""
+    size = (BIND_M + BIND_N + BIND_N * BIND_M) * count
+    return st.lists(st.sampled_from(DOMAIN_POOL), min_size=size, max_size=size).map(
+        lambda vals: np.array(vals).reshape(-1, count)
+    )
+
+
+def _first_origin(e, points):
+    """The origin of ``e`` at the first single point where it is not finite."""
+    for one in points:
+        try:
+            value = evaluate(e, one)
+        except EvaluationError as err:
+            return err.expression
+        if not math.isfinite(value):
+            return next(origin for _, origin, _ in ex._scan([e], [value], one))
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.lists(SIGNED_EXPRESSIONS, min_size=1, max_size=3).map(tuple),
+    coords=st.integers(1, 5).flatmap(_domain_batch),
+)
+def test_batch_raises_what_a_scan_of_single_points_raises(family, coords):
+    m, n, count = BIND_M, BIND_N, coords.shape[1]
+    t, x, v = coords[:m], coords[m : m + n], coords[m + n :].reshape(n, m, count)
+    batch = Bindings.jet(m, n, t, x, v)
+    points = [Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k]) for k in range(count)]
+    columns = []
+    for one in points:
+        try:
+            columns.append(ex.evaluate_nested(family, one))
+        except EvaluationError as err:
+            with pytest.raises(EvaluationError) as info:
+                ex.evaluate_in_domain(family, batch)
+            assert str(info.value) == str(err)
+            assert info.value.expression is err.expression
+            break
+    else:
+        got = ex.evaluate_in_domain(family, batch)
+        assert got.tobytes() == ex.evaluate_nested(family, batch).tobytes()
+        assert np.array_equal(got, np.stack(columns, axis=-1), equal_nan=True)
+    for e in family:
+        assert ex.nonfinite_origin(e, batch) is _first_origin(e, points)
 
 
 def test_one_point_family_lowers_one_tape():
     # a timing-free guard on the one evaluator: a 3x3 family at one point is
-    # one tape, and a domain error adds the one tape its walk back reads
+    # one tape, and a domain error adds the one tape its walk back reads,
+    # at one point or over a batch
     family = tuple(
         tuple(
             parse(f"log(x1 + {r})*sin(x2)^{c + 1} + x1/(x2 + {r})", 1, 2)
@@ -934,3 +988,11 @@ def test_one_point_family_lowers_one_tape():
         with pytest.raises(EvaluationError, match="log of non-positive"):
             ex.evaluate_nested(family, bnd(1, 2, x1=-1.5, x2=0.25))
         assert len(lowered) == 2 and lowered[0] == 9
+        batch = Bindings.jet(1, 2, x=np.array([[0.5, -1.5, -2.5], [0.25] * 3]))
+        lowered.clear()
+        with pytest.raises(EvaluationError, match="log of non-positive"):
+            ex.evaluate_in_domain(family, batch)
+        assert len(lowered) == 2 and lowered[0] == 9
+        lowered.clear()
+        assert ex.nonfinite_origin(family[0][0], batch) is parse("log(x1 + 0)", 1, 2)
+        assert len(lowered) == 2 and lowered[0] == 1
