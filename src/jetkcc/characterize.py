@@ -173,8 +173,7 @@ class AntisymmetricCouplingField:
                     for p in range(n):
                         for q in range(p + 1, n):
                             got = self.comps[i][a][v][q][p]
-                            want = ex.simplify(neg(self.comps[i][a][v][p][q]))
-                            if got != want:
+                            if got is not neg(self.comps[i][a][v][p][q]):
                                 raise ValueError(
                                     f"entries ({i+1},{a+1},{v+1},{p+1},{q+1}) "
                                     f"and mirror are not opposite"
@@ -194,7 +193,7 @@ class AntisymmetricCouplingField:
 
         def entry(i, a, v, p, q):
             if p > q:
-                return ex.simplify(neg(entry(i, a, v, q, p)))
+                return neg(entry(i, a, v, q, p))
             return ex.as_expr(upper.get((i + 1, a + 1, v + 1, p + 1, q + 1), ex.ZERO))
 
         return cls(m, n, ex.nested((n, m, m, n, n), entry))
@@ -410,7 +409,7 @@ def build_characterized_system(
                 for q in range(n)
                 if p != q
             )
-        return ex.simplify(expr_sum(terms))
+        return expr_sum(terms)
 
     return PdeSystem(m, n, ex.nested((n, m, m), entry))
 

@@ -33,7 +33,6 @@ from .exprlang import (
     expr_sum,
     mul,
     neg,
-    simplify,
     substitute,
 )
 from .jetgeom import DTensorValue, JetPointSet, MAX_DIM, MetricField, PdeSystem
@@ -274,17 +273,15 @@ def pushforward_system(
     # old velocities in terms of the new jet variables
     v_old = ex.nested(
         (n, m),
-        lambda j, b: simplify(
-            expr_sum(
-                mul(dx_inv[j][q], mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)))
-                for q in range(n)
-                for u in range(m)
-            )
+        lambda j, b: expr_sum(
+            mul(dx_inv[j][q], mul(Jt_fwd[u][b], ex.v_var(q + 1, u + 1)))
+            for q in range(n)
+            for u in range(m)
         ),
     )
     w = ex.nested(
         (n, m),
-        lambda j, g: simplify(expr_sum(mul(B[b][g], v_old[j][b]) for b in range(m))),
+        lambda j, g: expr_sum(mul(B[b][g], v_old[j][b]) for b in range(m)),
     )
 
     full_subst = dict(base_subst)
@@ -311,7 +308,7 @@ def pushforward_system(
         for j in range(n):
             for b in range(m):
                 terms.append(neg(mul(A[k][j], mul(d2t[b][g][nu], v_old[j][b]))))
-        return simplify(expr_sum(terms))
+        return expr_sum(terms)
 
     new_system = PdeSystem(
         m, n, ex.nested((n, m, m), component_new), symmetric=system.symmetric
@@ -321,12 +318,10 @@ def pushforward_system(
 
     def h_entry(a, b):
         a, b = min(a, b), max(a, b)
-        return simplify(
-            expr_sum(
-                mul(h_old[u][v], mul(B[u][a], B[v][b]))
-                for u in range(m)
-                for v in range(m)
-            )
+        return expr_sum(
+            mul(h_old[u][v], mul(B[u][a], B[v][b]))
+            for u in range(m)
+            for v in range(m)
         )
 
     return new_system, MetricField(TEMPORAL, ex.nested((m, m), h_entry))

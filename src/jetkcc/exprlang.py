@@ -8,8 +8,14 @@ variable, or on the bit pattern of a literal (``Num(-0.0)`` is not ``ZERO``,
 but ``num`` folds ``-0.0`` to ``ZERO``).  Structurally equal expressions are
 therefore the same object: equality is ``is`` and hashing is O(1).  The
 table holds its nodes for the life of the process, so ids are never reused,
-and ``differentiate`` (one memo per variable) and ``simplify`` keep their
-results, keyed by node, for the life of the process too.
+and ``differentiate`` keeps its results (one memo per variable, keyed by
+node) for the life of the process too.
+
+Nodes are canonical: the smart constructors (``add``, ``mul``, ``neg``, ...)
+build every node, and ``parse`` returns ``simplify`` of the tree as written,
+so no builder needs to simplify what it composes.  Calling ``Unary`` or
+``Binary`` directly gives a raw node; only the smart constructors and the
+parser call them.
 
 Interning also sets four fields on each node: ``kids`` (the children tuple
 of its key), ``lit`` (its value if it is a literal or a negated literal,
@@ -184,6 +190,9 @@ class Var(Expression):
 
 
 class Unary(Expression):
+    """Called directly it gives a raw node, which need not be canonical; only
+    the smart constructors and the parser call it."""
+
     __slots__ = ("op", "arg")  # op: "neg" or a function name
 
     def __new__(cls, op: str, arg: Expression):
@@ -193,6 +202,9 @@ class Unary(Expression):
 
 
 class Binary(Expression):
+    """Called directly it gives a raw node, which need not be canonical; only
+    the smart constructors and the parser call it."""
+
     __slots__ = ("op", "left", "right")  # op: + - * / ^
 
     def __new__(cls, op: str, left: Expression, right: Expression):
@@ -243,10 +255,11 @@ def as_expr(x) -> Expression:
 # ---------------------------------------------------------------------------
 # smart constructors
 #
-# These perform the conservative simplifications promised by simplify():
-# neutral elements, annihilation by zero, constant folding (only when the
-# result is finite and defined), and double-negation removal.  Everything
-# built through them comes out pre-simplified.
+# These perform the conservative simplifications that define a canonical
+# node: neutral elements, annihilation by zero, constant folding (only when
+# the result is finite and defined), and double-negation removal.  Everything
+# built through them, and everything ``parse`` returns, is canonical, so
+# ``simplify`` of it is the node itself.
 # ---------------------------------------------------------------------------
 
 
@@ -405,7 +418,7 @@ def expr_sum(terms) -> Expression:
 
 
 def is_zero(e: Expression) -> bool:
-    """Structural zero test (use after simplify/smart construction)."""
+    """Structural zero test; every canonical zero is ``ZERO``."""
     return isinstance(e, Num) and e.value == 0.0
 
 
@@ -487,15 +500,12 @@ def check_family(family, m: int, n: int, extents, what: str, symmetric=False):
 # ---------------------------------------------------------------------------
 
 
-def _postorder_map(root: Expression, compute, memo: dict | None = None):
+def _postorder_map(root: Expression, compute):
     """Apply ``compute(node, child_results)`` bottom-up over the DAG.
 
     Nodes are memoized by identity, so shared subtrees are computed once.
-    A ``memo`` passed in is read and extended, so results carry over between
-    calls with the same ``compute``.
     """
-    if memo is None:
-        memo = {}
+    memo: dict = {}
     stack: list[tuple[Expression, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -979,21 +989,17 @@ def substitute(e: Expression, mapping: dict) -> Expression:
     return _postorder_map(e, compute)
 
 
-# node -> simplified node, for the life of the process
-_SIMPLIFIED: dict[Expression, Expression] = {}
-
-
 def simplify(e: Expression) -> Expression:
-    """Conservative cleanup: rebuilds the DAG through the smart constructors.
+    """Conservative cleanup: rebuilds the DAG through the smart constructors,
+    which gives the canonical node of a raw one (``parse`` is built on it);
+    a canonical node comes back as itself.
 
     Guarantees: 0/1 neutral elements dropped, multiplication by zero folded,
     literal subtrees folded when finite and defined, double negation removed.
     The result evaluates identically to the input on any bindings where the
     input is defined.
     """
-    # always rebuild through the smart constructors: the node may predate
-    # them (e.g. it came straight from parse)
-    return _postorder_map(e, _rebuild, _SIMPLIFIED)
+    return _postorder_map(e, _rebuild)
 
 
 def free_variables(e: Expression) -> frozenset[VariableId]:
@@ -1028,7 +1034,8 @@ def _num_str(v: float) -> str:
 
 
 def to_string(e: Expression) -> str:
-    """Render with minimal parentheses; parse(to_string(e)) rebuilds e."""
+    """Render with minimal parentheses; parse(to_string(e)) is e for every
+    canonical e."""
 
     def compute(node, kids):
         # each result is (text, precedence)
@@ -1182,11 +1189,12 @@ class _Parser:
 
 
 def parse(text: str, m: int, n: int) -> Expression:
-    """Parse source text into an expression tree (unsimplified, as written).
+    """Parse source text into its canonical expression: ``simplify`` of the
+    tree as written, the node the smart constructors build for it.
 
     m and n bound the admissible temporal/spatial indices; violations raise
     ParseError with the offending position.
     """
     if not 1 <= m <= 4 or not 1 <= n <= 4:
         raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-    return _Parser(text, m, n).parse()
+    return simplify(_Parser(text, m, n).parse())

@@ -29,7 +29,6 @@ from .exprlang import (
     expr_sum,
     mul,
     neg,
-    simplify,
     sub,
 )
 
@@ -210,7 +209,7 @@ class MetricField:
         for a in range(d):
             for b in range(a + 1, d):
                 ra, rb = self.rows[a][b], self.rows[b][a]
-                if ra is not rb and simplify(ra) != simplify(rb):
+                if ra is not rb:
                     raise ValueError(
                         f"metric not structurally symmetric at ({a + 1},{b + 1}): "
                         f"`{ra}` vs `{rb}`"
@@ -266,7 +265,7 @@ class MetricField:
         return out
 
     def determinant(self) -> Expression:
-        return simplify(_det_expr(self.rows))
+        return _det_expr(self.rows)
 
     def inverse(self) -> "MetricField":
         """Symbolic inverse via the adjugate (dimension <= 4)."""
@@ -274,7 +273,7 @@ class MetricField:
 
         def entry(a, b):
             a, b = min(a, b), max(a, b)
-            return simplify(div(_cofactor_expr(self.rows, a, b), det))
+            return div(_cofactor_expr(self.rows, a, b), det)
 
         return MetricField(self.kind, ex.nested((self.dim, self.dim), entry))
 
@@ -329,7 +328,7 @@ def christoffel_sym(metric: MetricField):
             mul(inv.rows[a][u], sub(add(dg[b][u][c], dg[c][u][b]), dg[b][c][u]))
             for u in range(d)
         ]
-        return simplify(mul(0.5, expr_sum(terms)))
+        return mul(0.5, expr_sum(terms))
 
     return ex.nested((d, d, d), entry)
 
@@ -355,7 +354,7 @@ def curvature_sym(metric: MetricField):
         for r in range(n):
             terms.append(mul(gam[r][p][q], gam[i][r][j]))
             terms.append(neg(mul(gam[r][p][j], gam[i][r][q])))
-        return simplify(expr_sum(terms))
+        return expr_sum(terms)
 
     return ex.nested((n, n, n, n), entry)
 
@@ -624,7 +623,7 @@ def build_first_order_system(
 
         def entry(i, a, b):
             a, b = min(a, b), max(a, b)
-            return simplify(mul(0.5, add(raw[i][a][b], raw[i][b][a])))
+            return mul(0.5, add(raw[i][a][b], raw[i][b][a]))
 
         return PdeSystem(m, n, ex.nested((n, m, m), entry))
 

@@ -32,7 +32,6 @@ from .exprlang import (
     expr_sum,
     mul,
     neg,
-    simplify,
     sub,
     substitute,
 )
@@ -362,12 +361,10 @@ class InvariantPipeline:
         hinv = self.h_inverse_rows
         m, n = self.m, self.n
         return tuple(
-            simplify(
-                expr_sum(
-                    mul(hinv[a][b], self.system.component(i + 1, a + 1, b + 1))
-                    for a in range(m)
-                    for b in range(m)
-                )
+            expr_sum(
+                mul(hinv[a][b], self.system.component(i + 1, a + 1, b + 1))
+                for a in range(m)
+                for b in range(m)
             )
             for i in range(n)
         )
@@ -379,13 +376,7 @@ class InvariantPipeline:
         gt = self.temporal_christoffel
         m = self.m
         return tuple(
-            simplify(
-                expr_sum(
-                    mul(hinv[a][b], gt[g][a][b])
-                    for a in range(m)
-                    for b in range(m)
-                )
-            )
+            expr_sum(mul(hinv[a][b], gt[g][a][b]) for a in range(m) for b in range(m))
             for g in range(m)
         )
 
@@ -405,14 +396,11 @@ class InvariantPipeline:
         the velocity terms of the first invariant."""
         hrows = self.h.rows
         return tuple(
-            simplify(
-                mul(
-                    0.5,
-                    expr_sum(
-                        mul(self.trace_temporal[g], hrows[g][a])
-                        for g in range(self.m)
-                    ),
-                )
+            mul(
+                0.5,
+                expr_sum(
+                    mul(self.trace_temporal[g], hrows[g][a]) for g in range(self.m)
+                ),
             )
             for a in range(self.m)
         )
@@ -434,7 +422,7 @@ class InvariantPipeline:
             )
             if i == j:
                 out = add(out, self._half_traced_drift[a])
-            return simplify(out)
+            return out
 
         return NonlinearConnection(
             m,
@@ -464,7 +452,7 @@ class InvariantPipeline:
             terms += [
                 neg(mul(gt[u][a][b], ex.v_var(i + 1, u + 1))) for u in range(m)
             ]
-            return simplify(expr_sum(terms))
+            return expr_sum(terms)
 
         return ex.nested((n, m, m), entry)
 
@@ -512,7 +500,7 @@ class InvariantPipeline:
                 )
             )
         )
-        k_scalar = simplify(expr_sum(k_terms))
+        k_scalar = expr_sum(k_terms)
 
         F = self.system.comps
 
@@ -568,7 +556,7 @@ class InvariantPipeline:
             )
             if i == j:
                 terms.append(k_scalar)
-            return simplify(expr_sum(terms))
+            return expr_sum(terms)
 
         return ex.nested((n, n), entry)
 
@@ -590,7 +578,7 @@ class InvariantPipeline:
         def entry(i, a, j, k):
             if j >= k:
                 return neg(entry(i, a, k, j)) if j > k else ex.ZERO
-            return simplify(mul(1.0 / 3.0, sub(dP[i][j][k][a], dP[i][k][j][a])))
+            return mul(1.0 / 3.0, sub(dP[i][j][k][a], dP[i][k][j][a]))
 
         return ex.nested((self.n, self.m, self.n, self.n), entry)
 
@@ -700,7 +688,7 @@ class InvariantPipeline:
                 terms.append(
                     neg(mul(de, self.system.component(r + 1, g + 1, b)))
                 )
-        return simplify(expr_sum(terms))
+        return expr_sum(terms)
 
     def covariant_derivative_family(self, T):
         """Covariant derivative of a once-temporal family T[i][a] of jet
@@ -718,7 +706,7 @@ class InvariantPipeline:
             terms = [self.total_derivative(T[i][a], b + 1)]
             terms += [mul(N[i][a][r], T[r][b]) for r in range(n)]
             terms += [neg(mul(gt[u][a][b], T[i][u])) for u in range(m)]
-            return simplify(expr_sum(terms))
+            return expr_sum(terms)
 
         return ex.nested((n, m, m), entry)
 
@@ -730,11 +718,9 @@ class InvariantPipeline:
         N = self.connection.spatial
         return ex.nested(
             (n, m),
-            lambda i, a: simplify(
-                add(
-                    xi.derivative[i][a],
-                    expr_sum(mul(N[i][a][r], xi.comps[r]) for r in range(n)),
-                )
+            lambda i, a: add(
+                xi.derivative[i][a],
+                expr_sum(mul(N[i][a][r], xi.comps[r]) for r in range(n)),
             ),
         )
 
@@ -755,7 +741,7 @@ class InvariantPipeline:
                 for b in range(m)
             )
             rhs = expr_sum(mul(P[i][r], xi.comps[r]) for r in range(n))
-            out.append(simplify(sub(lhs, rhs)))
+            out.append(sub(lhs, rhs))
         return tuple(out)
 
 
@@ -782,7 +768,7 @@ def fifth_invariant(system: PdeSystem):
         for (p1, p2), e in d2.items():
             for p3 in pairs:
                 if p3 >= p2:
-                    d3[(p1, p2, p3)] = simplify(differentiate(e, vv[p3]))
+                    d3[(p1, p2, p3)] = differentiate(e, vv[p3])
 
         def entry(j, g, k, e, l, u):
             return d3[tuple(sorted(((j, g), (k, e), (l, u))))]

@@ -183,6 +183,12 @@ def classical_deviation_curvature(F_fn, t, x, v, step=1e-4):
 # ---------------------------------------------------------------------------
 
 
+def raw_parse(text: str, m: int, n: int) -> ex.Expression:
+    """The tree of ``text`` as written, before ``parse`` makes it canonical,
+    so the smart constructors' rules can be checked against it."""
+    return ex._Parser(text, m, n).parse()
+
+
 def flat_metric(kind: str, d: int) -> MetricField:
     rows = [[ex.num(1.0 if a == b else 0.0) for b in range(d)] for a in range(d)]
     return MetricField(kind, tuple(tuple(r) for r in rows))

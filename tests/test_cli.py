@@ -148,6 +148,16 @@ def test_asymmetric_metric_rejected(tmp_path):
         load_problem(write_json(tmp_path, "asym.json", doc))
 
 
+def test_metric_entry_is_checked_in_canonical_form(tmp_path, capsys):
+    # parse returns canonical nodes, so the entry is the literal 1 when the
+    # metric checks its variables; the tree as written named x1 and exited 2
+    # with "temporal metric entry uses variable 'x1'"
+    doc = dict(OSC, temporal_metric=[["1 + 0*x1"]])
+    code, _ = run_cli(["invariants", write_json(tmp_path, "c.json", doc)], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_json_syntax_and_duplicate_keys_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"m": 1,', encoding="utf-8")
@@ -502,6 +512,16 @@ def test_fd_check_passes_and_names_components(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert "dF[1,1,1]/dv2_1 vs central FD" in names
     assert report["max_deviation"] <= 1e-8
+
+
+def test_fd_check_lists_the_variables_of_the_canonical_component(tmp_path):
+    # parse returns canonical nodes: x1 + 0*v1_1 is x1, so only dx1 is
+    # checked (the tree as written also listed a dv1_1 row)
+    entry = {"i": 1, "alpha": 1, "beta": 1, "expr": "x1 + 0*v1_1"}
+    path = write_json(tmp_path, "z.json", dict(OSC, system={"F": [entry]}))
+    code, report = run_cli(["check", "fd", path], tmp_path)
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == ["dF[1,1,1]/dx1 vs central FD"]
 
 
 def test_fd_check_fails_at_impossible_tolerance(tmp_path, capsys):

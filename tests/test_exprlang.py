@@ -138,14 +138,14 @@ def test_evaluate_unbound_variable():
 DOMAIN_ERRORS = [
     ("1 + log(x1 - 2)", 1.0, "log(x1 - 2)", "log of non-positive value -1.0"),
     ("2*log(x1)", 0.0, "log(x1)", "log of non-positive value 0.0"),
-    ("sqrt(-1 * x1) + 1", 4.0, "sqrt(-1*x1)", "sqrt of negative value -4.0"),
+    ("sqrt(-1 * x1) + 1", 4.0, "sqrt(-x1)", "sqrt of negative value -4.0"),
     ("sin(1/(x1 - 1))", 1.0, "1/(x1 - 1)", "division by zero"),
     ("3*(x1 - 1)^-2", 1.0, "(x1 - 1)^-2", "zero raised to a negative power"),
     ("1 + x1^-0.5", 0.0, "x1^-0.5", "zero raised to a negative power"),
     (
         "(0 - x1)^0.5 - 1",
         2.0,
-        "(0 - x1)^0.5",
+        "(-x1)^0.5",
         "non-integer power of a non-positive base",
     ),
     ("x1^2.5", 1e200, "x1^2.5", "overflow in power"),
@@ -211,7 +211,7 @@ def test_power_overflow_is_an_evaluation_error():
 
 
 def test_simplify_leaves_an_overflowing_power_unfolded():
-    e = simplify(parse("1e200^2.5", 1, 1))
+    e = simplify(support.raw_parse("1e200^2.5", 1, 1))
     assert isinstance(e, ex.Binary) and e.op == "^"
     with pytest.raises(EvaluationError, match="overflow in power"):
         evaluate(e, bnd(1, 1))
@@ -317,24 +317,25 @@ def test_differentiate_integer_power_rule_keeps_negative_bases_legal():
 
 def test_simplify_spec_rules():
     x = ex.x_var(1)
-    assert simplify(parse("x1 + 0", 1, 1)) == x
-    assert simplify(parse("1 * x1", 1, 1)) == x
-    assert simplify(parse("0 * log(x1)", 1, 1)) == ex.ZERO
-    assert simplify(parse("x1^1", 1, 1)) == x
-    assert simplify(parse("2 * 3", 1, 1)) == ex.Num(6.0)
-    assert simplify(parse("-(-x1)", 1, 1)) == x
-    assert simplify(parse("x1 - 0", 1, 1)) == x
-    assert simplify(parse("x1/1", 1, 1)) == x
-    assert simplify(parse("0/sin(x1)", 1, 1)) == ex.ZERO
+    raw = support.raw_parse  # the rules act on the tree as written
+    assert simplify(raw("x1 + 0", 1, 1)) == x
+    assert simplify(raw("1 * x1", 1, 1)) == x
+    assert simplify(raw("0 * log(x1)", 1, 1)) == ex.ZERO
+    assert simplify(raw("x1^1", 1, 1)) == x
+    assert simplify(raw("2 * 3", 1, 1)) == ex.Num(6.0)
+    assert simplify(raw("-(-x1)", 1, 1)) == x
+    assert simplify(raw("x1 - 0", 1, 1)) == x
+    assert simplify(raw("x1/1", 1, 1)) == x
+    assert simplify(raw("0/sin(x1)", 1, 1)) == ex.ZERO
 
 
 def test_simplify_does_not_fold_undefined_literals():
     # 1/0 and log(0) must stay symbolic and fail at evaluation time
-    e = simplify(parse("1/0", 1, 1))
+    e = simplify(support.raw_parse("1/0", 1, 1))
     assert isinstance(e, ex.Binary)
     with pytest.raises(EvaluationError):
         evaluate(e, bnd(1, 1))
-    e2 = simplify(parse("log(0)", 1, 1))
+    e2 = simplify(support.raw_parse("log(0)", 1, 1))
     assert isinstance(e2, ex.Unary)
 
 
@@ -349,7 +350,7 @@ SIMPLIFY_EQUIV_CASES = [
 
 @pytest.mark.parametrize("src", SIMPLIFY_EQUIV_CASES)
 def test_simplify_preserves_values_on_random_bindings(src):
-    e = parse(src, 1, 1)
+    e = support.raw_parse(src, 1, 1)
     s = simplify(e)
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -476,9 +477,10 @@ def _grow(inner):
 
 LEAVES = ("t1", "t2", "x1", "x2", "v1_1", "v1_2", "v2_1", "v2_2")
 LEAVES += ("0", "0.5", "2", "3", "pi")
-EXPRESSIONS = st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8).map(
-    lambda text: parse(text, BIND_M, BIND_N)
-)
+TEXTS = st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8)
+EXPRESSIONS = TEXTS.map(lambda text: parse(text, BIND_M, BIND_N))
+# the same trees as written, before parse makes them canonical
+RAW_EXPRESSIONS = TEXTS.map(lambda text: support.raw_parse(text, BIND_M, BIND_N))
 
 
 def test_jet_bindings_store_floats_for_one_point():
@@ -569,7 +571,7 @@ def test_family_tape_matches_scalar_evaluation(family, t, x, v):
 # literal-only expressions: every subtree folds wherever its value is finite
 LITERAL_EXPRESSIONS = st.recursive(
     st.sampled_from(("0", "0.5", "1.5", "2", "3", "7", "pi")), _grow, max_leaves=6
-).map(lambda text: parse(text, 1, 1))
+).map(lambda text: support.raw_parse(text, 1, 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -652,6 +654,14 @@ def test_printed_expression_parses_to_the_same_object(e):
     assert parse(to_string(s), BIND_M, BIND_N) is s
 
 
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(text=TEXTS)
+def test_parse_returns_the_canonical_node(text):
+    e = parse(text, BIND_M, BIND_N)
+    assert simplify(e) is e
+    assert e is simplify(support.raw_parse(text, BIND_M, BIND_N))
+
+
 JET_VARS = [ex.t_var(a) for a in (1, 2)] + [ex.x_var(i) for i in (1, 2)]
 JET_VARS += [ex.v_var(i, a) for i in (1, 2) for a in (1, 2)]
 # in-domain points for the derivative oracle: a 1/8 grid on [1/4, 3/2]
@@ -669,20 +679,16 @@ def test_differentiate_matches_fd_with_a_warm_memo(e, other, pick, coords):
     # differentiate by a variable of e when it has one
     free = sorted(free_variables(e), key=lambda vid: vid.name)
     var = ex.Var(free[pick % len(free)]) if free else JET_VARS[pick]
-    # the memos start empty for the cold results, then are warmed by other
+    # the memo starts empty for the cold result, then is warmed by other
     # derivatives before the same derivative is taken again
-    with mock.patch.object(ex, "_DERIVATIVES", {}), mock.patch.object(
-        ex, "_SIMPLIFIED", {}
-    ):
+    with mock.patch.object(ex, "_DERIVATIVES", {}):
         cold = differentiate(e, var)
-        cold_simplified = simplify(e)
     for w in JET_VARS:
         differentiate(other, w)
         differentiate(e, w)
         differentiate(differentiate(other, w), var)
-    simplify(other)
     d = differentiate(e, var)
-    assert d is cold and simplify(e) is cold_simplified
+    assert d is cold
     assert differentiate(e, var) is d
 
     names = [v.vid.name for v in JET_VARS]
@@ -715,7 +721,7 @@ def _agree(got, want):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(e=EXPRESSIONS, coords=st.lists(GRID, min_size=8, max_size=8))
+@given(e=RAW_EXPRESSIONS, coords=st.lists(GRID, min_size=8, max_size=8))
 def test_simplify_preserves_values_where_defined(e, coords):
     b = _one_point(coords)
     try:
@@ -782,7 +788,7 @@ def test_negative_zero_product_folds_to_zero():
     assert ex.num(-0.0) is ex.ZERO and ex.Num(-0.0) is not ex.ZERO
     assert ex.mul(ex.num(-2), ex.ZERO) is ex.ZERO
     assert ex.mul(ex.ZERO, ex.num(-2)) is ex.ZERO
-    folded = simplify(parse("(0-2)*0", 1, 1))
+    folded = simplify(support.raw_parse("(0-2)*0", 1, 1))
     assert folded is ex.ZERO and parse(to_string(folded), 1, 1) is folded
 
 

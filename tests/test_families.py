@@ -153,6 +153,14 @@ def test_pushed_pair_identity_node_counts():
     assert counts == {"eps": 1167, "P": 4957, "R": 4458, "B": 4920}
 
 
+def test_every_family_leaf_is_canonical():
+    # the builders compose parsed (canonical) inputs through the smart
+    # constructors, so simplify returns every leaf unchanged
+    leaves = [leaf for fam in build_families().values() for leaf in _leaves(fam)]
+    assert len(leaves) == 220
+    assert all(ex.simplify(leaf) is leaf for leaf in leaves)
+
+
 def _mirrored_blocks(nested, depth):
     """The square blocks formed by the last two axes of a family of
     ``depth`` axes."""
