@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang as ex
-from .exprlang import Bindings, Expression, expr_sum, mul, neg
-from .jetgeom import MAX_DIM, MetricField, PdeSystem, christoffel_sym
+from .exprlang import SPATIAL, TEMPORAL, Bindings, Expression, expr_sum, mul, neg
+from .jetgeom import MetricField, PdeSystem, christoffel_sym
 from .kcccore import InvariantPipeline
 
 CONSTRAINT_WARN_TOL = 1e-9
@@ -61,15 +61,6 @@ def _check_key(key: tuple, bounds: tuple) -> None:
             )
 
 
-def _check_position_only(e: Expression, m: int, n: int, what: str) -> None:
-    ex.check_bounds(e, m, n)
-    for vid in ex.free_variables(e):
-        if vid.kind == ex.VELOCITY:
-            raise ValueError(
-                f"{what} must depend on (t, x) only; found '{vid.name}'"
-            )
-
-
 @dataclass(frozen=True)
 class SymmetricCoefficientField:
     """Velocity-quadratic coefficient family Gamma^i_pq(t, x), symmetric in
@@ -80,24 +71,11 @@ class SymmetricCoefficientField:
     comps: tuple
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_DIM or not 1 <= self.n <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        n = self.n
-        if len(self.comps) != n or any(
-            len(p) != n or any(len(r) != n for r in p) for p in self.comps
-        ):
-            raise ValueError(f"expected ({n}, {n}, {n}) nested components")
-        for plane in self.comps:
-            for row in plane:
-                for e in row:
-                    _check_position_only(e, self.m, n, "coefficient")
-        for i in range(n):
-            for p in range(n):
-                for q in range(p + 1, n):
-                    if self.comps[i][p][q] != self.comps[i][q][p]:
-                        raise ValueError(
-                            f"components ({i+1},{p+1},{q+1}) and mirror differ"
-                        )
+        object.__setattr__(self, "comps", ex.freeze(self.comps))
+        m, n = self.m, self.n
+        ex.check_family(
+            self.comps, m, n, (n, n, n), "coefficient", True, kinds=(TEMPORAL, SPATIAL)
+        )
 
     @classmethod
     def from_upper(cls, m: int, n: int, upper: dict) -> "SymmetricCoefficientField":
@@ -138,46 +116,24 @@ class AntisymmetricCouplingField:
     comps: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "comps", ex.freeze(self.comps))
         m, n = self.m, self.n
-        if not 1 <= m <= MAX_DIM or not 1 <= n <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        shape_ok = len(self.comps) == n and all(
-            len(al) == m
-            and all(
-                len(nu) == m
-                and all(
-                    len(pl) == n and all(len(row) == n for row in pl)
-                    for pl in nu
-                )
-                for nu in al
-            )
-            for al in self.comps
+        extents = (n, m, m, n, n)
+        ex.check_family(
+            self.comps, m, n, extents, "coupling entry", kinds=(TEMPORAL, SPATIAL)
         )
-        if not shape_ok:
-            raise ValueError(f"expected ({n}, {m}, {m}, {n}, {n}) components")
-        for i in range(n):
-            for a in range(m):
-                for v in range(m):
-                    for p in range(n):
-                        for q in range(n):
-                            e = self.comps[i][a][v][p][q]
-                            _check_position_only(e, m, n, "coupling entry")
-                            if (a == v or p == q) and not ex.is_zero(e):
-                                raise ValueError(
-                                    f"entry ({i+1},{a+1},{v+1},{p+1},{q+1}) "
-                                    f"must be zero (repeated index)"
-                                )
-        for i in range(n):
-            for a in range(m):
-                for v in range(m):
-                    for p in range(n):
-                        for q in range(p + 1, n):
-                            got = self.comps[i][a][v][q][p]
-                            if got is not neg(self.comps[i][a][v][p][q]):
-                                raise ValueError(
-                                    f"entries ({i+1},{a+1},{v+1},{p+1},{q+1}) "
-                                    f"and mirror are not opposite"
-                                )
+        for i, a, v, p, q in np.ndindex(extents):
+            e = self.comps[i][a][v][p][q]
+            if a == v and not ex.is_zero(e):
+                raise ValueError(
+                    f"entry ({i+1},{a+1},{v+1},{p+1},{q+1}) "
+                    f"must be zero (repeated index)"
+                )
+            if p <= q and self.comps[i][a][v][q][p] is not neg(e):
+                raise ValueError(
+                    f"entries ({i+1},{a+1},{v+1},{p+1},{q+1}) "
+                    f"and mirror are not opposite"
+                )
 
     @classmethod
     def from_upper(cls, m: int, n: int, upper: dict) -> "AntisymmetricCouplingField":

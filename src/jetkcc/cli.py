@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__
 from . import exprlang as ex
-from .exprlang import Expression, differentiate
+from .exprlang import MAX_DIM, Expression, differentiate
 from .jetgeom import (
-    MAX_DIM,
     DegenerateMetricError,
     JetPointSet,
     MetricField,
@@ -114,13 +113,16 @@ def _read_json(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _require_dict(obj, path, allowed=None):
+def _require_dict(obj, path, allowed=None, required=()):
     if not isinstance(obj, dict):
         _fail(path, "expected a JSON object")
     if allowed is not None:
         for key in obj:
             if key not in allowed:
                 _fail(f"{path}.{key}", "unknown key")
+    for key in required:
+        if key not in obj:
+            _fail(path, f"missing key '{key}'")
     return obj
 
 
@@ -230,12 +232,10 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
         _require_dict(sys_obj, "system", allowed={"F"})
         entries = _require_list(sys_obj["F"], "system.F")
         upper: dict[tuple[int, int, int], Expression] = {}
+        keys = ("i", "alpha", "beta", "expr")
         for k, entry in enumerate(entries):
             path = f"system.F[{k}]"
-            entry = _require_dict(entry, path, allowed={"i", "alpha", "beta", "expr"})
-            for key in ("i", "alpha", "beta", "expr"):
-                if key not in entry:
-                    _fail(path, f"missing key '{key}'")
+            entry = _require_dict(entry, path, allowed=keys, required=keys)
             i = _require_int(entry["i"], f"{path}.i", 1, n)
             a = _require_int(entry["alpha"], f"{path}.alpha", 1, m)
             b = _require_int(entry["beta"], f"{path}.beta", 1, m)
@@ -273,12 +273,10 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
         _require_dict(sys_obj, "system", allowed={"type", "X", "symmetrize"})
         entries = _require_list(sys_obj.get("X"), "system.X")
         table: dict[tuple[int, int], Expression] = {}
+        keys = ("i", "alpha", "expr")
         for k, entry in enumerate(entries):
             path = f"system.X[{k}]"
-            entry = _require_dict(entry, path, allowed={"i", "alpha", "expr"})
-            for key in ("i", "alpha", "expr"):
-                if key not in entry:
-                    _fail(path, f"missing key '{key}'")
+            entry = _require_dict(entry, path, allowed=keys, required=keys)
             i = _require_int(entry["i"], f"{path}.i", 1, n)
             a = _require_int(entry["alpha"], f"{path}.alpha", 1, m)
             if (i, a) in table:
@@ -299,12 +297,10 @@ def _load_points(obj, m, n) -> JetPointSet:
     if not entries:
         _fail("points", "must contain at least one point")
     ts, xs, vs = [], [], []
+    keys = ("t", "x", "v")
     for k, entry in enumerate(entries):
         path = f"points[{k}]"
-        entry = _require_dict(entry, path, allowed={"t", "x", "v"})
-        for key in ("t", "x", "v"):
-            if key not in entry:
-                _fail(path, f"missing key '{key}'")
+        entry = _require_dict(entry, path, allowed=keys, required=keys)
         t = [
             _require_float(u, f"{path}.t[{a}]")
             for a, u in enumerate(_require_list(entry["t"], f"{path}.t", length=m))
@@ -345,10 +341,8 @@ def _load_t_curves(obj, m, n, path, factory):
 def load_problem(path: str) -> ProblemFile:
     """Read, validate, and assemble a problem file."""
     doc, digest = _read_json(path)
-    root = _require_dict(doc, "<root>", allowed=_TOP_KEYS)
-    for key in ("m", "n", "temporal_metric", "system"):
-        if key not in root:
-            _fail("<root>", f"missing key '{key}'")
+    required = ("m", "n", "temporal_metric", "system")
+    root = _require_dict(doc, "<root>", allowed=_TOP_KEYS, required=required)
     m = _require_int(root["m"], "m", 1, MAX_DIM)
     n = _require_int(root["n"], "n", 1, MAX_DIM)
     h = _load_metric(
@@ -397,33 +391,16 @@ def load_problem(path: str) -> ProblemFile:
 def load_change(path: str, m: int, n: int) -> tuple[CoordinateChange, str]:
     """Read a coordinate-change file (four expression lists) for given dims."""
     doc, digest = _read_json(path)
-    keys = {"t_forward", "x_forward", "t_inverse", "x_inverse"}
-    root = _require_dict(doc, "<root>", allowed=keys)
+    keys = ("t_forward", "t_inverse", "x_forward", "x_inverse")
+    root = _require_dict(doc, "<root>", allowed=keys, required=keys)
+    maps = {}
     for key in keys:
-        if key not in root:
-            _fail("<root>", f"missing key '{key}'")
-    lists = {}
-    for key in ("t_forward", "t_inverse"):
-        entries = _require_list(root[key], key, length=m)
-        lists[key] = tuple(
-            _parse_expr(entry, m, n, f"{key}[{k}]")
-            for k, entry in enumerate(entries)
-        )
-    for key in ("x_forward", "x_inverse"):
-        entries = _require_list(root[key], key, length=n)
-        lists[key] = tuple(
-            _parse_expr(entry, m, n, f"{key}[{k}]")
-            for k, entry in enumerate(entries)
+        entries = _require_list(root[key], key, length=m if key[0] == "t" else n)
+        maps[key] = tuple(
+            _parse_expr(entry, m, n, f"{key}[{k}]") for k, entry in enumerate(entries)
         )
     try:
-        cc = CoordinateChange(
-            m,
-            n,
-            lists["t_forward"],
-            lists["x_forward"],
-            lists["t_inverse"],
-            lists["x_inverse"],
-        )
+        cc = CoordinateChange(m, n, **maps)
     except ValueError as err:
         _fail("<root>", str(err))
     return cc, digest
@@ -885,9 +862,9 @@ def _cmd_characterize(args) -> tuple[dict, int]:
 
 def _cmd_nullspace(args) -> tuple[dict, int]:
     doc, digest = _read_json(args.metric)
-    root = _require_dict(doc, "<root>", allowed={"m", "temporal_metric"})
-    if "temporal_metric" not in root:
-        _fail("<root>", "missing key 'temporal_metric'")
+    root = _require_dict(
+        doc, "<root>", allowed=("m", "temporal_metric"), required=("temporal_metric",)
+    )
     rows = _require_list(root["temporal_metric"], "temporal_metric")
     m = len(rows)
     if "m" in root:
@@ -896,6 +873,7 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
         if "m" in root and args.m != m:
             _fail("m", f"--m {args.m} contradicts the file's m = {m}")
         m = args.m
+    m = _require_int(m, "m", 1, MAX_DIM)  # a row count or --m
     h = _load_metric(rows, "temporal_metric", m, 1, m, MetricField.temporal)
     t = _coordinates(args.t, m, "--t")
 

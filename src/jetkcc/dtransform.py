@@ -35,7 +35,7 @@ from .exprlang import (
     neg,
     substitute,
 )
-from .jetgeom import DTensorValue, JetPointSet, MAX_DIM, MetricField, PdeSystem
+from .jetgeom import DTensorValue, JetPointSet, MetricField, PdeSystem
 from .jetgeom import point_set, stack_points
 from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
@@ -44,20 +44,6 @@ JACOBIAN_TOL = 1e-10
 
 class SingularJacobianError(ValueError):
     """A coordinate change is not invertible at the point in question."""
-
-
-def _check_kind(exprs, kind, limit, what):
-    for e in exprs:
-        for vid in ex.free_variables(e):
-            ok = vid.kind == kind and (
-                vid.alpha <= limit if kind == TEMPORAL else vid.i <= limit
-            )
-            if not ok:
-                raise ValueError(
-                    f"{what} may only use "
-                    f"{'t1..t%d' % limit if kind == TEMPORAL else 'x1..x%d' % limit};"
-                    f" found '{vid.name}'"
-                )
 
 
 def _jacobian_table(maps, var):
@@ -85,18 +71,17 @@ class CoordinateChange:
     x_inverse: tuple
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_DIM or not 1 <= self.n <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        for name in ("t_forward", "x_forward", "t_inverse", "x_inverse"):
-            setattr(self, name, tuple(ex.as_expr(e) for e in getattr(self, name)))
-        if len(self.t_forward) != self.m or len(self.t_inverse) != self.m:
-            raise ValueError(f"need {self.m} temporal maps each way")
-        if len(self.x_forward) != self.n or len(self.x_inverse) != self.n:
-            raise ValueError(f"need {self.n} spatial maps each way")
-        _check_kind(self.t_forward, TEMPORAL, self.m, "temporal forward maps")
-        _check_kind(self.t_inverse, TEMPORAL, self.m, "temporal inverse maps")
-        _check_kind(self.x_forward, SPATIAL, self.n, "spatial forward maps")
-        _check_kind(self.x_inverse, SPATIAL, self.n, "spatial inverse maps")
+        m, n = self.m, self.n
+        for name, kind, d in (
+            ("t_forward", TEMPORAL, m),
+            ("t_inverse", TEMPORAL, m),
+            ("x_forward", SPATIAL, n),
+            ("x_inverse", SPATIAL, n),
+        ):
+            maps = ex.freeze(getattr(self, name))
+            setattr(self, name, maps)
+            what = f"{kind} {name[2:]} map"
+            ex.check_family(maps, m, n, (d,), what, kinds=(kind,))
 
     # Jacobian expression tables (built once per change)
 

@@ -56,6 +56,8 @@ import numpy as np
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
 VELOCITY = "velocity"
+KINDS = (TEMPORAL, SPATIAL, VELOCITY)
+MAX_DIM = 4
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 
@@ -469,19 +471,48 @@ def freeze(family):
     return as_expr(family)
 
 
-def check_family(family, m: int, n: int, extents, what: str, symmetric=False):
-    """Check a frozen family: its extents, its variables' index bounds
-    (``check_bounds``) and, when ``symmetric``, that each mirror in the last
-    two indices is the same node."""
+def check_dimensions(m: int, n: int) -> None:
+    """Refuse a jet space with m times or n coordinates outside 1..MAX_DIM."""
+    if not 1 <= m <= MAX_DIM or not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimensions must satisfy 1 <= m, n <= {MAX_DIM}")
+
+
+def check_family(
+    family, m: int, n: int, extents, what: str, symmetric=False, kinds=KINDS
+):
+    """Check a frozen family: the dimensions (``check_dimensions``), its
+    extents, that every leaf uses only variables of ``kinds`` within the
+    (m, n) index bounds, and, when ``symmetric``, that each mirror in the
+    last two indices is the same node.  A foreign variable raises
+    ``ValueError("<what> uses variable 'x1'; allowed: t1..t2")``."""
+    check_dimensions(m, n)
+    allowed = 0
+    for vid, bit in _VAR_BITS.items():
+        if vid.kind in kinds and vid.in_bounds(m, n):
+            allowed |= bit
 
     def walk(node, shape):
         if not shape:
             if not isinstance(node, Expression):
-                raise TypeError(f"{what}: leaf is not an Expression")
-            check_bounds(node, m, n)
+                raise ValueError(f"{what}: expected extents {tuple(extents)}")
+            if node.mask & ~allowed:
+                bad = min(
+                    vid.name
+                    for vid in free_variables(node)
+                    if not _VAR_BITS[vid] & allowed
+                )
+                ranges = {
+                    TEMPORAL: f"t1..t{m}",
+                    SPATIAL: f"x1..x{n}",
+                    VELOCITY: f"v1_1..v{n}_{m}",
+                }
+                raise ValueError(
+                    f"{what} uses variable '{bad}'; "
+                    f"allowed: {', '.join(ranges[k] for k in kinds)}"
+                )
             return
         if not isinstance(node, tuple) or len(node) != shape[0]:
-            raise ValueError(f"{what}: expected extent {shape[0]} at depth")
+            raise ValueError(f"{what}: expected extents {tuple(extents)}")
         for kid in node:
             walk(kid, shape[1:])
         if symmetric and len(shape) == 2:
@@ -1007,15 +1038,6 @@ def free_variables(e: Expression) -> frozenset[VariableId]:
     return frozenset(vid for vid, bit in _VAR_BITS.items() if e.mask & bit)
 
 
-def check_bounds(e: Expression, m: int, n: int) -> None:
-    """Raise ParseError if any variable index exceeds the (m, n) bounds."""
-    for vid in free_variables(e):
-        if not vid.in_bounds(m, n):
-            raise ParseError(
-                f"variable '{vid.name}' out of range for m={m}, n={n}", 0
-            )
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -1195,6 +1217,5 @@ def parse(text: str, m: int, n: int) -> Expression:
     m and n bound the admissible temporal/spatial indices; violations raise
     ParseError with the offending position.
     """
-    if not 1 <= m <= 4 or not 1 <= n <= 4:
-        raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
+    check_dimensions(m, n)
     return simplify(_Parser(text, m, n).parse())

@@ -32,7 +32,6 @@ from .exprlang import (
     sub,
 )
 
-MAX_DIM = 4
 DEGENERACY_TOL = 1e-12
 
 
@@ -53,8 +52,7 @@ class JetPoint:
             raise ValueError(
                 f"jet point shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
             )
-        if not 1 <= t.size <= MAX_DIM or not 1 <= x.size <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
+        ex.check_dimensions(t.size, x.size)
         t.flags.writeable = False
         x.flags.writeable = False
         v.flags.writeable = False
@@ -93,8 +91,7 @@ class JetPointSet:
             raise ValueError(
                 f"point set shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
             )
-        if not 1 <= len(t) <= MAX_DIM or not 1 <= len(x) <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
+        ex.check_dimensions(len(t), len(x))
         for name, stack in zip(self.__slots__, stacks):
             stack.flags.writeable = False
             object.__setattr__(self, name, stack)
@@ -201,31 +198,12 @@ class MetricField:
     rows: tuple[tuple[Expression, ...], ...]
 
     def __post_init__(self):
-        d = len(self.rows)
-        if not 1 <= d <= MAX_DIM or any(len(r) != d for r in self.rows):
-            raise ValueError(f"metric must be square with dimension 1..{MAX_DIM}")
         if self.kind not in (TEMPORAL, SPATIAL):
             raise ValueError(f"bad metric kind {self.kind!r}")
-        for a in range(d):
-            for b in range(a + 1, d):
-                ra, rb = self.rows[a][b], self.rows[b][a]
-                if ra is not rb:
-                    raise ValueError(
-                        f"metric not structurally symmetric at ({a + 1},{b + 1}): "
-                        f"`{ra}` vs `{rb}`"
-                    )
-        for row in self.rows:
-            for entry in row:
-                for vid in ex.free_variables(entry):
-                    if vid.kind != self.kind:
-                        raise ValueError(
-                            f"{self.kind} metric entry uses variable '{vid.name}'"
-                        )
-                    idx = vid.alpha if self.kind == TEMPORAL else vid.i
-                    if not 1 <= idx <= d:
-                        raise ValueError(
-                            f"metric entry variable '{vid.name}' exceeds dimension {d}"
-                        )
+        d = len(self.rows)
+        ex.check_family(
+            self.rows, d, d, (d, d), f"{self.kind} metric", True, kinds=(self.kind,)
+        )
 
     @property
     def dim(self) -> int:
@@ -252,7 +230,7 @@ class MetricField:
             b = Bindings.jet(d, 1, t=coords)
         else:
             b = Bindings.jet(1, d, x=coords)
-        out = ex.evaluate_nested(self.rows, b)
+        out = ex.evaluate_in_domain(self.rows, b)
         det = np.abs(ex.evaluate(self.determinant(), b))
         det = np.broadcast_to(det, coords.shape[1:])  # a constant det is a float
         bad = np.flatnonzero(det <= DEGENERACY_TOL)
@@ -522,8 +500,6 @@ class PdeSystem:
     symmetric: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_DIM or not 1 <= self.n <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
         self.comps = ex.freeze(self.comps)
         m, n = self.m, self.n
         ex.check_family(self.comps, m, n, (n, m, m), "system", self.symmetric)
@@ -597,22 +573,14 @@ def build_first_order_system(
     tolerance), with ``symmetrize=True`` the average is stored instead,
     without probing the asymmetry.
     """
-    table: dict[tuple[int, int], Expression] = {}
-    for (i, a), e in X.items():
-        e = ex.as_expr(e)
-        for vid in ex.free_variables(e):
-            if vid.kind == ex.VELOCITY:
-                raise ValueError(
-                    f"first-order component X({i},{a}) must not use velocities"
-                )
-        ex.check_bounds(e, m, n)
-        table[(i, a)] = e
     want = {(i, a) for i in range(1, n + 1) for a in range(1, m + 1)}
-    if set(table) != want:
+    if set(X) != want:
         raise ValueError("first-order components must cover every (i, a)")
+    flow = ex.freeze(ex.nested((n, m), lambda i, a: X[(i + 1, a + 1)]))
+    ex.check_family(flow, m, n, (n, m), "first-order flow", kinds=(TEMPORAL, SPATIAL))
 
     def raw_entry(i, a, b):
-        xi = table[(i + 1, a + 1)]
+        xi = flow[i][a]
         terms = [differentiate(xi, ex.t_var(b + 1))]
         for r in range(1, n + 1):
             terms.append(mul(differentiate(xi, ex.x_var(r)), ex.v_var(r, b + 1)))

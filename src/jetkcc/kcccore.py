@@ -36,7 +36,6 @@ from .exprlang import (
     substitute,
 )
 from .jetgeom import (
-    MAX_DIM,
     DTensorValue,
     JetPoint,
     JetPointSet,
@@ -111,16 +110,6 @@ class NonlinearConnection:
         ex.check_family(self.spatial, m, n, (n, m, n), "connection spatial part")
 
 
-def _check_t_only(comps, m, what):
-    for e in comps:
-        for vid in ex.free_variables(e):
-            if vid.kind != TEMPORAL or vid.alpha > m:
-                raise ValueError(
-                    f"{what} components may only use t1..t{m}; found "
-                    f"'{vid.name}'"
-                )
-
-
 @dataclass(frozen=True)
 class SectionMap:
     """A map t -> x(t): one expression per spatial component, t-variables
@@ -131,11 +120,10 @@ class SectionMap:
     comps: tuple  # length n, Expressions in t only
 
     def __post_init__(self):
-        comps = tuple(ex.as_expr(c) for c in self.comps)
+        comps = ex.freeze(self.comps)
         object.__setattr__(self, "comps", comps)
-        if not 1 <= self.m <= MAX_DIM or not 1 <= len(comps) <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        _check_t_only(comps, self.m, "section")
+        n = len(comps)
+        ex.check_family(comps, self.m, n, (n,), "section", kinds=(TEMPORAL,))
         vel = tuple(
             tuple(differentiate(c, ex.t_var(a + 1)) for a in range(self.m))
             for c in comps
@@ -174,11 +162,12 @@ class VariationField:
     comps: tuple  # length n
 
     def __post_init__(self):
-        comps = tuple(ex.as_expr(c) for c in self.comps)
+        comps = ex.freeze(self.comps)
         object.__setattr__(self, "comps", comps)
-        if not 1 <= self.m <= MAX_DIM or not 1 <= len(comps) <= MAX_DIM:
-            raise ValueError("dimensions must satisfy 1 <= m, n <= 4")
-        _check_t_only(comps, self.m, "variation field")
+        n = len(comps)
+        ex.check_family(
+            comps, self.m, n, (n,), "variation field", kinds=(TEMPORAL,)
+        )
         deriv = tuple(
             tuple(differentiate(c, ex.t_var(a + 1)) for a in range(self.m))
             for c in comps

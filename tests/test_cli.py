@@ -484,6 +484,29 @@ def test_metric_degenerate_at_a_point_is_exit_3(command, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command", [["invariants"], ["check", "transform"]], ids=["invariants", "transform"]
+)
+def test_metric_out_of_domain_at_a_point_is_exit_3(command, tmp_path, capsys):
+    # sqrt(t1) is nan at the sampled t1 < 0: the batch used to come back nan,
+    # and a nan determinant passed the degeneracy guard, so transform exited 1
+    # with "nan" check values and invariants blamed eps
+    doc = dict(
+        OSC,
+        temporal_metric=[["sqrt(t1)"]],
+        system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "x1*v1_1"}]},
+    )
+    args = command + [write_json(tmp_path, "sqrt_h.json", doc)]
+    if command[0] == "check":
+        args.append(str(PROBLEMS / "change_stretch.json"))
+    code, report = run_cli(args + ["--samples", "5"], tmp_path)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: sqrt of negative value -0.9669447289429418 "
+        "in `sqrt(t1)`\n"
+    )
+
+
 def test_fd_check_max_deviation_keeps_nan(tmp_path):
     prob = write_json(tmp_path, "logv.json", LOG_V)
     code, report = run_cli(
@@ -845,6 +868,19 @@ def test_nullspace_m_mismatch_and_degenerate(tmp_path, capsys):
     )
     assert main(["nullspace", degen, "--t", "0.0,0.5"]) == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, flag", [(0, []), (5, []), (5, ["--m", "5"])])
+def test_nullspace_row_count_outside_the_dimensions_is_input_error(
+    m, flag, tmp_path, capsys
+):
+    # five rows without an "m" key used to end in a traceback from parse
+    rows = [["1" if a == b else "0" for b in range(m)] for a in range(m)]
+    path = write_json(tmp_path, "rows.json", {"temporal_metric": rows})
+    assert main(["nullspace", path, "--t", "0"] + flag) == 2
+    assert capsys.readouterr().err == (
+        f"input error: m: must be between 1 and 4, got {m}\n"
+    )
 
 
 def test_nullspace_out_of_domain_metric_is_exit_3(tmp_path, capsys):

@@ -440,13 +440,6 @@ def test_shared_subtrees_evaluate_once_deep_dag():
     assert evaluate(d, b) == pytest.approx(2.0**60)
 
 
-def test_bounds_check_helper():
-    e = parse("t1 + x2", 2, 2)
-    ex.check_bounds(e, 2, 2)
-    with pytest.raises(ParseError, match="out of range"):
-        ex.check_bounds(e, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # binding jet coordinates: one point vs a batch
 # ---------------------------------------------------------------------------

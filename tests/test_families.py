@@ -1,4 +1,5 @@
-"""Golden expression families: every family builder must build the same nodes.
+"""Expression families: every family builder must build the same nodes, and
+every family constructor refuses the same malformed data.
 
 ``tests/golden/families.json`` holds, for each family below, its nesting
 shape and the sha256 of ``to_string`` of every leaf in nesting order.
@@ -16,12 +17,20 @@ import json
 import pathlib
 import warnings
 
+import pytest
+
 from jetkcc import exprlang as ex
-from jetkcc.characterize import build_characterized_system
+from jetkcc.characterize import (
+    AntisymmetricCouplingField,
+    SymmetricCoefficientField,
+    build_characterized_system,
+)
 from jetkcc.cli import load_problem
-from jetkcc.dtransform import pushforward_system
+from jetkcc.dtransform import CoordinateChange, pushforward_system
 from jetkcc.exprlang import parse, to_string
 from jetkcc.jetgeom import (
+    MetricField,
+    PdeSystem,
     build_first_order_system,
     canonical_spatial_connection,
     canonical_spatial_semispray,
@@ -30,7 +39,12 @@ from jetkcc.jetgeom import (
     christoffel_sym,
     curvature_sym,
 )
-from jetkcc.kcccore import InvariantPipeline, spatial_semispray_from_connection
+from jetkcc.kcccore import (
+    InvariantPipeline,
+    SectionMap,
+    VariationField,
+    spatial_semispray_from_connection,
+)
 from test_characterize import admissible_setup22
 from test_dtransform import _leaves, _node_counts, change22, pushforward_pipeline22
 from test_dtransform import affine_setup22
@@ -208,6 +222,102 @@ def test_symmetric_families_share_their_mirrors():
                         assert block[b][a] is ex.neg(block[a][b]), name
             if name in antisymmetric:
                 assert all(block[a][a] is ex.ZERO for a in range(d)), name
+
+
+# ---------------------------------------------------------------------------
+# what every family constructor refuses (``exprlang.check_family``)
+# ---------------------------------------------------------------------------
+
+
+def _identity(var, d):
+    return tuple(var(k + 1) for k in range(d))
+
+
+def _change(slot):
+    """A coordinate change whose map ``slot`` is the given family and whose
+    other maps are identities."""
+
+    def make(m, n, fam):
+        maps = {
+            "t_forward": _identity(ex.t_var, m),
+            "x_forward": _identity(ex.x_var, n),
+            "t_inverse": _identity(ex.t_var, m),
+            "x_inverse": _identity(ex.x_var, n),
+        }
+        maps[slot] = fam
+        return CoordinateChange(m, n, **maps)
+
+    return make
+
+
+def _flow(m, n, fam):
+    X = {(i + 1, a + 1): e for i, row in enumerate(fam) for a, e in enumerate(row)}
+    return build_first_order_system(X, m, n)
+
+
+# what, allowed ranges at (m, n) = (2, 3), the dimensions it spans, its
+# extents, its constructor from a nested family, a variable of a foreign kind
+# (None when every kind is allowed) and one past its index bound
+CONSTRUCTORS = [
+    ("temporal metric", "t1..t2", "m", lambda m, n: (m, m),
+     lambda m, n, f: MetricField.temporal(f), ex.x_var(1), ex.t_var(3)),
+    ("spatial metric", "x1..x3", "n", lambda m, n: (n, n),
+     lambda m, n, f: MetricField.spatial(f), ex.t_var(1), ex.x_var(4)),
+    ("section", "t1..t2", "mn", lambda m, n: (n,),
+     lambda m, n, f: SectionMap(m, f), ex.x_var(1), ex.t_var(3)),
+    ("variation field", "t1..t2", "mn", lambda m, n: (n,),
+     lambda m, n, f: VariationField(m, f), ex.v_var(1, 1), ex.t_var(3)),
+    ("temporal forward map", "t1..t2", "mn", lambda m, n: (m,),
+     _change("t_forward"), ex.x_var(1), ex.t_var(3)),
+    ("temporal inverse map", "t1..t2", "mn", lambda m, n: (m,),
+     _change("t_inverse"), ex.x_var(1), ex.t_var(3)),
+    ("spatial forward map", "x1..x3", "mn", lambda m, n: (n,),
+     _change("x_forward"), ex.v_var(1, 1), ex.x_var(4)),
+    ("spatial inverse map", "x1..x3", "mn", lambda m, n: (n,),
+     _change("x_inverse"), ex.t_var(1), ex.x_var(4)),
+    ("coefficient", "t1..t2, x1..x3", "mn", lambda m, n: (n, n, n),
+     lambda m, n, f: SymmetricCoefficientField(m, n, f), ex.v_var(1, 1),
+     ex.x_var(4)),
+    ("coupling entry", "t1..t2, x1..x3", "mn", lambda m, n: (n, m, m, n, n),
+     lambda m, n, f: AntisymmetricCouplingField(m, n, f), ex.v_var(3, 2),
+     ex.t_var(3)),
+    ("first-order flow", "t1..t2, x1..x3", "mn", lambda m, n: (n, m),
+     _flow, ex.v_var(1, 1), ex.x_var(4)),
+    ("system", "t1..t2, x1..x3, v1_1..v3_2", "mn", lambda m, n: (n, m, m),
+     lambda m, n, f: PdeSystem(m, n, f), None, ex.v_var(1, 3)),
+]
+
+
+def _cases():
+    for what, allowed, dims, extents, make, foreign, past in CONSTRUCTORS:
+        row = (what, allowed, extents, make)
+        name = what.replace(" ", "-")
+        if foreign is not None:
+            yield pytest.param(*row, "leaf", foreign, id=f"{name}-foreign")
+        yield pytest.param(*row, "leaf", past, id=f"{name}-past-bound")
+        yield pytest.param(*row, "depth", None, id=f"{name}-extent")
+        for m, n in [(0, 3), (5, 3), (2, 0), (2, 5)]:
+            if (m != 2 and "m" in dims) or (n != 3 and "n" in dims):
+                yield pytest.param(*row, "dims", (m, n), id=f"{name}-m{m}-n{n}")
+
+
+@pytest.mark.parametrize("what, allowed, extents, make, case, arg", _cases())
+def test_family_constructors_refuse_malformed_data(
+    what, allowed, extents, make, case, arg
+):
+    m, n = arg if case == "dims" else (2, 3)
+    shape = extents(m, n) + ((1,) if case == "depth" else ())
+    fam = ex.nested(shape, lambda *_: arg if case == "leaf" else ex.ZERO)
+    if case == "leaf":
+        message = f"{what} uses variable '{arg.vid.name}'; allowed: {allowed}"
+    elif case == "depth":
+        message = f"{what}: expected extents {extents(m, n)}"
+    else:
+        message = "dimensions must satisfy 1 <= m, n <= 4"
+    with pytest.raises(ValueError) as err:
+        make(m, n, fam)
+    assert str(err.value) == message
+    make(2, 3, ex.nested(extents(2, 3), lambda *_: ex.ZERO))  # the valid family
 
 
 if __name__ == "__main__":

@@ -125,7 +125,7 @@ def test_metric_rejects_foreign_variables():
 
 
 def test_metric_rejects_out_of_dimension_indices():
-    with pytest.raises(ValueError, match="exceeds dimension"):
+    with pytest.raises(ValueError, match="uses variable 't2'; allowed: t1..t1"):
         MetricField.temporal(((ex.t_var(2),),))
 
 
@@ -418,11 +418,6 @@ def test_symmetric_pde_system_requires_shared_mirrors():
     assert PdeSystem(2, 1, comps, symmetric=False).component(1, 2, 1) is ex.t_var(2)
 
 
-def test_pde_system_rejects_out_of_range_variables():
-    with pytest.raises(ex.ParseError, match="out of range"):
-        PdeSystem.from_upper(1, 1, {(1, 1, 1): ex.v_var(2, 1)})
-
-
 def test_affine_system_flat_pair_structurally_zero():
     sys_ = build_affine_system(
         support.flat_metric(ex.TEMPORAL, 2), support.flat_metric(ex.SPATIAL, 2)
@@ -533,8 +528,3 @@ def test_first_order_symmetrize_averages():
     expect = 0.5 * (-(1.2 + 0.3 * -0.4) + 0.0)
     assert got[0, 0, 1] == pytest.approx(expect, rel=1e-12)
     assert got[0, 0, 1] == got[0, 1, 0]
-
-
-def test_first_order_rejects_velocity_dependence():
-    with pytest.raises(ValueError, match="must not use velocities"):
-        build_first_order_system({(1, 1): parse("v1_1", 1, 1)}, 1, 1)
