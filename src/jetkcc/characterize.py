@@ -13,12 +13,12 @@ a point, and recovers the families from a given system by polarization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import exprlang as ex
-from .exprlang import SPATIAL, TEMPORAL, Bindings, Expression, expr_sum, mul, neg
+from .exprlang import SPATIAL, TEMPORAL, Bindings, expr_sum, mul, neg
 from .jetgeom import MetricField, PdeSystem, christoffel_sym
 from .kcccore import InvariantPipeline
 
@@ -51,119 +51,43 @@ class HypothesisViolationError(ValueError):
         super().__init__(f"{what} reaches {value:.3e} (tolerance {tol:.1e})")
 
 
-def _check_key(key: tuple, bounds: tuple) -> None:
-    """Refuse a 1-based entry key with an index outside 1..bound."""
-    for index, bound in zip(key, bounds):
-        if not 1 <= index <= bound:
-            raise ValueError(
-                f"entry ({','.join(map(str, key))}) has index {index} "
-                f"outside 1..{bound}"
-            )
-
-
-@dataclass(frozen=True)
-class SymmetricCoefficientField:
+class SymmetricCoefficientField(ex.Family):
     """Velocity-quadratic coefficient family Gamma^i_pq(t, x), symmetric in
     the two lower indices; storage [i][p][q], 0-based, full grid."""
 
-    m: int
-    n: int
-    comps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", ex.freeze(self.comps))
-        m, n = self.m, self.n
-        ex.check_family(
-            self.comps, m, n, (n, n, n), "coefficient", True, kinds=(TEMPORAL, SPATIAL)
-        )
-
-    @classmethod
-    def from_upper(cls, m: int, n: int, upper: dict) -> "SymmetricCoefficientField":
-        """Build from 1-based entries with p <= q; the mirror shares nodes
-        and a missing entry is zero."""
-        for i, p, q in upper:
-            _check_key((i, p, q), (n, n, n))
-            if p > q:
-                raise ValueError(f"entry ({i},{p},{q}) must have p <= q")
-
-        def entry(i, p, q):
-            key = (i + 1, min(p, q) + 1, max(p, q) + 1)
-            return ex.as_expr(upper.get(key, ex.ZERO))
-
-        return cls(m, n, ex.nested((n, n, n), entry))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "SymmetricCoefficientField":
-        return cls.from_upper(m, n, {})
-
-    def component(self, i: int, p: int, q: int) -> Expression:
-        return ex.entry_at(self.comps, (i, p, q), "sss")
-
-    def evaluate(self, t, x) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, t=t, x=x)
-        return np.asarray(ex.evaluate_nested(self.comps, b), dtype=float)
+    __slots__ = ()
+    what = "coefficient"
+    axes = "sss"
+    kinds = (TEMPORAL, SPATIAL)
+    symmetric = True
 
 
-@dataclass(frozen=True)
-class AntisymmetricCouplingField:
+class AntisymmetricCouplingField(ex.Family):
     """Cross-temporal coupling family S(t, x) with storage
     [i][alpha][nu][p][q] (0-based): spatial value index i, distinct temporal
     pair (alpha, nu), antisymmetric spatial pair (p, q).  Entries with
-    alpha = nu or p = q are structurally zero."""
+    alpha = nu or p = q are structurally zero, and each (q, p) mirror is the
+    negated node."""
 
-    m: int
-    n: int
-    comps: tuple
+    __slots__ = ()
+    what = "coupling entry"
+    axes = "sttss"
+    kinds = (TEMPORAL, SPATIAL)
+    antisymmetric = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", ex.freeze(self.comps))
-        m, n = self.m, self.n
-        extents = (n, m, m, n, n)
-        ex.check_family(
-            self.comps, m, n, extents, "coupling entry", kinds=(TEMPORAL, SPATIAL)
-        )
-        for i, a, v, p, q in np.ndindex(extents):
-            e = self.comps[i][a][v][p][q]
+    def __init__(self, m: int, n: int, comps):
+        super().__init__(m, n, comps)
+        comps = self.comps
+        for key in np.ndindex((n, m, m, n, n)):
+            i, a, v, p, q = key
+            e = comps[i][a][v][p][q]
+            label = ",".join(str(k + 1) for k in key)
             if a == v and not ex.is_zero(e):
                 raise ValueError(
-                    f"entry ({i+1},{a+1},{v+1},{p+1},{q+1}) "
-                    f"must be zero (repeated index)"
+                    f"entry ({label}) must be zero: a nonzero entry needs alpha != nu"
                 )
-            if p <= q and self.comps[i][a][v][q][p] is not neg(e):
-                raise ValueError(
-                    f"entries ({i+1},{a+1},{v+1},{p+1},{q+1}) "
-                    f"and mirror are not opposite"
-                )
-
-    @classmethod
-    def from_upper(cls, m: int, n: int, upper: dict) -> "AntisymmetricCouplingField":
-        """Build from 1-based entries keyed (i, alpha, nu, p, q) with
-        alpha != nu and p < q; the (q, p) mirror is the negated node and a
-        missing entry is zero."""
-        for i, a, v, p, q in upper:
-            _check_key((i, a, v, p, q), (n, m, m, n, n))
-            if a == v:
-                raise ValueError(f"entry ({i},{a},{v},{p},{q}) needs alpha != nu")
-            if p >= q:
-                raise ValueError(f"entry ({i},{a},{v},{p},{q}) must have p < q")
-
-        def entry(i, a, v, p, q):
-            if p > q:
-                return neg(entry(i, a, v, q, p))
-            return ex.as_expr(upper.get((i + 1, a + 1, v + 1, p + 1, q + 1), ex.ZERO))
-
-        return cls(m, n, ex.nested((n, m, m, n, n), entry))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "AntisymmetricCouplingField":
-        return cls.from_upper(m, n, {})
-
-    def component(self, i: int, alpha: int, nu: int, p: int, q: int) -> Expression:
-        return ex.entry_at(self.comps, (i, alpha, nu, p, q), "sttss")
-
-    def evaluate(self, t, x) -> np.ndarray:
-        b = Bindings.jet(self.m, self.n, t=t, x=x)
-        return np.asarray(ex.evaluate_nested(self.comps, b), dtype=float)
+            if p <= q and comps[i][a][v][q][p] is not neg(e):
+                raise ValueError(f"entries ({label}) and mirror are not opposite")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +130,7 @@ def _constraint_matrix(hm: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     return L
 
 
-@dataclass(frozen=True)
-class NullspaceResult:
+class NullspaceResult(NamedTuple):
     """Null space of the coupling constraint system at one temporal point.
 
     ``pairs`` names the unknown ordering (S with lower index alpha and upper
@@ -266,9 +189,9 @@ def coupling_constraint_residual(
     """Worst constraint violation of the coupling field at (t, x), maximized
     over the spatial value index and spatial pairs.  ``t`` and ``x`` have
     shapes (m,) and (n,) for one point, or (m, K) and (n, K) for K points,
-    evaluated as one batch and maximized over them too; the first point
-    whose values are not all finite is evaluated again alone, which raises
-    where a value left its domain, as a scan of single points does."""
+    evaluated as one batch and maximized over them too.  A value that left
+    its domain raises EvaluationError at the first such point, as a scan of
+    single points does; a non-finite input stands as nan."""
     m, n = coupling.m, coupling.n
     if m < 2:
         return 0.0
@@ -276,12 +199,6 @@ def coupling_constraint_residual(
     vals = coupling.evaluate(t, x)
     if hm.ndim == 2:  # one point
         hm, vals = hm[..., None], vals[..., None]
-    else:
-        count = hm.shape[-1]
-        both = np.concatenate([hm.reshape(-1, count), vals.reshape(-1, count)])
-        bad = np.flatnonzero(~np.isfinite(both).all(axis=0))
-        if bad.size:
-            coupling_constraint_residual(coupling, h, t[:, bad[0]], x[:, bad[0]])
     pairs = temporal_pairs(m)
     residuals = []
     for k in range(hm.shape[-1]):
@@ -375,8 +292,7 @@ def build_characterized_system(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticDecomposition:
+class QuadraticDecomposition(ex.Frozen):
     """Numeric quadratic / linear / constant parts of a velocity-quadratic
     system at one base point:
 
@@ -385,20 +301,16 @@ class QuadraticDecomposition:
 
     with ``quadratic`` symmetrized over the paired slots ((j,g), (k,e))."""
 
-    m: int
-    n: int
-    quadratic: np.ndarray
-    linear: np.ndarray
-    constant: np.ndarray
+    __slots__ = ("m", "n", "quadratic", "linear", "constant")
 
-    def __post_init__(self):
-        m, n = self.m, self.n
-        if self.quadratic.shape != (n, m, m, n, m, n, m):
+    def __init__(self, m: int, n: int, quadratic, linear, constant):
+        if quadratic.shape != (n, m, m, n, m, n, m):
             raise ValueError("quadratic part has the wrong shape")
-        if self.linear.shape != (n, m, m, n, m):
+        if linear.shape != (n, m, m, n, m):
             raise ValueError("linear part has the wrong shape")
-        if self.constant.shape != (n, m, m):
+        if constant.shape != (n, m, m):
             raise ValueError("constant part has the wrong shape")
+        self._set(m=m, n=n, quadratic=quadratic, linear=linear, constant=constant)
 
     def reconstruct(self, v: np.ndarray) -> np.ndarray:
         return (
@@ -438,8 +350,7 @@ def quadratic_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class ExtractionDiagnostics:
+class ExtractionDiagnostics(NamedTuple):
     """Residual report accompanying an extraction: how exactly the system
     matched each structural hypothesis at the base point."""
 

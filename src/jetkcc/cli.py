@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +208,7 @@ _TOP_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A validated problem: dimensions, metrics, system, optional extras."""
 
     m: int

@@ -18,7 +18,6 @@ does not grow with K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,35 +52,29 @@ def _jacobian_table(maps, var):
     )
 
 
-@dataclass(eq=False)
-class CoordinateChange:
+class CoordinateChange(ex.Frozen):
     """Fibered coordinate change with user-supplied exact inverses.
 
     The forward maps are written in the old variables, the inverse maps in
     the new ones (both charts reuse the same variable names t1.., x1..).
     Inverses are required rather than computed: numeric root-finding would
-    poison every derivative taken downstream.
+    poison every derivative taken downstream.  Immutable; the Jacobian
+    tables are built on first use and kept in the instance dict.
     """
 
-    m: int
-    n: int
-    t_forward: tuple
-    x_forward: tuple
-    t_inverse: tuple
-    x_inverse: tuple
-
-    def __post_init__(self):
-        m, n = self.m, self.n
-        for name, kind, d in (
-            ("t_forward", TEMPORAL, m),
-            ("t_inverse", TEMPORAL, m),
-            ("x_forward", SPATIAL, n),
-            ("x_inverse", SPATIAL, n),
-        ):
-            maps = ex.freeze(getattr(self, name))
-            setattr(self, name, maps)
+    def __init__(self, m: int, n: int, t_forward, x_forward, t_inverse, x_inverse):
+        maps = {
+            "t_forward": t_forward,
+            "t_inverse": t_inverse,
+            "x_forward": x_forward,
+            "x_inverse": x_inverse,
+        }
+        for name, family in maps.items():
+            kind, d = (TEMPORAL, m) if name[0] == "t" else (SPATIAL, n)
+            maps[name] = ex.freeze(family)
             what = f"{kind} {name[2:]} map"
-            ex.check_family(maps, m, n, (d,), what, kinds=(kind,))
+            ex.check_family(maps[name], m, n, (d,), what, kinds=(kind,))
+        self._set(m=m, n=n, **maps)
 
     # Jacobian expression tables (built once per change)
 

@@ -29,6 +29,9 @@ fields instead of dispatching on the class; ``free_variables`` decodes the mask;
 An indexed family of expressions (a system, a connection, an invariant) is
 nested tuples, built by ``nested`` from one entry function, frozen by
 ``freeze`` and checked by ``check_family``; ``evaluate_nested`` evaluates it.
+The family classes of the geometry modules derive from ``Family``, which
+does the freezing, the check, ``component``, ``from_upper`` and ``evaluate``
+from what each subclass declares.
 
 Results of the builders in the geometry modules are DAGs rather than trees.
 Every traversal here walks the DAG iteratively with an identity memo, so
@@ -46,10 +49,11 @@ Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +66,13 @@ MAX_DIM = 4
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 
 
-@dataclass(frozen=True, slots=True)
-class VariableId:
+class VariableId(NamedTuple):
     """Identity of a jet variable: kind plus its 1-based indices.
 
     Temporal variables use ``alpha`` only, spatial use ``i`` only, velocities
-    use both.  The unused index is 0.
+    use both.  The unused index is 0.  A tuple, so it equals the plain tuple
+    of its fields; the dicts keyed by VariableIds (``_VAR_BITS``, a
+    ``Bindings``' values, the derivative memo) never hold plain tuples.
     """
 
     kind: str
@@ -526,6 +531,105 @@ def check_family(
     walk(family, tuple(extents))
 
 
+def _extents(axes: str, m: int, n: int) -> tuple:
+    return tuple(n if axis == "s" else m for axis in axes)
+
+
+class Frozen:
+    """Base of the immutable value classes: a constructor sets each attribute
+    once through ``_set``; assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        kind = type(self).__name__
+        raise AttributeError(f"{kind} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Family(Frozen):
+    """An indexed family on a jet space of m times and n coordinates: nested
+    tuples ``comps``, frozen by ``freeze`` and checked by ``check_family``
+    when constructed.
+
+    A subclass declares what the check needs.  ``axes`` has one letter per
+    index, "s" for a spatial one (1..n) or "t" for a temporal one (1..m),
+    which gives the extents; ``what`` names the family in messages;
+    ``kinds`` are the variable kinds its entries may use; ``symmetric``
+    asks each mirror in the last two indices to be the same node, and
+    ``antisymmetric`` declares it the negated node (which the subclass
+    checks); ``full_grid`` makes ``from_upper`` need every entry.
+    """
+
+    __slots__ = ("m", "n", "comps")
+    what = "family"
+    axes = ""
+    kinds = KINDS
+    symmetric = False
+    antisymmetric = False
+    full_grid = False
+
+    def __init__(self, m: int, n: int, comps):
+        comps = freeze(comps)
+        extents = _extents(self.axes, m, n)
+        check_family(comps, m, n, extents, self.what, self.symmetric, self.kinds)
+        self._set(m=m, n=n, comps=comps)
+
+    @classmethod
+    def from_upper(cls, m: int, n: int, upper: dict):
+        """The family of the 1-based entries ``upper``, keyed by their full
+        index with the last two in order: p <= q, or p < q when the family
+        is antisymmetric.  Each mirror is the entry's node, negated when
+        antisymmetric, and a missing entry is ``ZERO``; a family that
+        declares ``full_grid`` needs every entry instead."""
+        extents = _extents(cls.axes, m, n)
+        low, high = "ab" if cls.axes[-1] == "t" else "pq"
+        for key in upper:
+            label = f"entry ({','.join(map(str, key))})"
+            if len(key) != len(extents):
+                raise ValueError(f"{label} needs {len(extents)} indices")
+            for k, bound in zip(key, extents):
+                if not 1 <= k <= bound:
+                    raise ValueError(f"{label} has index {k} outside 1..{bound}")
+            if key[-2] > key[-1] or cls.antisymmetric and key[-2] == key[-1]:
+                order = "<" if cls.antisymmetric else "<="
+                raise ValueError(f"{label} must have {low} {order} {high}")
+        if cls.full_grid:
+            grid = itertools.product(*(range(1, e + 1) for e in extents))
+            missing = [key for key in grid if key[-2] <= key[-1] and key not in upper]
+            if missing:
+                raise ValueError(f"component grid mismatch: missing {missing[:4]}")
+
+        def entry(*index):
+            *head, a, b = index
+            if a > b:
+                mirror = entry(*head, b, a)
+                return neg(mirror) if cls.antisymmetric else mirror
+            return upper.get(tuple(k + 1 for k in index), ZERO)
+
+        return cls(m, n, nested(extents, entry))
+
+    @classmethod
+    def zero(cls, m: int, n: int):
+        return cls(m, n, nested(_extents(cls.axes, m, n), lambda *_: ZERO))
+
+    def component(self, *index) -> Expression:
+        return entry_at(self.comps, index, self.axes)
+
+    def evaluate(self, t=(), x=(), v=()) -> np.ndarray:
+        """Numeric component block at t, x, v of shapes (m,), (n,) and
+        (n, m), any of them with a trailing batch axis of K, which the block
+        then gets too; a block not given stays unbound.  An out-of-domain
+        value raises EvaluationError at the first such point
+        (``evaluate_in_domain``)."""
+        return evaluate_in_domain(self.comps, Bindings.jet(self.m, self.n, t, x, v))
+
+
 # ---------------------------------------------------------------------------
 # traversal core
 # ---------------------------------------------------------------------------
@@ -582,14 +686,15 @@ class EvaluationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Bindings:
     """Values for jet variables; scalar floats or numpy arrays (all of one
     common shape) for vectorized evaluation."""
 
-    m: int
-    n: int
-    values: dict[VariableId, float | np.ndarray] = field(default_factory=dict)
+    __slots__ = ("m", "n", "values")
+
+    def __init__(self, m: int, n: int, values: dict | None = None):
+        self.m, self.n = m, n
+        self.values = {} if values is None else values  # VariableId -> value
 
     @classmethod
     def jet(cls, m: int, n: int, t=(), x=(), v=()) -> "Bindings":

@@ -13,7 +13,7 @@ PDE-system container, and the two system builders used throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class DegenerateMetricError(ValueError):
     """Metric determinant vanished (|det| <= 1e-12) at an evaluation point."""
 
 
-class JetPoint:
+class JetPoint(ex.Frozen):
     """Immutable numeric point (t, x, v) on the 1-jet space."""
 
     __slots__ = ("t", "x", "v")
@@ -56,7 +56,7 @@ class JetPoint:
         t.flags.writeable = False
         x.flags.writeable = False
         v.flags.writeable = False
-        self.t, self.x, self.v = t, x, v
+        self._set(t=t, x=x, v=v)
 
     @property
     def m(self) -> int:
@@ -73,7 +73,7 @@ class JetPoint:
         return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
 
 
-class JetPointSet:
+class JetPointSet(ex.Frozen):
     """Immutable set of K jet points, held as three stacks with the batch
     axis last: t (m, K), x (n, K) and v (n, m, K).  Indexing and iteration
     give ``JetPoint``s."""
@@ -92,12 +92,9 @@ class JetPointSet:
                 f"point set shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
             )
         ex.check_dimensions(len(t), len(x))
-        for name, stack in zip(self.__slots__, stacks):
+        for stack in stacks:
             stack.flags.writeable = False
-            object.__setattr__(self, name, stack)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"JetPointSet is immutable; cannot set {name!r}")
+        self._set(t=t, x=x, v=v)
 
     @property
     def m(self) -> int:
@@ -184,9 +181,9 @@ def _coord_var(kind: str, k: int) -> ex.Var:
     return ex.t_var(k) if kind == TEMPORAL else ex.x_var(k)
 
 
-@dataclass(frozen=True)
-class MetricField:
-    """Symmetric nondegenerate metric on the time or space factor.
+class MetricField(ex.Family):
+    """Symmetric nondegenerate metric on the time or space factor, of
+    dimension d: a family of d rows of d entries, with m = n = d.
 
     Entries are expressions in that factor's own coordinates only (t-vars for
     a temporal metric, x-vars for a spatial one).  Structural symmetry is
@@ -194,28 +191,32 @@ class MetricField:
     the metric is evaluated.
     """
 
-    kind: str  # TEMPORAL or SPATIAL
-    rows: tuple[tuple[Expression, ...], ...]
+    # kind is TEMPORAL or SPATIAL; the family declarations follow from it
+    __slots__ = ("kind", "what", "kinds", "axes")
+    symmetric = True
 
-    def __post_init__(self):
-        if self.kind not in (TEMPORAL, SPATIAL):
-            raise ValueError(f"bad metric kind {self.kind!r}")
-        d = len(self.rows)
-        ex.check_family(
-            self.rows, d, d, (d, d), f"{self.kind} metric", True, kinds=(self.kind,)
-        )
+    def __init__(self, kind: str, rows):
+        if kind not in (TEMPORAL, SPATIAL):
+            raise ValueError(f"bad metric kind {kind!r}")
+        axes = "tt" if kind == TEMPORAL else "ss"
+        self._set(kind=kind, what=f"{kind} metric", kinds=(kind,), axes=axes)
+        super().__init__(len(rows), len(rows), rows)
+
+    @property
+    def rows(self) -> tuple:
+        return self.comps
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.m
 
     @classmethod
     def temporal(cls, rows) -> "MetricField":
-        return cls(TEMPORAL, ex.freeze(rows))
+        return cls(TEMPORAL, rows)
 
     @classmethod
     def spatial(cls, rows) -> "MetricField":
-        return cls(SPATIAL, ex.freeze(rows))
+        return cls(SPATIAL, rows)
 
     def evaluate(self, coords) -> np.ndarray:
         """Numeric (d, d) matrix at factor coordinates of shape (d,), or a
@@ -226,10 +227,7 @@ class MetricField:
         """
         coords = np.asarray(coords, dtype=float)
         d = self.dim
-        if self.kind == TEMPORAL:
-            b = Bindings.jet(d, 1, t=coords)
-        else:
-            b = Bindings.jet(1, d, x=coords)
+        b = Bindings.jet(d, d, **{"t" if self.kind == TEMPORAL else "x": coords})
         out = ex.evaluate_in_domain(self.rows, b)
         det = np.abs(ex.evaluate(self.determinant(), b))
         det = np.broadcast_to(det, coords.shape[1:])  # a constant det is a float
@@ -397,8 +395,7 @@ def canonical_spatial_connection(phi: MetricField, m: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One index slot of a d-tensor value.
 
     ``pair`` groups a (spatial upper, temporal lower) or (spatial lower,
@@ -412,26 +409,20 @@ class Slot:
     pair: int = 0
 
 
-@dataclass
-class DTensorValue:
+class DTensorValue(ex.Frozen):
     """Numeric component array of a distinguished tensor at one jet point,
     or with a trailing axis over a batch of points."""
 
-    m: int
-    n: int
-    slots: tuple[Slot, ...]
-    values: np.ndarray
+    __slots__ = ("m", "n", "slots", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expect = tuple(
-            self.m if s.kind == TEMPORAL else self.n for s in self.slots
-        )
-        shape = self.values.shape
+    def __init__(self, m: int, n: int, slots: tuple[Slot, ...], values):
+        values = np.asarray(values, dtype=float)
+        expect = tuple(m if s.kind == TEMPORAL else n for s in slots)
+        shape = values.shape
         if shape[: len(expect)] != expect or len(shape) > len(expect) + 1:
             raise ValueError(f"component shape {shape} != slot extents {expect}")
         groups: dict[int, list[Slot]] = {}
-        for s in self.slots:
+        for s in slots:
             if s.pair:
                 groups.setdefault(s.pair, []).append(s)
         for gid, members in groups.items():
@@ -446,6 +437,7 @@ class DTensorValue:
                     f"jet pair {gid} must couple spatial-up with temporal-down "
                     "or spatial-down with temporal-up"
                 )
+        self._set(m=m, n=n, slots=slots, values=values)
 
 
 def canonical_tensors(h: MetricField, point: JetPoint):
@@ -484,61 +476,24 @@ def canonical_tensors(h: MetricField, point: JetPoint):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PdeSystem:
+class PdeSystem(ex.Family):
     """Right-hand side family F^i_ab of a second-order system.
 
-    Components are stored as nested tuples ``comps[i-1][a-1][b-1]`` on the
-    full grid; the ``symmetric`` flag records whether they were given (or
-    forced) symmetric under a <-> b, in which case each mirror is the same
-    node.
+    Components are nested tuples ``comps[i-1][a-1][b-1]`` on the full grid,
+    and ``from_upper`` needs every entry with a <= b.  The ``symmetric``
+    flag records whether they were given (or forced) symmetric under
+    a <-> b, in which case each mirror is the same node, or, for a
+    first-order prolongation, found symmetric at sample points.
     """
 
-    m: int
-    n: int
-    comps: tuple
-    symmetric: bool = True
+    __slots__ = ("symmetric",)
+    what = "system"
+    axes = "stt"
+    full_grid = True
 
-    def __post_init__(self):
-        self.comps = ex.freeze(self.comps)
-        m, n = self.m, self.n
-        ex.check_family(self.comps, m, n, (n, m, m), "system", self.symmetric)
-
-    @classmethod
-    def from_upper(cls, m: int, n: int, upper: dict) -> "PdeSystem":
-        """Build from 1-based entries keyed (i, a, b) with a <= b, one for
-        each such triple; the mirror shares nodes."""
-        for i, a, b in upper:
-            if a > b:
-                raise ValueError(f"entry ({i},{a},{b}) must have a <= b")
-        want = {
-            (i, a, b)
-            for i in range(1, n + 1)
-            for a in range(1, m + 1)
-            for b in range(a, m + 1)
-        }
-        if set(upper) != want:
-            missing = sorted(want - set(upper))
-            extra = sorted(set(upper) - want)
-            raise ValueError(
-                f"component grid mismatch: missing {missing[:4]}, extra {extra[:4]}"
-            )
-
-        def entry(i, a, b):
-            return upper[(i + 1, min(a, b) + 1, max(a, b) + 1)]
-
-        return cls(m, n, ex.nested((n, m, m), entry))
-
-    def component(self, i: int, a: int, b: int) -> Expression:
-        return ex.entry_at(self.comps, (i, a, b), "stt")
-
-    def evaluate(self, t, x, v) -> np.ndarray:
-        """Numeric (n, m, m) component block at t, x, v of shapes (m,), (n,)
-        and (n, m), any of them with a trailing batch axis of K, which the
-        block then gets too.  An out-of-domain value raises EvaluationError
-        at the first such point (``ex.evaluate_in_domain``)."""
-        b = Bindings.jet(self.m, self.n, t, x, v)
-        return ex.evaluate_in_domain(self.comps, b)
+    def __init__(self, m: int, n: int, comps, symmetric: bool = True):
+        self._set(symmetric=symmetric)
+        super().__init__(m, n, comps)
 
 
 def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:
@@ -601,7 +556,8 @@ def build_first_order_system(
         F = system.evaluate(*stack_points(sample_jet_points(m, n, 5, seed=20)))
         a, b = np.triu_indices(m, 1)
         asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
-    system.symmetric = asym <= FIRST_ORDER_ASYM_TOL  # a nan gap is asymmetric
+    # symmetric in value, stored as written; a nan gap is asymmetric
+    system._set(symmetric=asym <= FIRST_ORDER_ASYM_TOL)
     if not system.symmetric:
         warnings.warn(
             f"first-order prolongation is asymmetric in its time indices "

@@ -15,7 +15,6 @@ work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,67 +71,68 @@ class SectionNotSolutionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Semispray:
+class Semispray(ex.Family):
     """Coefficient family H^i_ab or G^i_ab(t, x, v) of a temporal or spatial
     semispray, symmetric in (a, b)."""
 
-    m: int
-    n: int
-    components: tuple  # [i-1][a-1][b-1]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", ex.freeze(self.components))
-        m, n = self.m, self.n
-        ex.check_family(self.components, m, n, (n, m, m), "semispray", True)
-
-    def component(self, i: int, a: int, b: int) -> Expression:
-        return ex.entry_at(self.components, (i, a, b), "stt")
+    __slots__ = ()
+    what = "semispray"
+    axes = "stt"
+    symmetric = True
 
 
-@dataclass(frozen=True)
-class NonlinearConnection:
+class _TemporalPart(ex.Family):
+    __slots__ = ()
+    what = "connection temporal part"
+    axes = "stt"
+    symmetric = True
+
+
+class _SpatialPart(ex.Family):
+    __slots__ = ()
+    what = "connection spatial part"
+    axes = "sts"
+
+
+class NonlinearConnection(ex.Frozen):
     """Pair of coefficient families: temporal part M^i_ab (symmetric in the
-    temporal indices) and spatial part N^i_aj."""
+    temporal indices) and spatial part N^i_aj, each held as its checked
+    nested tuples."""
 
-    m: int
-    n: int
-    temporal: tuple  # [i-1][a-1][b-1]
-    spatial: tuple  # [i-1][a-1][j-1]
+    __slots__ = ("m", "n", "temporal", "spatial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "temporal", ex.freeze(self.temporal))
-        object.__setattr__(self, "spatial", ex.freeze(self.spatial))
-        m, n = self.m, self.n
-        ex.check_family(
-            self.temporal, m, n, (n, m, m), "connection temporal part", True
+    def __init__(self, m: int, n: int, temporal, spatial):
+        temporal = _TemporalPart(m, n, temporal).comps
+        spatial = _SpatialPart(m, n, spatial).comps
+        self._set(m=m, n=n, temporal=temporal, spatial=spatial)
+
+
+class VariationField(ex.Family):
+    """A curve in t: one expression per spatial component, t-variables only,
+    with its t-derivatives ``derivative[i][a]`` = d comps[i] / dt^a built at
+    construction.  As itself it is a perturbation direction xi(t)."""
+
+    __slots__ = ("derivative",)
+    what = "variation field"
+    axes = "s"
+    kinds = (TEMPORAL,)
+
+    def __init__(self, m: int, comps):
+        super().__init__(m, len(comps), comps)
+        comps = self.comps
+        self._set(
+            derivative=ex.nested(
+                (self.n, m), lambda i, a: differentiate(comps[i], ex.t_var(a + 1))
+            )
         )
-        ex.check_family(self.spatial, m, n, (n, m, n), "connection spatial part")
 
 
-@dataclass(frozen=True)
-class SectionMap:
-    """A map t -> x(t): one expression per spatial component, t-variables
-    only.  Differentiation along it and its first prolongation (x, dx/dt)
-    are precomputed at construction."""
+class SectionMap(VariationField):
+    """A map t -> x(t), the same curve read as a section: its first
+    prolongation (x, dx/dt) is ``comps`` with ``derivative``."""
 
-    m: int
-    comps: tuple  # length n, Expressions in t only
-
-    def __post_init__(self):
-        comps = ex.freeze(self.comps)
-        object.__setattr__(self, "comps", comps)
-        n = len(comps)
-        ex.check_family(comps, self.m, n, (n,), "section", kinds=(TEMPORAL,))
-        vel = tuple(
-            tuple(differentiate(c, ex.t_var(a + 1)) for a in range(self.m))
-            for c in comps
-        )
-        object.__setattr__(self, "velocity", vel)
-
-    @property
-    def n(self) -> int:
-        return len(self.comps)
+    __slots__ = ()
+    what = "section"
 
     def prolongation_map(self) -> dict:
         """Substitution map sending x^i and v^i_a to their expressions in t."""
@@ -141,7 +141,7 @@ class SectionMap:
             out[ex.VariableId(SPATIAL, i=i + 1)] = c
             for a in range(self.m):
                 out[ex.VariableId(VELOCITY, i=i + 1, alpha=a + 1)] = (
-                    self.velocity[i][a]
+                    self.derivative[i][a]
                 )
         return out
 
@@ -149,34 +149,8 @@ class SectionMap:
         """Numeric jet point (t, x(t), dx/dt(t))."""
         tb = Bindings.jet(self.m, self.n, t=t)
         x = ex.evaluate_nested(self.comps, tb)
-        v = ex.evaluate_nested(self.velocity, tb)
+        v = ex.evaluate_nested(self.derivative, tb)
         return JetPoint(np.asarray(t, dtype=float), x, v)
-
-
-@dataclass(frozen=True)
-class VariationField:
-    """A perturbation direction xi(t): one expression per spatial component,
-    t-variables only."""
-
-    m: int
-    comps: tuple  # length n
-
-    def __post_init__(self):
-        comps = ex.freeze(self.comps)
-        object.__setattr__(self, "comps", comps)
-        n = len(comps)
-        ex.check_family(
-            comps, self.m, n, (n,), "variation field", kinds=(TEMPORAL,)
-        )
-        deriv = tuple(
-            tuple(differentiate(c, ex.t_var(a + 1)) for a in range(self.m))
-            for c in comps
-        )
-        object.__setattr__(self, "derivative", deriv)
-
-    @property
-    def n(self) -> int:
-        return len(self.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +164,7 @@ def connection_part_from_temporal_semispray(H: Semispray):
     The inverse map halves it back; because constant factors collapse, the
     round trip returns the original expression objects.
     """
-    comps = H.components
+    comps = H.comps
     return ex.nested((H.n, H.m, H.m), lambda i, a, b: mul(2.0, comps[i][a][b]))
 
 
@@ -198,8 +172,7 @@ def temporal_semispray_from_connection_part(
     M, m: int, n: int
 ) -> Semispray:
     """Temporal semispray whose doubled components reproduce M: H = M / 2."""
-    M = ex.freeze(M)
-    ex.check_family(M, m, n, (n, m, m), "connection part")
+    M = _TemporalPart(m, n, M).comps
     halves = ex.nested((n, m, m), lambda i, a, b: mul(0.5, M[i][a][b]))
     return Semispray(m, n, halves)
 
@@ -823,7 +796,7 @@ def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
     fam = ex.nested(
         (system.n, system.m, system.m),
         lambda i, a, b: add(
-            differentiate(sigma.velocity[i][a], ex.t_var(b + 1)),
+            differentiate(sigma.derivative[i][a], ex.t_var(b + 1)),
             system.component(i + 1, a + 1, b + 1),
         ),
     )

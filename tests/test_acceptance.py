@@ -563,7 +563,7 @@ def test_criterion_05_correspondence_round_trips():
         connection_part_from_temporal_semispray(H), 2, 2
     )
     exact = all(
-        back.components[i][a][b] is H.components[i][a][b]
+        back.comps[i][a][b] is H.comps[i][a][b]
         for i in range(2)
         for a in range(2)
         for b in range(2)

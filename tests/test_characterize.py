@@ -293,6 +293,21 @@ def test_coupling_constraint_residual_keeps_nan():
     assert np.isnan(coupling_constraint_residual(coupling, h, t, x))
 
 
+def test_coupling_constraint_residual_batch_raises_what_its_points_raise():
+    # point 0 has a nan input, which stands; point 1 leaves log's domain,
+    # and the batch must raise there as that point alone does
+    h = support.flat_metric(ex.TEMPORAL, 2)
+    coupling = AntisymmetricCouplingField.from_upper(
+        2, 2, {(1, 1, 2, 1, 2): parse("log(x2)", 2, 2)}
+    )
+    t, x = np.zeros((2, 2)), np.array([[1.0, 1.0], [float("nan"), -1.0]])
+    message = "log of non-positive value -1.0"
+    with pytest.raises(ex.EvaluationError, match=message):
+        coupling_constraint_residual(coupling, h, t[:, 1], x[:, 1])
+    with pytest.raises(ex.EvaluationError, match=message):
+        coupling_constraint_residual(coupling, h, t, x)
+
+
 # ---------------------------------------------------------------------------
 # building systems
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from jetkcc.jetgeom import (
     sample_jet_points,
 )
 
-PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "problems"
 
 
 def write_json(tmp_path, name, doc):
@@ -1137,3 +1141,14 @@ def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     assert hashlib.sha256(printed).hexdigest() == (
         "f336e83b7f6289c55d39f4da421122df345c1640568ca2b16da80f8665ec8ac4"
     )
+
+
+def test_importing_the_cli_builds_no_dataclass():
+    # every command pays for what its imports build; numpy, argparse, json
+    # and hashlib do not load dataclasses, so only jetkcc code could
+    code = "import sys, jetkcc.cli; assert 'dataclasses' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

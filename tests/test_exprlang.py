@@ -468,9 +468,24 @@ def _grow(inner):
     )
 
 
+def _chain(first, rest):
+    for op, tree in rest:
+        first = f"({first}) {op} ({tree})"
+    return first
+
+
 LEAVES = ("t1", "t2", "x1", "x2", "v1_1", "v1_2", "v2_1", "v2_2")
 LEAVES += ("0", "0.5", "2", "3", "pi")
-TEXTS = st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8)
+NUMBERS = st.integers(1, 32).map(lambda k: repr(k / 8))
+TREES = st.recursive(st.one_of(st.sampled_from(LEAVES), NUMBERS), _grow, max_leaves=3)
+# Hypothesis keeps a drawn text while it varies a test's other arguments, so
+# one small tree recurs in many examples; two or three trees chained by
+# binary operators make most examples' texts distinct
+TEXTS = st.builds(
+    _chain,
+    TREES,
+    st.lists(st.tuples(st.sampled_from("+-*/^"), TREES), min_size=1, max_size=2),
+)
 EXPRESSIONS = TEXTS.map(lambda text: parse(text, BIND_M, BIND_N))
 # the same trees as written, before parse makes them canonical
 RAW_EXPRESSIONS = TEXTS.map(lambda text: support.raw_parse(text, BIND_M, BIND_N))

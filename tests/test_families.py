@@ -109,9 +109,9 @@ def build_families() -> dict:
         "affine_curved.system": system_grid(problem.system),
         "affine_curved.connection_temporal": pipe.connection.temporal,
         "affine_curved.connection_spatial": pipe.connection.spatial,
-        "affine_curved.semispray_from_system": pipe.semispray.components,
+        "affine_curved.semispray_from_system": pipe.semispray.comps,
         "affine_curved.semispray_from_connection": (
-            spatial_semispray_from_connection(pipe.connection).components
+            spatial_semispray_from_connection(pipe.connection).comps
         ),
         "affine_curved.P": pipe.expressions("P"),
         "affine_curved.R": pipe.expressions("R"),
@@ -318,6 +318,28 @@ def test_family_constructors_refuse_malformed_data(
         make(m, n, fam)
     assert str(err.value) == message
     make(2, 3, ex.nested(extents(2, 3), lambda *_: ex.ZERO))  # the valid family
+
+
+@pytest.mark.parametrize(
+    "extents, make",
+    [pytest.param(row[3], row[4], id=row[0].replace(" ", "-")) for row in CONSTRUCTORS],
+)
+def test_family_constructors_build_immutable_objects(extents, make):
+    made = make(2, 3, ex.nested(extents(2, 3), lambda *_: ex.ZERO))
+    # every data attribute, so also a change's cached Jacobian tables
+    names = [
+        name
+        for name in dir(made)
+        if not name.startswith("_") and not callable(getattr(made, name))
+    ]
+    assert names
+    for name in names:
+        before = getattr(made, name)
+        with pytest.raises(AttributeError):
+            setattr(made, name, ("bad",))
+        with pytest.raises(AttributeError):
+            delattr(made, name)
+        assert getattr(made, name) == before
 
 
 if __name__ == "__main__":

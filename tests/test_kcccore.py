@@ -195,8 +195,8 @@ def test_section_map_rejects_jet_variables():
 def test_section_map_precomputes_velocity():
     sig = SectionMap(2, (parse("t1^2 + t2", 2, 1),))
     b = Bindings.from_names(2, 1, {"t1": 0.5, "t2": -1.0})
-    assert ex.evaluate(sig.velocity[0][0], b) == pytest.approx(1.0)
-    assert ex.evaluate(sig.velocity[0][1], b) == pytest.approx(1.0)
+    assert ex.evaluate(sig.derivative[0][0], b) == pytest.approx(1.0)
+    assert ex.evaluate(sig.derivative[0][1], b) == pytest.approx(1.0)
     p = sig.prolongation_point([0.5, -1.0])
     assert p.x[0] == pytest.approx(-0.75)
     assert p.v[0, 0] == pytest.approx(1.0)
@@ -255,14 +255,14 @@ def test_correspondence_round_trip_is_exact():
     for i in range(2):
         for a in range(2):
             for b in range(2):
-                assert back.components[i][a][b] is H.components[i][a][b]
+                assert back.comps[i][a][b] is H.comps[i][a][b]
     for p in sample_jet_points(2, 2, 50, seed=2):
         bnd = p.bindings()
         for i in range(2):
             for a in range(2):
                 for b in range(2):
-                    assert ex.evaluate(back.components[i][a][b], bnd) == ex.evaluate(
-                        H.components[i][a][b], bnd
+                    assert ex.evaluate(back.comps[i][a][b], bnd) == ex.evaluate(
+                        H.comps[i][a][b], bnd
                     )
 
 
@@ -288,7 +288,7 @@ def test_affine_system_semispray_is_canonical():
 def test_zero_system_flat_metric_gives_zero_semispray():
     system, _ = zero_system_flat()
     G = spatial_semispray_from_system(system, support.flat_metric(ex.TEMPORAL, 2))
-    assert all(ex.is_zero(e) for e in flatten(G.components))
+    assert all(ex.is_zero(e) for e in flatten(G.comps))
 
 
 def test_system_reconstruction_from_semispray():
@@ -414,7 +414,7 @@ def test_zero_connection_gives_zero_semispray():
     )
     conn = NonlinearConnection(2, 2, zero_t, zero_t)
     G = spatial_semispray_from_connection(conn)
-    assert all(ex.is_zero(e) for e in flatten(G.components))
+    assert all(ex.is_zero(e) for e in flatten(G.comps))
 
 
 def test_semispray_connection_round_trip_for_quadratic_system():
