@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import SPATIAL, TEMPORAL, Bindings, expr_sum, mul, neg
-from .jetgeom import MetricField, PdeSystem, christoffel_sym
+from .jetgeom import DegenerateMetricError, MetricField, PdeSystem, christoffel_sym
 from .kcccore import InvariantPipeline
 
 CONSTRAINT_WARN_TOL = 1e-9
@@ -195,8 +195,17 @@ def coupling_constraint_residual(
     m, n = coupling.m, coupling.n
     if m < 2:
         return 0.0
-    hm = h.evaluate(t)
-    vals = coupling.evaluate(t, x)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    try:
+        hm = h.evaluate(t)
+        vals = coupling.evaluate(t, x)
+    except (ex.EvaluationError, DegenerateMetricError):
+        # h is checked over the whole batch first, so its error at a later
+        # point would hide the coupling field's at an earlier one: raise what
+        # the scan of single points raises first
+        for k in range(t.shape[-1] if t.ndim == 2 else 0):
+            coupling_constraint_residual(coupling, h, t[:, k], x[:, k])
+        raise
     if hm.ndim == 2:  # one point
         hm, vals = hm[..., None], vals[..., None]
     pairs = temporal_pairs(m)

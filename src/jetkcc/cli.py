@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -1111,6 +1112,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The command runs with the collector off: the interned expression DAG it
+    # builds can never be garbage, and the collector would walk it again and
+    # again.  The caller's state comes back whether the command returns or
+    # raises.  When the caller has frozen nothing, what the command left alive
+    # is moved into the oldest generation (a freeze and an unfreeze, no pass),
+    # so no young pass walks it once the collector is back on.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

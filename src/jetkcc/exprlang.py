@@ -17,10 +17,12 @@ so no builder needs to simplify what it composes.  Calling ``Unary`` or
 ``Binary`` directly gives a raw node; only the smart constructors and the
 parser call them.
 
-Interning also sets four fields on each node: ``kids`` (the children tuple
-of its key), ``lit`` (its value if it is a literal or a negated literal,
-else None), ``mask`` (a bit per jet variable it depends on) and ``index``
-(its creation number).  Children are interned before their parents, so
+Interning also sets four fields on each node: ``kids`` (its children),
+``lit`` (its value if it is a literal or a negated literal, else None),
+``mask`` (a bit per jet variable it depends on) and ``index`` (its creation
+number), besides its own one: a leaf's ``value``, ``name`` or ``vid``, an
+operator node's ``op``.  ``left``, ``right`` and ``arg`` are read-only views
+of ``kids``.  Children are interned before their parents, so
 creation order is topological.  Walks and constant folding read these
 fields instead of dispatching on the class; ``free_variables`` decodes the mask;
 ``differentiate`` does not enter a subtree whose mask lacks its variable
@@ -108,7 +110,9 @@ class Expression:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: the interned node
-        return (type(self), tuple(getattr(self, f) for f in self.__slots__))
+        if self.kids:
+            return (type(self), (self.op, *self.kids))
+        return (type(self), (getattr(self, type(self).__slots__[0]),))
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -147,23 +151,29 @@ class Expression:
 
 
 # every node ever built, by structure; never emptied, so ids stay unique and
-# its size is the next creation number
+# its size is the next creation number.  A leaf is keyed on its class and
+# value, an inner node on its operator and children: ``(op, arg)`` or
+# ``(op, left, right)`` (no operator is both unary and binary)
 _NODES: dict[tuple, Expression] = {}
 # the mask bit of each jet variable, given out as variables are first used
 _VAR_BITS: dict[VariableId, int] = {}
+_new = object.__new__
+_set_kids, _set_lit, _set_mask, _set_index = (
+    getattr(Expression, f).__set__ for f in Expression.__slots__
+)
 
 
-def _intern(cls, key: tuple, kids: tuple, values: tuple, lit=None, mask=0):
-    """The node stored under ``key``; on first use it is built from
-    ``values`` (in the order of ``cls.__slots__``) and the per-node fields."""
+def _leaf(cls, key: tuple, value, lit=None, mask=0):
+    """The leaf stored under ``key``; on first use it is built with ``value``
+    in its one own field and the per-node fields."""
     node = _NODES.get(key)
     if node is None:
-        node = object.__new__(cls)
-        for kid in kids:
-            mask |= kid.mask
-        fields = values + (kids, lit, mask, len(_NODES))
-        for setter, value in zip(_SETTERS[cls], fields):
-            setter(node, value)
+        node = _new(cls)
+        getattr(cls, cls.__slots__[0]).__set__(node, value)
+        _set_kids(node, ())
+        _set_lit(node, lit)
+        _set_mask(node, mask)
+        _set_index(node, len(_NODES))
         _NODES[key] = node
     return node
 
@@ -176,7 +186,7 @@ class Num(Expression):
 
     def __new__(cls, value: float):
         value = float(value)
-        return _intern(cls, (cls, value.hex()), (), (value,), lit=value)
+        return _leaf(cls, (cls, value.hex()), value, lit=value)
 
 
 class Const(Expression):
@@ -185,7 +195,7 @@ class Const(Expression):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (cls, name), (), (name,))
+        return _leaf(cls, (cls, name), name)
 
 
 class Var(Expression):
@@ -193,37 +203,76 @@ class Var(Expression):
 
     def __new__(cls, vid: VariableId):
         bit = _VAR_BITS.setdefault(vid, 1 << len(_VAR_BITS))
-        return _intern(cls, (cls, vid), (), (vid,), mask=bit)
+        return _leaf(cls, (cls, vid), vid, mask=bit)
 
 
 class Unary(Expression):
     """Called directly it gives a raw node, which need not be canonical; only
     the smart constructors and the parser call it."""
 
-    __slots__ = ("op", "arg")  # op: "neg" or a function name
+    __slots__ = ("op",)  # "neg" or a function name
 
     def __new__(cls, op: str, arg: Expression):
-        kids = (arg,)
-        lit = -arg.value if op == "neg" and type(arg) is Num else None
-        return _intern(cls, (cls, op, kids), kids, (op, arg), lit)
+        return _unary_node(op, arg)
+
+    @property
+    def arg(self) -> Expression:
+        return self.kids[0]
 
 
 class Binary(Expression):
     """Called directly it gives a raw node, which need not be canonical; only
     the smart constructors and the parser call it."""
 
-    __slots__ = ("op", "left", "right")  # op: + - * / ^
+    __slots__ = ("op",)  # + - * / ^
 
     def __new__(cls, op: str, left: Expression, right: Expression):
-        kids = (left, right)
-        return _intern(cls, (cls, op, kids), kids, (op, left, right))
+        return _binary_node(op, left, right)
+
+    @property
+    def left(self) -> Expression:
+        return self.kids[0]
+
+    @property
+    def right(self) -> Expression:
+        return self.kids[1]
 
 
-# per class, the slot setters for its own fields, then for the common ones
-_SETTERS = {
-    cls: [getattr(cls, f).__set__ for f in cls.__slots__ + Expression.__slots__]
-    for cls in (Num, Const, Var, Unary, Binary)
-}
+_set_unary_op = Unary.op.__set__
+_set_binary_op = Binary.op.__set__
+
+
+def _unary_node(op: str, arg: Expression) -> Unary:
+    """The interned raw node ``op(arg)``; the smart constructors call this
+    instead of ``Unary``, which costs a type call more."""
+    key = (op, arg)
+    node = _NODES.get(key)
+    if node is None:
+        node = _new(Unary)
+        _set_unary_op(node, op)
+        _set_kids(node, (arg,))
+        _set_lit(node, -arg.value if op == "neg" and type(arg) is Num else None)
+        _set_mask(node, arg.mask)
+        _set_index(node, len(_NODES))
+        _NODES[key] = node
+    return node
+
+
+def _binary_node(op: str, left: Expression, right: Expression) -> Binary:
+    """The interned raw node ``left op right`` (see ``_unary_node``)."""
+    key = (op, left, right)
+    node = _NODES.get(key)
+    if node is None:
+        node = _new(Binary)
+        _set_binary_op(node, op)
+        _set_kids(node, (left, right))
+        _set_lit(node, None)
+        _set_mask(node, left.mask | right.mask)
+        _set_index(node, len(_NODES))
+        _NODES[key] = node
+    return node
+
+
 ZERO = Num(0.0)
 ONE = Num(1.0)
 PI = Const("pi")
@@ -247,7 +296,7 @@ def num(value: float) -> Expression:
     ``-0.0`` to ``ZERO`` (it prints as ``0``, so it must parse back to it)."""
     value = float(value)
     if value < 0.0:
-        return Unary("neg", Num(-value))
+        return _unary_node("neg", Num(-value))
     return Num(value) if value else ZERO
 
 
@@ -273,17 +322,17 @@ def as_expr(x) -> Expression:
 def neg(a) -> Expression:
     a = as_expr(a)
     if isinstance(a, Unary) and a.op == "neg":
-        return a.arg
+        return a.kids[0]
     if is_zero(a):
         return ZERO
-    return Unary("neg", a)
+    return _unary_node("neg", a)
 
 
 def add(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
     av, bv = a.lit, b.lit
     if av is None and bv is None:
-        return Binary("+", a, b)
+        return _binary_node("+", a, b)
     if av == 0.0:
         return b
     if bv == 0.0:
@@ -292,7 +341,7 @@ def add(a, b) -> Expression:
         s = av + bv
         if math.isfinite(s):
             return num(s)
-    return Binary("+", a, b)
+    return _binary_node("+", a, b)
 
 
 def sub(a, b) -> Expression:
@@ -309,14 +358,14 @@ def sub(a, b) -> Expression:
             return num(s)
     if av == 0.0:
         return neg(b)
-    return Binary("-", a, b)
+    return _binary_node("-", a, b)
 
 
 def mul(a, b) -> Expression:
     a, b = as_expr(a), as_expr(b)
     av, bv = a.lit, b.lit
     if av is None and bv is None:
-        return Binary("*", a, b)
+        return _binary_node("*", a, b)
     if av is not None and bv is not None:
         p = av * bv
         if math.isfinite(p):
@@ -338,7 +387,7 @@ def mul(a, b) -> Expression:
                 iv = inner.lit
                 if iv is not None and math.isfinite(c * iv):
                     return mul(num(c * iv), other)
-    return Binary("*", a, b)
+    return _binary_node("*", a, b)
 
 
 def div(a, b) -> Expression:
@@ -348,13 +397,13 @@ def div(a, b) -> Expression:
         return a
     if bv == -1.0:
         return neg(a)
-    if av == 0.0:
-        return ZERO
+    if av == 0.0 and bv != 0.0:
+        return ZERO  # 0/x; 0/0 stays, like 1/0, and raises when evaluated
     if av is not None and bv is not None and bv != 0.0:
         q = av / bv
         if math.isfinite(q):
             return num(q)
-    return Binary("/", a, b)
+    return _binary_node("/", a, b)
 
 
 def pow_(a, b) -> Expression:
@@ -368,7 +417,7 @@ def pow_(a, b) -> Expression:
         return ONE
     if av == 0.0 and bv is not None and bv > 0.0:
         return ZERO
-    return _folded(np.power, av, bv) or Binary("^", a, b)
+    return _folded(np.power, av, bv) or _binary_node("^", a, b)
 
 
 def _folded(fn, *values):
@@ -384,7 +433,7 @@ def _folded(fn, *values):
 def _unary(op: str, a: Expression) -> Expression:
     if op == "neg":
         return neg(a)
-    return _folded(_UNARY_ARRAY[op], a.lit) or Unary(op, a)
+    return _folded(_UNARY_ARRAY[op], a.lit) or _unary_node(op, a)
 
 
 def _function(op: str):
@@ -1044,14 +1093,14 @@ def _derivative(node: Expression, kids: list) -> Expression:
     children's derivatives ``kids``."""
     if not kids:
         return ONE  # the variable itself
+    if kids[0] is ZERO and kids[-1] is ZERO:
+        return ZERO  # constant in the variable, like a subtree the walk skips
     op = node.op
     if len(kids) == 1:
         (da,) = kids
-        a = node.arg
+        (a,) = node.kids
         if op == "neg":
             return neg(da)
-        if is_zero(da):
-            return ZERO
         if op == "sin":
             return mul(cos(a), da)
         if op == "cos":
@@ -1082,8 +1131,6 @@ def _derivative(node: Expression, kids: list) -> Expression:
     # power
     rv = r.lit
     if rv is not None:
-        if is_zero(dl):
-            return ZERO
         return mul(mul(num(rv), pow_(l, num(rv - 1.0))), dl)
     # general u^w: u^w * (dw*log(u) + w*du/u)
     return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))

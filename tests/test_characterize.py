@@ -8,6 +8,7 @@ import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import parse
 from jetkcc.jetgeom import (
+    DegenerateMetricError,
     MetricField,
     PdeSystem,
     build_affine_system,
@@ -305,6 +306,33 @@ def test_coupling_constraint_residual_batch_raises_what_its_points_raise():
     with pytest.raises(ex.EvaluationError, match=message):
         coupling_constraint_residual(coupling, h, t[:, 1], x[:, 1])
     with pytest.raises(ex.EvaluationError, match=message):
+        coupling_constraint_residual(coupling, h, t, x)
+
+
+@pytest.mark.parametrize(
+    "h_entry, t1, message",
+    [
+        ("sqrt(t1)", [1.0, -1.0], "sqrt of negative value -1.0"),
+        ("t1", [1.0, 0.0], r"temporal metric degenerate at \[0.0, 1.0\]"),
+    ],
+    ids=["domain", "degenerate"],
+)
+def test_coupling_constraint_residual_batch_raises_the_first_point_error(
+    h_entry, t1, message
+):
+    # point 0 leaves the coupling's domain, point 1 h's domain or its
+    # nondegeneracy; the batch raises point 0's error, as the scan does
+    h = MetricField.temporal(((parse(h_entry, 2, 2), ex.ZERO), (ex.ZERO, ex.ONE)))
+    coupling = AntisymmetricCouplingField.from_upper(
+        2, 2, {(1, 1, 2, 1, 2): parse("log(x2)", 2, 2)}
+    )
+    t, x = np.array([t1, [1.0, 1.0]]), np.array([[1.0, 1.0], [-1.0, 1.0]])
+    first = "log of non-positive value -1.0"
+    with pytest.raises(ex.EvaluationError, match=first):
+        coupling_constraint_residual(coupling, h, t[:, 0], x[:, 0])
+    with pytest.raises((ex.EvaluationError, DegenerateMetricError), match=message):
+        coupling_constraint_residual(coupling, h, t[:, 1], x[:, 1])
+    with pytest.raises(ex.EvaluationError, match=first):
         coupling_constraint_residual(coupling, h, t, x)
 
 

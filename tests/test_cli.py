@@ -1,5 +1,6 @@
 """Command-line surface: problem loading, reports, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -1152,3 +1153,52 @@ def test_importing_the_cli_builds_no_dataclass():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# (argv builder, exit code or SystemExit's code): a report, an input error, an
+# out-of-domain evaluation, and an argparse refusal that raises
+GC_COMMANDS = {
+    "exit-0": (lambda tmp: ["invariants", str(PROBLEMS / "oscillator.json")], 0),
+    "exit-2": (
+        lambda tmp: ["invariants", write_json(tmp, "osc.json", OSC), "--which", "eps,Q"],
+        2,
+    ),
+    "exit-3": (
+        lambda tmp: ["invariants", write_json(tmp, "logv.json", LOG_V), "--samples", "6"],
+        3,
+    ),
+    "usage": (
+        lambda tmp: ["check", "jacobi", str(PROBLEMS / "oscillator.json"), "--tol=-1"],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["none-frozen", "caller-froze"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("command", list(GC_COMMANDS))
+def test_main_restores_the_collector_state(command, enabled, frozen, tmp_path, capsys):
+    build, code = GC_COMMANDS[command]
+    argv = build(tmp_path) + ["--out", str(tmp_path / "report.json")]
+    was_enabled = gc.isenabled()
+    if frozen:
+        gc.freeze()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        count = gc.get_freeze_count()
+        assert bool(count) == frozen
+        if command == "usage":
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == code
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() == enabled
+        # nothing frozen stays nothing frozen; the caller's frozen objects
+        # stay frozen (some may have been freed) and none are added
+        after = gc.get_freeze_count()
+        assert 0 < after <= count if frozen else after == 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()

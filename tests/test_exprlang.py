@@ -1,6 +1,8 @@
+import copy
 import functools
 import math
 import operator
+import pickle
 import zlib
 from unittest import mock
 
@@ -339,6 +341,15 @@ def test_simplify_does_not_fold_undefined_literals():
     assert isinstance(e2, ex.Unary)
 
 
+def test_zero_over_zero_is_not_folded():
+    e = parse("t1 + 0/0", 1, 1)
+    assert e is not ex.t_var(1) and to_string(e) == "t1 + 0/0"
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate(e, bnd(1, 1, t1=0.5))
+    # a zero numerator still folds over a divisor that is not a literal zero
+    assert parse("0/x1 + 0/2", 1, 1) is ex.ZERO
+
+
 SIMPLIFY_EQUIV_CASES = [
     "t1*(x1 + 0) - 0*v1_1 + (x1^1)*1",
     "sin(t1)^2 + cos(t1)^2 + 0*exp(x1)",
@@ -647,6 +658,37 @@ def test_nodes_are_immutable_and_hash_by_identity():
     assert e != parse("x1 + sin(t2)", 2, 1)
 
 
+COPY_NODES = {
+    "Num": lambda: ex.Num(2.5),
+    "Const": lambda: ex.PI,
+    "Var": lambda: ex.v_var(2, 1),
+    "Unary": lambda: parse("sin(x1*t1)", 1, 2),
+    "Binary": lambda: parse("x2 / (t1 - exp(v1_1))", 1, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(COPY_NODES))
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_return_the_interned_node(kind, copier):
+    e = COPY_NODES[kind]()
+    assert type(e).__name__ == kind
+    assert copier(e) is e
+
+
+def test_children_read_as_left_right_and_arg():
+    b = parse("x2 / (t1 - exp(v1_1))", 1, 2)
+    assert (b.left, b.right) == b.kids
+    assert b.left is ex.x_var(2) and b.right is parse("t1 - exp(v1_1)", 1, 2)
+    u = b.right.right
+    assert isinstance(u, ex.Unary) and u.arg is ex.v_var(1, 1) == u.kids[0]
+    with pytest.raises(AttributeError, match="immutable"):
+        b.left = ex.ZERO
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(e=EXPRESSIONS)
 def test_rebuilding_any_node_returns_the_same_object(e):
@@ -834,7 +876,10 @@ def _full_derivative(e, vid, memo=None):
         d = ex.ZERO if e.op != "neg" and ex.is_zero(da) else rules[e.op]()
     else:
         (dl, dr), (l, r) = kids, e.kids
-        if e.op == "+":
+        if dl is ex.ZERO and dr is ex.ZERO:
+            # constant in the variable: no rule builds 0/0 from a literal zero
+            d = ex.ZERO
+        elif e.op == "+":
             d = ex.add(dl, dr)
         elif e.op == "-":
             d = ex.sub(dl, dr)
