@@ -189,9 +189,9 @@ def coupling_constraint_residual(
     """Worst constraint violation of the coupling field at (t, x), maximized
     over the spatial value index and spatial pairs.  ``t`` and ``x`` have
     shapes (m,) and (n,) for one point, or (m, K) and (n, K) for K points,
-    evaluated as one batch and maximized over them too.  A value that left
-    its domain raises EvaluationError at the first such point, as a scan of
-    single points does; a non-finite input stands as nan."""
+    evaluated as one batch and maximized over them too.  A batch raises
+    what its first failing point raises alone (h, then the coupling field);
+    a non-finite input stands as nan."""
     m, n = coupling.m, coupling.n
     if m < 2:
         return 0.0
@@ -200,11 +200,11 @@ def coupling_constraint_residual(
         hm = h.evaluate(t)
         vals = coupling.evaluate(t, x)
     except (ex.EvaluationError, DegenerateMetricError):
-        # h is checked over the whole batch first, so its error at a later
-        # point would hide the coupling field's at an earlier one: raise what
-        # the scan of single points raises first
-        for k in range(t.shape[-1] if t.ndim == 2 else 0):
-            coupling_constraint_residual(coupling, h, t[:, k], x[:, k])
+        # raise what the first failing point raises alone, h or the coupling
+        ex.raise_first(
+            range(t.shape[-1] if t.ndim == 2 else 0),
+            lambda k: coupling_constraint_residual(coupling, h, t[:, k], x[:, k]),
+        )
         raise
     if hm.ndim == 2:  # one point
         hm, vals = hm[..., None], vals[..., None]

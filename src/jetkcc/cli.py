@@ -29,10 +29,10 @@ from . import exprlang as ex
 from .exprlang import MAX_DIM, Expression, differentiate
 from .jetgeom import (
     DegenerateMetricError,
+    JetPoint,
     JetPointSet,
     MetricField,
     PdeSystem,
-    batch_bindings,
     build_affine_system,
     build_first_order_system,
     point_set,
@@ -292,39 +292,28 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
     _fail("system", "must contain 'F' or 'type' in {'affine', 'first_order'}")
 
 
+def _load_floats(obj, path: str, *extents: int) -> list:
+    """A nested list of finite numbers with the given extents."""
+    items = _require_list(obj, path, length=extents[0])
+    if len(extents) == 1:
+        return [_require_float(u, f"{path}[{k}]") for k, u in enumerate(items)]
+    return [_load_floats(u, f"{path}[{k}]", *extents[1:]) for k, u in enumerate(items)]
+
+
 def _load_points(obj, m, n) -> JetPointSet:
     entries = _require_list(obj, "points")
     if not entries:
         _fail("points", "must contain at least one point")
-    ts, xs, vs = [], [], []
-    keys = ("t", "x", "v")
+    keys, points = ("t", "x", "v"), []
     for k, entry in enumerate(entries):
         path = f"points[{k}]"
         entry = _require_dict(entry, path, allowed=keys, required=keys)
-        t = [
-            _require_float(u, f"{path}.t[{a}]")
-            for a, u in enumerate(_require_list(entry["t"], f"{path}.t", length=m))
-        ]
-        x = [
-            _require_float(u, f"{path}.x[{i}]")
-            for i, u in enumerate(_require_list(entry["x"], f"{path}.x", length=n))
-        ]
-        vrows = _require_list(entry["v"], f"{path}.v", length=n)
-        v = [
-            [
-                _require_float(u, f"{path}.v[{i}][{a}]")
-                for a, u in enumerate(
-                    _require_list(row, f"{path}.v[{i}]", length=m)
-                )
-            ]
-            for i, row in enumerate(vrows)
-        ]
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-    return JetPointSet(
-        np.array(ts).T, np.array(xs).T, np.moveaxis(np.array(vs), 0, -1)
-    )
+        t, x, v = (
+            _load_floats(entry[b], f"{path}.{b}", *extents)
+            for b, extents in zip(keys, ((m,), (n,), (n, m)))
+        )
+        points.append(JetPoint(t, x, v))
+    return point_set(points)
 
 
 def _load_t_curves(obj, m, n, path, factory):
@@ -656,7 +645,7 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
                 leaf = families[name]
                 for u in idx:
                     leaf = leaf[u]
-                origin = ex.nonfinite_origin(leaf, batch_bindings(points))
+                origin = ex.nonfinite_origin(leaf, points.bindings())
                 raise ex.EvaluationError(
                     f"invariant {name}: component {[int(u) + 1 for u in idx]} "
                     f"is {grid[tuple(bad[0])]} at point {k + 1} of {len(points)}",
@@ -736,7 +725,7 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     points, meta = _select_points(problem, args)
     step = args.step
-    base = batch_bindings(points)
+    base = points.bindings()
 
     checks = []
     for i in range(1, problem.n + 1):
@@ -1020,7 +1009,9 @@ def _add_out(parser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="jetkcc",
         description=(

@@ -34,8 +34,7 @@ from .exprlang import (
     neg,
     substitute,
 )
-from .jetgeom import DTensorValue, JetPointSet, MetricField, PdeSystem
-from .jetgeom import point_set, stack_points
+from .jetgeom import DTensorValue, JetPointSet, MetricField, PdeSystem, point_set
 from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
 JACOBIAN_TOL = 1e-10
@@ -104,16 +103,22 @@ class CoordinateChange(ex.Frozen):
         return ex.evaluate_in_domain(table, Bindings.jet(self.m, self.n, **{block: z}))
 
     def _jacobian(self, table, block: str, z) -> np.ndarray:
-        """The Jacobian table's values; raises SingularJacobianError at the
-        first point where its determinant vanishes."""
-        J = self._values(table, block, z)
-        det = np.linalg.det(np.moveaxis(J, (0, 1), (-2, -1)))
-        bad = np.flatnonzero(np.abs(det) < JACOBIAN_TOL)
-        if bad.size:
+        """The Jacobian table's values; raises SingularJacobianError where its
+        determinant vanishes, and a batch what its first failing point raises
+        alone (``ex.raise_first``)."""
+        z = np.asarray(z, dtype=float)
+        J = ex.evaluate_nested(table, Bindings.jet(self.m, self.n, **{block: z}))
+        with np.errstate(invalid="ignore"):  # a nan entry gives a nan det
+            det = np.abs(np.linalg.det(np.moveaxis(J, (0, 1), (-2, -1))))
+        if z.ndim > 1:
+            bad = ~np.isfinite(J).all(axis=(0, 1)) | (det < JACOBIAN_TOL)
+            ex.raise_first(
+                np.flatnonzero(bad), lambda k: self._jacobian(table, block, z[:, k])
+            )
+        elif det < JACOBIAN_TOL:
             kind = "temporal" if block == "t" else "spatial"
-            at = np.asarray(z, dtype=float).reshape(len(table), -1)[:, bad[0]]
             raise SingularJacobianError(
-                f"{kind} Jacobian is singular at {block}={at.tolist()}"
+                f"{kind} Jacobian is singular at {block}={z.tolist()}"
             )
         return J
 
@@ -132,10 +137,10 @@ class CoordinateChange(ex.Frozen):
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points
         (nan if any of them is nan)."""
-        t, x, _ = stack_points(points)
-        t_back = self._values(self.t_inverse, "t", self.forward_t(t))
-        x_back = self._values(self.x_inverse, "x", self.forward_x(x))
-        return float(np.max(np.abs(np.concatenate([t_back - t, x_back - x]))))
+        p = point_set(points)
+        t_back = self._values(self.t_inverse, "t", self.forward_t(p.t))
+        x_back = self._values(self.x_inverse, "x", self.forward_x(p.x))
+        return float(np.max(np.abs(np.concatenate([t_back - p.t, x_back - p.x]))))
 
 
 def identity_change(m: int, n: int) -> CoordinateChange:
@@ -162,14 +167,14 @@ def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPoin
     right.  The maps and Jacobians are evaluated once over all the points;
     ``jacobians``, the pair (temporal, spatial) already evaluated at these
     points, skips the latter."""
-    t, x, v = stack_points(points)
-    if len(t) != cc.m or len(x) != cc.n:
+    p = point_set(points)
+    if (p.m, p.n) != (cc.m, cc.n):
         raise ValueError("point dimensions do not match the change")
     if jacobians is None:
-        jacobians = cc.temporal_jacobian(t), cc.spatial_jacobian(x)
+        jacobians = cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
     Jt, A = map(_matrices, jacobians)
-    v_new = A @ np.ascontiguousarray(np.moveaxis(v, -1, 0)) @ np.linalg.inv(Jt)
-    return JetPointSet(cc.forward_t(t), cc.forward_x(x), np.moveaxis(v_new, 0, -1))
+    v_new = A @ np.ascontiguousarray(np.moveaxis(p.v, -1, 0)) @ np.linalg.inv(Jt)
+    return JetPointSet(cc.forward_t(p.t), cc.forward_x(p.x), np.moveaxis(v_new, 0, -1))
 
 
 def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
@@ -338,20 +343,29 @@ def two_path_invariants(
     and Jacobians are evaluated once over the whole point set.  Returns
     {selector: (pushed, direct)}, two component grids with a trailing axis
     over the points; reducing them to a deviation is left to the caller.
+    On a failure the comparison raises what its first failing point raises
+    alone (``ex.raise_first``); the pushforward and pipelines are not rebuilt.
     """
     points = point_set(points)
     new_system, new_h = pushforward_system(cc, system, h)
-    pipe = InvariantPipeline(system, h)
-    new_pipe = InvariantPipeline(new_system, new_h)
-    Jt, A = cc.temporal_jacobian(points.t), cc.spatial_jacobian(points.x)
-    moved = transform_jet_point(cc, points, (Jt, A))
+    pipe, new_pipe = InvariantPipeline(system, h), InvariantPipeline(new_system, new_h)
     for name in selectors:  # all built before the first evaluate_batch
         pipe.expressions(name)
         new_pipe.expressions(name)
-    out = {}
-    for name in selectors:
-        old = pipe.evaluate_batch(name, points)
-        val = DTensorValue(cc.m, cc.n, invariant_slots(name), old)
-        direct = new_pipe.evaluate_batch(name, moved)
-        out[name] = (transform_dtensor(val, Jt, A).values, direct)
-    return out
+
+    def compare(batch: JetPointSet) -> dict:
+        Jt, A = cc.temporal_jacobian(batch.t), cc.spatial_jacobian(batch.x)
+        moved = transform_jet_point(cc, batch, (Jt, A))
+        out = {}
+        for name in selectors:
+            old = pipe.evaluate_batch(name, batch)
+            val = DTensorValue(cc.m, cc.n, invariant_slots(name), old)
+            direct = new_pipe.evaluate_batch(name, moved)
+            out[name] = (transform_dtensor(val, Jt, A).values, direct)
+        return out
+
+    try:
+        return compare(points)
+    except ValueError:
+        ex.raise_first(range(len(points)), lambda k: compare(point_set([points[k]])))
+        raise

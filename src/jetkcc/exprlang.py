@@ -44,6 +44,8 @@ folding calls the same numpy functions, so every path rounds alike.  Over a
 batch an out-of-domain point gives nan/inf.  At one point, and over a batch
 in ``evaluate_in_domain``, EvaluationError is raised at the first operation,
 in sample order, where a value left its domain, found by one walk (``_scan``).
+A batch that runs in stages (a metric's entries, then its determinant, say)
+raises what its first failing point raises alone, through ``raise_first``.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -784,17 +786,13 @@ class Bindings:
 
     @classmethod
     def from_names(cls, m: int, n: int, by_name: dict) -> "Bindings":
-        return cls(m, n, {parse_variable_name(k, m, n): v for k, v in by_name.items()})
+        return cls(m, n, {_classify(k, m, n, 0): v for k, v in by_name.items()})
 
     def with_value(self, vid: VariableId, value) -> "Bindings":
         return Bindings(self.m, self.n, {**self.values, vid: value})
 
 
 _VAR_NAME_RE = re.compile(r"^(?:t([0-9]+)|x([0-9]+)|v([0-9]+)_([0-9]+))$")
-
-
-def parse_variable_name(name: str, m: int, n: int) -> VariableId:
-    return _classify(name, m, n, 0)
 
 
 def _classify(word: str, m: int, n: int, position: int) -> VariableId:
@@ -959,6 +957,15 @@ def _scan(roots, values, bindings: Bindings):
             while failing := [kid for kid in node.kids if not math.isfinite(value(kid))]:
                 node = failing[0]
             yield root, node, _domain_error(node, [value(kid) for kid in node.kids])
+
+
+def raise_first(indices, at_point) -> None:
+    """Call the one-point path ``at_point(k)`` at each point index k of
+    ``indices`` (every point that may fail alone) in sample order, so a batch
+    that runs in stages raises what its first failing point raises alone;
+    return if none raises.  Only error paths call it."""
+    for k in sorted(indices):
+        at_point(int(k))
 
 
 def _domain_error(node: Expression, operands: list) -> str | None:

@@ -39,57 +39,25 @@ class DegenerateMetricError(ValueError):
     """Metric determinant vanished (|det| <= 1e-12) at an evaluation point."""
 
 
-class JetPoint(ex.Frozen):
-    """Immutable numeric point (t, x, v) on the 1-jet space."""
+class _JetBlocks(ex.Frozen):
+    """The read-only t, x and v blocks of a jet point, of shapes (m,), (n,)
+    and (n, m), or of a point set, each with a trailing batch axis."""
 
     __slots__ = ("t", "x", "v")
-
-    def __init__(self, t, x, v):
-        t = np.array(t, dtype=float)
-        x = np.array(x, dtype=float)
-        v = np.array(v, dtype=float)
-        if t.ndim != 1 or x.ndim != 1 or v.shape != (x.size, t.size):
-            raise ValueError(
-                f"jet point shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
-            )
-        ex.check_dimensions(t.size, x.size)
-        t.flags.writeable = False
-        x.flags.writeable = False
-        v.flags.writeable = False
-        self._set(t=t, x=x, v=v)
-
-    @property
-    def m(self) -> int:
-        return self.t.size
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def bindings(self) -> Bindings:
-        return Bindings.jet(self.m, self.n, self.t, self.x, self.v)
-
-    def __repr__(self):
-        return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
-
-
-class JetPointSet(ex.Frozen):
-    """Immutable set of K jet points, held as three stacks with the batch
-    axis last: t (m, K), x (n, K) and v (n, m, K).  Indexing and iteration
-    give ``JetPoint``s."""
-
-    __slots__ = ("t", "x", "v")
+    what = "jet point"
+    batch_axes = 0
 
     def __init__(self, t, x, v):
         stacks = [np.array(a, dtype=float, order="C") for a in (t, x, v)]
         t, x, v = stacks
         if (
-            t.ndim != 2
+            t.ndim != 1 + self.batch_axes
+            or x.ndim != t.ndim
             or x.shape[1:] != t.shape[1:]
-            or v.shape != (x.shape[0],) + t.shape
+            or v.shape != x.shape[:1] + t.shape
         ):
             raise ValueError(
-                f"point set shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
+                f"{self.what} shapes inconsistent: t{t.shape}, x{x.shape}, v{v.shape}"
             )
         ex.check_dimensions(len(t), len(x))
         for stack in stacks:
@@ -103,6 +71,28 @@ class JetPointSet(ex.Frozen):
     @property
     def n(self) -> int:
         return len(self.x)
+
+    def bindings(self) -> Bindings:
+        return Bindings.jet(self.m, self.n, self.t, self.x, self.v)
+
+
+class JetPoint(_JetBlocks):
+    """Immutable numeric point (t, x, v) on the 1-jet space."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
+
+
+class JetPointSet(_JetBlocks):
+    """Immutable set of K jet points, held as three stacks with the batch
+    axis last: t (m, K), x (n, K) and v (n, m, K).  Indexing and iteration
+    give ``JetPoint``s."""
+
+    __slots__ = ()
+    what = "point set"
+    batch_axes = 1
 
     def __len__(self) -> int:
         return self.t.shape[1]
@@ -158,20 +148,6 @@ def point_set(points) -> JetPointSet:
     return points
 
 
-def stack_points(points):
-    """The t, x and v blocks of many points, with the batch axis last:
-    shapes (m, K), (n, K) and (n, m, K).  A JetPointSet gives its own
-    stacks, with no copy."""
-    s = point_set(points)
-    return s.t, s.x, s.v
-
-
-def batch_bindings(points) -> Bindings:
-    """Stack many points into array-valued bindings for vectorized evaluation."""
-    t, x, v = stack_points(points)
-    return Bindings.jet(len(t), len(x), t, x, v)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -222,21 +198,21 @@ class MetricField(ex.Family):
         """Numeric (d, d) matrix at factor coordinates of shape (d,), or a
         (d, d, K) stack at coordinates of shape (d, K).
 
-        Raises DegenerateMetricError at the first point where |det| <= 1e-12,
-        det being ``determinant()`` evaluated once over all the points.
+        Raises DegenerateMetricError where |det| <= 1e-12, det being
+        ``determinant()``, and a batch what its first failing point raises
+        alone (``ex.raise_first``).
         """
         coords = np.asarray(coords, dtype=float)
         d = self.dim
         b = Bindings.jet(d, d, **{"t" if self.kind == TEMPORAL else "x": coords})
-        out = ex.evaluate_in_domain(self.rows, b)
+        out = ex.evaluate_nested(self.rows, b)
         det = np.abs(ex.evaluate(self.determinant(), b))
-        det = np.broadcast_to(det, coords.shape[1:])  # a constant det is a float
-        bad = np.flatnonzero(det <= DEGENERACY_TOL)
-        if bad.size:
-            k = bad[0]
-            at = coords.reshape(d, -1)[:, k].tolist()
+        if coords.ndim > 1:
+            bad = ~np.isfinite(out).all(axis=(0, 1)) | (det <= DEGENERACY_TOL)
+            ex.raise_first(np.flatnonzero(bad), lambda k: self.evaluate(coords[:, k]))
+        elif det <= DEGENERACY_TOL:
             raise DegenerateMetricError(
-                f"{self.kind} metric degenerate at {at}: |det| = {det.flat[k]:.3e}"
+                f"{self.kind} metric degenerate at {coords.tolist()}: |det| = {det:.3e}"
             )
         return out
 
@@ -553,7 +529,8 @@ def build_first_order_system(
     system = PdeSystem(m, n, raw, symmetric=False)
     asym = 0.0
     if m > 1:
-        F = system.evaluate(*stack_points(sample_jet_points(m, n, 5, seed=20)))
+        points = point_set(sample_jet_points(m, n, 5, seed=20))
+        F = ex.evaluate_in_domain(raw, points.bindings())
         a, b = np.triu_indices(m, 1)
         asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
     # symmetric in value, stored as written; a nan gap is asymmetric

@@ -580,8 +580,9 @@ class InvariantPipeline:
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
         """Read-only component grid with a trailing axis over the supplied
-        points.  Raises DegenerateMetricError at the first point where h is
-        degenerate.
+        points, nan/inf where a value leaves its domain.  Where h fails, the
+        batch raises what its first failing point raises alone (``evaluate``
+        through ``ex.raise_first``), which may be a family's domain error.
 
         The pipeline remembers one ``JetPointSet`` (by identity; its stacks
         are read-only) and the grids computed over it.  A call over a set it
@@ -596,7 +597,13 @@ class InvariantPipeline:
         remembered, grids = self._memo
         if points is not remembered:
             stacks = point_set(points)
-            self.h.evaluate(stacks.t)
+            try:
+                self.h.evaluate(stacks.t)
+            except ValueError:
+                ex.raise_first(
+                    range(len(stacks)), lambda k: self.evaluate(name, stacks[k])
+                )
+                raise
             if stacks is not points:  # a plain sequence, not remembered
                 return self._grids(stacks, [name])[name]
             grids = {}
@@ -619,9 +626,8 @@ class InvariantPipeline:
             else:
                 parts.append((name, leaves))
         if parts:
-            b = Bindings.jet(self.m, self.n, points.t, points.x, points.v)
             flat = [leaf for _, leaves in parts for leaf in leaves.flat]
-            values = ex.evaluate_nested(flat, b)
+            values = ex.evaluate_nested(flat, points.bindings())
             values.flags.writeable = False
             start = 0
             for name, leaves in parts:
@@ -745,22 +751,19 @@ def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
     sigma, as an array of the nesting's shape.
 
     Each leaf is restricted to the prolongation once, however many t there
-    are, and evaluated once.  ``t`` has shape (m,) for one point, where an
-    out-of-domain value raises EvaluationError, or (m, K) for a batch, which
-    gives a trailing axis of K with nan/inf at out-of-domain points; see
-    ``Bindings.jet``.
+    are, and the restricted family is evaluated as one tape.  ``t`` has
+    shape (m,) for one point, where an out-of-domain value raises
+    EvaluationError, or (m, K) for a batch, which gives a trailing axis of K
+    with nan/inf at out-of-domain points; see ``Bindings.jet``.
     """
     prol = sigma.prolongation_map()
-    tb = Bindings.jet(sigma.m, sigma.n, t=t)
-    batch = np.shape(t)[1:]
 
-    def values(node):
+    def restrict(node):
         if isinstance(node, tuple):
-            return [values(kid) for kid in node]
-        # a leaf constant along the section evaluates to one float
-        return np.broadcast_to(ex.evaluate(substitute(node, prol), tb), batch)
+            return tuple(map(restrict, node))
+        return substitute(node, prol)
 
-    return np.array(values(family), dtype=float)
+    return ex.evaluate_nested(restrict(family), Bindings.jet(sigma.m, sigma.n, t=t))
 
 
 def covariant_derivative_section(
@@ -870,11 +873,20 @@ def jacobi_identity_residual(
     The rewriting that makes this the deviation form of the variational
     equations substitutes the system for x'', so sigma must actually solve
     it at t; otherwise SectionNotSolutionError is raised with the measured
-    residual.  Over a batch of t, the first t (in order) at which the
-    section fails, or a value is not finite, is evaluated alone, so the
-    batch raises what a scan one t at a time raises there.
+    residual.  The stages are h, the section residual and this residual; a
+    batch of t raises what its first failing t raises alone
+    (``ex.raise_first``).
     """
     t = np.asarray(t, dtype=float)
+
+    def alone(k):
+        return jacobi_identity_residual(system, h, sigma, xi, t[:, k])
+
+    try:
+        h.evaluate(t)
+    except ValueError:
+        ex.raise_first(range(t.shape[1]) if t.ndim > 1 else (), alone)
+        raise
     sres = sode_residual(system, sigma, t)
     worst = np.max(np.abs(sres), axis=(0, 1, 2))
     if t.ndim == 1 and not worst <= SOLUTION_TOL:  # a nan fails too
@@ -882,8 +894,7 @@ def jacobi_identity_residual(
     resid = _on_section(
         InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi), sigma, t
     )
-    failing = ~(worst <= SOLUTION_TOL) | ~np.isfinite(resid).all(axis=0)
-    if t.ndim > 1 and failing.any():
-        first = t[:, np.argmax(failing)]
-        jacobi_identity_residual(system, h, sigma, xi, first)
+    if t.ndim > 1:
+        failing = ~(worst <= SOLUTION_TOL) | ~np.isfinite(resid).all(axis=0)
+        ex.raise_first(np.flatnonzero(failing), alone)
     return resid

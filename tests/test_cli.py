@@ -512,6 +512,47 @@ def test_metric_out_of_domain_at_a_point_is_exit_3(command, tmp_path, capsys):
     )
 
 
+def _points(*tx):
+    return [{"t": [t], "x": [x], "v": [[0.5]]} for t, x in tx]
+
+
+# each batch raises what its first failing point raises alone: point 1 fails
+# at an earlier stage than point 0 does, and point 0's error is the one shown
+FIRST_FAILING_POINT = {
+    # eps leaves log's domain at point 0, h = t1 is degenerate at point 1
+    "invariants-eps-before-h": (
+        ["invariants"],
+        dict(LOG_V, temporal_metric=[["t1"]], points=_points((1, -1), (0, 1))),
+        None,
+        "evaluation error: log of non-positive value -1.0 in `log(x1)`\n",
+    ),
+    # h = log(t1) is degenerate at point 0 and out of its domain at point 1
+    "invariants-det-before-entry": (
+        ["invariants"],
+        dict(OSC, temporal_metric=[["log(t1)"]], points=_points((1, 0), (-1, 0))),
+        None,
+        "numeric degeneracy: temporal metric degenerate at [1.0]: |det| = 0.000e+00\n",
+    ),
+    # the spatial Jacobian is singular at point 0, the temporal one at point 1
+    "transform-spatial-before-temporal": (
+        ["check", "transform"],
+        dict(OSC, points=_points((1, 0), (0, 1))),
+        dict(IDENTITY_11, t_forward=["t1^3"], x_forward=["x1^3"]),
+        "numeric degeneracy: spatial Jacobian is singular at x=[0.0]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAILING_POINT))
+def test_first_failing_point_decides_the_error(case, tmp_path, capsys):
+    command, problem, change, err = FIRST_FAILING_POINT[case]
+    args = command + [write_json(tmp_path, "problem.json", problem)]
+    if change is not None:
+        args.append(write_json(tmp_path, "change.json", change))
+    assert run_cli(args, tmp_path) == (3, None)
+    assert capsys.readouterr().err == err
+
+
 def test_fd_check_max_deviation_keeps_nan(tmp_path):
     prob = write_json(tmp_path, "logv.json", LOG_V)
     code, report = run_cli(
@@ -682,6 +723,45 @@ def test_jacobi_first_failing_t_decides_the_exit_code(
     path = write_json(tmp_path, "sqrt_osc.json", doc)
     assert main(["check", "jacobi", path, "--seed", seed]) == code
     assert capsys.readouterr().err.startswith(start)
+
+
+def test_jacobi_checks_h_along_t(tmp_path, capsys):
+    # h is degenerate everywhere; this passed, as if h were not needed
+    doc = json.loads((PROBLEMS / "oscillator.json").read_text())
+    doc["temporal_metric"] = [["1e-13"]]
+    path = write_json(tmp_path, "osc_degenerate.json", doc)
+    args = ["check", "jacobi", path, "--samples", "5"]
+    assert run_cli(args, tmp_path) == (3, None)
+    assert capsys.readouterr().err == (
+        "numeric degeneracy: temporal metric degenerate at [0.2739233746429086]: "
+        "|det| = 1.000e-13\n"
+    )
+
+
+def test_jacobi_lowers_one_tape_per_section_family(tmp_path):
+    # h's entries and determinant, then one tape each for the 2 leaves of the
+    # section residual and the 2 of the deviation residual, whatever the
+    # number of t (it was one tape per leaf)
+    path = write_json(tmp_path, "sphere.json", SPHERE_EQUATOR)
+    with support.lowered_tapes() as lowered:
+        code, _ = run_cli(["check", "jacobi", path, "--samples", "50"], tmp_path)
+    assert code == 0 and lowered == [1, 1, 2, 2]
+
+
+BENCH_INPUTS = ROOT / "bench" / "inputs"
+
+
+def test_bench_commands_keep_their_tapes(tmp_path):
+    # the happy path of the two stress commands lowers what it did before the
+    # first-failure rule was written once
+    pair = [str(BENCH_INPUTS / f) for f in ("curved_pair22.json", "change22.json")]
+    with support.lowered_slots() as slots:
+        code, _ = run_cli(["check", "transform", *pair, "--samples", "20"], tmp_path)
+    assert code == 0 and (len(slots), sum(slots)) == (10, 12_608)
+    sphere = str(BENCH_INPUTS / "sphere_equator.json")
+    with support.lowered_tapes() as lowered:
+        code, _ = run_cli(["check", "jacobi", sphere, "--samples", "250"], tmp_path)
+    assert code == 0 and len(lowered) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +1052,36 @@ def test_bad_step_or_tolerance_is_usage_error(command, flag, bad, message, capsy
         main(args + [f"{flag}={bad}"])  # "=": argparse reads -1e-5 as a flag
     assert exit_info.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    import jetkcc.cli as cli
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        osc = str(PROBLEMS / "oscillator.json")
+        usage = ["check", "jacobi", osc, "--tol=-1"]
+        with pytest.raises(SystemExit) as fresh:
+            main(usage)
+        fresh_err = capsys.readouterr().err
+        assert run_cli(["invariants", osc], tmp_path)[0] == 0
+        assert run_cli(["check", "jacobi", osc], tmp_path)[0] == 0
+        with pytest.raises(SystemExit) as again:
+            main(usage)
+        assert fresh.value.code == again.value.code == 2
+        assert capsys.readouterr().err == fresh_err
+        assert built.count("jetkcc") == 1
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_zero_tolerance_is_accepted(tmp_path):

@@ -15,13 +15,13 @@ from jetkcc.jetgeom import (
     MetricField,
     PdeSystem,
     Slot,
-    batch_bindings,
     build_affine_system,
     canonical_spatial_connection,
     canonical_spatial_semispray,
     canonical_tensors,
     canonical_temporal_connection,
     canonical_temporal_semispray,
+    point_set,
     sample_jet_points,
 )
 from jetkcc.kcccore import (
@@ -481,7 +481,7 @@ def test_batch_evaluation_is_one_tape_over_the_family_dag():
 
     points = domain_points(2, 2, 4, seed=5)
     with mock.patch.object(ex, "_Tape", Recorded):
-        grid = ex.evaluate_nested(family, batch_bindings(points))
+        grid = ex.evaluate_nested(family, point_set(points).bindings())
     assert grid.shape[-1] == 4 and grid[..., 0].size == len(_leaves(family))
     assert [len(t.nodes) for t in tapes] == [identity]
     assert len(tapes[0].code) + len(tapes[0].leaves) == identity
@@ -524,7 +524,7 @@ def test_union_tape_keeps_the_bits_of_each_family_alone(pair):
     # numpy operation on the same operands for every node as the family's
     # own tape does
     pipe, points = union_case(pair)
-    b = batch_bindings(points)
+    b = point_set(points).bindings()
     with support.lowered_tapes() as lowered:
         grids = {name: pipe.evaluate_batch(name, points) for name in INVARIANT_NAMES}
     assert len(lowered) == 3  # h's entries, its determinant, one union tape
@@ -552,7 +552,7 @@ def test_evaluate_batch_remembers_one_point_set():
 
     def alone(name, points):
         family = pipe.expressions(name)
-        return ex.evaluate_nested(family, batch_bindings(points)).tobytes()
+        return ex.evaluate_nested(family, point_set(points).bindings()).tobytes()
 
     # a family built after the first call is evaluated when asked for
     pipe.expressions("R")

@@ -15,7 +15,6 @@ from jetkcc.jetgeom import (
     MetricField,
     PdeSystem,
     Slot,
-    batch_bindings,
     build_affine_system,
     build_first_order_system,
     canonical_spatial_connection,
@@ -27,7 +26,6 @@ from jetkcc.jetgeom import (
     curvature_sym,
     point_set,
     sample_jet_points,
-    stack_points,
 )
 
 
@@ -86,15 +84,16 @@ def test_point_set_indexes_as_jet_points_and_stacks_without_copy():
     assert isinstance(pts, JetPointSet) and (pts.m, pts.n, len(pts)) == (2, 3, 6)
     assert [p.t.tolist() for p in pts] == pts.t.T.tolist()
     assert np.array_equal(pts[-1].v, pts.v[..., 5])
-    t, x, v = stack_points(pts)
-    assert t is pts.t and x is pts.x and v is pts.v
+    assert point_set(pts) is pts
+    t, x, v = pts.t, pts.x, pts.v
     assert not t.flags.writeable
     with pytest.raises(AttributeError):
         pts.t = t
     restacked = point_set(list(pts))
-    assert all(np.array_equal(a, b) for a, b in zip(stack_points(restacked), (t, x, v)))
+    stacks = (restacked.t, restacked.x, restacked.v)
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, (t, x, v)))
     with pytest.raises(ValueError, match="no points"):
-        stack_points([])
+        point_set([])
     with pytest.raises(ValueError, match="inconsistent"):
         JetPointSet(t, x, v[..., :5])
 
@@ -102,7 +101,8 @@ def test_point_set_indexes_as_jet_points_and_stacks_without_copy():
 def test_batch_bindings_matches_per_point():
     pts = sample_jet_points(2, 2, 7, seed=9)
     e = parse("sin(t1)*x2 + v1_2^2 - t2*v2_1", 2, 2)
-    arr = ex.evaluate(e, batch_bindings(pts))
+    arr = ex.evaluate(e, point_set(list(pts)).bindings())
+    assert np.array_equal(arr, ex.evaluate(e, pts.bindings()))
     for k, p in enumerate(pts):
         assert arr[k] == pytest.approx(ex.evaluate(e, p.bindings()), rel=1e-14)
 
