@@ -19,7 +19,13 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import SPATIAL, TEMPORAL, Bindings, expr_sum, mul, neg
-from .jetgeom import DegenerateMetricError, MetricField, PdeSystem, christoffel_sym
+from .jetgeom import (
+    DegenerateMetricError,
+    MetricField,
+    PdeSystem,
+    christoffel_sym,
+    require_metric,
+)
 from .kcccore import InvariantPipeline
 
 CONSTRAINT_WARN_TOL = 1e-9
@@ -77,17 +83,13 @@ class AntisymmetricCouplingField(ex.Family):
 
     def __init__(self, m: int, n: int, comps):
         super().__init__(m, n, comps)
-        comps = self.comps
-        for key in np.ndindex((n, m, m, n, n)):
-            i, a, v, p, q = key
-            e = comps[i][a][v][p][q]
-            label = ",".join(str(k + 1) for k in key)
-            if a == v and not ex.is_zero(e):
+        comps = ex.family_array(self.comps)
+        for i, a, p, q in np.ndindex(n, m, n, n):
+            if not ex.is_zero(comps[i, a, a, p, q]):
+                label = ",".join(str(k + 1) for k in (i, a, a, p, q))
                 raise ValueError(
                     f"entry ({label}) must be zero: a nonzero entry needs alpha != nu"
                 )
-            if p <= q and comps[i][a][v][q][p] is not neg(e):
-                raise ValueError(f"entries ({label}) and mirror are not opposite")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +165,7 @@ def star_star_nullspace(h: MetricField, t) -> NullspaceResult:
     Rank is decided by singular values below RANK_CUTOFF times the largest;
     the returned basis rows are orthonormal right singular vectors of the
     null directions."""
-    if h.kind != ex.TEMPORAL:
-        raise ValueError("expected a temporal metric")
+    require_metric(h, TEMPORAL)
     m = h.dim
     if m < 2:
         raise ValueError("the constraint system needs at least two times")
@@ -252,8 +253,7 @@ def build_characterized_system(
     m, n = gamma.m, gamma.n
     if (coupling.m, coupling.n) != (m, n):
         raise ValueError("coefficient families have mismatched dimensions")
-    if h.kind != ex.TEMPORAL or h.dim != m:
-        raise ValueError("expected a temporal metric of matching dimension")
+    require_metric(h, TEMPORAL, m)
     # the probe points as one batch: t (m, K) and x (n, K)
     t, x = (np.stack(block, axis=-1) for block in zip(*_probe_points(m, n)))
     worst = coupling_constraint_residual(coupling, h, t, x)
@@ -388,8 +388,7 @@ def extract_structure(
     with a cubic velocity term, a nonvanishing first invariant, or broken
     coefficient symmetries."""
     m, n = system.m, system.n
-    if h.kind != ex.TEMPORAL or h.dim != m:
-        raise ValueError("expected a temporal metric of matching dimension")
+    require_metric(h, TEMPORAL, m)
     t = np.asarray(t, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
     h.evaluate(t)  # refuses a metric degenerate at the base point

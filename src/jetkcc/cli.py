@@ -642,9 +642,7 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
             bad = np.argwhere(~np.isfinite(grid))
             if bad.size:
                 *idx, k = bad[0]
-                leaf = families[name]
-                for u in idx:
-                    leaf = leaf[u]
+                leaf = ex.family_array(families[name])[tuple(idx)]
                 origin = ex.nonfinite_origin(leaf, points.bindings())
                 raise ex.EvaluationError(
                     f"invariant {name}: component {[int(u) + 1 for u in idx]} "
@@ -736,11 +734,7 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
                     sym = np.asarray(
                         ex.evaluate(differentiate(comp, vid), base)
                     )
-                    center = base.values[vid]
-                    hi = ex.evaluate(comp, base.with_value(vid, center + step))
-                    lo = ex.evaluate(comp, base.with_value(vid, center - step))
-                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
-                        fd = (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
+                    fd = ex.fd_partial(comp, vid, base, step)
                     checks.append(
                         _check(
                             f"dF[{i},{a},{b}]/d{vid.name} vs central FD",

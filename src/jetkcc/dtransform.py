@@ -34,7 +34,14 @@ from .exprlang import (
     neg,
     substitute,
 )
-from .jetgeom import DTensorValue, JetPointSet, MetricField, PdeSystem, point_set
+from .jetgeom import (
+    DTensorValue,
+    JetPointSet,
+    MetricField,
+    PdeSystem,
+    point_set,
+    require_metric,
+)
 from .kcccore import InvariantPipeline, SectionMap, invariant_slots
 
 JACOBIAN_TOL = 1e-10
@@ -136,11 +143,26 @@ class CoordinateChange(ex.Frozen):
 
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points
-        (nan if any of them is nan)."""
-        p = point_set(points)
-        t_back = self._values(self.t_inverse, "t", self.forward_t(p.t))
-        x_back = self._values(self.x_inverse, "x", self.forward_x(p.x))
-        return float(np.max(np.abs(np.concatenate([t_back - p.t, x_back - p.x]))))
+        (nan if any of them is nan); a batch raises what its first failing
+        point raises alone."""
+
+        def defect(p: JetPointSet) -> float:
+            t_back = self._values(self.t_inverse, "t", self.forward_t(p.t))
+            x_back = self._values(self.x_inverse, "x", self.forward_x(p.x))
+            return float(np.max(np.abs(np.concatenate([t_back - p.t, x_back - p.x]))))
+
+        return _by_point(defect, point_set(points))
+
+
+def _by_point(fn, points: JetPointSet, *args):
+    """``fn(points, *args)``, except that a failing batch raises what its
+    first failing point raises alone: ``fn`` at that point only, without
+    ``args`` (``ex.raise_first``)."""
+    try:
+        return fn(points, *args)
+    except ValueError:
+        ex.raise_first(range(len(points)), lambda k: fn(point_set([points[k]])))
+        raise
 
 
 def identity_change(m: int, n: int) -> CoordinateChange:
@@ -166,15 +188,21 @@ def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPoin
     spatial Jacobian on the left and the inverse temporal Jacobian on the
     right.  The maps and Jacobians are evaluated once over all the points;
     ``jacobians``, the pair (temporal, spatial) already evaluated at these
-    points, skips the latter."""
+    points, skips the latter.  A batch raises what its first failing point
+    raises alone."""
     p = point_set(points)
     if (p.m, p.n) != (cc.m, cc.n):
         raise ValueError("point dimensions do not match the change")
-    if jacobians is None:
-        jacobians = cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
-    Jt, A = map(_matrices, jacobians)
-    v_new = A @ np.ascontiguousarray(np.moveaxis(p.v, -1, 0)) @ np.linalg.inv(Jt)
-    return JetPointSet(cc.forward_t(p.t), cc.forward_x(p.x), np.moveaxis(v_new, 0, -1))
+
+    def move(p: JetPointSet, jacobians=None) -> JetPointSet:
+        if jacobians is None:
+            jacobians = cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
+        Jt, A = map(_matrices, jacobians)
+        v_new = A @ np.ascontiguousarray(np.moveaxis(p.v, -1, 0)) @ np.linalg.inv(Jt)
+        t_new, x_new = cc.forward_t(p.t), cc.forward_x(p.x)
+        return JetPointSet(t_new, x_new, np.moveaxis(v_new, 0, -1))
+
+    return _by_point(move, p, jacobians)
 
 
 def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
@@ -232,8 +260,7 @@ def pushforward_system(
     """
     if system.m != cc.m or system.n != cc.n:
         raise ValueError("system dimensions do not match the change")
-    if h.kind != TEMPORAL or h.dim != cc.m:
-        raise ValueError("expected the system's temporal metric")
+    require_metric(h, TEMPORAL, cc.m)
     m, n = cc.m, cc.n
 
     base_subst = {ex.t_var(b + 1).vid: f for b, f in enumerate(cc.t_inverse)}
@@ -364,8 +391,4 @@ def two_path_invariants(
             out[name] = (transform_dtensor(val, Jt, A).values, direct)
         return out
 
-    try:
-        return compare(points)
-    except ValueError:
-        ex.raise_first(range(len(points)), lambda k: compare(point_set([points[k]])))
-        raise
+    return _by_point(compare, points)

@@ -36,14 +36,20 @@ does the freezing, the check, ``component``, ``from_upper`` and ``evaluate``
 from what each subclass declares.
 
 Results of the builders in the geometry modules are DAGs rather than trees.
-Every traversal here walks the DAG iteratively with an identity memo, so
-shared subtrees are processed once and recursion depth is never an issue.
+There is one walk of the DAG, ``_reachable``: it lists the nodes some roots
+reach, each once, in creation order, and every pass (``substitute``,
+``simplify``, ``to_string``, ``differentiate``, tape lowering) is a loop over
+that list, so shared subtrees are processed once and recursion depth is
+never an issue.  A family's nesting is read one way too: ``family_array``
+makes it an object array, whose shape gives the extents and ``.flat`` the
+leaves.
+
 There is one evaluator: a family's union DAG is lowered to one tape, run
 with numpy on Python floats (one point) or on arrays (a batch), and constant
 folding calls the same numpy functions, so every path rounds alike.  Over a
 batch an out-of-domain point gives nan/inf.  At one point, and over a batch
 in ``evaluate_in_domain``, EvaluationError is raised at the first operation,
-in sample order, where a value left its domain, found by one walk (``_scan``).
+in sample order, where a value left its domain, found by ``_scan``.
 A batch that runs in stages (a metric's entries, then its determinant, say)
 raises what its first failing point raises alone, through ``raise_first``.
 
@@ -481,10 +487,8 @@ def is_zero(e: Expression) -> bool:
 
 
 def all_zero(nested) -> bool:
-    """``is_zero`` of every expression in a nested tuple/list."""
-    if isinstance(nested, (tuple, list)):
-        return all(map(all_zero, nested))
-    return is_zero(nested)
+    """``is_zero`` of every expression in a nesting (see ``family_array``)."""
+    return all(map(is_zero, family_array(nested).flat))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +498,18 @@ def all_zero(nested) -> bool:
 # that orders that pair first, so interning hands the mirror the very node;
 # an antisymmetric one negates the swapped entry below the diagonal.
 # ---------------------------------------------------------------------------
+
+
+def family_array(nested) -> np.ndarray:
+    """A rectangular nesting of tuples/lists of expressions (or an object
+    array) as a new object array: ``.shape`` gives its extents, ``.flat`` its
+    leaves in nesting order, and a 0-based index tuple one entry.  A ragged
+    nesting raises ValueError."""
+    arr = np.array(nested, dtype=object)
+    # numpy stops at the depth where the nesting turns ragged
+    if any(isinstance(leaf, (tuple, list)) for leaf in arr.flat):
+        raise ValueError("expressions are not nested rectangularly")
+    return arr
 
 
 def nested(extents, entry, *index):
@@ -533,53 +549,58 @@ def check_dimensions(m: int, n: int) -> None:
         raise ValueError(f"dimensions must satisfy 1 <= m, n <= {MAX_DIM}")
 
 
+_NEGATED = np.frompyfunc(neg, 1, 1)  # neg of each entry of an object array
+
+
 def check_family(
-    family, m: int, n: int, extents, what: str, symmetric=False, kinds=KINDS
+    family,
+    m: int,
+    n: int,
+    extents,
+    what: str,
+    symmetric=False,
+    kinds=KINDS,
+    antisymmetric=False,
 ):
     """Check a frozen family: the dimensions (``check_dimensions``), its
     extents, that every leaf uses only variables of ``kinds`` within the
-    (m, n) index bounds, and, when ``symmetric``, that each mirror in the
-    last two indices is the same node.  A foreign variable raises
+    (m, n) index bounds, and that each mirror in the last two indices is the
+    same node when ``symmetric``, the negated node when ``antisymmetric``
+    (so the diagonal is ``ZERO``).  A foreign variable raises
     ``ValueError("<what> uses variable 'x1'; allowed: t1..t2")``."""
     check_dimensions(m, n)
+    try:
+        arr = family_array(family)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != tuple(extents):
+        raise ValueError(f"{what}: expected extents {tuple(extents)}")
     allowed = 0
     for vid, bit in _VAR_BITS.items():
         if vid.kind in kinds and vid.in_bounds(m, n):
             allowed |= bit
-
-    def walk(node, shape):
-        if not shape:
-            if not isinstance(node, Expression):
-                raise ValueError(f"{what}: expected extents {tuple(extents)}")
-            if node.mask & ~allowed:
-                bad = min(
-                    vid.name
-                    for vid in free_variables(node)
-                    if not _VAR_BITS[vid] & allowed
-                )
-                ranges = {
-                    TEMPORAL: f"t1..t{m}",
-                    SPATIAL: f"x1..x{n}",
-                    VELOCITY: f"v1_1..v{n}_{m}",
-                }
-                raise ValueError(
-                    f"{what} uses variable '{bad}'; "
-                    f"allowed: {', '.join(ranges[k] for k in kinds)}"
-                )
-            return
-        if not isinstance(node, tuple) or len(node) != shape[0]:
-            raise ValueError(f"{what}: expected extents {tuple(extents)}")
-        for kid in node:
-            walk(kid, shape[1:])
-        if symmetric and len(shape) == 2:
-            d = shape[0]
-            if any(node[a][b] is not node[b][a] for a in range(d) for b in range(a)):
-                raise ValueError(
-                    f"{what}: components must be stored symmetric "
-                    f"in the two trailing indices"
-                )
-
-    walk(family, tuple(extents))
+    for leaf in arr.flat:
+        if leaf.mask & ~allowed:
+            bad = min(
+                vid.name for vid in free_variables(leaf) if not _VAR_BITS[vid] & allowed
+            )
+            ranges = {
+                TEMPORAL: f"t1..t{m}",
+                SPATIAL: f"x1..x{n}",
+                VELOCITY: f"v1_1..v{n}_{m}",
+            }
+            raise ValueError(
+                f"{what} uses variable '{bad}'; "
+                f"allowed: {', '.join(ranges[k] for k in kinds)}"
+            )
+    if symmetric or antisymmetric:
+        mirrors = arr if symmetric else _NEGATED(arr)
+        if (np.swapaxes(arr, -1, -2) != mirrors).any():  # nodes compare by `is`
+            kind = "symmetric" if symmetric else "antisymmetric"
+            raise ValueError(
+                f"{what}: components must be stored {kind} "
+                f"in the two trailing indices"
+            )
 
 
 def _extents(axes: str, m: int, n: int) -> tuple:
@@ -613,8 +634,8 @@ class Family(Frozen):
     which gives the extents; ``what`` names the family in messages;
     ``kinds`` are the variable kinds its entries may use; ``symmetric``
     asks each mirror in the last two indices to be the same node, and
-    ``antisymmetric`` declares it the negated node (which the subclass
-    checks); ``full_grid`` makes ``from_upper`` need every entry.
+    ``antisymmetric`` the negated node; ``full_grid`` makes ``from_upper``
+    need every entry.
     """
 
     __slots__ = ("m", "n", "comps")
@@ -628,7 +649,10 @@ class Family(Frozen):
     def __init__(self, m: int, n: int, comps):
         comps = freeze(comps)
         extents = _extents(self.axes, m, n)
-        check_family(comps, m, n, extents, self.what, self.symmetric, self.kinds)
+        check_family(
+            comps, m, n, extents, self.what, self.symmetric, self.kinds,
+            self.antisymmetric,
+        )
         self._set(m=m, n=n, comps=comps)
 
     @classmethod
@@ -686,26 +710,28 @@ class Family(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _postorder_map(root: Expression, compute):
-    """Apply ``compute(node, child_results)`` bottom-up over the DAG.
-
-    Nodes are memoized by identity, so shared subtrees are computed once.
-    """
-    memo: dict = {}
-    stack: list[tuple[Expression, bool]] = [(root, False)]
+def _reachable(roots, enter=None) -> list:
+    """Every node the roots reach, in creation (so topological) order: the
+    one walk of the DAG, so each pass is a loop over this list that reads a
+    node's kids before the node.  With ``enter``, the walk goes into a kid
+    only where ``enter(kid)`` holds; the roots are always listed."""
+    seen = set(roots)
+    stack = list(seen)
     while stack:
-        node, ready = stack.pop()
-        if node in memo:
-            continue
-        kids = node.kids
-        if ready or not kids:
-            memo[node] = compute(node, [memo[k] for k in kids])
-        else:
-            stack.append((node, True))
-            for k in kids:
-                if k not in memo:
-                    stack.append((k, False))
-    return memo[root]
+        for kid in stack.pop().kids:
+            if kid not in seen and (enter is None or enter(kid)):
+                seen.add(kid)
+                stack.append(kid)
+    return sorted(seen, key=operator.attrgetter("index"))
+
+
+def _bottom_up(root: Expression, compute):
+    """``compute(node, kid_results)`` for every node ``root`` reaches, each
+    computed once, kids first; returns root's result."""
+    done: dict = {}
+    for node in _reachable([root]):
+        done[node] = compute(node, [done[k] for k in node.kids])
+    return done[root]
 
 
 # ---------------------------------------------------------------------------
@@ -844,18 +870,6 @@ def _leaf_value(node: Expression, values: dict):
     if type(node) is Const:
         return math.pi if node.name == "pi" else math.e
     return node.value
-
-
-def _reachable(roots) -> list:
-    """Every node the roots reach, in creation (so topological) order."""
-    seen = set(roots)
-    stack = list(seen)
-    while stack:
-        for kid in stack.pop().kids:
-            if kid not in seen:
-                seen.add(kid)
-                stack.append(kid)
-    return sorted(seen, key=operator.attrgetter("index"))
 
 
 class _Tape:
@@ -1002,18 +1016,6 @@ def evaluate(e: Expression, bindings: Bindings):
     return _run([e], bindings)[0]
 
 
-def _nesting(nested, leaves: list) -> tuple:
-    """Shape of a rectangular nesting of tuples/lists; appends its leaves to
-    ``leaves`` in nesting order."""
-    if not isinstance(nested, (tuple, list)):
-        leaves.append(nested)
-        return ()
-    shapes = {_nesting(part, leaves) for part in nested}
-    if len(shapes) > 1:
-        raise ValueError("expressions are not nested rectangularly")
-    return (len(nested),) + (shapes.pop() if shapes else ())
-
-
 def evaluate_nested(nested, bindings: Bindings):
     """Evaluate a nested tuple/list of expressions into a float ndarray.
 
@@ -1023,12 +1025,11 @@ def evaluate_nested(nested, bindings: Bindings):
     (see ``_Tape``), so a node shared by several leaves is computed once; at
     one point the first leaf, in nesting order, with a domain error raises.
     """
-    leaves: list[Expression] = []
-    shape = _nesting(nested, leaves)
-    values = _run(leaves, bindings)
+    leaves = family_array(nested)
+    values = _run(list(leaves.flat), bindings)
     batch = np.broadcast_shapes(*(np.shape(v) for v in bindings.values.values()))
     rows = [np.broadcast_to(value, batch) for value in values]
-    return np.array(rows, dtype=float).reshape(shape + batch)
+    return np.array(rows, dtype=float).reshape(leaves.shape + batch)
 
 
 def evaluate_in_domain(nested, bindings: Bindings):
@@ -1039,9 +1040,9 @@ def evaluate_in_domain(nested, bindings: Bindings):
     out = evaluate_nested(nested, bindings)
     is_batch = any(isinstance(v, np.ndarray) for v in bindings.values.values())
     if is_batch and not np.isfinite(out).all():
-        leaves: list[Expression] = []
-        values = out.reshape((-1,) + out.shape[len(_nesting(nested, leaves)) :])
-        for _, origin, message in _scan(leaves, values, bindings):
+        leaves = family_array(nested)
+        values = out.reshape((leaves.size,) + out.shape[leaves.ndim :])
+        for _, origin, message in _scan(list(leaves.flat), values, bindings):
             if message:
                 raise EvaluationError(message, origin)
     return out
@@ -1079,19 +1080,10 @@ def differentiate(e: Expression, var) -> Expression:
     if not e.mask & bit:
         return ZERO
     memo = _DERIVATIVES.setdefault(vid, {})
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in memo:
-            continue
-        if ready:
+    if e not in memo:
+        for node in _reachable([e], lambda k: k.mask & bit and k not in memo):
             kids = [memo[k] if k.mask & bit else ZERO for k in node.kids]
             memo[node] = _derivative(node, kids)
-        else:
-            stack.append((node, True))
-            for k in node.kids:
-                if k.mask & bit and k not in memo:
-                    stack.append((k, False))
     return memo[e]
 
 
@@ -1143,13 +1135,16 @@ def _derivative(node: Expression, kids: list) -> Expression:
     return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))
 
 
-def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6) -> float:
-    """Central finite-difference partial; the numeric oracle for differentiate."""
+def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6):
+    """Central finite-difference partial; the numeric oracle for differentiate.
+    A float at one point, an array over batch bindings (nan where both sides
+    are the same infinity)."""
     vid = var.vid if isinstance(var, Var) else var
-    base = float(bindings.values[vid])
+    base = bindings.values[vid]
     hi = evaluate(e, bindings.with_value(vid, base + step))
     lo = evaluate(e, bindings.with_value(vid, base - step))
-    return (hi - lo) / (2.0 * step)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        return (hi - lo) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1171,7 @@ def substitute(e: Expression, mapping: dict) -> Expression:
             return node  # nothing below it changed
         return _rebuild(node, kids)
 
-    return _postorder_map(e, compute)
+    return _bottom_up(e, compute)
 
 
 def simplify(e: Expression) -> Expression:
@@ -1189,7 +1184,7 @@ def simplify(e: Expression) -> Expression:
     The result evaluates identically to the input on any bindings where the
     input is defined.
     """
-    return _postorder_map(e, _rebuild)
+    return _bottom_up(e, _rebuild)
 
 
 def free_variables(e: Expression) -> frozenset[VariableId]:
@@ -1247,7 +1242,7 @@ def to_string(e: Expression) -> str:
         rt = r[0] if r[1] >= _PREC_NEG else f"({r[0]})"
         return (f"{lt}^{rt}", _PREC_POW)
 
-    return _postorder_map(e, compute)[0]
+    return _bottom_up(e, compute)[0]
 
 
 # ---------------------------------------------------------------------------

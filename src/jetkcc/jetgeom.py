@@ -230,6 +230,17 @@ class MetricField(ex.Family):
         return MetricField(self.kind, ex.nested((self.dim, self.dim), entry))
 
 
+def require_metric(metric: MetricField, kind: str, dim: int | None = None) -> None:
+    """Refuse a metric of another kind than ``kind`` or, when ``dim`` is
+    given, of another dimension."""
+    if metric.kind != kind or dim is not None and metric.dim != dim:
+        want = "" if dim is None else f" of dimension {dim}"
+        raise ValueError(
+            f"expected a {kind} metric{want}; "
+            f"got a {metric.kind} metric of dimension {metric.dim}"
+        )
+
+
 def _minor(rows, drop_r: int, drop_c: int):
     return tuple(
         tuple(e for c, e in enumerate(row) if c != drop_c)
@@ -292,8 +303,7 @@ def curvature_sym(metric: MetricField):
                             + sum_r (G^r_pq G^i_rj - G^r_pj G^i_rq),
     antisymmetric in its last two indices.
     """
-    if metric.kind != SPATIAL:
-        raise ValueError("curvature is defined for the spatial metric")
+    require_metric(metric, SPATIAL)
     n = metric.dim
     gam = christoffel_sym(metric)
     xs = [ex.x_var(j + 1) for j in range(n)]
@@ -318,8 +328,7 @@ def curvature_sym(metric: MetricField):
 
 def canonical_temporal_semispray(h: MetricField, n: int):
     """H0[i][a][b] = -1/2 * sum_u Gt^u_ab v^i_u  (Gt = temporal Christoffels)."""
-    if h.kind != TEMPORAL:
-        raise ValueError("expected the temporal metric")
+    require_metric(h, TEMPORAL)
     m = h.dim
     gt = christoffel_sym(h)
 
@@ -332,8 +341,7 @@ def canonical_temporal_semispray(h: MetricField, n: int):
 
 def canonical_spatial_semispray(phi: MetricField, m: int):
     """G0[i][a][b] = 1/2 * sum_pq Gs^i_pq v^p_a v^q_b  (Gs = spatial Christoffels)."""
-    if phi.kind != SPATIAL:
-        raise ValueError("expected the spatial metric")
+    require_metric(phi, SPATIAL)
     n = phi.dim
     gs = christoffel_sym(phi)
 

@@ -44,6 +44,7 @@ from .jetgeom import (
     canonical_temporal_connection,
     christoffel_sym,
     point_set,
+    require_metric,
 )
 
 # a section must satisfy the second-order system this tightly before the
@@ -183,7 +184,7 @@ def spatial_semispray_from_system(
     """G^i_ab = F^i_ab/2 + (1/2) H^u_ab v^i_u, with H the connection
     coefficients of h.  The system is reconstructed from it exactly as
     F = 2G - H v."""
-    _require_temporal(h, system.m)
+    require_metric(h, TEMPORAL, system.m)
     if not system.symmetric:
         raise ValueError(
             "spatial semispray requires a symmetric second-order system"
@@ -223,70 +224,43 @@ def spatial_semispray_from_connection(
     return Semispray(m, n, ex.nested((n, m, m), entry))
 
 
-def _require_temporal(h: MetricField, m: int):
-    if h.kind != TEMPORAL:
-        raise ValueError("expected a temporal metric")
-    if h.dim != m:
-        raise ValueError(
-            f"temporal metric dimension {h.dim} != system dimension {m}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the invariant pipeline
 # ---------------------------------------------------------------------------
 
-# selector strings used by the command-line surface and reports
-INVARIANT_NAMES = ("eps", "P", "R", "B", "D")
-
-_SELECTOR_ATTR = {
-    "eps": "first_invariant",
-    "P": "deviation_curvature",
-    "R": "third_invariant",
-    "B": "fourth_invariant",
-    "D": "fifth_invariant",
+# each selector the command-line surface and reports use: the pipeline
+# attribute that builds its family, and its index signature in storage order
+# (Slot(kind, upper, pair); a pair couples a jet coordinate's two slots)
+_S_UP, _S_DOWN = Slot(SPATIAL, True), Slot(SPATIAL, False)
+_T_UP, _T_DOWN = Slot(TEMPORAL, True), Slot(TEMPORAL, False)
+_EPS_SLOTS = (Slot(SPATIAL, True, 1), Slot(TEMPORAL, False, 1), _T_DOWN)
+_INVARIANTS = {
+    "eps": ("first_invariant", _EPS_SLOTS),
+    "P": ("deviation_curvature", (_S_UP, _S_DOWN)),
+    "R": ("third_invariant", (_S_UP, _T_UP, _S_DOWN, _S_DOWN)),
+    "B": ("fourth_invariant", (_S_UP, _T_UP, _S_DOWN, _S_DOWN, _S_DOWN, _T_UP)),
+    "D": (
+        "fifth_invariant",
+        _EPS_SLOTS
+        + (Slot(SPATIAL, False, 2), Slot(TEMPORAL, True, 2))
+        + (Slot(SPATIAL, False, 3), Slot(TEMPORAL, True, 3))
+        + (Slot(SPATIAL, False, 4), Slot(TEMPORAL, True, 4)),
+    ),
 }
+INVARIANT_NAMES = tuple(_INVARIANTS)
+
+
+def _invariant(name: str) -> tuple:
+    """(pipeline attribute, slots) of one selector."""
+    try:
+        return _INVARIANTS[name]
+    except KeyError:
+        raise KeyError(f"unknown invariant selector '{name}'") from None
 
 
 def invariant_slots(name: str) -> tuple[Slot, ...]:
     """Index signature of one invariant, in storage order."""
-    if name == "eps":
-        return (
-            Slot(SPATIAL, True, pair=1),
-            Slot(TEMPORAL, False, pair=1),
-            Slot(TEMPORAL, False),
-        )
-    if name == "P":
-        return (Slot(SPATIAL, True), Slot(SPATIAL, False))
-    if name == "R":
-        return (
-            Slot(SPATIAL, True),
-            Slot(TEMPORAL, True),
-            Slot(SPATIAL, False),
-            Slot(SPATIAL, False),
-        )
-    if name == "B":
-        return (
-            Slot(SPATIAL, True),
-            Slot(TEMPORAL, True),
-            Slot(SPATIAL, False),
-            Slot(SPATIAL, False),
-            Slot(SPATIAL, False),
-            Slot(TEMPORAL, True),
-        )
-    if name == "D":
-        return (
-            Slot(SPATIAL, True, pair=1),
-            Slot(TEMPORAL, False, pair=1),
-            Slot(TEMPORAL, False),
-            Slot(SPATIAL, False, pair=2),
-            Slot(TEMPORAL, True, pair=2),
-            Slot(SPATIAL, False, pair=3),
-            Slot(TEMPORAL, True, pair=3),
-            Slot(SPATIAL, False, pair=4),
-            Slot(TEMPORAL, True, pair=4),
-        )
-    raise KeyError(f"unknown invariant selector '{name}'")
+    return _invariant(name)[1]
 
 
 class InvariantPipeline:
@@ -297,7 +271,7 @@ class InvariantPipeline:
     """
 
     def __init__(self, system: PdeSystem, h: MetricField):
-        _require_temporal(h, system.m)
+        require_metric(h, TEMPORAL, system.m)
         self.system = system
         self.h = h
         self.m = system.m
@@ -564,11 +538,7 @@ class InvariantPipeline:
 
     def expressions(self, name: str):
         """Cached nested expression family for one invariant selector."""
-        try:
-            attr = _SELECTOR_ATTR[name]
-        except KeyError:
-            raise KeyError(f"unknown invariant selector '{name}'") from None
-        family = self._built[name] = getattr(self, attr)
+        family = self._built[name] = getattr(self, _invariant(name)[0])
         return family
 
     def evaluate(self, name: str, point: JetPoint) -> DTensorValue:
@@ -619,8 +589,8 @@ class InvariantPipeline:
         ``evaluate_nested`` call and split into read-only views."""
         grids, parts = {}, []
         for name in names:
-            leaves = np.array(self._built[name], dtype=object)
-            if all(leaf is ex.ZERO for leaf in leaves.flat):
+            leaves = ex.family_array(self._built[name])
+            if ex.all_zero(leaves):
                 grids[name] = np.zeros(leaves.shape + (len(points),))
                 grids[name].flags.writeable = False
             else:
@@ -757,13 +727,9 @@ def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
     with nan/inf at out-of-domain points; see ``Bindings.jet``.
     """
     prol = sigma.prolongation_map()
-
-    def restrict(node):
-        if isinstance(node, tuple):
-            return tuple(map(restrict, node))
-        return substitute(node, prol)
-
-    return ex.evaluate_nested(restrict(family), Bindings.jet(sigma.m, sigma.n, t=t))
+    leaves = ex.family_array(family)
+    leaves.flat = [substitute(e, prol) for e in leaves.flat]
+    return ex.evaluate_nested(leaves, Bindings.jet(sigma.m, sigma.n, t=t))
 
 
 def covariant_derivative_section(
@@ -848,7 +814,7 @@ def variational_residual_h_trace(
     t,
 ) -> np.ndarray:
     """Metric trace h^{ab} of the full variational residual: n values."""
-    _require_temporal(h, system.m)
+    require_metric(h, TEMPORAL, system.m)
     full = _variational_family(system, xi)
     hinv = h.inverse().rows
     m = system.m

@@ -122,6 +122,28 @@ def test_symmetric_field_requires_mirror_equality():
         SymmetricCoefficientField(1, 2, asym)
 
 
+def test_coupling_field_requires_negated_mirrors():
+    x1 = parse("x1", 2, 2)
+
+    def entry(i, a, v, p, q):  # the (q, p) mirror is the node, not its negation
+        return x1 if a != v and p != q else ex.ZERO
+
+    with pytest.raises(ValueError) as err:
+        AntisymmetricCouplingField(2, 2, ex.nested((2, 2, 2, 2, 2), entry))
+    assert str(err.value) == (
+        "coupling entry: components must be stored antisymmetric "
+        "in the two trailing indices"
+    )
+    # a nonzero diagonal entry is refused too: only ZERO is its own negation
+    def diagonal(*index):
+        return x1 if index == (0, 0, 1, 0, 0) else ex.ZERO
+
+    with pytest.raises(ValueError, match="stored antisymmetric"):
+        AntisymmetricCouplingField(2, 2, ex.nested((2, 2, 2, 2, 2), diagonal))
+    field = AntisymmetricCouplingField.from_upper(2, 2, {(1, 1, 2, 1, 2): x1})
+    assert field.component(1, 1, 2, 2, 1) is ex.neg(x1)
+
+
 def test_symmetric_field_component_refuses_indices_outside_their_range():
     field = SymmetricCoefficientField.from_upper(1, 2, {(2, 1, 2): parse("x1", 1, 2)})
     assert field.component(2, 2, 1) is ex.x_var(1)

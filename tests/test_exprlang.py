@@ -714,6 +714,59 @@ def test_parse_returns_the_canonical_node(text):
 
 JET_VARS = [ex.t_var(a) for a in (1, 2)] + [ex.x_var(i) for i in (1, 2)]
 JET_VARS += [ex.v_var(i, a) for i in (1, 2) for a in (1, 2)]
+
+
+def _entered(roots, enter):
+    """The nodes some path from a root reaches through kids that ``enter``
+    accepts alone, by a recursive walk (the reference for ``_reachable``)."""
+    found = {}
+
+    def walk(node):
+        if node not in found:
+            found[node] = None
+            for kid in node.kids:
+                if enter(kid):
+                    walk(kid)
+
+    for root in roots:
+        walk(root)
+    return set(found)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=TEXTS, pick=st.integers(0, 7), cut=st.integers(0, 6))
+def test_reachable_lists_each_node_once_after_its_kids(text, pick, cut):
+    e = parse(text, BIND_M, BIND_N)
+    raw = support.raw_parse(text, BIND_M, BIND_N)
+    listed = ex._reachable([e])
+    assert len(listed) == len(set(listed)) and set(listed) == set(_nodes(e))
+    position = {node: k for k, node in enumerate(listed)}
+    assert all(position[kid] < position[node] for node in listed for kid in node.kids)
+    # pruned as differentiate prunes: by a variable's mask and by a memo
+    bit, memo = JET_VARS[pick].mask, set(listed[:cut])
+
+    def enter(kid):
+        return kid.mask & bit and kid not in memo
+
+    pruned = ex._reachable([e, raw], enter)
+    assert pruned == sorted(set(pruned), key=lambda node: node.index)
+    assert set(pruned) == _entered([e, raw], enter)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=TEXTS, sizes=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_family_array_reads_rectangular_nestings_only(text, sizes):
+    e = parse(text, BIND_M, BIND_N)
+    nesting = tuple(tuple([e] * k) for k in sizes)
+    with pytest.raises(ValueError, match="not nested rectangularly"):
+        ex.family_array((nesting, nesting[0]))  # ragged in depth
+    if len(set(sizes)) > 1:
+        with pytest.raises(ValueError, match="not nested rectangularly"):
+            ex.family_array(nesting)
+    else:
+        arr = ex.family_array(nesting)
+        assert arr.shape == (len(sizes), sizes[0])
+        assert all(leaf is e for leaf in arr.flat)
 # in-domain points for the derivative oracle: a 1/8 grid on [1/4, 3/2]
 POSITIVE_GRID = st.integers(2, 12).map(lambda k: k / 8.0)
 

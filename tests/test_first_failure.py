@@ -16,7 +16,7 @@ import pytest
 
 from jetkcc import exprlang as ex
 from jetkcc.characterize import AntisymmetricCouplingField, coupling_constraint_residual
-from jetkcc.dtransform import CoordinateChange, two_path_invariants
+from jetkcc.dtransform import CoordinateChange, transform_jet_point, two_path_invariants
 from jetkcc.exprlang import parse
 from jetkcc.jetgeom import JetPoint, MetricField, PdeSystem
 from jetkcc.kcccore import (
@@ -141,6 +141,35 @@ def jacobi_row() -> Row:
     return Row(lambda pts: residual(np.array(pts).T), [[-0.25], [0.0], [0.5]], residual)
 
 
+def transform_point_row() -> Row:
+    # point 0 leaves log's domain in the forward map, point 1 makes the
+    # temporal Jacobian 3 t^2 singular
+    t, x = ex.t_var(1), ex.x_var(1)
+    change = CoordinateChange(
+        1, 1, (parse("t1^3", 1, 1),), (parse("log(x1 + 2)", 1, 1),), (t,), (x,)
+    )
+    points = [JetPoint([a], [i], [[0.5]]) for a, i in ((1, -3), (0, 1), (1, 1))]
+    return Row(
+        lambda pts: transform_jet_point(change, pts),
+        points,
+        lambda p: transform_jet_point(change, [p]),
+    )
+
+
+def round_trip_row() -> Row:
+    # point 0 leaves the spatial forward map's domain, point 1 the temporal one's
+    change = CoordinateChange(
+        1,
+        1,
+        (parse("log(t1)", 1, 1),),
+        (parse("log(x1)", 1, 1),),
+        (parse("exp(t1)", 1, 1),),
+        (parse("exp(x1)", 1, 1),),
+    )
+    points = [JetPoint([a], [i], [[0.5]]) for a, i in ((1, -1), (-1, 1), (1, 1))]
+    return Row(change.round_trip_defect, points, lambda p: change.round_trip_defect([p]))
+
+
 ROWS = {
     "pipeline": pipeline_row,
     "metric": metric_row,
@@ -148,6 +177,8 @@ ROWS = {
     "jacobian": jacobian_row,
     "coupling": coupling_row,
     "jacobi": jacobi_row,
+    "transform-point": transform_point_row,
+    "round-trip": round_trip_row,
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import support
+from jetkcc import characterize, dtransform, kcccore
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import Bindings, parse
 from jetkcc.jetgeom import (
@@ -169,6 +170,59 @@ def test_metric_inverse_dim4():
     for _ in range(10):
         z = rng.uniform(-1, 1, size=4)
         assert support.rel_max(ginv.evaluate(z), np.linalg.inv(g.evaluate(z))) < 1e-10
+
+
+def _guard_cases():
+    """Each function that needs a metric of one kind (and dimension), called
+    with one that is not, and the message ``require_metric`` gives it."""
+    h, phi = support.flat_metric(ex.TEMPORAL, 2), support.flat_metric(ex.SPATIAL, 2)
+    h3 = support.flat_metric(ex.TEMPORAL, 3)
+    system = build_affine_system(h, phi)
+    gamma = characterize.SymmetricCoefficientField.zero(2, 2)
+    coupling = characterize.AntisymmetricCouplingField.zero(2, 2)
+    sigma = kcccore.SectionMap(2, (ex.ZERO, ex.ZERO))
+    xi = kcccore.VariationField(2, (ex.ZERO, ex.ZERO))
+    t = x = np.zeros(2)
+    change = dtransform.identity_change(2, 2)
+    # need a temporal metric of dimension m = 2
+    sized = {
+        "pipeline": lambda g: kcccore.InvariantPipeline(system, g),
+        "semispray": lambda g: kcccore.spatial_semispray_from_system(system, g),
+        "h-trace": lambda g: kcccore.variational_residual_h_trace(
+            system, g, sigma, xi, t
+        ),
+        "pushforward": lambda g: dtransform.pushforward_system(change, system, g),
+        "build": lambda g: characterize.build_characterized_system(
+            gamma, coupling, g
+        ),
+        "extract": lambda g: characterize.extract_structure(system, g, t, x),
+    }
+    want = "expected a temporal metric of dimension 2; got a "
+    for name, call in sized.items():
+        yield pytest.param(call, phi, want + "spatial metric of dimension 2", id=name)
+        yield pytest.param(
+            call, h3, want + "temporal metric of dimension 3", id=f"{name}-dim"
+        )
+    # need a metric of one kind, of any dimension
+    kinds = {
+        "nullspace": (lambda g: characterize.star_star_nullspace(g, t), phi),
+        "temporal-semispray": (lambda g: canonical_temporal_semispray(g, 2), phi),
+        "spatial-semispray": (lambda g: canonical_spatial_semispray(g, 2), h),
+        "curvature": (curvature_sym, h),
+    }
+    for name, (call, metric) in kinds.items():
+        kind, other = (
+            ("temporal", "spatial") if metric is phi else ("spatial", "temporal")
+        )
+        message = f"expected a {kind} metric; got a {other} metric of dimension 2"
+        yield pytest.param(call, metric, message, id=name)
+
+
+@pytest.mark.parametrize("call, metric, message", list(_guard_cases()))
+def test_metric_guard_gives_one_message_form(call, metric, message):
+    with pytest.raises(ValueError) as err:
+        call(metric)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
