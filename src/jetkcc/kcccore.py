@@ -497,24 +497,18 @@ class InvariantPipeline:
         return ex.nested((n, n), entry)
 
     @cached_property
-    def _deviation_dv(self):
-        """table[i][j][k][a] = d P^i_j / d v^k_a."""
-        P = self.deviation_curvature
-        return ex.nested(
-            (self.n, self.n, self.n, self.m),
-            lambda i, j, k, a: differentiate(P[i][j], ex.v_var(k + 1, a + 1)),
-        )
-
-    @cached_property
     def third_invariant(self):
         """R[i][a][j][k] = (1/3)(dP^i_j/dv^k_a - dP^i_k/dv^j_a); stored
-        antisymmetric in (j, k) with shared negated mirrors."""
-        dP = self._deviation_dv
+        antisymmetric in (j, k) with shared negated mirrors.  Only the j < k
+        entries differentiate P, so no dP^i_j/dv^j_a is ever built."""
+        P = self.deviation_curvature
 
         def entry(i, a, j, k):
             if j >= k:
                 return neg(entry(i, a, k, j)) if j > k else ex.ZERO
-            return mul(1.0 / 3.0, sub(dP[i][j][k][a], dP[i][k][j][a]))
+            dPj = differentiate(P[i][j], ex.v_var(k + 1, a + 1))
+            dPk = differentiate(P[i][k], ex.v_var(j + 1, a + 1))
+            return mul(1.0 / 3.0, sub(dPj, dPk))
 
         return ex.nested((self.n, self.m, self.n, self.n), entry)
 

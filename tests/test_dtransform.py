@@ -1,5 +1,8 @@
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -452,19 +455,76 @@ def test_pushforward_fourth_invariant_shares_equal_subtrees():
     assert identity <= 1.5 * structural
 
 
+def _velocity_memo_sizes(name: str) -> list:
+    """Derivatives memoized per velocity variable when, from empty memos,
+    the pushed pair's invariant ``name`` is built."""
+    with mock.patch.object(ex, "_DERIVATIVES", {}):
+        h, _, system = affine_setup22()
+        pipe = InvariantPipeline(*pushforward_system(change22(), system, h))
+        pipe.expressions(name)
+        sizes = {vid.name: len(memo) for vid, memo in ex._DERIVATIVES.items()}
+    velocities = [size for var, size in sizes.items() if var.startswith("v")]
+    assert len(velocities) == 4
+    return velocities
+
+
 def test_fourth_invariant_build_memoizes_only_derivatives_that_can_be_nonzero():
     # a timing-free guard on pruned differentiation: from empty memos, B of
     # the pushed pair memoizes 6,735 derivatives per velocity variable when
     # every node is differentiated, about 3,000 when subtrees free of the
-    # variable are skipped
-    with mock.patch.object(ex, "_DERIVATIVES", {}):
-        h, _, system = affine_setup22()
-        pipe = InvariantPipeline(*pushforward_system(change22(), system, h))
-        pipe.expressions("B")
-        sizes = {vid.name: len(memo) for vid, memo in ex._DERIVATIVES.items()}
-    velocities = [name for name in sizes if name.startswith("v")]
-    assert len(velocities) == 4
-    assert all(sizes[name] <= 4500 for name in velocities), sizes
+    # variable are skipped, and 2,248 when R differentiates only the entries
+    # of P it reads
+    sizes = _velocity_memo_sizes("B")
+    assert all(size <= 2400 for size in sizes), sizes
+
+
+def test_third_invariant_build_memoizes_only_derivatives_it_reads():
+    # R differentiates P only for j < k: 1,506 derivatives per velocity
+    # variable, where all n*n*n*m entries of dP/dv memoized about 2,480
+    sizes = _velocity_memo_sizes("R")
+    assert all(size <= 1600 for size in sizes), sizes
+
+
+# Run in a fresh interpreter: interning makes the count of new nodes depend on
+# what earlier tests built.  Prints the nodes the command interned and how
+# many of them no tape reads.
+UNREAD_NODES = """
+import sys
+from jetkcc import cli, exprlang as ex
+tapes = []
+lower = ex._Tape.__init__
+def recorded(tape, roots):
+    lower(tape, roots)
+    tapes.append(tape)
+ex._Tape.__init__ = recorded
+before = {id(node) for node in ex._NODES.values()}
+assert cli.main(sys.argv[1:]) == 0
+new = [node for node in ex._NODES.values() if id(node) not in before]
+read = {id(node) for tape in tapes for node in tape.nodes}
+print(len(new), sum(id(node) not in read for node in new))
+"""
+
+
+def test_pushforward_transform_builds_few_nodes_that_no_tape_reads(tmp_path):
+    # the command interns 12,622 nodes and 190 of them are read by no tape;
+    # when R was built from every dP^i_j/dv^k_a it interned 15,846, 3,414
+    # of them unread
+    root = PROBLEMS.parent
+    inputs = root / "bench" / "inputs"
+    argv = [
+        "check", "transform", str(inputs / "curved_pair22.json"),
+        str(inputs / "change22.json"), "--samples", "20", "--seed", "41",
+        "--out", str(tmp_path / "report.json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", UNREAD_NODES, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    interned, unread = map(int, proc.stdout.split())
+    assert interned <= 13000, interned
+    assert unread <= 250, unread
 
 
 def test_batch_evaluation_is_one_tape_over_the_family_dag():

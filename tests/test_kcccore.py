@@ -808,7 +808,11 @@ def test_third_invariant_antisymmetry():
             for j in range(2):
                 assert ex.is_zero(R[i][a][j][j])
     # sampled: rebuild both orders from the deviation derivatives directly
-    dP = pipe._deviation_dv
+    P = pipe.deviation_curvature
+
+    def dP(i, j, k, a):
+        return ex.differentiate(P[i][j], ex.v_var(k + 1, a + 1))
+
     worst = 0.0
     for p in sample_jet_points(2, 2, 10, seed=21):
         b = p.bindings()
@@ -817,8 +821,8 @@ def test_third_invariant_antisymmetry():
                 for j in range(2):
                     for k in range(2):
                         direct = (
-                            ex.evaluate(dP[i][j][k][a], b)
-                            - ex.evaluate(dP[i][k][j][a], b)
+                            ex.evaluate(dP(i, j, k, a), b)
+                            - ex.evaluate(dP(i, k, j, a), b)
                         ) / 3.0
                         worst = max(
                             worst,
