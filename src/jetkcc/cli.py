@@ -412,10 +412,10 @@ def _inline(parts: list) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _broken(parts: list, indent: int, brackets: str = "[]") -> str:
+def _broken(parts: list, indent: int) -> str:
     inner = "  " * (indent + 1)
     body = (",\n" + inner).join(parts)
-    return f"{brackets[0]}\n{inner}{body}\n{'  ' * indent}{brackets[1]}"
+    return f"[\n{inner}{body}\n{'  ' * indent}]"
 
 
 def _list_layout(parts: list, indent: int) -> str:
@@ -441,13 +441,32 @@ def _zero_row(size: int, indent: int) -> str:
     return _row_template(size, indent) % ((0.0,) * size)
 
 
-def _render_row(row: np.ndarray, indent: int) -> str:
+def _format_row(row: np.ndarray, indent: int) -> str:
+    """A finite 1-D float array's text, formatted value by value."""
+    return _row_template(row.size, indent) % tuple(row.tolist())
+
+
+def _negated(text: str, indent: int) -> str:
+    """A finite row's text with each value's sign flipped (``"%.17g"`` of -x
+    is ``"-"`` + that of x); values follow "[", ", " or the inner indent."""
+    if text[1] == "\n":  # one value per line
+        lead = "\n" + "  " * (indent + 1)
+        return text.replace(lead, lead + "-").replace("--", "")
+    return ("[-" + text[1:].replace(" ", " -")).replace("--", "")
+
+
+def _render_row(row: np.ndarray, indent: int, seen: dict) -> str:
     """A 1-D float array, as ``render_json`` renders the list of its values."""
+    row = row.astype(float, copy=False)  # "%.17g" reads a float64 anyway
     if not row.any() and not np.signbit(row).any():  # all +0.0, so no -0
         return _zero_row(row.size, indent)
-    if np.isfinite(row).all():
-        return _row_template(row.size, indent) % tuple(row.tolist())
-    return _list_layout([_fmt_float(u) for u in row.tolist()], indent)
+    if not np.isfinite(row).all():
+        return _list_layout([_fmt_float(u) for u in row.tolist()], indent)
+    key = (indent, row.tobytes())
+    if key not in seen:
+        mirror = seen.get((indent, (-row).tobytes()))
+        seen[key] = _negated(mirror, indent) if mirror else _format_row(row, indent)
+    return seen[key]
 
 
 def _render_points(points: JetPointSet, indent: int) -> str:
@@ -484,41 +503,62 @@ def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON text: floats at 17 significant digits, dicts in
     insertion order (construction order is itself deterministic).  A 1-D
     float array renders as the list of its values, and a JetPointSet as the
-    list of its points' {"t", "x", "v"} dicts."""
+    list of its points' {"t", "x", "v"} dicts.  The text is joined once.  A
+    finite row bitwise equal (as float64s) to an earlier one at the same indent
+    reuses its text, or flips each value's sign in it if equal to its negation."""
+    out: list = []
+    _render(value, indent, out, {})
+    return "".join(out)
+
+
+def _render(value, indent: int, out: list, seen: dict) -> None:
+    """Append the text of ``value`` to ``out``; ``seen`` is the row memo."""
     if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return _list_layout([render_json(v, indent + 1) for v in value], indent)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        return _render_row(value, indent)
-    if isinstance(value, JetPointSet):
-        return _render_points(value, indent)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return _broken(parts, indent, "{}")
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append(_fmt_float(float(value)))
+    elif isinstance(value, str):
+        out.append(json.encoder.encode_basestring_ascii(value))  # = json.dumps(value)
+    elif isinstance(value, (list, tuple)):
+        start = len(out)
+        for v in value:
+            out.append("")  # v's separator, set below; no other fragment is ""
+            _render(v, indent + 1, out, seen)
+        if len(out) - start == 2 * len(value):  # one fragment per item
+            out[start:] = [_list_layout(out[start + 1 :: 2], indent)]
+        else:  # an item holds a dict, so it spans lines: one item per line
+            inner = "\n" + "  " * (indent + 1)
+            out[start:] = [f or "," + inner for f in out[start:]]
+            out[start] = "[" + inner
+            out.append("\n" + "  " * indent + "]")
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        out.append(_render_row(value, indent, seen))
+    elif isinstance(value, JetPointSet):
+        out.append(_render_points(value, indent))
+    elif isinstance(value, dict):
+        inner = "\n" + "  " * (indent + 1)
+        sep, rest = "{" + inner, "," + inner
+        for k, v in value.items():
+            out.append(f"{sep}{json.encoder.encode_basestring_ascii(str(k))}: ")
+            _render(v, indent + 1, out, seen)
+            sep = rest
+        out.append("\n" + "  " * indent + "}" if value else "{}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = render_json(report) + "\n"
+    # the whole report is rendered before anything is written
+    text = render_json(report)
     if out_path is None:
-        sys.stdout.write(text)
+        print(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            print(text, file=fh)
 
 
 def _envelope(command: str, problem_sha: str) -> dict:

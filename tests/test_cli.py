@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+import jetkcc.cli as cli
 import jetkcc.exprlang as ex
 from jetkcc.cli import (
     InputError,
@@ -27,6 +28,7 @@ from jetkcc.jetgeom import (
     build_affine_system,
     sample_jet_points,
 )
+from test_golden import COMMANDS as GOLDEN_COMMANDS, run_command as run_golden_command
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
@@ -1155,6 +1157,8 @@ def _oracle_render(value, indent=0):
     pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(value, float):
         return fmt(value)
+    if isinstance(value, (int, str)):
+        return json.dumps(value)
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -1237,6 +1241,69 @@ def test_render_json_point_set_matches_per_point_dicts(m, n, values, indent):
     assert render_json(points, indent) == _oracle_render(dicts, indent)
 
 
+def _plain(value):
+    """A report with its arrays as lists of floats, as the oracle takes it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+_POOL_ROWS = st.one_of(
+    st.lists(_ROW_FLOATS, min_size=0, max_size=30),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), min_size=1, max_size=30),
+    st.lists(st.sampled_from([math.nan, math.inf, 1.5]), min_size=1, max_size=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_POOL_ROWS, min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # pool row
+            st.booleans(),  # negated
+            st.integers(min_value=0, max_value=2),  # where in the report
+        ),
+        max_size=12,
+    ),
+    st.integers(min_value=0, max_value=4),
+)
+def test_render_json_reused_and_negated_rows_match_per_element_renderer(
+    pool, picks, indent
+):
+    # every pool row comes first, then exact copies and bitwise negations
+    # of pool rows (nan and inf rows included) at three nesting depths
+    rows = [np.array(r, dtype=float) for r in pool]
+    report = {"invariants": [{"name": "R", "components": []}], "rows": [], "deep": []}
+    placed = [(row, 0) for row in rows] + [
+        (-rows[i % len(rows)] if neg else rows[i % len(rows)].copy(), where)
+        for i, neg, where in picks
+    ]
+    for k, (row, where) in enumerate(placed):
+        if where == 0:
+            comps = report["invariants"][0]["components"]
+            comps.append({"index": [1, k + 1], "values": row})
+        elif where == 1:
+            report["rows"].append(row)
+        else:
+            report["deep"].append([row])
+    text = render_json(report, indent)
+    assert text == _oracle_render(_plain(report), indent)
+
+
+def test_render_json_rows_with_equal_bytes_and_other_values_do_not_share_text():
+    # a row is reused by the bytes of its values as float64s: the same bytes
+    # read as float32s, or in the other byte order, are other values
+    row = np.array([1.5, -2.0, 1e-300])
+    swapped = row.astype(">f8").view("<f8")
+    rows = [row, row.view(np.float32), swapped, -swapped, row.astype(">f8")]
+    assert render_json(rows, 1) == _oracle_render([r.tolist() for r in rows], 1)
+
+
 def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     # the 2000-sample baseline: sha256 of the report the per-element
     # renderer wrote, with stdout and --out alike
@@ -1252,6 +1319,70 @@ def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     assert hashlib.sha256(printed).hexdigest() == (
         "f336e83b7f6289c55d39f4da421122df345c1640568ca2b16da80f8665ec8ac4"
     )
+
+
+def test_stress_report_formats_only_its_distinct_rows(tmp_path, monkeypatch):
+    # 52 of the report's 92 component rows are not zero, and 20 of those
+    # (R: 4, B: 16) are the bitwise negation of an earlier row: 32 rows are
+    # formatted value by value, the mirrors and the zero rows not at all
+    formatted = []
+    real = cli._format_row
+
+    def counting(row, indent):
+        formatted.append(row.size)
+        return real(row, indent)
+
+    monkeypatch.setattr(cli, "_format_row", counting)
+    args = [
+        "invariants", str(PROBLEMS / "affine_curved.json"),
+        "--which", "eps,P,R,B,D", "--samples", "2000", "--seed", "0",
+        "--out", str(tmp_path / "stress.json"),
+    ]
+    assert main(args) == 0
+    assert formatted == [2000] * 32
+
+
+README_COMMANDS = [name for name in GOLDEN_COMMANDS if name.startswith("readme_")]
+
+
+@pytest.mark.parametrize("name", README_COMMANDS)
+def test_readme_command_renders_its_report_in_one_call(name, tmp_path, monkeypatch):
+    # one outermost render_json per report, so a span around render_json
+    # covers all of its formatting
+    depth, calls = [0], []
+    real = cli.render_json
+
+    def counting(value, indent=0):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(value, indent)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cli, "render_json", counting)
+    code, _ = run_golden_command(name, tmp_path)
+    assert code == 0
+    assert calls.count(0) == 1
+
+
+def test_emit_renders_the_whole_report_before_writing(tmp_path, capsys):
+    # a value that cannot be serialized, after a row that can, leaves no
+    # partial report on stdout or in the --out file
+    bad = {"values": np.linspace(-1.0, 1.0, 40), "bad": object()}
+    out = tmp_path / "report.json"
+    for path in (str(out), None):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            cli._emit(bad, path)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+    row = np.linspace(-1.0, 1.0, 40)
+    good = {"values": row, "mirror": -row}
+    cli._emit(good, None)
+    cli._emit(good, str(out))
+    printed = capsys.readouterr().out
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert printed == render_json(good) + "\n"
 
 
 def test_importing_the_cli_builds_no_dataclass():
