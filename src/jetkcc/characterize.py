@@ -20,7 +20,6 @@ import numpy as np
 from . import exprlang as ex
 from .exprlang import SPATIAL, TEMPORAL, Bindings, expr_sum, mul, neg
 from .jetgeom import (
-    DegenerateMetricError,
     MetricField,
     PdeSystem,
     christoffel_sym,
@@ -197,16 +196,11 @@ def coupling_constraint_residual(
     if m < 2:
         return 0.0
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    try:
-        hm = h.evaluate(t)
-        vals = coupling.evaluate(t, x)
-    except (ex.EvaluationError, DegenerateMetricError):
-        # raise what the first failing point raises alone, h or the coupling
-        ex.raise_first(
-            range(t.shape[-1] if t.ndim == 2 else 0),
-            lambda k: coupling_constraint_residual(coupling, h, t[:, k], x[:, k]),
-        )
-        raise
+    hm, vals = ex.by_point(
+        lambda tx: (h.evaluate(tx[0]), coupling.evaluate(*tx)),
+        (t, x),
+        zip(t.T, x.T) if t.ndim == 2 else (),
+    )
     if hm.ndim == 2:  # one point
         hm, vals = hm[..., None], vals[..., None]
     pairs = temporal_pairs(m)
@@ -398,7 +392,7 @@ def extract_structure(
 
     def probe_max(name):
         b = Bindings.jet(m, n, t, x, probes)
-        return float(np.max(np.abs(ex.evaluate_in_domain(pipe.expressions(name), b))))
+        return float(np.max(np.abs(ex.evaluate_nested(pipe.expressions(name), b))))
 
     fifth_max = 0.0 if ex.all_zero(pipe.expressions("D")) else probe_max("D")
     if not fifth_max <= QUADRATIC_TOL:

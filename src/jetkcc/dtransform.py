@@ -106,28 +106,29 @@ class CoordinateChange(ex.Frozen):
     def _values(self, table, block: str, z) -> np.ndarray:
         """``table`` evaluated as one family at coordinates ``z`` of the
         ``block`` ("t" or "x"); an out-of-domain value raises EvaluationError
-        at the first such point (``ex.evaluate_in_domain``)."""
-        return ex.evaluate_in_domain(table, Bindings.jet(self.m, self.n, **{block: z}))
+        at the first such point (``ex.evaluate_nested``)."""
+        return ex.evaluate_nested(table, Bindings.jet(self.m, self.n, **{block: z}))
 
     def _jacobian(self, table, block: str, z) -> np.ndarray:
         """The Jacobian table's values; raises SingularJacobianError where its
         determinant vanishes, and a batch what its first failing point raises
-        alone (``ex.raise_first``)."""
+        alone (``ex.by_point``)."""
+
+        def checked(z):
+            J = self._values(table, block, z)
+            with np.errstate(invalid="ignore"):  # a nan entry gives a nan det
+                det = np.abs(np.linalg.det(np.moveaxis(J, (0, 1), (-2, -1))))
+            bad = np.flatnonzero(det < JACOBIAN_TOL)
+            if bad.size:
+                kind = "temporal" if block == "t" else "spatial"
+                at = z.reshape(len(z), -1)[:, bad[0]].tolist()
+                raise SingularJacobianError(
+                    f"{kind} Jacobian is singular at {block}={at}"
+                )
+            return J
+
         z = np.asarray(z, dtype=float)
-        J = ex.evaluate_nested(table, Bindings.jet(self.m, self.n, **{block: z}))
-        with np.errstate(invalid="ignore"):  # a nan entry gives a nan det
-            det = np.abs(np.linalg.det(np.moveaxis(J, (0, 1), (-2, -1))))
-        if z.ndim > 1:
-            bad = ~np.isfinite(J).all(axis=(0, 1)) | (det < JACOBIAN_TOL)
-            ex.raise_first(
-                np.flatnonzero(bad), lambda k: self._jacobian(table, block, z[:, k])
-            )
-        elif det < JACOBIAN_TOL:
-            kind = "temporal" if block == "t" else "spatial"
-            raise SingularJacobianError(
-                f"{kind} Jacobian is singular at {block}={z.tolist()}"
-            )
-        return J
+        return ex.by_point(checked, z, z.T if z.ndim > 1 else ())
 
     def temporal_jacobian(self, t) -> np.ndarray:
         return self._jacobian(self.jac_t_forward, "t", t)
@@ -151,18 +152,8 @@ class CoordinateChange(ex.Frozen):
             x_back = self._values(self.x_inverse, "x", self.forward_x(p.x))
             return float(np.max(np.abs(np.concatenate([t_back - p.t, x_back - p.x]))))
 
-        return _by_point(defect, point_set(points))
-
-
-def _by_point(fn, points: JetPointSet, *args):
-    """``fn(points, *args)``, except that a failing batch raises what its
-    first failing point raises alone: ``fn`` at that point only, without
-    ``args`` (``ex.raise_first``)."""
-    try:
-        return fn(points, *args)
-    except ValueError:
-        ex.raise_first(range(len(points)), lambda k: fn(point_set([points[k]])))
-        raise
+        p = point_set(points)
+        return ex.by_point(defect, p, (point_set([q]) for q in p))
 
 
 def identity_change(m: int, n: int) -> CoordinateChange:
@@ -202,7 +193,9 @@ def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPoin
         t_new, x_new = cc.forward_t(p.t), cc.forward_x(p.x)
         return JetPointSet(t_new, x_new, np.moveaxis(v_new, 0, -1))
 
-    return _by_point(move, p, jacobians)
+    # the Jacobians given are the whole batch's: a point alone evaluates its own
+    points = (point_set([q]) for q in p)
+    return ex.by_point(lambda q: move(q, jacobians if q is p else None), p, points)
 
 
 def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
@@ -371,7 +364,7 @@ def two_path_invariants(
     {selector: (pushed, direct)}, two component grids with a trailing axis
     over the points; reducing them to a deviation is left to the caller.
     On a failure the comparison raises what its first failing point raises
-    alone (``ex.raise_first``); the pushforward and pipelines are not rebuilt.
+    alone (``ex.by_point``); the pushforward and pipelines are not rebuilt.
     """
     points = point_set(points)
     new_system, new_h = pushforward_system(cc, system, h)
@@ -391,4 +384,4 @@ def two_path_invariants(
             out[name] = (transform_dtensor(val, Jt, A).values, direct)
         return out
 
-    return _by_point(compare, points)
+    return ex.by_point(compare, points, (point_set([q]) for q in points))

@@ -46,12 +46,12 @@ leaves.
 
 There is one evaluator: a family's union DAG is lowered to one tape, run
 with numpy on Python floats (one point) or on arrays (a batch), and constant
-folding calls the same numpy functions, so every path rounds alike.  Over a
-batch an out-of-domain point gives nan/inf.  At one point, and over a batch
-in ``evaluate_in_domain``, EvaluationError is raised at the first operation,
-in sample order, where a value left its domain, found by ``_scan``.
-A batch that runs in stages (a metric's entries, then its determinant, say)
-raises what its first failing point raises alone, through ``raise_first``.
+folding calls the same numpy functions, so every path rounds alike.  It has
+one domain rule: a batch raises what its first failing point raises alone,
+the EvaluationError of the first operation where a value left its domain
+(``_scan``); values that stand (an overflow, a non-finite input) are
+returned.  A batch that runs in stages (a metric's entries, then its
+determinant, say) goes through the one staged-batch helper, ``by_point``.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -701,8 +701,8 @@ class Family(Frozen):
         (n, m), any of them with a trailing batch axis of K, which the block
         then gets too; a block not given stays unbound.  An out-of-domain
         value raises EvaluationError at the first such point
-        (``evaluate_in_domain``)."""
-        return evaluate_in_domain(self.comps, Bindings.jet(self.m, self.n, t, x, v))
+        (``evaluate_nested``)."""
+        return evaluate_nested(self.comps, Bindings.jet(self.m, self.n, t, x, v))
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +780,9 @@ class Bindings:
 
         ``t``, ``x`` and ``v`` have shapes (m,), (n,) and (n, m) for one
         point, or those shapes plus a trailing batch axis.  One point is
-        stored as Python floats, so the tape runs on floats and a domain
-        error raises (a 0-d array would make it a batch, which returns nan
-        instead); a batch is stored as arrays.
+        stored as Python floats, so the tape runs on floats (a 0-d array
+        would make it a batch, which runs on arrays); a batch is stored as
+        arrays.
         """
         vids = {
             "t": [VariableId(TEMPORAL, alpha=a + 1) for a in range(m)],
@@ -877,11 +877,12 @@ class _Tape:
     with one slot per distinct node, run with numpy on floats or arrays.
 
     Each instruction drops the operand slots it is the last reader of, so
-    only the live frontier of the DAG is held; root slots are kept.
+    only the live frontier of the DAG is held; root slots are kept.  A caller
+    that has walked the roots already passes that list as ``nodes``.
     """
 
-    def __init__(self, roots):
-        self.nodes = nodes = _reachable(roots)  # by slot
+    def __init__(self, roots, nodes=None):
+        self.nodes = nodes = _reachable(roots) if nodes is None else nodes  # by slot
         slot_of = {node: s for s, node in enumerate(nodes)}
         self.outputs = [slot_of[r] for r in roots]
         read = bytearray(len(nodes))  # 1 where a later slot reads it; roots are kept
@@ -926,14 +927,22 @@ class _Tape:
         return [slots[s] for s in self.outputs]
 
 
+def _batch_shape(bindings: Bindings):
+    """The common shape of array bindings, or None at one point (floats)."""
+    values = bindings.values.values()
+    if any(isinstance(v, np.ndarray) for v in values):
+        return np.broadcast_shapes(*map(np.shape, values))
+    return None
+
+
 def _run(roots, bindings: Bindings) -> list:
-    """The roots' values, in order, from one tape.  Over a batch, out-of-domain
-    points come back as nan/inf; at one point the values are floats, and the
-    first domain error ``_scan`` finds raises EvaluationError."""
+    """The roots' values, in order, from one tape: floats at one point, else
+    arrays (a constant root stays a scalar).  The first domain error
+    ``_scan`` finds, in sample order, raises EvaluationError; values that
+    stand are returned as they are."""
     values = _Tape(roots).run(bindings)
-    if any(isinstance(v, np.ndarray) for v in bindings.values.values()):
-        return values  # a batch
-    values = list(map(float, values))
+    if _batch_shape(bindings) is None:
+        values = list(map(float, values))
     for _, origin, message in _scan(roots, values, bindings):
         if message:
             raise EvaluationError(message, origin)
@@ -945,12 +954,18 @@ def _scan(roots, values, bindings: Bindings):
     for each such root in order, yields the root, its origin (reached through
     the first non-finite operand until all operands are finite) and
     ``_domain_error``'s message.  ``values`` are the roots' values: floats at
-    one point, else an array of shape (roots,) + batch shape.  One tape of
-    every node runs over those points only (one point stays on floats)."""
-    if isinstance(values, np.ndarray):
-        bad = np.flatnonzero(~np.isfinite(values.reshape(len(roots), -1)).all(axis=0))
+    one point, else arrays or scalars of the batch shape, each tested for
+    finiteness alone.  One tape of every node, lowered from the one walk
+    that lists them, runs over those points only (one point stays on
+    floats)."""
+    shape = _batch_shape(bindings)
+    if shape is not None:
+        finite = np.ones(shape, dtype=bool)
+        for v in values:
+            finite &= np.isfinite(v)
+        bad = np.flatnonzero(~finite)
         flat = {
-            vid: np.broadcast_to(v, values.shape[1:]).reshape(-1)[bad]
+            vid: np.broadcast_to(v, shape).reshape(-1)[bad]
             for vid, v in bindings.values.items()
         }
         bindings = Bindings(bindings.m, bindings.n, flat)
@@ -959,7 +974,7 @@ def _scan(roots, values, bindings: Bindings):
     if not len(bad):
         return
     nodes = _reachable(roots)
-    table = dict(zip(nodes, _Tape(nodes).run(bindings)))
+    table = dict(zip(nodes, _Tape(nodes, nodes).run(bindings)))
     for k in range(len(bad)):
 
         def value(node):  # a 0-d array comes from a one-point variable power
@@ -973,13 +988,19 @@ def _scan(roots, values, bindings: Bindings):
             yield root, node, _domain_error(node, [value(kid) for kid in node.kids])
 
 
-def raise_first(indices, at_point) -> None:
-    """Call the one-point path ``at_point(k)`` at each point index k of
-    ``indices`` (every point that may fail alone) in sample order, so a batch
-    that runs in stages raises what its first failing point raises alone;
-    return if none raises.  Only error paths call it."""
-    for k in sorted(indices):
-        at_point(int(k))
+def by_point(stages, batch, points):
+    """``stages(batch)``, a batch that runs in stages, each raising on any
+    failure.  On a ValueError, the one-point path ``stages(point)`` runs at
+    each of ``points`` (the batch's points, or none for one point) in sample
+    order and the first error propagates; if none raises, the batch's error
+    is re-raised.  So the batch raises what its first failing point raises
+    alone, and only error paths re-run points."""
+    try:
+        return stages(batch)
+    except ValueError:
+        for point in points:
+            stages(point)
+        raise
 
 
 def _domain_error(node: Expression, operands: list) -> str | None:
@@ -1009,9 +1030,9 @@ def _domain_error(node: Expression, operands: list) -> str | None:
 
 
 def evaluate(e: Expression, bindings: Bindings):
-    """Evaluate through one tape (see ``_run``): at one point a float, and a
-    domain error raises EvaluationError identifying the offending
-    subexpression; over array bindings an array, nan/inf where out of domain.
+    """Evaluate through one tape (see ``_run``): a float at one point, an
+    array over array bindings; a domain error raises EvaluationError
+    identifying the offending subexpression, at the first such point.
     """
     return _run([e], bindings)[0]
 
@@ -1022,30 +1043,18 @@ def evaluate_nested(nested, bindings: Bindings):
     The array shape mirrors the nesting, plus a trailing batch axis when the
     bindings hold arrays (a leaf that evaluates to a plain scalar, a
     constant say, is broadcast along it).  The whole family is one tape
-    (see ``_Tape``), so a node shared by several leaves is computed once; at
-    one point the first leaf, in nesting order, with a domain error raises.
+    (see ``_Tape``), so a node shared by several leaves is computed once.
+    A batch raises what evaluating its points one at a time, in sample
+    order, raises first: at that point, the first leaf in nesting order
+    with a domain error.  Values that stand (an overflow, a non-finite
+    input) are returned as they are.
     """
     leaves = family_array(nested)
     values = _run(list(leaves.flat), bindings)
-    batch = np.broadcast_shapes(*(np.shape(v) for v in bindings.values.values()))
-    rows = [np.broadcast_to(value, batch) for value in values]
-    return np.array(rows, dtype=float).reshape(leaves.shape + batch)
-
-
-def evaluate_in_domain(nested, bindings: Bindings):
-    """``evaluate_nested`` with the one-point domain rule over a batch too: a
-    batch raises what evaluating its points one at a time, in sample order,
-    raises first (``_scan``).  Non-finite values that stand (an overflow, a
-    non-finite input) are returned as they are."""
-    out = evaluate_nested(nested, bindings)
-    is_batch = any(isinstance(v, np.ndarray) for v in bindings.values.values())
-    if is_batch and not np.isfinite(out).all():
-        leaves = family_array(nested)
-        values = out.reshape((leaves.size,) + out.shape[leaves.ndim :])
-        for _, origin, message in _scan(list(leaves.flat), values, bindings):
-            if message:
-                raise EvaluationError(message, origin)
-    return out
+    out = np.empty((len(values),) + (_batch_shape(bindings) or ()))
+    for row, value in enumerate(values):
+        out[row] = value
+    return out.reshape(leaves.shape + out.shape[1:])
 
 
 def nonfinite_origin(e: Expression, bindings: Bindings) -> Expression | None:
@@ -1053,7 +1062,7 @@ def nonfinite_origin(e: Expression, bindings: Bindings) -> Expression | None:
     point, in sample order, where ``e`` is not finite, the node ``_scan``
     walks back to (non-finite while all its operands are finite); None if
     ``e`` is finite at every point."""
-    values = evaluate_nested([e], bindings)
+    values = _Tape([e]).run(bindings)
     return next((origin for _, origin, _ in _scan([e], values, bindings)), None)
 
 

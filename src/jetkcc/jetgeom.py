@@ -200,21 +200,25 @@ class MetricField(ex.Family):
 
         Raises DegenerateMetricError where |det| <= 1e-12, det being
         ``determinant()``, and a batch what its first failing point raises
-        alone (``ex.raise_first``).
+        alone (``ex.by_point``).
         """
-        coords = np.asarray(coords, dtype=float)
         d = self.dim
-        b = Bindings.jet(d, d, **{"t" if self.kind == TEMPORAL else "x": coords})
-        out = ex.evaluate_nested(self.rows, b)
-        det = np.abs(ex.evaluate(self.determinant(), b))
-        if coords.ndim > 1:
-            bad = ~np.isfinite(out).all(axis=(0, 1)) | (det <= DEGENERACY_TOL)
-            ex.raise_first(np.flatnonzero(bad), lambda k: self.evaluate(coords[:, k]))
-        elif det <= DEGENERACY_TOL:
-            raise DegenerateMetricError(
-                f"{self.kind} metric degenerate at {coords.tolist()}: |det| = {det:.3e}"
-            )
-        return out
+
+        def checked(coords):
+            b = Bindings.jet(d, d, **{"t" if self.kind == TEMPORAL else "x": coords})
+            out = ex.evaluate_nested(self.rows, b)
+            det = np.abs(ex.evaluate(self.determinant(), b))
+            bad = np.flatnonzero(det <= DEGENERACY_TOL)
+            if bad.size:
+                k = bad[0]
+                at, det = coords.reshape(d, -1)[:, k].tolist(), np.ravel(det)[k]
+                raise DegenerateMetricError(
+                    f"{self.kind} metric degenerate at {at}: |det| = {det:.3e}"
+                )
+            return out
+
+        coords = np.asarray(coords, dtype=float)
+        return ex.by_point(checked, coords, coords.T if coords.ndim > 1 else ())
 
     def determinant(self) -> Expression:
         return _det_expr(self.rows)
@@ -538,10 +542,11 @@ def build_first_order_system(
     asym = 0.0
     if m > 1:
         points = point_set(sample_jet_points(m, n, 5, seed=20))
-        F = ex.evaluate_in_domain(raw, points.bindings())
+        F = ex.evaluate_nested(raw, points.bindings())
         a, b = np.triu_indices(m, 1)
         asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
-    # symmetric in value, stored as written; a nan gap is asymmetric
+    # symmetric in value, stored as written; a gap that is not finite (an
+    # overflow that stands) is asymmetric
     system._set(symmetric=asym <= FIRST_ORDER_ASYM_TOL)
     if not system.symmetric:
         warnings.warn(

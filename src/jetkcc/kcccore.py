@@ -544,33 +544,28 @@ class InvariantPipeline:
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
         """Read-only component grid with a trailing axis over the supplied
-        points, nan/inf where a value leaves its domain.  Where h fails, the
-        batch raises what its first failing point raises alone (``evaluate``
-        through ``ex.raise_first``), which may be a family's domain error.
+        points.  The batch checks h, then evaluates, and raises what its
+        first failing point raises alone (``ex.by_point``): h's error there,
+        else the first failing leaf's domain error.
 
         The pipeline remembers one ``JetPointSet`` (by identity; its stacks
         are read-only) and the grids computed over it.  A call over a set it
         does not remember checks h once and evaluates every family built so
         far through ``expressions`` as one tape, so a node that several
-        families share is computed once; later calls over that set return
-        their grids from the memo, and a family built after the first call
-        is evaluated when it is asked for.  A plain sequence of points is not
-        remembered, and only ``name`` is evaluated over it.
+        families share is computed once, and its error is that of the first
+        failing leaf of any built family, in ``_built`` order, not only of
+        ``name``; later calls over that set return their grids from the
+        memo, and a family built after the first call is evaluated when it
+        is asked for.  A plain sequence of points is not remembered, and
+        only ``name`` is evaluated over it.
         """
         self.expressions(name)
         remembered, grids = self._memo
         if points is not remembered:
             stacks = point_set(points)
-            try:
-                self.h.evaluate(stacks.t)
-            except ValueError:
-                ex.raise_first(
-                    range(len(stacks)), lambda k: self.evaluate(name, stacks[k])
-                )
-                raise
             if stacks is not points:  # a plain sequence, not remembered
                 return self._grids(stacks, [name])[name]
-            grids = {}
+            grids = self._grids(points, list(self._built))
             self._memo = (points, grids)  # one assignment: a race repeats work
         if name not in grids:
             todo = [s for s in list(self._built) if s not in grids]
@@ -578,27 +573,34 @@ class InvariantPipeline:
         return grids[name]
 
     def _grids(self, points: JetPointSet, names) -> dict:
-        """{selector: grid} over ``points`` for the built families ``names``,
-        the leaves of those not all ``ZERO`` evaluated as one
-        ``evaluate_nested`` call and split into read-only views."""
-        grids, parts = {}, []
-        for name in names:
-            leaves = ex.family_array(self._built[name])
-            if ex.all_zero(leaves):
-                grids[name] = np.zeros(leaves.shape + (len(points),))
-                grids[name].flags.writeable = False
-            else:
-                parts.append((name, leaves))
-        if parts:
-            flat = [leaf for _, leaves in parts for leaf in leaves.flat]
-            values = ex.evaluate_nested(flat, points.bindings())
-            values.flags.writeable = False
-            start = 0
-            for name, leaves in parts:
-                end = start + leaves.size
-                grids[name] = values[start:end].reshape(leaves.shape + (len(points),))
-                start = end
-        return grids
+        """{selector: grid} over ``points`` for the built families ``names``:
+        h checked, then the leaves of those not all ``ZERO`` evaluated as one
+        ``evaluate_nested`` call and split into read-only views; a staged
+        batch (``ex.by_point``)."""
+
+        def stages(points: JetPointSet) -> dict:
+            self.h.evaluate(points.t)
+            grids, parts = {}, []
+            for name in names:
+                leaves = ex.family_array(self._built[name])
+                if ex.all_zero(leaves):
+                    grids[name] = np.zeros(leaves.shape + (len(points),))
+                    grids[name].flags.writeable = False
+                else:
+                    parts.append((name, leaves))
+            if parts:
+                flat = [leaf for _, leaves in parts for leaf in leaves.flat]
+                values = ex.evaluate_nested(flat, points.bindings())
+                values.flags.writeable = False
+                start = 0
+                for name, leaves in parts:
+                    end = start + leaves.size
+                    shape = leaves.shape + (len(points),)
+                    grids[name] = values[start:end].reshape(shape)
+                    start = end
+            return grids
+
+        return ex.by_point(stages, points, (point_set([q]) for q in points))
 
     # -- covariant derivatives and deviation-form residuals -------------------
 
@@ -716,9 +718,9 @@ def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
 
     Each leaf is restricted to the prolongation once, however many t there
     are, and the restricted family is evaluated as one tape.  ``t`` has
-    shape (m,) for one point, where an out-of-domain value raises
-    EvaluationError, or (m, K) for a batch, which gives a trailing axis of K
-    with nan/inf at out-of-domain points; see ``Bindings.jet``.
+    shape (m,) for one point or (m, K) for a batch, which gives a trailing
+    axis of K; an out-of-domain value raises EvaluationError, a batch's at
+    its first failing t (``ex.evaluate_nested``).
     """
     prol = sigma.prolongation_map()
     leaves = ex.family_array(family)
@@ -835,26 +837,19 @@ def jacobi_identity_residual(
     it at t; otherwise SectionNotSolutionError is raised with the measured
     residual.  The stages are h, the section residual and this residual; a
     batch of t raises what its first failing t raises alone
-    (``ex.raise_first``).
+    (``ex.by_point``).
     """
-    t = np.asarray(t, dtype=float)
 
-    def alone(k):
-        return jacobi_identity_residual(system, h, sigma, xi, t[:, k])
-
-    try:
+    def stages(t):
         h.evaluate(t)
-    except ValueError:
-        ex.raise_first(range(t.shape[1]) if t.ndim > 1 else (), alone)
-        raise
-    sres = sode_residual(system, sigma, t)
-    worst = np.max(np.abs(sres), axis=(0, 1, 2))
-    if t.ndim == 1 and not worst <= SOLUTION_TOL:  # a nan fails too
-        raise SectionNotSolutionError(float(worst), SOLUTION_TOL, t)
-    resid = _on_section(
-        InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi), sigma, t
-    )
-    if t.ndim > 1:
-        failing = ~(worst <= SOLUTION_TOL) | ~np.isfinite(resid).all(axis=0)
-        ex.raise_first(np.flatnonzero(failing), alone)
-    return resid
+        worst = np.max(np.abs(sode_residual(system, sigma, t)), axis=(0, 1, 2))
+        off = np.flatnonzero(~(worst <= SOLUTION_TOL))  # a nan fails too
+        if off.size:
+            k = off[0]
+            at = t.reshape(len(t), -1)[:, k]
+            raise SectionNotSolutionError(float(np.ravel(worst)[k]), SOLUTION_TOL, at)
+        family = InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi)
+        return _on_section(family, sigma, t)
+
+    t = np.asarray(t, dtype=float)
+    return ex.by_point(stages, t, t.T if t.ndim > 1 else ())

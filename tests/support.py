@@ -254,12 +254,27 @@ def _recorded_tapes(measure):
     lowered = []
     init = ex._Tape.__init__
 
-    def counted(self, roots):
-        init(self, roots)
+    def counted(self, roots, *nodes):
+        init(self, roots, *nodes)
         lowered.append(measure(self, roots))
 
     with mock.patch.object(ex._Tape, "__init__", counted):
         yield lowered
+
+
+@contextlib.contextmanager
+def reachable_walks():
+    """A list that gets the root count of each walk of the DAG
+    (``exprlang._reachable``) inside the block."""
+    walks = []
+    walk = ex._reachable
+
+    def counted(roots, enter=None):
+        walks.append(len(roots))
+        return walk(roots, enter)
+
+    with mock.patch.object(ex, "_reachable", counted):
+        yield walks
 
 
 def lowered_tapes():

@@ -329,22 +329,26 @@ def test_invariants_nonfinite_component_is_exit_3(tmp_path, capsys):
         ["invariants", path, "--samples", "6", "--seed", "0"], tmp_path
     )
     assert code == 3 and report is None
-    # the message names the subexpression where the value turns non-finite
+    # the batch raises what its first failing point raises alone
     assert capsys.readouterr().err == (
-        "evaluation error: invariant eps: component [1, 1, 1] is nan "
-        "at point 1 of 6 in `log(x1)`\n"
+        "evaluation error: log of non-positive value -0.4604265724722594 "
+        "in `log(x1)`\n"
     )
 
 
 def test_nonfinite_message_follows_selector_order(tmp_path, capsys):
-    # eps and P are evaluated as one tape, and both are nan at point 1; the
-    # message names the first selector asked for
-    path = write_json(tmp_path, "logv.json", LOG_V)
-    argv = ["invariants", path, "--which", "P,eps", "--samples", "6", "--seed", "0"]
-    assert run_cli(argv, tmp_path) == (3, None)
+    # at x1 = 0.709 cosh(1000*x1) is finite, but eps and P overflow in values
+    # that stand (inf - inf); they are evaluated as one tape, and the message
+    # names the first selector asked for and where its value turns non-finite
+    points = [
+        {"t": [0.1], "x": [0.2], "v": [[0.5]]},
+        {"t": [0.1], "x": [0.709], "v": [[10.0]]},
+    ]
+    path = write_json(tmp_path, "cosh.json", dict(COSH_V, points=points))
+    assert run_cli(["invariants", path, "--which", "P,eps"], tmp_path) == (3, None)
     assert capsys.readouterr().err == (
         "evaluation error: invariant P: component [1, 1] is nan "
-        "at point 1 of 6 in `log(x1)`\n"
+        "at point 2 of 2 in `sinh(1000*x1)*1000`\n"
     )
 
 
@@ -402,6 +406,8 @@ def test_transform_check_singular_jacobian_is_degeneracy(tmp_path, capsys):
 
 
 def test_transform_check_fails_on_nan(tmp_path, capsys):
+    # the invariants leave log's domain at 2 of the 6 points: an evaluation
+    # error at the first of them, not a check that fails on nan
     assert sum(p.x[0] < 0.0 for p in sample_jet_points(1, 1, 6, seed=0)) == 2
     prob = write_json(tmp_path, "logv.json", LOG_V)
     change = write_json(tmp_path, "id.json", IDENTITY_11)
@@ -409,18 +415,44 @@ def test_transform_check_fails_on_nan(tmp_path, capsys):
         ["check", "transform", prob, change, "--samples", "6", "--seed", "0"],
         tmp_path,
     )
-    assert code == 1 and report["pass"] is False
-    eps = report["checks"][0]
-    assert eps["name"] == "invariant eps transforms as a d-tensor"
-    assert eps["value"] == "nan" and eps["pass"] is False
-    err = capsys.readouterr().err
-    assert "invariant eps transforms as a d-tensor (value nan" in err
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: log of non-positive value -0.4604265724722594 "
+        "in `log(x1)`\n"
+    )
+
+
+@pytest.mark.parametrize("h", ["1", "t1"])
+@pytest.mark.parametrize(
+    "command",
+    [["invariants"], ["check", "transform"], ["check", "fd"]],
+    ids=["invariants", "transform", "fd"],
+)
+def test_out_of_domain_point_gives_one_message_on_every_command(
+    command, h, tmp_path, capsys
+):
+    # log(x1) leaves its domain at point 1; h = t1 is degenerate at point 2
+    doc = dict(LOG_V, temporal_metric=[[h]], points=_points((1, -1), (0, 1)))
+    args = command + [write_json(tmp_path, "logv.json", doc)]
+    if command[-1] == "transform":
+        args.append(write_json(tmp_path, "id.json", IDENTITY_11))
+    assert run_cli(args, tmp_path) == (3, None)
+    assert capsys.readouterr().err == (
+        "evaluation error: log of non-positive value -1.0 in `log(x1)`\n"
+    )
 
 
 # cosh(1000*x1) overflows to inf at every sampled point, so both paths of
-# check transform, and both sides of a central difference, meet inf - inf
+# check transform meet inf - inf; so do both sides of a central difference
+# of a product that overflows
 COSH_V = dict(
     OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "cosh(1000*x1)*v1_1"}]}
+)
+SQUARE_V = dict(
+    OSC,
+    system={
+        "F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "(1e200*x1)*(1e200*x1)*v1_1"}]
+    },
 )
 
 
@@ -443,7 +475,8 @@ COSH_V = dict(
 def test_overflowed_check_fails_without_numpy_warnings(
     command, more, failed, tmp_path, capsys
 ):
-    problem = write_json(tmp_path, "cosh.json", COSH_V)
+    doc = COSH_V if command == "transform" else SQUARE_V
+    problem = write_json(tmp_path, "overflow.json", doc)
     code, report = run_cli(["check", command, problem] + more, tmp_path)
     assert code == 1 and "nan" in [c["value"] for c in report["checks"]]
     assert capsys.readouterr().err == f"check failed: {failed}\n"
@@ -555,13 +588,18 @@ def test_first_failing_point_decides_the_error(case, tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
-def test_fd_check_max_deviation_keeps_nan(tmp_path):
+def test_fd_check_max_deviation_keeps_nan(tmp_path, capsys):
+    # the derivative leaves log's domain: an evaluation error at the first
+    # such point, not a nan deviation
     prob = write_json(tmp_path, "logv.json", LOG_V)
     code, report = run_cli(
         ["check", "fd", prob, "--samples", "6", "--seed", "0"], tmp_path
     )
-    assert code == 1 and report["pass"] is False
-    assert report["max_deviation"] == "nan"
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: log of non-positive value -0.4604265724722594 "
+        "in `log(x1)`\n"
+    )
 
 
 def test_fd_check_passes_and_names_components(tmp_path):
@@ -984,14 +1022,16 @@ def test_power_overflow_is_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "evaluation error: overflow in power in `t1^2.5`\n"
     )
-    # an overflowing constant stays unfolded: the file loads, and the
-    # infinite invariant is reported as an evaluation error
+    # an overflowing constant stays unfolded: the file loads, and the power
+    # that overflows is reported as an evaluation error
     big = dict(
         OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "1e200^2.5*x1"}]}
     )
     prob = write_json(tmp_path, "big.json", big)
     assert main(["invariants", prob, "--samples", "2"]) == 3
-    assert "is inf" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "evaluation error: overflow in power in `1e+200^2.5`\n"
+    )
 
 
 SAMPLING_COMMANDS = pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -592,6 +593,38 @@ def test_union_tape_keeps_the_bits_of_each_family_alone(pair):
         alone = ex.evaluate_nested(pipe.expressions(name), b)
         assert grid.shape == alone.shape
         assert grid.tobytes() == alone.tobytes(), name
+
+
+def test_batch_evaluation_adds_only_its_output_array():
+    # a timing-free memory guard: once a stress family's tape has run over
+    # 2000 points, evaluate_nested allocates the output array and at most
+    # 16 KiB more, so the batch domain rule tests finiteness without a
+    # second batch-sized copy of the values
+    problem = load_problem(str(PROBLEMS / "affine_curved.json"))
+    pipe = InvariantPipeline(problem.system, problem.h)
+    b = point_set(sample_jet_points(2, 2, 2000, seed=41)).bindings()
+    run, held = ex._Tape.run, []
+
+    def traced(tape, bindings):
+        values = run(tape, bindings)
+        # the tape is kept, so freeing it cannot hide what comes after
+        held.append((tape, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+        return values
+
+    for name in INVARIANT_NAMES:
+        family = pipe.expressions(name)
+        ex.evaluate_nested(family, b)  # caches warm
+        held.clear()
+        with mock.patch.object(ex._Tape, "run", traced):
+            tracemalloc.start()
+            try:
+                out = ex.evaluate_nested(family, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        ((_, after_run),) = held
+        assert peak - after_run <= out.nbytes + 16 * 1024, name
 
 
 def test_evaluate_batch_remembers_one_point_set():

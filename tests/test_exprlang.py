@@ -165,8 +165,11 @@ def test_evaluate_domain_errors_identify_subexpression():
             evaluate(e, bnd(1, 1, x1=x1))
         assert err.value.expression is parse(origin, 1, 1), src
         assert str(err.value) == f"{message} in `{origin}`"
-        # the batch gives a non-finite value there instead
-        assert not np.isfinite(evaluate(e, bnd(1, 1, x1=np.array([x1])))[0])
+        # a batch raises what its point raises alone
+        with pytest.raises(EvaluationError) as batch_err:
+            evaluate(e, bnd(1, 1, x1=np.array([x1])))
+        assert batch_err.value.expression is err.value.expression, src
+        assert str(batch_err.value) == str(err.value)
 
 
 # (expression, x1): non-finite at one point, but where the value stands
@@ -508,7 +511,9 @@ def test_jet_bindings_store_floats_for_one_point():
     with pytest.raises(EvaluationError, match="log"):
         evaluate(parse("log(x1)", 1, 1), b)
     batch = Bindings.jet(1, 1, x=np.array([[-0.5, 0.5]]))
-    assert np.isnan(evaluate(parse("log(x1)", 1, 1), batch)[0])
+    assert all(type(u) is np.ndarray for u in batch.values.values())
+    with pytest.raises(EvaluationError, match="log of non-positive value -0.5"):
+        evaluate(parse("log(x1)", 1, 1), batch)
     with pytest.raises(ValueError, match="x coordinates"):
         Bindings.jet(1, 2, x=[0.5])
 
@@ -522,7 +527,10 @@ def test_jet_bindings_store_floats_for_one_point():
 )
 def test_one_point_evaluation_matches_batch_column(e, t, x, v):
     m, n, count = BIND_M, BIND_N, BIND_K
-    batch = np.broadcast_to(evaluate(e, Bindings.jet(m, n, t, x, v)), (count,))
+    # the tape's own values: nan where a point leaves the domain, which
+    # evaluate raises for
+    (column,) = ex._Tape([e]).run(Bindings.jet(m, n, t, x, v))
+    batch = np.broadcast_to(column, (count,))
     for k in range(count):
         one = Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k])
         assert all(type(u) is float for u in one.values.values())
@@ -578,7 +586,12 @@ def _family(rows, cols):
 )
 def test_family_tape_matches_scalar_evaluation(family, t, x, v):
     m, n, count = BIND_M, BIND_N, BIND_K
-    grid = ex.evaluate_nested(family, Bindings.jet(m, n, t, x, v))
+    # the family tape's own values: nan where a point leaves the domain,
+    # which evaluate_nested raises for
+    leaves = ex.family_array(family)
+    values = ex._Tape(list(leaves.flat)).run(Bindings.jet(m, n, t, x, v))
+    rows = [np.broadcast_to(u, (count,)) for u in values]
+    grid = np.reshape(rows, leaves.shape + (count,))
     assert grid.shape == (len(family), len(family[0]), count)
     for k in range(count):
         one = Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k])
@@ -599,13 +612,17 @@ def test_folded_constant_equals_its_evaluation(e):
     folded = simplify(e).lit
     if folded is None or not math.isfinite(folded):
         return  # not folded: it evaluates as an expression
-    column = ex.evaluate_nested((e,), Bindings.jet(1, 1, x=[[0.5, 1.5]]))[0, 1]
+    batch = Bindings.jet(1, 1, x=[[0.5, 1.5]])
     try:
         value = evaluate(e, Bindings(1, 1))
-    except EvaluationError:
-        # undefined inside, where the fold annihilates it (0*log(0) is 0)
-        assert not np.isfinite(column)
+    except EvaluationError as err:
+        # undefined inside, where the fold annihilates it (0*log(0) is 0);
+        # a batch raises the same
+        with pytest.raises(EvaluationError) as batch_err:
+            ex.evaluate_nested((e,), batch)
+        assert str(batch_err.value) == str(err)
         return
+    column = ex.evaluate_nested((e,), batch)[0, 1]
     if math.isfinite(value):
         # equal as floats, which for non-zero values is bit for bit (a fold
         # may give 0 where evaluation gives -0: (0-2)*0 folds to ZERO)
@@ -1012,20 +1029,20 @@ def test_batch_domain_rule_raises_at_the_first_bad_point():
     family = (parse("log(x1)", 1, 1), parse("x1*1e308", 1, 1))
     x1 = np.array([0.5, -1.5, -2.0])
     with pytest.raises(EvaluationError) as info:
-        ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
+        ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
     assert str(info.value) == "log of non-positive value -1.5 in `log(x1)`"
     # what stands at one point stands in the batch: an overflow, a nan input
     for bad in (1000.0, float("nan")):
         x1 = np.array([0.5, bad])
-        b = Bindings.jet(1, 1, x=x1[None])
-        got = ex.evaluate_in_domain(family, b)
-        assert np.array_equal(got, ex.evaluate_nested(family, b), equal_nan=True)
+        got = ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
+        alone = [ex.evaluate_nested(family, bnd(1, 1, x1=u)) for u in x1]
+        assert got.tobytes() == np.stack(alone, axis=-1).tobytes()
         assert not np.isfinite(got[:, 1]).all()
     # an overflow at an earlier point does not hide a domain error at a later
     # one: the batch raises what a scan of single points raises
     x1 = np.array([1000.0, -1.0])
     with pytest.raises(EvaluationError) as info:
-        ex.evaluate_in_domain(family, Bindings.jet(1, 1, x=x1[None]))
+        ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
     assert str(info.value) == "log of non-positive value -1.0 in `log(x1)`"
 
 
@@ -1053,6 +1070,17 @@ def _first_origin(e, points):
     return None
 
 
+def _entry(name: str, family: tuple, t, x, v):
+    """A public evaluator entry at (t, x, v): ``evaluate`` of the family's
+    first expression, ``evaluate_nested`` of the family, or
+    ``Family.evaluate`` of its last expression."""
+    if name == "evaluate":
+        return evaluate(family[0], Bindings.jet(BIND_M, BIND_N, t, x, v))
+    if name == "evaluate_nested":
+        return ex.evaluate_nested(family, Bindings.jet(BIND_M, BIND_N, t, x, v))
+    return ex.Family(BIND_M, BIND_N, family[-1]).evaluate(t, x, v)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     family=st.lists(SIGNED_EXPRESSIONS, min_size=1, max_size=3).map(tuple),
@@ -1061,22 +1089,24 @@ def _first_origin(e, points):
 def test_batch_raises_what_a_scan_of_single_points_raises(family, coords):
     m, n, count = BIND_M, BIND_N, coords.shape[1]
     t, x, v = coords[:m], coords[m : m + n], coords[m + n :].reshape(n, m, count)
+    singles = [(t[:, k], x[:, k], v[:, :, k]) for k in range(count)]
+    for name in ("evaluate", "evaluate_nested", "Family.evaluate"):
+        columns = []
+        for one in singles:
+            try:
+                columns.append(_entry(name, family, *one))
+            except EvaluationError as err:
+                with pytest.raises(EvaluationError) as info:
+                    _entry(name, family, t, x, v)
+                assert str(info.value) == str(err), name
+                assert info.value.expression is err.expression, name
+                break
+        else:
+            want = np.stack(columns, axis=-1)
+            got = np.broadcast_to(_entry(name, family, t, x, v), want.shape)
+            assert got.tobytes() == want.tobytes(), name
     batch = Bindings.jet(m, n, t, x, v)
-    points = [Bindings.jet(m, n, t[:, k], x[:, k], v[:, :, k]) for k in range(count)]
-    columns = []
-    for one in points:
-        try:
-            columns.append(ex.evaluate_nested(family, one))
-        except EvaluationError as err:
-            with pytest.raises(EvaluationError) as info:
-                ex.evaluate_in_domain(family, batch)
-            assert str(info.value) == str(err)
-            assert info.value.expression is err.expression
-            break
-    else:
-        got = ex.evaluate_in_domain(family, batch)
-        assert got.tobytes() == ex.evaluate_nested(family, batch).tobytes()
-        assert np.array_equal(got, np.stack(columns, axis=-1), equal_nan=True)
+    points = [Bindings.jet(m, n, *one) for one in singles]
     for e in family:
         assert ex.nonfinite_origin(e, batch) is _first_origin(e, points)
 
@@ -1103,8 +1133,20 @@ def test_one_point_family_lowers_one_tape():
         batch = Bindings.jet(1, 2, x=np.array([[0.5, -1.5, -2.5], [0.25] * 3]))
         lowered.clear()
         with pytest.raises(EvaluationError, match="log of non-positive"):
-            ex.evaluate_in_domain(family, batch)
+            ex.evaluate_nested(family, batch)
         assert len(lowered) == 2 and lowered[0] == 9
         lowered.clear()
         assert ex.nonfinite_origin(family[0][0], batch) is parse("log(x1 + 0)", 1, 2)
         assert len(lowered) == 2 and lowered[0] == 1
+
+
+def test_domain_error_scan_walks_the_dag_once():
+    # a batch that raises walks its DAG twice: once to lower its tape and
+    # once for the scan, whose tape is lowered from that walk's list; the
+    # message then prints the origin, log(x1), with a walk of its own
+    family = (parse("log(x1) + sin(x2)", 1, 2), parse("x1*x2", 1, 2))
+    batch = Bindings.jet(1, 2, x=np.array([[0.5, -1.5], [0.25, 0.25]]))
+    with support.reachable_walks() as walks:
+        with pytest.raises(EvaluationError, match="log of non-positive"):
+            ex.evaluate_nested(family, batch)
+    assert walks == [2, 2, 1]

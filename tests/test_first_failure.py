@@ -77,6 +77,18 @@ def pipeline_row() -> Row:
     )
 
 
+def domain_row() -> Row:
+    # pipeline_row's system and points with h = 1, which holds everywhere:
+    # only eps's one stage fails, at point 0; a batch used to return nan there
+    pipe = InvariantPipeline(_system("log(x1)*v1_1"), _metric("1"))
+    points = [JetPoint([t], [x], [[0.5]]) for t, x in ((1, -1), (0, 1), (1, 1))]
+    return Row(
+        lambda pts: pipe.evaluate_batch("eps", pts),
+        points,
+        lambda p: pipe.evaluate("eps", p),
+    )
+
+
 def metric_row() -> Row:
     # h = log(t1): degenerate at t = 1, out of its domain at t = -1
     h = _metric("log(t1)")
@@ -172,6 +184,7 @@ def round_trip_row() -> Row:
 
 ROWS = {
     "pipeline": pipeline_row,
+    "pipeline-domain": domain_row,
     "metric": metric_row,
     "two-path": two_path_row,
     "jacobian": jacobian_row,
