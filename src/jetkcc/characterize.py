@@ -366,9 +366,9 @@ class ExtractionDiagnostics(NamedTuple):
     rebuild_residual: float
 
 
-def _probe_velocities(n: int, m: int, count: int = 5) -> list:
+def _probe_velocities(n: int, m: int) -> list:
     rng = np.random.default_rng(97)  # fixed: extraction must be deterministic
-    return [rng.uniform(-1.0, 1.0, (n, m)) for _ in range(count)]
+    return [rng.uniform(-1.0, 1.0, (n, m)) for _ in range(5)]
 
 
 def extract_structure(

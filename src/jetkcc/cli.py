@@ -155,7 +155,9 @@ def _require_float(obj, path):
     return value
 
 
-def _parse_expr(obj, m, n, path) -> Expression:
+def _parse_expr(obj, path, m, n) -> Expression:
+    """An expression string over (m, n); with m and n bound, a
+    ``_load_nested`` leaf."""
     if not isinstance(obj, str):
         _fail(path, "expected an expression string")
     try:
@@ -164,32 +166,33 @@ def _parse_expr(obj, m, n, path) -> Expression:
         _fail(path, f"bad expression: {err}")
 
 
+def _load_nested(obj, path: str, leaf, *extents: int) -> tuple:
+    """A nested JSON list with the given extents, ``leaf(item, path)`` applied
+    to each item: each list's length is checked before its items are read."""
+    items = _require_list(obj, path, length=extents[0])
+    if len(extents) == 1:
+        return tuple(leaf(u, f"{path}[{k}]") for k, u in enumerate(items))
+    return tuple(
+        _load_nested(u, f"{path}[{k}]", leaf, *extents[1:]) for k, u in enumerate(items)
+    )
+
+
+def _built(path: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``; a ValueError it raises is an input error
+    at ``path``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as err:
+        _fail(path, str(err))
+
+
 def _parse_box(obj, path):
-    vals = _require_list(obj, path, length=2)
-    lo = _require_float(vals[0], f"{path}[0]")
-    hi = _require_float(vals[1], f"{path}[1]")
+    lo, hi = _load_nested(obj, path, _require_float, 2)
     if not lo < hi:
         _fail(path, f"box bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         _fail(path, f"box width hi - lo must be finite, got [{lo}, {hi}]")
     return (lo, hi)
-
-
-def _load_metric(rows_obj, path, m, n, dim, factory):
-    rows = _require_list(rows_obj, path, length=dim)
-    parsed = []
-    for a, row in enumerate(rows):
-        row = _require_list(row, f"{path}[{a}]", length=dim)
-        parsed.append(
-            tuple(
-                _parse_expr(entry, m, n, f"{path}[{a}][{b}]")
-                for b, entry in enumerate(row)
-            )
-        )
-    try:
-        return factory(tuple(parsed))
-    except ValueError as err:
-        _fail(path, str(err))
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +229,30 @@ class ProblemFile(NamedTuple):
     sha256: str
 
 
+def _entries(obj, path: str, m: int, n: int, indices: tuple):
+    """The entries of the JSON array ``path``, each an object of the integer
+    ``indices`` (``i`` in 1..n, ``alpha`` and ``beta`` in 1..m) and ``expr``:
+    yields each entry's path, its index tuple and its ``expr``."""
+    keys = (*indices, "expr")
+    for k, entry in enumerate(_require_list(obj, path)):
+        where = f"{path}[{k}]"
+        entry = _require_dict(entry, where, allowed=keys, required=keys)
+        key = tuple(
+            _require_int(entry[name], f"{where}.{name}", 1, n if name == "i" else m)
+            for name in indices
+        )
+        yield where, key, entry["expr"]
+
+
 def _load_system(obj, m, n, phi, h) -> PdeSystem:
     sys_obj = _require_dict(obj, "system")
+    expr = functools.partial(_parse_expr, m=m, n=n)
     if "F" in sys_obj:
         _require_dict(sys_obj, "system", allowed={"F"})
-        entries = _require_list(sys_obj["F"], "system.F")
         upper: dict[tuple[int, int, int], Expression] = {}
-        keys = ("i", "alpha", "beta", "expr")
-        for k, entry in enumerate(entries):
-            path = f"system.F[{k}]"
-            entry = _require_dict(entry, path, allowed=keys, required=keys)
-            i = _require_int(entry["i"], f"{path}.i", 1, n)
-            a = _require_int(entry["alpha"], f"{path}.alpha", 1, m)
-            b = _require_int(entry["beta"], f"{path}.beta", 1, m)
-            e = _parse_expr(entry["expr"], m, n, f"{path}.expr")
+        indices = ("i", "alpha", "beta")
+        for path, (i, a, b), text in _entries(sys_obj["F"], "system.F", m, n, indices):
+            e = expr(text, f"{path}.expr")
             key3 = (i, min(a, b), max(a, b))
             if key3 in upper:
                 _fail(
@@ -271,33 +284,20 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
         return build_affine_system(h, phi)
     if kind == "first_order":
         _require_dict(sys_obj, "system", allowed={"type", "X", "symmetrize"})
-        entries = _require_list(sys_obj.get("X"), "system.X")
         table: dict[tuple[int, int], Expression] = {}
-        keys = ("i", "alpha", "expr")
-        for k, entry in enumerate(entries):
-            path = f"system.X[{k}]"
-            entry = _require_dict(entry, path, allowed=keys, required=keys)
-            i = _require_int(entry["i"], f"{path}.i", 1, n)
-            a = _require_int(entry["alpha"], f"{path}.alpha", 1, m)
+        for path, (i, a), text in _entries(
+            sys_obj.get("X"), "system.X", m, n, ("i", "alpha")
+        ):
             if (i, a) in table:
                 _fail(path, f"duplicate flow component (i={i}, alpha={a})")
-            table[(i, a)] = _parse_expr(entry["expr"], m, n, f"{path}.expr")
+            table[(i, a)] = expr(text, f"{path}.expr")
         symmetrize = sys_obj.get("symmetrize", False)
         if not isinstance(symmetrize, bool):
             _fail("system.symmetrize", "expected true or false")
-        try:
-            return build_first_order_system(table, m, n, symmetrize=symmetrize)
-        except ValueError as err:
-            _fail("system.X", str(err))
+        return _built(
+            "system.X", build_first_order_system, table, m, n, symmetrize=symmetrize
+        )
     _fail("system", "must contain 'F' or 'type' in {'affine', 'first_order'}")
-
-
-def _load_floats(obj, path: str, *extents: int) -> list:
-    """A nested list of finite numbers with the given extents."""
-    items = _require_list(obj, path, length=extents[0])
-    if len(extents) == 1:
-        return [_require_float(u, f"{path}[{k}]") for k, u in enumerate(items)]
-    return [_load_floats(u, f"{path}[{k}]", *extents[1:]) for k, u in enumerate(items)]
 
 
 def _load_points(obj, m, n) -> JetPointSet:
@@ -309,22 +309,11 @@ def _load_points(obj, m, n) -> JetPointSet:
         path = f"points[{k}]"
         entry = _require_dict(entry, path, allowed=keys, required=keys)
         t, x, v = (
-            _load_floats(entry[b], f"{path}.{b}", *extents)
+            _load_nested(entry[b], f"{path}.{b}", _require_float, *extents)
             for b, extents in zip(keys, ((m,), (n,), (n, m)))
         )
         points.append(JetPoint(t, x, v))
     return point_set(points)
-
-
-def _load_t_curves(obj, m, n, path, factory):
-    entries = _require_list(obj, path, length=n)
-    comps = tuple(
-        _parse_expr(entry, m, n, f"{path}[{i}]") for i, entry in enumerate(entries)
-    )
-    try:
-        return factory(m, comps)
-    except ValueError as err:
-        _fail(path, str(err))
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -334,46 +323,26 @@ def load_problem(path: str) -> ProblemFile:
     root = _require_dict(doc, "<root>", allowed=_TOP_KEYS, required=required)
     m = _require_int(root["m"], "m", 1, MAX_DIM)
     n = _require_int(root["n"], "n", 1, MAX_DIM)
-    h = _load_metric(
-        root["temporal_metric"], "temporal_metric", m, n, m, MetricField.temporal
-    )
-    phi = None
-    if "spatial_metric" in root:
-        phi = _load_metric(
-            root["spatial_metric"], "spatial_metric", m, n, n, MetricField.spatial
-        )
+    expr = functools.partial(_parse_expr, m=m, n=n)
+
+    def table(key, factory, *extents):
+        """``factory`` of the expression table ``key``; None without it."""
+        if key in root:
+            return _built(key, factory, _load_nested(root[key], key, expr, *extents))
+
+    h = table("temporal_metric", MetricField.temporal, m, m)
+    phi = table("spatial_metric", MetricField.spatial, n, n)
     system = _load_system(root["system"], m, n, phi, h)
     points = _load_points(root["points"], m, n) if "points" in root else None
-    section = None
-    if "section" in root:
-        section = _load_t_curves(root["section"], m, n, "section", SectionMap)
-    variation = None
-    if "variation" in root:
-        variation = _load_t_curves(
-            root["variation"], m, n, "variation", VariationField
-        )
-    t_box, x_box, v_box = DEFAULT_T_BOX, DEFAULT_X_BOX, DEFAULT_V_BOX
-    if "sample_box" in root:
-        box = _require_dict(root["sample_box"], "sample_box", allowed={"t", "x", "v"})
-        if "t" in box:
-            t_box = _parse_box(box["t"], "sample_box.t")
-        if "x" in box:
-            x_box = _parse_box(box["x"], "sample_box.x")
-        if "v" in box:
-            v_box = _parse_box(box["v"], "sample_box.v")
+    section = table("section", functools.partial(SectionMap, m), n)
+    variation = table("variation", functools.partial(VariationField, m), n)
+    boxes = {"t": DEFAULT_T_BOX, "x": DEFAULT_X_BOX, "v": DEFAULT_V_BOX}
+    box = _require_dict(root.get("sample_box", {}), "sample_box", allowed=boxes)
+    for key in boxes:
+        if key in box:
+            boxes[key] = _parse_box(box[key], f"sample_box.{key}")
     return ProblemFile(
-        m=m,
-        n=n,
-        h=h,
-        phi=phi,
-        system=system,
-        points=points,
-        section=section,
-        variation=variation,
-        t_box=t_box,
-        x_box=x_box,
-        v_box=v_box,
-        sha256=digest,
+        m, n, h, phi, system, points, section, variation, *boxes.values(), digest
     )
 
 
@@ -382,17 +351,12 @@ def load_change(path: str, m: int, n: int) -> tuple[CoordinateChange, str]:
     doc, digest = _read_json(path)
     keys = ("t_forward", "t_inverse", "x_forward", "x_inverse")
     root = _require_dict(doc, "<root>", allowed=keys, required=keys)
-    maps = {}
-    for key in keys:
-        entries = _require_list(root[key], key, length=m if key[0] == "t" else n)
-        maps[key] = tuple(
-            _parse_expr(entry, m, n, f"{key}[{k}]") for k, entry in enumerate(entries)
-        )
-    try:
-        cc = CoordinateChange(m, n, **maps)
-    except ValueError as err:
-        _fail("<root>", str(err))
-    return cc, digest
+    expr = functools.partial(_parse_expr, m=m, n=n)
+    maps = {
+        key: _load_nested(root[key], key, expr, m if key[0] == "t" else n)
+        for key in keys
+    }
+    return _built("<root>", CoordinateChange, m, n, **maps), digest
 
 
 # ---------------------------------------------------------------------------
@@ -771,13 +735,18 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
             for b in range(a, problem.m + 1):
                 comp = problem.system.component(i, a, b)
                 for vid in sorted(ex.free_variables(comp), key=lambda u: u.name):
-                    sym = np.asarray(
-                        ex.evaluate(differentiate(comp, vid), base)
-                    )
-                    fd = ex.fd_partial(comp, vid, base, step)
+                    name = f"dF[{i},{a},{b}]/d{vid.name}"
+                    sym = np.asarray(ex.evaluate(differentiate(comp, vid), base))
+                    try:
+                        fd = ex.fd_partial(comp, vid, base, step)
+                    except ex.EvaluationError as err:  # a point within step of the edge
+                        raise ex.EvaluationError(
+                            f"central difference for {name} with step {step} "
+                            f"leaves the domain: {err}"
+                        ) from err
                     checks.append(
                         _check(
-                            f"dF[{i},{a},{b}]/d{vid.name} vs central FD",
+                            f"{name} vs central FD",
                             _scaled_deviation(sym, fd),
                             args.tol,
                         )
@@ -897,7 +866,9 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
             _fail("m", f"--m {args.m} contradicts the file's m = {m}")
         m = args.m
     m = _require_int(m, "m", 1, MAX_DIM)  # a row count or --m
-    h = _load_metric(rows, "temporal_metric", m, 1, m, MetricField.temporal)
+    expr = functools.partial(_parse_expr, m=m, n=1)
+    rows = _load_nested(rows, "temporal_metric", expr, m, m)
+    h = _built("temporal_metric", MetricField.temporal, rows)
     t = _coordinates(args.t, m, "--t")
 
     try:
@@ -1017,11 +988,11 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_sampling(parser, default_samples=None):
+def _add_sampling(parser):
     parser.add_argument(
         "--samples",
         type=_int_at_least(1),
-        default=default_samples,
+        default=None,
         metavar="N",
         help="number of random jet points to draw",
     )

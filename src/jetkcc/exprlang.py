@@ -943,13 +943,13 @@ def _run(roots, bindings: Bindings) -> list:
     values = _Tape(roots).run(bindings)
     if _batch_shape(bindings) is None:
         values = list(map(float, values))
-    for _, origin, message in _scan(roots, values, bindings):
+    for _, origin, message in _scan(roots, values, bindings, domain_only=True):
         if message:
             raise EvaluationError(message, origin)
     return values
 
 
-def _scan(roots, values, bindings: Bindings):
+def _scan(roots, values, bindings: Bindings, domain_only=False):
     """At each point where some root is not finite, in sample (C) order, and
     for each such root in order, yields the root, its origin (reached through
     the first non-finite operand until all operands are finite) and
@@ -957,25 +957,31 @@ def _scan(roots, values, bindings: Bindings):
     one point, else arrays or scalars of the batch shape, each tested for
     finiteness alone.  One tape of every node, lowered from the one walk
     that lists them, runs over those points only (one point stays on
-    floats)."""
+    floats).  With ``domain_only``, only the points where some operation
+    left its domain (``_left_domain``) are walked: no other yields a
+    message."""
     shape = _batch_shape(bindings)
-    if shape is not None:
+    if shape is None:
+        bad = [] if all(map(math.isfinite, values)) else [0]
+    else:
         finite = np.ones(shape, dtype=bool)
         for v in values:
             finite &= np.isfinite(v)
         bad = np.flatnonzero(~finite)
+    if not len(bad):
+        return
+    if shape is not None:
         flat = {
             vid: np.broadcast_to(v, shape).reshape(-1)[bad]
             for vid, v in bindings.values.items()
         }
         bindings = Bindings(bindings.m, bindings.n, flat)
-    else:
-        bad = [] if all(map(math.isfinite, values)) else [0]
-    if not len(bad):
-        return
     nodes = _reachable(roots)
     table = dict(zip(nodes, _Tape(nodes, nodes).run(bindings)))
-    for k in range(len(bad)):
+    points = range(len(bad))
+    if domain_only:
+        points = np.flatnonzero(_left_domain(table, len(bad)))
+    for k in points:
 
         def value(node):  # a 0-d array comes from a one-point variable power
             v = table[node]
@@ -986,6 +992,24 @@ def _scan(roots, values, bindings: Bindings):
             while failing := [kid for kid in node.kids if not math.isfinite(value(kid))]:
                 node = failing[0]
             yield root, node, _domain_error(node, [value(kid) for kid in node.kids])
+
+
+def _left_domain(table: dict, count: int) -> np.ndarray:
+    """Per point of ``table`` (node -> its values at ``count`` points):
+    whether some operation left its domain there, that is, is not finite
+    while its operands are, and is not a sum, difference, product, negation
+    or quotient by a non-zero divisor (values that stand).  Exactly such an
+    operation makes ``_domain_error`` give a message."""
+    left = np.zeros(count, dtype=bool)
+    for node, value in table.items():
+        if node.kids and node.op not in ("+", "-", "*", "neg"):
+            hit = ~np.isfinite(value)
+            for kid in node.kids:
+                hit = hit & np.isfinite(table[kid])
+            if node.op == "/":
+                hit = hit & (table[node.kids[1]] == 0.0)
+            left |= hit
+    return left
 
 
 def by_point(stages, batch, points):

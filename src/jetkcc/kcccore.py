@@ -556,15 +556,13 @@ class InvariantPipeline:
         failing leaf of any built family, in ``_built`` order, not only of
         ``name``; later calls over that set return their grids from the
         memo, and a family built after the first call is evaluated when it
-        is asked for.  A plain sequence of points is not remembered, and
-        only ``name`` is evaluated over it.
+        is asked for.  A plain sequence of points is stacked into a new set
+        (``point_set``) first.
         """
         self.expressions(name)
+        points = point_set(points)
         remembered, grids = self._memo
         if points is not remembered:
-            stacks = point_set(points)
-            if stacks is not points:  # a plain sequence, not remembered
-                return self._grids(stacks, [name])[name]
             grids = self._grids(points, list(self._built))
             self._memo = (points, grids)  # one assignment: a race repeats work
         if name not in grids:

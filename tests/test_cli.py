@@ -236,6 +236,128 @@ def test_symmetrized_first_order_flow_is_not_probed(tmp_path):
     assert report["pass"] is True
 
 
+def _f_system(*entries):
+    return {"F": [dict(zip(("i", "alpha", "beta", "expr"), e)) for e in entries]}
+
+
+def _x_system(*entries):
+    X = [dict(zip(("i", "alpha", "expr"), e)) for e in entries]
+    return {"type": "first_order", "X": X}
+
+
+def _problem(**keys):
+    return "problem", dict(OSC, **keys)
+
+
+# one malformed file per table reader: (file kind, document, stderr after
+# "input error: "); a problem is read by `invariants`, a change by `check
+# transform` of OSC, a metric by `nullspace`.  The unparsable second entries
+# pin the order of the checks: F parses an entry before its duplicate check,
+# X checks for a duplicate first.
+READER_MESSAGES = {
+    "temporal-too-few-rows": (
+        _problem(m=2, temporal_metric=[["1", "0"]]),
+        "temporal_metric: expected exactly 2 entries, got 1",
+    ),
+    "temporal-short-row": (
+        _problem(m=2, temporal_metric=[["1", "0"], ["0"]]),
+        "temporal_metric[1]: expected exactly 2 entries, got 1",
+    ),
+    "temporal-not-a-string": (
+        _problem(temporal_metric=[[1]]),
+        "temporal_metric[0][0]: expected an expression string",
+    ),
+    "temporal-asymmetric": (
+        _problem(m=2, temporal_metric=[["1", "t1"], ["t2", "1"]]),
+        "temporal_metric: temporal metric: components must be stored symmetric "
+        "in the two trailing indices",
+    ),
+    "spatial-foreign-variable": (
+        _problem(spatial_metric=[["v1_1"]]),
+        "spatial_metric: spatial metric uses variable 'v1_1'; allowed: x1..x1",
+    ),
+    "spatial-not-an-array": (
+        _problem(spatial_metric="1"),
+        "spatial_metric: expected a JSON array",
+    ),
+    "section-wrong-length": (
+        _problem(section=["t1", "t1"]),
+        "section: expected exactly 1 entries, got 2",
+    ),
+    "section-foreign-variable": (
+        _problem(section=["x1"]),
+        "section: section uses variable 'x1'; allowed: t1..t1",
+    ),
+    "variation-parse-error": (
+        _problem(section=["t1"], variation=["t1 +"]),
+        "variation[0]: bad expression: expected an expression, found "
+        "'end of input' (at position 4)",
+    ),
+    "points-v-wrong-length": (
+        _problem(points=[{"t": [0], "x": [0], "v": [[0], [0]]}]),
+        "points[0].v: expected exactly 1 entries, got 2",
+    ),
+    "points-x-not-a-number": (
+        _problem(points=[{"t": [0], "x": ["0"], "v": [[0]]}]),
+        "points[0].x[0]: expected a number",
+    ),
+    "F-duplicate": (
+        _problem(system=_f_system((1, 1, 1, "x1"), (1, 1, 1, "x1"))),
+        "system.F[1]: duplicate coverage of component (i=1, alpha=1, beta=1)",
+    ),
+    "F-duplicate-unparsable": (
+        _problem(system=_f_system((1, 1, 1, "x1"), (1, 1, 1, "x1 +"))),
+        "system.F[1].expr: bad expression: expected an expression, found "
+        "'end of input' (at position 4)",
+    ),
+    "F-beta-out-of-range": (
+        _problem(system=_f_system((1, 1, 2, "x1"))),
+        "system.F[0].beta: must be between 1 and 1, got 2",
+    ),
+    "X-duplicate-unparsable": (
+        _problem(system=_x_system((1, 1, "x1"), (1, 1, "x1 +"))),
+        "system.X[1]: duplicate flow component (i=1, alpha=1)",
+    ),
+    "X-missing": (
+        _problem(n=2, system=_x_system((1, 1, "x2"))),
+        "system.X: first-order components must cover every (i, a)",
+    ),
+    "X-foreign-variable": (
+        _problem(system=_x_system((1, 1, "v1_1"))),
+        "system.X: first-order flow uses variable 'v1_1'; allowed: t1..t1, x1..x1",
+    ),
+    "sample-box-t-reversed": (
+        _problem(sample_box={"t": [1, 0]}),
+        "sample_box.t: box bounds must satisfy lo < hi, got [1.0, 0.0]",
+    ),
+    "change-wrong-length": (
+        ("change", dict(IDENTITY_11, x_forward=["x1", "x1"])),
+        "x_forward: expected exactly 1 entries, got 2",
+    ),
+    "change-foreign-variable": (
+        ("change", dict(IDENTITY_11, t_forward=["x1"])),
+        "<root>: temporal forward map uses variable 'x1'; allowed: t1..t1",
+    ),
+    "nullspace-short-row": (
+        ("metric", {"m": 2, "temporal_metric": [["1", "0"], ["0"]]}),
+        "temporal_metric[1]: expected exactly 2 entries, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_MESSAGES))
+def test_table_readers_keep_their_messages(case, tmp_path, capsys):
+    (kind, doc), message = READER_MESSAGES[case]
+    path = write_json(tmp_path, "bad.json", doc)
+    argv = {
+        "problem": ["invariants", path],
+        "change": ["check", "transform", write_json(tmp_path, "osc.json", OSC), path],
+        "metric": ["nullspace", path, "--t", "0,0"],
+    }[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # invariants command
 # ---------------------------------------------------------------------------
@@ -599,6 +721,18 @@ def test_fd_check_max_deviation_keeps_nan(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "evaluation error: log of non-positive value -0.4604265724722594 "
         "in `log(x1)`\n"
+    )
+
+
+def test_fd_stencil_leaving_the_domain_names_the_check_and_step(tmp_path, capsys):
+    # both points are in log's domain and so is the symbolic derivative; only
+    # the central difference's x1 - step at the second point is not
+    doc = dict(LOG_V, points=_points((0.3, 0.5), (0.1, 5e-7)))
+    code, report = run_cli(["check", "fd", write_json(tmp_path, "e.json", doc)], tmp_path)
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        "evaluation error: central difference for dF[1,1,1]/dx1 with step 1e-05 "
+        "leaves the domain: log of non-positive value -9.5e-06 in `log(x1)`\n"
     )
 
 

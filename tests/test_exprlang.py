@@ -1150,3 +1150,25 @@ def test_domain_error_scan_walks_the_dag_once():
         with pytest.raises(EvaluationError, match="log of non-positive"):
             ex.evaluate_nested(family, batch)
     assert walks == [2, 2, 1]
+
+
+def test_domain_error_walks_only_points_where_an_operation_left_its_domain():
+    # 1e200*x1 overflows at every point and stands, so no point but the
+    # last, where log(x2) leaves its domain, is walked back to an origin
+    family = (parse("(1e200*x1)*x1", 1, 2), parse("log(x2)", 1, 2))
+    x = np.array([[1e200] * 5, [0.5, 1.5, 2.0, 0.25, 0.5]])
+    calls = []
+    real = ex._domain_error
+
+    def counted(node, operands):
+        calls.append(node)
+        return real(node, operands)
+
+    with mock.patch.object(ex, "_domain_error", counted):
+        values = ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
+        assert np.isinf(values[0]).all() and calls == []
+        x[1, -1] = -1.0
+        with pytest.raises(EvaluationError) as info:
+            ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
+    assert calls == [parse("1e200*x1", 1, 2), family[1]]
+    assert str(info.value) == "log of non-positive value -1.0 in `log(x2)`"
