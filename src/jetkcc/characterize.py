@@ -263,7 +263,6 @@ def build_characterized_system(
     vv = ex.v_var
 
     def entry(i, a, b):
-        a, b = min(a, b), max(a, b)
         terms = [
             mul(gamma.comps[i][p][q], mul(vv(p + 1, a + 1), vv(q + 1, b + 1)))
             for p in range(n)
@@ -287,7 +286,7 @@ def build_characterized_system(
             )
         return expr_sum(terms)
 
-    return PdeSystem(m, n, ex.nested((n, m, m), entry))
+    return PdeSystem(m, n, ex.nested((n, m, m), entry, symmetric=True))
 
 
 # ---------------------------------------------------------------------------

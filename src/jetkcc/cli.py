@@ -261,20 +261,7 @@ def _load_system(obj, m, n, phi, h) -> PdeSystem:
                     f"alpha={key3[1]}, beta={key3[2]})",
                 )
             upper[key3] = e
-        want = {
-            (i, a, b)
-            for i in range(1, n + 1)
-            for a in range(1, m + 1)
-            for b in range(a, m + 1)
-        }
-        missing = sorted(want - set(upper))
-        if missing:
-            _fail(
-                "system.F",
-                f"missing components {missing[:4]} "
-                "(every (i, alpha <= beta) must appear exactly once)",
-            )
-        return PdeSystem.from_upper(m, n, upper)
+        return _built("system.F", PdeSystem.from_upper, m, n, upper)
 
     kind = sys_obj.get("type")
     if kind == "affine":
@@ -520,9 +507,12 @@ def _emit(report: dict, out_path: str | None) -> None:
     text = render_json(report)
     if out_path is None:
         print(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             print(text, file=fh)
+    except OSError as err:
+        raise InputError(f"cannot write '{out_path}': {err}") from err
 
 
 def _envelope(command: str, problem_sha: str) -> dict:
@@ -1131,6 +1121,7 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
+        _emit(report, args.out)
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
@@ -1147,7 +1138,6 @@ def _main(argv) -> int:
     ) as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
-    _emit(report, args.out)
     return code
 
 

@@ -297,8 +297,6 @@ def pushforward_system(
     )
 
     def component_new(k, g, nu):
-        if system.symmetric:
-            g, nu = min(g, nu), max(g, nu)
         terms = [
             mul(A[k][j], mul(B[b][g], mul(B[u][nu], old[j][b][u])))
             for j in range(n)
@@ -313,21 +311,19 @@ def pushforward_system(
                 terms.append(neg(mul(A[k][j], mul(d2t[b][g][nu], v_old[j][b]))))
         return expr_sum(terms)
 
-    new_system = PdeSystem(
-        m, n, ex.nested((n, m, m), component_new), symmetric=system.symmetric
-    )
+    comps = ex.nested((n, m, m), component_new, symmetric=system.symmetric)
+    new_system = PdeSystem(m, n, comps, symmetric=system.symmetric)
 
     h_old = ex.nested((m, m), lambda a, b: compose(h.rows[a][b]))
 
     def h_entry(a, b):
-        a, b = min(a, b), max(a, b)
         return expr_sum(
             mul(h_old[u][v], mul(B[u][a], B[v][b]))
             for u in range(m)
             for v in range(m)
         )
 
-    return new_system, MetricField(TEMPORAL, ex.nested((m, m), h_entry))
+    return new_system, MetricField(TEMPORAL, ex.nested((m, m), h_entry, symmetric=True))
 
 
 def transform_section(cc: CoordinateChange, sigma: SectionMap) -> SectionMap:

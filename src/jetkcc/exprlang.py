@@ -493,10 +493,6 @@ def all_zero(nested) -> bool:
 
 # ---------------------------------------------------------------------------
 # families: nested tuples of expressions, indexed [i-1][j-1]...
-#
-# A family stored symmetric in its last two indices is built by an entry
-# that orders that pair first, so interning hands the mirror the very node;
-# an antisymmetric one negates the swapped entry below the diagonal.
 # ---------------------------------------------------------------------------
 
 
@@ -512,11 +508,34 @@ def family_array(nested) -> np.ndarray:
     return arr
 
 
-def nested(extents, entry, *index):
-    """Nested tuples of entry(i, j, ...) over range(e) for each extent e."""
+def nested(extents, entry, symmetric=False, antisymmetric=False):
+    """Nested tuples of entry(i, j, ...) over range(e) for each extent e.
+
+    A family stored ``symmetric`` or ``antisymmetric`` in its last two
+    indices (p, q) calls ``entry`` only for p <= q, or p < q when
+    antisymmetric; each mirror (q, p) is the node built for (p, q), negated
+    when antisymmetric, whose diagonal is then ``ZERO``."""
+    if not (symmetric or antisymmetric):
+        return _nested(extents, entry)
+    built = {}
+
+    def upper(*index):
+        *head, p, q = index
+        if p < q or symmetric and p == q:
+            node = built[index] = entry(*index)
+            return node
+        if p == q:
+            return ZERO
+        mirror = built[(*head, q, p)]
+        return mirror if symmetric else neg(mirror)
+
+    return _nested(extents, upper)
+
+
+def _nested(extents, entry, *index):
     if len(index) == len(extents):
         return entry(*index)
-    return tuple(nested(extents, entry, *index, k) for k in range(extents[len(index)]))
+    return tuple(_nested(extents, entry, *index, k) for k in range(extents[len(index)]))
 
 
 def entry_at(family, index, kinds: str):
@@ -678,16 +697,17 @@ class Family(Frozen):
             grid = itertools.product(*(range(1, e + 1) for e in extents))
             missing = [key for key in grid if key[-2] <= key[-1] and key not in upper]
             if missing:
-                raise ValueError(f"component grid mismatch: missing {missing[:4]}")
-
-        def entry(*index):
-            *head, a, b = index
-            if a > b:
-                mirror = entry(*head, b, a)
-                return neg(mirror) if cls.antisymmetric else mirror
-            return upper.get(tuple(k + 1 for k in index), ZERO)
-
-        return cls(m, n, nested(extents, entry))
+                raise ValueError(
+                    f"component grid mismatch: missing components {missing[:4]} "
+                    f"(every index with {low} <= {high} must appear exactly once)"
+                )
+        comps = nested(
+            extents,
+            lambda *index: upper.get(tuple(k + 1 for k in index), ZERO),
+            symmetric=not cls.antisymmetric,
+            antisymmetric=cls.antisymmetric,
+        )
+        return cls(m, n, comps)
 
     @classmethod
     def zero(cls, m: int, n: int):

@@ -228,10 +228,11 @@ class MetricField(ex.Family):
         det = _det_expr(self.rows)
 
         def entry(a, b):
-            a, b = min(a, b), max(a, b)
             return div(_cofactor_expr(self.rows, a, b), det)
 
-        return MetricField(self.kind, ex.nested((self.dim, self.dim), entry))
+        return MetricField(
+            self.kind, ex.nested((self.dim, self.dim), entry, symmetric=True)
+        )
 
 
 def require_metric(metric: MetricField, kind: str, dim: int | None = None) -> None:
@@ -290,14 +291,13 @@ def christoffel_sym(metric: MetricField):
     )
 
     def entry(a, b, c):
-        b, c = min(b, c), max(b, c)
         terms = [
             mul(inv.rows[a][u], sub(add(dg[b][u][c], dg[c][u][b]), dg[b][c][u]))
             for u in range(d)
         ]
         return mul(0.5, expr_sum(terms))
 
-    return ex.nested((d, d, d), entry)
+    return ex.nested((d, d, d), entry, symmetric=True)
 
 
 def curvature_sym(metric: MetricField):
@@ -313,8 +313,6 @@ def curvature_sym(metric: MetricField):
     xs = [ex.x_var(j + 1) for j in range(n)]
 
     def entry(i, p, q, j):
-        if q >= j:
-            return neg(entry(i, p, j, q)) if q > j else ex.ZERO
         terms = [differentiate(gam[i][p][q], xs[j])]
         terms.append(neg(differentiate(gam[i][p][j], xs[q])))
         for r in range(n):
@@ -322,7 +320,7 @@ def curvature_sym(metric: MetricField):
             terms.append(neg(mul(gam[r][p][j], gam[i][r][q])))
         return expr_sum(terms)
 
-    return ex.nested((n, n, n, n), entry)
+    return ex.nested((n, n, n, n), entry, antisymmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +494,9 @@ def build_affine_system(h: MetricField, phi: MetricField) -> PdeSystem:
     g0 = canonical_spatial_semispray(phi, m)
 
     def entry(i, a, b):
-        a, b = min(a, b), max(a, b)
         return add(m0[i][a][b], mul(2.0, g0[i][a][b]))
 
-    return PdeSystem(m, n, ex.nested((n, m, m), entry))
+    return PdeSystem(m, n, ex.nested((n, m, m), entry, symmetric=True))
 
 
 FIRST_ORDER_ASYM_TOL = 1e-9
@@ -533,10 +530,9 @@ def build_first_order_system(
     if symmetrize:
 
         def entry(i, a, b):
-            a, b = min(a, b), max(a, b)
             return mul(0.5, add(raw[i][a][b], raw[i][b][a]))
 
-        return PdeSystem(m, n, ex.nested((n, m, m), entry))
+        return PdeSystem(m, n, ex.nested((n, m, m), entry, symmetric=True))
 
     system = PdeSystem(m, n, raw, symmetric=False)
     asym = 0.0

@@ -193,11 +193,10 @@ def spatial_semispray_from_system(
     gt = christoffel_sym(h)
 
     def entry(i, a, b):
-        a, b = min(a, b), max(a, b)
         drift = expr_sum(mul(gt[u][a][b], ex.v_var(i + 1, u + 1)) for u in range(m))
         return add(mul(0.5, system.comps[i][a][b]), mul(0.5, drift))
 
-    return Semispray(m, n, ex.nested((n, m, m), entry))
+    return Semispray(m, n, ex.nested((n, m, m), entry, symmetric=True))
 
 
 def spatial_semispray_from_connection(
@@ -214,14 +213,13 @@ def spatial_semispray_from_connection(
     N = connection.spatial
 
     def entry(i, a, b):
-        a, b = min(a, b), max(a, b)
         one = expr_sum(mul(N[i][a][r], ex.v_var(r + 1, b + 1)) for r in range(n))
         if a == b:
             return mul(0.5, one)
         other = expr_sum(mul(N[i][b][r], ex.v_var(r + 1, a + 1)) for r in range(n))
         return mul(0.25, add(one, other))
 
-    return Semispray(m, n, ex.nested((n, m, m), entry))
+    return Semispray(m, n, ex.nested((n, m, m), entry, symmetric=True))
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +289,24 @@ class InvariantPipeline:
     def temporal_christoffel(self):
         return christoffel_sym(self.h)
 
+    def h_trace(self, family):
+        """X^k = h^{ab} X^k_ab for each k of a family X[k][a][b]."""
+        hinv = self.h_inverse_rows
+        m = self.m
+        return tuple(
+            expr_sum(mul(hinv[a][b], plane[a][b]) for a in range(m) for b in range(m))
+            for plane in family
+        )
+
     @cached_property
     def trace_system(self):
         """F^i = h^{ab} F^i_ab — the metric trace of the system."""
-        hinv = self.h_inverse_rows
-        m, n = self.m, self.n
-        return tuple(
-            expr_sum(
-                mul(hinv[a][b], self.system.component(i + 1, a + 1, b + 1))
-                for a in range(m)
-                for b in range(m)
-            )
-            for i in range(n)
-        )
+        return self.h_trace(self.system.comps)
 
     @cached_property
     def trace_temporal(self):
         """H^g = h^{ab} H^g_ab — the metric trace of h's own connection."""
-        hinv = self.h_inverse_rows
-        gt = self.temporal_christoffel
-        m = self.m
-        return tuple(
-            expr_sum(mul(hinv[a][b], gt[g][a][b]) for a in range(m) for b in range(m))
-            for g in range(m)
-        )
+        return self.h_trace(self.temporal_christoffel)
 
     @cached_property
     def _trace_system_dv(self):
@@ -375,22 +367,10 @@ class InvariantPipeline:
 
     @cached_property
     def first_invariant(self):
-        """eps[i][a][b] = -F^i_ab + N^i_ar v^r_b - H^u_ab v^i_u."""
-        m, n = self.m, self.n
-        N = self.connection.spatial
-        gt = self.temporal_christoffel
-
-        def entry(i, a, b):
-            terms = [neg(self.system.component(i + 1, a + 1, b + 1))]
-            terms += [
-                mul(N[i][a][r], ex.v_var(r + 1, b + 1)) for r in range(n)
-            ]
-            terms += [
-                neg(mul(gt[u][a][b], ex.v_var(i + 1, u + 1))) for u in range(m)
-            ]
-            return expr_sum(terms)
-
-        return ex.nested((n, m, m), entry)
+        """eps = grad v, the covariant derivative of the velocities:
+        eps[i][a][b] = -F^i_ab + N^i_ar v^r_b - H^u_ab v^i_u."""
+        v = ex.nested((self.n, self.m), lambda i, a: ex.v_var(i + 1, a + 1))
+        return self.covariant_derivative_family(v)
 
     @cached_property
     def deviation_curvature(self):
@@ -504,13 +484,11 @@ class InvariantPipeline:
         P = self.deviation_curvature
 
         def entry(i, a, j, k):
-            if j >= k:
-                return neg(entry(i, a, k, j)) if j > k else ex.ZERO
             dPj = differentiate(P[i][j], ex.v_var(k + 1, a + 1))
             dPk = differentiate(P[i][k], ex.v_var(j + 1, a + 1))
             return mul(1.0 / 3.0, sub(dPj, dPk))
 
-        return ex.nested((self.n, self.m, self.n, self.n), entry)
+        return ex.nested((self.n, self.m, self.n, self.n), entry, antisymmetric=True)
 
     @cached_property
     def fourth_invariant(self):
@@ -550,31 +528,28 @@ class InvariantPipeline:
 
         The pipeline remembers one ``JetPointSet`` (by identity; its stacks
         are read-only) and the grids computed over it.  A call over a set it
-        does not remember checks h once and evaluates every family built so
-        far through ``expressions`` as one tape, so a node that several
-        families share is computed once, and its error is that of the first
-        failing leaf of any built family, in ``_built`` order, not only of
-        ``name``; later calls over that set return their grids from the
-        memo, and a family built after the first call is evaluated when it
-        is asked for.  A plain sequence of points is stacked into a new set
-        (``point_set``) first.
+        does not remember, or for a family it holds no grid of, checks h once
+        and evaluates every family built so far through ``expressions`` over
+        that set as one tape, so a node that several families share is
+        computed once, and its error is that of the first failing leaf of
+        any built family, in ``_built`` order, not only of ``name``; later
+        calls over that set return their grids from the memo.  A plain
+        sequence of points is stacked into a new set (``point_set``) first.
         """
         self.expressions(name)
         points = point_set(points)
         remembered, grids = self._memo
-        if points is not remembered:
-            grids = self._grids(points, list(self._built))
+        if points is not remembered or name not in grids:
+            grids = self._grids(points)
             self._memo = (points, grids)  # one assignment: a race repeats work
-        if name not in grids:
-            todo = [s for s in list(self._built) if s not in grids]
-            grids.update(self._grids(points, todo))
         return grids[name]
 
-    def _grids(self, points: JetPointSet, names) -> dict:
-        """{selector: grid} over ``points`` for the built families ``names``:
-        h checked, then the leaves of those not all ``ZERO`` evaluated as one
+    def _grids(self, points: JetPointSet) -> dict:
+        """{selector: grid} over ``points`` for every built family: h
+        checked, then the leaves of those not all ``ZERO`` evaluated as one
         ``evaluate_nested`` call and split into read-only views; a staged
         batch (``ex.by_point``)."""
+        names = list(self._built)
 
         def stages(points: JetPointSet) -> dict:
             self.h.evaluate(points.t)
@@ -615,8 +590,6 @@ class InvariantPipeline:
         for r in range(n):
             for g in range(m):
                 de = differentiate(e, ex.v_var(r + 1, g + 1))
-                if ex.is_zero(de):
-                    continue
                 terms.append(
                     neg(mul(de, self.system.component(r + 1, g + 1, b)))
                 )
@@ -660,21 +633,15 @@ class InvariantPipeline:
         """Jet expressions of h^{ab} (grad grad xi)^i_ab - P^i_r xi^r, the
         two sides of the deviation-form rewriting of the variational
         equations."""
-        m, n = self.m, self.n
+        n = self.n
         first = self.variation_derivative(xi)
         second = self.covariant_derivative_family(first)
-        hinv = self.h_inverse_rows
         P = self.deviation_curvature
-        out = []
-        for i in range(n):
-            lhs = expr_sum(
-                mul(hinv[a][b], second[i][a][b])
-                for a in range(m)
-                for b in range(m)
-            )
-            rhs = expr_sum(mul(P[i][r], xi.comps[r]) for r in range(n))
-            out.append(sub(lhs, rhs))
-        return tuple(out)
+        lhs = self.h_trace(second)
+        return tuple(
+            sub(lhs[i], expr_sum(mul(P[i][r], xi.comps[r]) for r in range(n)))
+            for i in range(n)
+        )
 
 
 def fifth_invariant(system: PdeSystem):
@@ -808,17 +775,8 @@ def variational_residual_h_trace(
     t,
 ) -> np.ndarray:
     """Metric trace h^{ab} of the full variational residual: n values."""
-    require_metric(h, TEMPORAL, system.m)
-    full = _variational_family(system, xi)
-    hinv = h.inverse().rows
-    m = system.m
-    fam = tuple(
-        expr_sum(
-            mul(hinv[a][b], plane[a][b]) for a in range(m) for b in range(m)
-        )
-        for plane in full
-    )
-    return _on_section(fam, sigma, t)
+    pipe = InvariantPipeline(system, h)
+    return _on_section(pipe.h_trace(_variational_family(system, xi)), sigma, t)
 
 
 def jacobi_identity_residual(

@@ -314,6 +314,11 @@ READER_MESSAGES = {
         _problem(system=_f_system((1, 1, 2, "x1"))),
         "system.F[0].beta: must be between 1 and 1, got 2",
     ),
+    "F-missing": (
+        _problem(m=2, temporal_metric=[["1", "0"], ["0", "1"]]),
+        "system.F: component grid mismatch: missing components "
+        "[(1, 1, 2), (1, 2, 2)] (every index with a <= b must appear exactly once)",
+    ),
     "X-duplicate-unparsable": (
         _problem(system=_x_system((1, 1, "x1"), (1, 1, "x1 +"))),
         "system.X[1]: duplicate flow component (i=1, alpha=1)",
@@ -1557,6 +1562,20 @@ def test_emit_renders_the_whole_report_before_writing(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.encode("utf-8") == out.read_bytes()
     assert printed == render_json(good) + "\n"
+
+
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
+    # a report that cannot be written exits 2 with a message, like an input
+    # file that cannot be read, and prints nothing to stdout
+    path = write_json(tmp_path, "osc.json", OSC)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["invariants", path, "--samples", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: cannot write '{out}': "
+        f"[Errno 2] No such file or directory: '{out}'\n"
+    )
 
 
 def test_importing_the_cli_builds_no_dataclass():

@@ -12,12 +12,15 @@ intended) with::
     PYTHONPATH=src python tests/test_families.py
 """
 
+import ast
 import hashlib
+import itertools
 import json
 import pathlib
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetkcc import exprlang as ex
 from jetkcc.characterize import (
@@ -222,6 +225,74 @@ def test_symmetric_families_share_their_mirrors():
                         assert block[b][a] is ex.neg(block[a][b]), name
             if name in antisymmetric:
                 assert all(block[a][a] is ex.ZERO for a in range(d)), name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    head=st.lists(st.integers(1, 3), max_size=3),
+    d=st.integers(1, 4),
+    flag=st.sampled_from(["symmetric", "antisymmetric"]),
+)
+def test_nested_builds_each_independent_entry_once(head, d, flag):
+    # 2 to 5 axes whose last two are (d, d); each call returns a new node
+    extents = (*head, d, d)
+    built = {}
+
+    def entry(*index):
+        assert index not in built
+        built[index] = ex.add(ex.t_var(1), ex.num(len(built) + 1))
+        return built[index]
+
+    fam = ex.nested(extents, entry, **{flag: True})
+    grid = list(itertools.product(*map(range, extents)))
+    if flag == "symmetric":
+        want = [k for k in grid if k[-2] <= k[-1]]
+    else:
+        want = [k for k in grid if k[-2] < k[-1]]
+    assert list(built) == want  # once each, in nesting order
+    arr = ex.family_array(fam)
+    for *head_index, p, q in grid:
+        node = arr[(*head_index, p, q)]
+        if (*head_index, p, q) in built:
+            assert node is built[(*head_index, p, q)]
+        elif p == q:
+            assert node is ex.ZERO
+        else:
+            upper = built[(*head_index, q, p)]
+            assert node is (upper if flag == "symmetric" else ex.neg(upper))
+    ex.check_family(fam, 1, 1, extents, "family", **{flag: True})
+
+
+def _assigns_index_pair_from_min_max(node) -> bool:
+    """``p, q = min(...), max(...)``: an index pair put in order by hand."""
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)):
+        return False
+    if not any(isinstance(target, ast.Tuple) for target in node.targets):
+        return False
+    called = {
+        elt.func.id
+        for elt in node.value.elts
+        if isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name)
+    }
+    return {"min", "max"} <= called
+
+
+def test_only_exprlang_orders_index_pairs():
+    # a mirrored family passes symmetric= or antisymmetric= to ex.nested,
+    # which alone decides which entries are built and which are mirrors
+    found = []
+    paths = sorted((ROOT / "src" / "jetkcc").glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        if path.name == "exprlang.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _assigns_index_pair_from_min_max(node)
+        ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
