@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -420,43 +421,74 @@ def _render_row(row: np.ndarray, indent: int, seen: dict) -> str:
     return seen[key]
 
 
-def _render_points(points: JetPointSet, indent: int) -> str:
-    """A point set, as ``render_json`` renders the list of its points as
-    ``{"t": [...], "x": [...], "v": [[...], ...]}`` dicts, formatted from
-    the stacks.  t and x are always inline: they hold at most 4 floats, and
-    a float at 17 digits is at most 24 characters.  A point's v is inline
-    unless one of its rows, ``"[" + ", ".join(parts) + "]"``, is 25
-    characters or longer."""
-    m, n, count = points.m, points.n, len(points)
-    cols = np.concatenate([points.t, points.x, points.v.reshape(n * m, count)]).T
-    flat = cols.ravel().tolist()
-    if np.isfinite(cols).all():
-        strs = ("\n".join(["%.17g"] * len(flat)) % tuple(flat)).split("\n")
-    else:
-        strs = [_fmt_float(u) for u in flat]
-    lens = np.array(list(map(len, strs))).reshape(cols.shape)[:, m + n :]
-    broken = (lens.reshape(count, n, m).sum(axis=2) + 2 * m >= 25).any(axis=1)
-    key = "  " * (indent + 2)
-    rows = [_inline(["%s"] * m)] * n
-    templates = [
-        "{\n"
-        + f'{key}"t": {_inline(["%s"] * m)},\n'
-        + f'{key}"x": {_inline(["%s"] * n)},\n'
-        + f'{key}"v": {v}\n'
-        + "  " * (indent + 1)
-        + "}"
-        for v in (_inline(rows), _broken(rows, indent + 2))
-    ]
-    return _list_layout([templates[b] for b in broken.tolist()], indent) % tuple(strs)
+class Records(dict):
+    """Same-layout records held as columns, one row per record: record k
+    renders as the dict ``{key: column[k]}``.  A column is an int array
+    (count, w), or a float array (count), (count, w), or (count, r, w) of r
+    lists of w values (r, w <= 12)."""
+
+
+def _render_records(columns: Records, indent: int, out: list, seen: dict) -> None:
+    """Append the text of the list of ``columns``' records, as ``_render``
+    renders their dicts: one ``%`` template per record layout, one fill.  A
+    list of at most 12 ints or floats is inline (a float takes at most 24
+    characters at 17 digits), and a list of lists is inline unless one of its
+    lists, ``"[" + ", ".join(parts) + "]"``, is 25 characters or longer.  A
+    longer float row breaks: its text comes from ``_render_row``, or is the
+    cached zero row (all-+0.0 rows are found in one test), and is appended
+    by reference between the filled heads."""
+    count = len(next(iter(columns.values())))
+    inner = "  " * (indent + 2)
+    heads, fills, layout, rows = [], [], 0, []
+    for key, col in columns.items():
+        head = f"{inner}{json.encoder.encode_basestring_ascii(key)}: "
+        width = col.shape[-1]
+        if col.dtype.kind != "f":
+            heads.append((head + _inline(["%d"] * width),) * 2)
+            fills.append(col)
+        elif col.ndim == 2 and width > 12:
+            heads.append((head + "\0",) * 2)
+            texts = [_zero_row(width, indent + 2)] * count
+            for k in np.flatnonzero(col.any(axis=1) | np.signbit(col).any(axis=1)):
+                texts[k] = _render_row(col[k], indent + 2, seen)
+            rows.append(texts)
+        else:
+            flat = col.ravel().tolist()
+            texts = (
+                ("%.17g\0" * len(flat) % tuple(flat)).split("\0")[:-1]
+                if np.isfinite(col).all() else [_fmt_float(u) for u in flat]
+            )
+            fills.append(np.array(texts, object).reshape(count, math.prod(col.shape[1:])))
+            row = _inline(["%s"] * width) if col.ndim > 1 else "%s"
+            if col.ndim < 3:
+                heads.append((head + row,) * 2)
+                continue
+            lens = np.array(list(map(len, texts))).reshape(col.shape)
+            broken = (lens.sum(axis=2) + 2 * width >= 25).any(axis=1)
+            layout = layout | broken.astype(int) << len(heads)
+            lists = [row] * col.shape[1]
+            heads.append((head + _inline(lists), head + _broken(lists, indent + 2)))
+    codes = np.broadcast_to(layout, count).tolist()
+    templates = {
+        code: "{\n" + ",\n".join(h[code >> j & 1] for j, h in enumerate(heads))
+        + "\n" + "  " * (indent + 1) + "}"
+        for code in set(codes)
+    }
+    items = [templates[c] for c in codes]
+    text = _list_layout(items, indent) % tuple(np.hstack(fills).ravel().tolist())
+    pieces = text.split("\0")  # the rows go between them
+    out.append(pieces[0])
+    out += [f for pair in zip([t for r in zip(*rows) for t in r], pieces[1:]) for f in pair]
 
 
 def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON text: floats at 17 significant digits, dicts in
     insertion order (construction order is itself deterministic).  A 1-D
-    float array renders as the list of its values, and a JetPointSet as the
-    list of its points' {"t", "x", "v"} dicts.  The text is joined once.  A
-    finite row bitwise equal (as float64s) to an earlier one at the same indent
-    reuses its text, or flips each value's sign in it if equal to its negation."""
+    float array renders as the list of its values, a JetPointSet as the list
+    of its points' {"t", "x", "v"} dicts and a Records as the list of its
+    record dicts.  The text is joined once.  A finite row bitwise equal (as
+    float64s) to an earlier one at the same indent reuses its text, or flips
+    each value's sign in it if equal to its negation."""
     out: list = []
     _render(value, indent, out, {})
     return "".join(out)
@@ -488,8 +520,11 @@ def _render(value, indent: int, out: list, seen: dict) -> None:
             out.append("\n" + "  " * indent + "]")
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
         out.append(_render_row(value, indent, seen))
+    elif isinstance(value, Records):
+        _render_records(value, indent, out, seen)
     elif isinstance(value, JetPointSet):
-        out.append(_render_points(value, indent))
+        points = Records(t=value.t.T, x=value.x.T, v=np.moveaxis(value.v, -1, 0))
+        _render_records(points, indent, out, seen)
     elif isinstance(value, dict):
         inner = "\n" + "  " * (indent + 1)
         sep, rest = "{" + inner, "," + inner
@@ -505,14 +540,19 @@ def _render(value, indent: int, out: list, seen: dict) -> None:
 def _emit(report: dict, out_path: str | None) -> None:
     # the whole report is rendered before anything is written
     text = render_json(report)
-    if out_path is None:
-        print(text)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+        if out_path is None:
+            print(text, flush=True)  # a closed pipe fails here, not at exit
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
     except OSError as err:
-        raise InputError(f"cannot write '{out_path}': {err}") from err
+        if out_path is None:  # leave nothing for the flush at exit to fail on
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "<stdout>" if out_path is None else out_path
+        raise InputError(f"cannot write '{where}': {err}") from err
 
 
 def _envelope(command: str, problem_sha: str) -> dict:
@@ -645,10 +685,10 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
                 )
             entry["structural_zero"] = False
             entry["max_abs"] = float(np.max(np.abs(grid)))
-            entry["components"] = [
-                {"index": [k + 1 for k in idx], "values": grid[idx]}
-                for idx in np.ndindex(grid.shape[:-1])
-            ]
+            index = np.indices(grid.shape[:-1]).reshape(grid.ndim - 1, -1).T + 1
+            entry["components"] = Records(
+                index=index, values=grid.reshape(-1, len(points))
+            )
         blocks.append(entry)
     return {"invariants": blocks}
 
@@ -787,25 +827,9 @@ def _cmd_characterize(args) -> tuple[dict, int]:
         problem.system, problem.h, t, x
     )
 
-    gamma_rows = [
-        {"index": [i + 1, p + 1, q + 1], "value": float(gamma[i, p, q])}
-        for i in range(n)
-        for p in range(n)
-        for q in range(p, n)
-    ]
-    coupling_rows = [
-        {
-            "index": [i + 1, a + 1, v + 1, p + 1, q + 1],
-            "value": float(coupling[i, a, v, p, q]),
-        }
-        for i in range(n)
-        for a in range(m)
-        for v in range(m)
-        if a != v
-        for p in range(n)
-        for q in range(n)
-        if p != q
-    ]
+    upper = np.broadcast_to(np.triu(np.ones((n, n), bool)), gamma.shape)  # p <= q
+    off = np.ones(coupling.shape, bool)  # a != v and p != q
+    off[:, range(m), range(m)] = off[..., range(n), range(n)] = False
     checks = [
         _check(
             "first invariant vanishes at probe velocities",
@@ -822,8 +846,12 @@ def _cmd_characterize(args) -> tuple[dict, int]:
     report = _envelope("characterize", problem.sha256)
     report["m"], report["n"] = m, n
     report["base"] = {"t": [float(u) for u in t], "x": [float(u) for u in x]}
-    report["spatial_coefficients"] = gamma_rows
-    report["coupling_coefficients"] = coupling_rows
+    report["spatial_coefficients"] = Records(
+        index=np.argwhere(upper) + 1, value=gamma[upper]
+    )
+    report["coupling_coefficients"] = Records(
+        index=np.argwhere(off) + 1, value=coupling[off]
+    )
     report["diagnostics"] = {
         "fifth_invariant_max_abs": diag.fifth_max,
         "first_invariant_max_abs": diag.eps_max,
@@ -916,17 +944,13 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
     resid = jacobi_identity_residual(
         problem.system, problem.h, problem.section, problem.variation, t_points.T
     )
-    rows = [
-        {"t": [float(u) for u in t], "residual": [float(u) for u in r]}
-        for t, r in zip(t_points, resid.T)
-    ]
     worst = float(np.max(np.abs(resid)))
     report = _envelope("check jacobi", problem.sha256)
     report["m"], report["n"] = problem.m, problem.n
     report["seed"] = args.seed
     report["samples"] = count
     report["tolerance"] = args.tol
-    report["points"] = rows
+    report["points"] = Records(t=t_points, residual=resid.T)
     checks = [_check("deviation form of the variational equations", worst, args.tol)]
     code = _finish_checks(report, checks)
     return report, code

@@ -18,6 +18,7 @@ import jetkcc.cli as cli
 import jetkcc.exprlang as ex
 from jetkcc.cli import (
     InputError,
+    Records,
     load_problem,
     main,
     render_json,
@@ -1323,8 +1324,8 @@ def test_stdout_report_matches_out_file(tmp_path, capsys):
 
 
 def _oracle_render(value, indent=0):
-    """The per-element renderer that float arrays and point sets replaced:
-    one format call per float and a layout probe per list."""
+    """The per-element renderer that float arrays, point sets and record
+    lists replaced: one format call per float and a layout probe per list."""
 
     def fmt(x):
         if math.isnan(x):
@@ -1483,6 +1484,82 @@ def test_render_json_rows_with_equal_bytes_and_other_values_do_not_share_text():
     assert render_json(rows, 1) == _oracle_render([r.tolist() for r in rows], 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.lists(_ROW_FLOATS, min_size=1, max_size=80),
+    st.integers(min_value=0, max_value=4),
+)
+def test_render_json_jacobi_records_match_per_row_dicts(m, n, values, indent):
+    # check jacobi's {"t", "residual"} rows, non-finite and -0.0 values included
+    count = max(1, len(values) // (m + n))
+    flat = np.resize(np.array(values, dtype=float), (count, m + n))
+    rows = Records(t=flat[:, :m], residual=flat[:, m:])
+    dicts = [{"t": r[:m].tolist(), "residual": r[m:].tolist()} for r in flat]
+    assert render_json({"points": rows}, indent) == _oracle_render(
+        {"points": dicts}, indent
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=30),  # values per row
+    st.integers(min_value=1, max_value=5),  # index length
+    st.integers(min_value=0, max_value=4),
+)
+def test_render_json_component_records_match_per_component_dicts(
+    data, width, rank, indent
+):
+    # invariant components: zero rows, zero rows holding a -0.0, repeated and
+    # negated rows, in two blocks whose rows are each other's negation
+    zero = np.zeros(width)
+    minus_zero = st.integers(0, width - 1).map(
+        lambda k: np.where(np.arange(width) == k, -0.0, 0.0)
+    )
+    floats = st.lists(_ROW_FLOATS, min_size=width, max_size=width).map(np.array)
+    pool = data.draw(
+        st.lists(st.one_of(st.just(zero), minus_zero, floats), min_size=1, max_size=4)
+    )
+    picks = data.draw(
+        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=12)
+    )
+    rows = pool + [-pool[i] if neg else pool[i].copy() for i, neg in picks]
+    order = data.draw(st.permutations(range(len(rows))))
+    values = np.array([rows[k] for k in order], dtype=float).reshape(-1, width)
+    index = np.arange(len(rows) * rank).reshape(-1, rank) % 4 + 1
+    blocks = [
+        {"name": name, "components": Records(index=index, values=v)}
+        for name, v in (("R", values), ("B", -values))
+    ]
+    plain = [
+        {
+            "name": b["name"],
+            "components": [
+                {"index": i.tolist(), "values": v.tolist()}
+                for i, v in zip(index, b["components"]["values"])
+            ],
+        }
+        for b in blocks
+    ]
+    assert render_json({"invariants": blocks}, indent) == _oracle_render(
+        {"invariants": plain}, indent
+    )
+
+
+def test_render_json_empty_records_and_scalar_columns():
+    # characterize's coefficient rows: one float per record, and no records
+    # when no coupling exists
+    index = np.array([[1, 2], [2, 1]])
+    rows = Records(index=index, value=np.array([-0.0, math.inf]))
+    empty = Records(index=np.zeros((0, 5), int), value=np.zeros(0))
+    plain = [{"index": [1, 2], "value": -0.0}, {"index": [2, 1], "value": math.inf}]
+    assert render_json({"spatial": rows, "coupling": empty}, 1) == _oracle_render(
+        {"spatial": plain, "coupling": []}, 1
+    )
+
+
 def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     # the 2000-sample baseline: sha256 of the report the per-element
     # renderer wrote, with stdout and --out alike
@@ -1519,6 +1596,62 @@ def test_stress_report_formats_only_its_distinct_rows(tmp_path, monkeypatch):
     ]
     assert main(args) == 0
     assert formatted == [2000] * 32
+
+
+def _gen44() -> dict:
+    """The m = n = 4 system gen44: h the identity and, with j = i mod 4 + 1,
+    F^i_ab = sin(xj)*vi_a*vj_b + 0.1*vj_a^3 + xi*tb for a <= b."""
+    entries = [
+        {
+            "i": i, "alpha": a, "beta": b,
+            "expr": f"sin(x{i % 4 + 1})*v{i}_{a}*v{i % 4 + 1}_{b}"
+            f" + 0.1*v{i % 4 + 1}_{a}^3 + x{i}*t{b}",
+        }
+        for i in range(1, 5)
+        for a in range(1, 5)
+        for b in range(a, 5)
+    ]
+    identity = [["1" if r == c else "0" for c in range(4)] for r in range(4)]
+    return {"m": 4, "n": 4, "temporal_metric": identity, "system": {"F": entries}}
+
+
+# counts the calls of the named cli functions during one main(argv)
+COUNTING_CHILD = """
+import collections, json, sys
+import jetkcc.cli as cli
+calls = collections.Counter()
+for name in ("_format_row", "_render"):
+    def counting(*args, _real=getattr(cli, name), _name=name):
+        calls[_name] += 1
+        return _real(*args)
+    setattr(cli, name, counting)
+code = cli.main(sys.argv[1:])
+print(json.dumps(dict(calls, code=code)))
+"""
+
+
+def test_gen44_report_renders_each_distinct_row_once(tmp_path):
+    # D of gen44 at 20 samples: 262,144 components, 64 not zero and one
+    # distinct node, so one or two rows are formatted, and the components
+    # render as one record list instead of one _render call per value.  The
+    # 105 MB report is the one the per-component renderer wrote
+    problem = tmp_path / "gen44.json"
+    problem.write_text(json.dumps(_gen44(), indent=1), encoding="utf-8")
+    out = tmp_path / "gen44_D.json"
+    argv = ["invariants", str(problem), "--which", "D", "--samples", "20"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNTING_CHILD, *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    out.unlink()
+    assert calls["code"] == 0
+    assert calls["_format_row"] <= 2
+    assert calls["_render"] <= 300
+    assert digest == "de122b398f6dc3e8ddf9178776de8d17362c7f604bbd93dad523cc9ee5cdc859"
 
 
 README_COMMANDS = [name for name in GOLDEN_COMMANDS if name.startswith("readme_")]
@@ -1636,3 +1769,21 @@ def test_main_restores_the_collector_state(command, enabled, frozen, tmp_path, c
         gc.unfreeze()
         (gc.enable if was_enabled else gc.disable)()
     capsys.readouterr()
+
+
+def test_closed_stdout_is_an_input_error():
+    # a reader that stops early (`jetkcc ... | head -c 10`) closes the pipe
+    # under the 5 MB report: exit 2 with one line on stderr and no traceback,
+    # also not from the flush at interpreter exit
+    argv = ["invariants", str(PROBLEMS / "affine_curved.json"), "--samples", "2000"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetkcc.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "tool"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b"input error: cannot write '<stdout>': [Errno 32] Broken pipe\n"

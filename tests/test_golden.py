@@ -1,4 +1,4 @@
-"""Golden reports: the README's sample commands, two stress commands and one
+"""Golden reports: the README's sample commands, three stress commands and one
 command on a ``--points`` file must reproduce the reports in
 ``tests/golden/`` byte for byte.
 
@@ -52,6 +52,11 @@ COMMANDS = {
     "points_invariants_oscillator": [
         "invariants", f"{PROBLEMS}/oscillator.json", "--which", "eps,P",
         "--points", f"{TESTS}/inputs/oscillator_points.json",
+    ],
+    # m = 1, n = 2: two values per residual row, one of them not zero
+    "stress_check_jacobi_sphere": [
+        "check", "jacobi", f"{TESTS}/inputs/sphere_equator.json",
+        "--samples", "30", "--seed", "0",
     ],
     "stress_check_transform_pair22": [
         "check", "transform", "{pair}", "{change}", "--samples", "20",
