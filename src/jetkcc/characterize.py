@@ -191,7 +191,7 @@ def coupling_constraint_residual(
     shapes (m,) and (n,) for one point, or (m, K) and (n, K) for K points,
     evaluated as one batch and maximized over them too.  A batch raises
     what its first failing point raises alone (h, then the coupling field);
-    a non-finite input stands as nan."""
+    a non-finite input propagates as nan."""
     m, n = coupling.m, coupling.n
     if m < 2:
         return 0.0

@@ -144,8 +144,9 @@ class CoordinateChange(ex.Frozen):
 
     def round_trip_defect(self, points) -> float:
         """max |inverse(forward(z)) - z| over the t and x parts of points
-        (nan if any of them is nan); a batch raises what its first failing
-        point raises alone."""
+        (nan if a point has a nan coordinate, since only a non-finite input
+        propagates); a batch raises what its first failing point raises
+        alone."""
 
         def defect(p: JetPointSet) -> float:
             t_back = self._values(self.t_inverse, "t", self.forward_t(p.t))

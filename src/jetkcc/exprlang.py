@@ -47,11 +47,12 @@ leaves.
 There is one evaluator: a family's union DAG is lowered to one tape, run
 with numpy on Python floats (one point) or on arrays (a batch), and constant
 folding calls the same numpy functions, so every path rounds alike.  It has
-one domain rule: a batch raises what its first failing point raises alone,
-the EvaluationError of the first operation where a value left its domain
-(``_scan``); values that stand (an overflow, a non-finite input) are
-returned.  A batch that runs in stages (a metric's entries, then its
-determinant, say) goes through the one staged-batch helper, ``by_point``.
+one non-finite rule: an operation whose operands are finite and whose value
+is not (it left its domain, or overflowed) is an EvaluationError, and a
+batch raises what its first failing point raises alone (``_scan``).  Only a
+non-finite input propagates.  A batch that runs in stages (a metric's
+entries, then its determinant, say) goes through the one staged-batch
+helper, ``by_point``.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -769,7 +770,8 @@ class ParseError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """Domain error or unbound variable; carries the offending subexpression."""
+    """Out-of-domain or overflowing operation, or unbound variable; carries
+    the offending subexpression."""
 
     def __init__(self, message: str, expression: Expression | None = None):
         if expression is not None:
@@ -957,29 +959,26 @@ def _batch_shape(bindings: Bindings):
 
 def _run(roots, bindings: Bindings) -> list:
     """The roots' values, in order, from one tape: floats at one point, else
-    arrays (a constant root stays a scalar).  The first domain error
-    ``_scan`` finds, in sample order, raises EvaluationError; values that
-    stand are returned as they are."""
+    arrays (a constant root stays a scalar).  The first error ``_scan``
+    finds, in sample order, raises; only a non-finite input propagates."""
     values = _Tape(roots).run(bindings)
     if _batch_shape(bindings) is None:
         values = list(map(float, values))
-    for _, origin, message in _scan(roots, values, bindings, domain_only=True):
-        if message:
-            raise EvaluationError(message, origin)
+    for error in _scan(roots, values, bindings):
+        raise error  # the first, in sample order
     return values
 
 
-def _scan(roots, values, bindings: Bindings, domain_only=False):
+def _scan(roots, values, bindings: Bindings):
     """At each point where some root is not finite, in sample (C) order, and
-    for each such root in order, yields the root, its origin (reached through
-    the first non-finite operand until all operands are finite) and
-    ``_domain_error``'s message.  ``values`` are the roots' values: floats at
-    one point, else arrays or scalars of the batch shape, each tested for
+    for each such root in order, walks back through the first non-finite
+    operand until all operands are finite and yields the EvaluationError of
+    that origin (``_domain_error``); an origin that is a leaf, a non-finite
+    input, yields nothing.  ``values`` are the roots' values: floats at one
+    point, else arrays or scalars of the batch shape, each tested for
     finiteness alone.  One tape of every node, lowered from the one walk
     that lists them, runs over those points only (one point stays on
-    floats).  With ``domain_only``, only the points where some operation
-    left its domain (``_left_domain``) are walked: no other yields a
-    message."""
+    floats)."""
     shape = _batch_shape(bindings)
     if shape is None:
         bad = [] if all(map(math.isfinite, values)) else [0]
@@ -998,10 +997,7 @@ def _scan(roots, values, bindings: Bindings, domain_only=False):
         bindings = Bindings(bindings.m, bindings.n, flat)
     nodes = _reachable(roots)
     table = dict(zip(nodes, _Tape(nodes, nodes).run(bindings)))
-    points = range(len(bad))
-    if domain_only:
-        points = np.flatnonzero(_left_domain(table, len(bad)))
-    for k in points:
+    for k in range(len(bad)):
 
         def value(node):  # a 0-d array comes from a one-point variable power
             v = table[node]
@@ -1011,25 +1007,9 @@ def _scan(roots, values, bindings: Bindings, domain_only=False):
             node = root
             while failing := [kid for kid in node.kids if not math.isfinite(value(kid))]:
                 node = failing[0]
-            yield root, node, _domain_error(node, [value(kid) for kid in node.kids])
-
-
-def _left_domain(table: dict, count: int) -> np.ndarray:
-    """Per point of ``table`` (node -> its values at ``count`` points):
-    whether some operation left its domain there, that is, is not finite
-    while its operands are, and is not a sum, difference, product, negation
-    or quotient by a non-zero divisor (values that stand).  Exactly such an
-    operation makes ``_domain_error`` give a message."""
-    left = np.zeros(count, dtype=bool)
-    for node, value in table.items():
-        if node.kids and node.op not in ("+", "-", "*", "neg"):
-            hit = ~np.isfinite(value)
-            for kid in node.kids:
-                hit = hit & np.isfinite(table[kid])
-            if node.op == "/":
-                hit = hit & (table[node.kids[1]] == 0.0)
-            left |= hit
-    return left
+            message = _domain_error(node, [value(kid) for kid in node.kids])
+            if message:
+                yield EvaluationError(message, node)
 
 
 def by_point(stages, batch, points):
@@ -1047,36 +1027,40 @@ def by_point(stages, batch, points):
         raise
 
 
+# what an overflow message calls the value of each binary operator
+_OVERFLOWED = {
+    "+": "sum", "-": "difference", "*": "product", "/": "quotient", "^": "power"
+}
+
+
 def _domain_error(node: Expression, operands: list) -> str | None:
-    """Why ``node`` is not finite while its ``operands`` are, or None where
-    the non-finite value stands: an input, a sum, difference, product or
-    negation that overflows, a quotient by a non-zero divisor."""
-    op = node.op if node.kids else None
-    if op in (None, "+", "-", "*", "neg"):
+    """Why ``node`` is not finite while its ``operands`` are; None only for a
+    leaf, whose non-finite value is an input."""
+    if not node.kids:
         return None
-    a = operands[0]
+    op, a = node.op, operands[0]
     if op == "log":
         return f"log of non-positive value {a}"
     if op == "sqrt":
         return f"sqrt of negative value {a}"
-    if op == "/":
-        return "division by zero" if operands[1] == 0.0 else None
+    if op == "/" and operands[1] == 0.0:
+        return "division by zero"
     if op == "^":
         b = operands[1]
         if a == 0.0 and b < 0.0:
             return "zero raised to a negative power"
         if a < 0.0 and not float(b).is_integer():
             return "non-integer power of a non-positive base"
-        return "overflow in power"
-    # from finite operands only exp, sinh and cosh get here (sin, cos and
-    # tan of a finite float are finite), and each only by overflowing
-    return f"overflow in {op}"
+    # every other operation gets here only by overflowing: sin, cos, tan and
+    # the negation of a finite float are finite
+    return f"overflow in {_OVERFLOWED.get(op, op)}"
 
 
 def evaluate(e: Expression, bindings: Bindings):
     """Evaluate through one tape (see ``_run``): a float at one point, an
-    array over array bindings; a domain error raises EvaluationError
-    identifying the offending subexpression, at the first such point.
+    array over array bindings; an operation that leaves its domain or
+    overflows raises EvaluationError identifying the offending
+    subexpression, at the first such point.
     """
     return _run([e], bindings)[0]
 
@@ -1089,9 +1073,8 @@ def evaluate_nested(nested, bindings: Bindings):
     constant say, is broadcast along it).  The whole family is one tape
     (see ``_Tape``), so a node shared by several leaves is computed once.
     A batch raises what evaluating its points one at a time, in sample
-    order, raises first: at that point, the first leaf in nesting order
-    with a domain error.  Values that stand (an overflow, a non-finite
-    input) are returned as they are.
+    order, raises first: at that point, the error of the first leaf in
+    nesting order that is not finite.  Only a non-finite input propagates.
     """
     leaves = family_array(nested)
     values = _run(list(leaves.flat), bindings)
@@ -1099,15 +1082,6 @@ def evaluate_nested(nested, bindings: Bindings):
     for row, value in enumerate(values):
         out[row] = value
     return out.reshape(leaves.shape + out.shape[1:])
-
-
-def nonfinite_origin(e: Expression, bindings: Bindings) -> Expression | None:
-    """Where a batch evaluation of ``e`` first turns non-finite: at the first
-    point, in sample order, where ``e`` is not finite, the node ``_scan``
-    walks back to (non-finite while all its operands are finite); None if
-    ``e`` is finite at every point."""
-    values = _Tape([e]).run(bindings)
-    return next((origin for _, origin, _ in _scan([e], values, bindings)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,13 +1164,14 @@ def _derivative(node: Expression, kids: list) -> Expression:
 
 def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6):
     """Central finite-difference partial; the numeric oracle for differentiate.
-    A float at one point, an array over batch bindings (nan where both sides
-    are the same infinity)."""
+    A float at one point, an array over batch bindings; inf where the
+    difference of two finite sides overflows, nan where a non-finite input
+    makes both sides the same infinity."""
     vid = var.vid if isinstance(var, Var) else var
     base = bindings.values[vid]
     hi = evaluate(e, bindings.with_value(vid, base + step))
     lo = evaluate(e, bindings.with_value(vid, base - step))
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):  # overflow, inf - inf
         return (hi - lo) / (2.0 * step)
 
 
@@ -1397,7 +1372,10 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, pos = self.take()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):  # an inf literal would propagate as an input
+                raise ParseError(f"number '{text}' is beyond the float range", pos)
+            return Num(value)
         if kind == "op" and text == "(":
             e = self.sum_()
             self.expect_op(")")

@@ -541,8 +541,8 @@ def build_first_order_system(
         F = ex.evaluate_nested(raw, points.bindings())
         a, b = np.triu_indices(m, 1)
         asym = float(np.max(np.abs(F[:, a, b] - F[:, b, a])))
-    # symmetric in value, stored as written; a gap that is not finite (an
-    # overflow that stands) is asymmetric
+    # symmetric in value, stored as written; a gap that is not finite (from a
+    # non-finite input, or a difference that overflows) is asymmetric
     system._set(symmetric=asym <= FIRST_ORDER_ASYM_TOL)
     if not system.symmetric:
         warnings.warn(

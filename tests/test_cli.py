@@ -311,6 +311,11 @@ READER_MESSAGES = {
         "system.F[1].expr: bad expression: expected an expression, found "
         "'end of input' (at position 4)",
     ),
+    "F-literal-beyond-float-range": (
+        _problem(system=_f_system((1, 1, 1, "1e400*x1*v1_1"))),
+        "system.F[0].expr: bad expression: number '1e400' is beyond the float "
+        "range (at position 0)",
+    ),
     "F-beta-out-of-range": (
         _problem(system=_f_system((1, 1, 2, "x1"))),
         "system.F[0].beta: must be between 1 and 1, got 2",
@@ -465,9 +470,9 @@ def test_invariants_nonfinite_component_is_exit_3(tmp_path, capsys):
 
 
 def test_nonfinite_message_follows_selector_order(tmp_path, capsys):
-    # at x1 = 0.709 cosh(1000*x1) is finite, but eps and P overflow in values
-    # that stand (inf - inf); they are evaluated as one tape, and the message
-    # names the first selector asked for and where its value turns non-finite
+    # at x1 = 0.709 cosh(1000*x1) is finite, but a product in eps and in P
+    # overflows; they are evaluated as one tape, and the message names the
+    # overflow in the first selector asked for, P
     points = [
         {"t": [0.1], "x": [0.2], "v": [[0.5]]},
         {"t": [0.1], "x": [0.709], "v": [[10.0]]},
@@ -475,8 +480,7 @@ def test_nonfinite_message_follows_selector_order(tmp_path, capsys):
     path = write_json(tmp_path, "cosh.json", dict(COSH_V, points=points))
     assert run_cli(["invariants", path, "--which", "P,eps"], tmp_path) == (3, None)
     assert capsys.readouterr().err == (
-        "evaluation error: invariant P: component [1, 1] is nan "
-        "at point 2 of 2 in `sinh(1000*x1)*1000`\n"
+        "evaluation error: overflow in product in `sinh(1000*x1)*1000`\n"
     )
 
 
@@ -570,9 +574,8 @@ def test_out_of_domain_point_gives_one_message_on_every_command(
     )
 
 
-# cosh(1000*x1) overflows to inf at every sampled point, so both paths of
-# check transform meet inf - inf; so do both sides of a central difference
-# of a product that overflows
+# cosh(1000*x1) overflows to inf at every sampled point, and so does the
+# product (1e200*x1)*(1e200*x1) on both sides of a central difference
 COSH_V = dict(
     OSC, system={"F": [{"i": 1, "alpha": 1, "beta": 1, "expr": "cosh(1000*x1)*v1_1"}]}
 )
@@ -586,28 +589,29 @@ SQUARE_V = dict(
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "command, more, failed",
+    "command, more, origin",
     [
         (
             "transform",
             [str(PROBLEMS / "change_stretch.json"), "--samples", "3"],
-            "invariant P transforms as a d-tensor (value nan > tolerance 1.000e-06)",
+            "cosh(1000*x1)*cosh(1000*x1)",
         ),
-        (
-            "fd",
-            ["--samples", "5"],
-            "dF[1,1,1]/dv1_1 vs central FD (value nan > tolerance 1.000e-05)",
-        ),
+        ("fd", ["--samples", "5"], "1e+200*x1*(1e+200*x1)"),
     ],
+    ids=("transform", "fd"),
 )
 def test_overflowed_check_fails_without_numpy_warnings(
-    command, more, failed, tmp_path, capsys
+    command, more, origin, tmp_path, capsys
 ):
+    # an overflow from finite operands is an evaluation error (exit 3), so
+    # no check compares an inf or a nan
     doc = COSH_V if command == "transform" else SQUARE_V
     problem = write_json(tmp_path, "overflow.json", doc)
     code, report = run_cli(["check", command, problem] + more, tmp_path)
-    assert code == 1 and "nan" in [c["value"] for c in report["checks"]]
-    assert capsys.readouterr().err == f"check failed: {failed}\n"
+    assert code == 3 and report is None
+    assert capsys.readouterr().err == (
+        f"evaluation error: overflow in product in `{origin}`\n"
+    )
 
 
 def test_transform_check_out_of_domain_change_is_exit_3(tmp_path, capsys):

@@ -311,12 +311,18 @@ def test_round_trip_defect_flags_a_wrong_inverse():
 
 def test_round_trip_defect_keeps_nan():
     good = change11_time_quadratic()
-    # inf - inf at every point: the inverse time map is nan
-    nan_inverse = parse("t1 + (1e200*t1)*1e200 - (1e200*t1)*1e200", 1, 1)
+    # a nan input propagates: a point with a nan time gives a nan defect
+    points = domain_points(1, 1, 3, seed=3)
+    points[1] = JetPoint(np.array([np.nan]), points[1].x, points[1].v)
+    assert np.isnan(good.round_trip_defect(points))
+    # an overflow from finite operands raises at the first point
+    overflowing = parse("t1 + (1e200*t1)*1e200 - (1e200*t1)*1e200", 1, 1)
     bad = CoordinateChange(
-        1, 1, good.t_forward, good.x_forward, (nan_inverse,), good.x_inverse
+        1, 1, good.t_forward, good.x_forward, (overflowing,), good.x_inverse
     )
-    assert np.isnan(bad.round_trip_defect(domain_points(1, 1, 3, seed=3)))
+    with pytest.raises(ex.EvaluationError) as info:
+        bad.round_trip_defect(domain_points(1, 1, 3, seed=3))
+    assert str(info.value) == "overflow in product in `1e+200*t1*1e+200`"
 
 
 def test_singular_jacobian_is_refused():

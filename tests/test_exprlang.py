@@ -69,6 +69,14 @@ def test_parse_number_formats():
     )
 
 
+def test_parse_refuses_a_number_beyond_the_float_range():
+    # a literal inf would be a non-finite input inside the expression
+    with pytest.raises(ParseError) as err:
+        parse("2*x1 + 1e400", 1, 1)
+    assert err.value.message == "number '1e400' is beyond the float range"
+    assert err.value.position == 7
+
+
 def test_parse_whitespace_insensitive():
     a = parse("t1+x1 * v1_1", 1, 1)
     b = parse("  t1 + x1*v1_1  ", 1, 1)
@@ -172,7 +180,7 @@ def test_evaluate_domain_errors_identify_subexpression():
         assert str(batch_err.value) == str(err.value)
 
 
-# (expression, x1): non-finite at one point, but where the value stands
+# (expression, x1): non-finite at one point
 KEPT_NONFINITE = [
     ("x1 + x1", 1e308),
     ("x1 - (0 - x1)", 1e308),
@@ -182,11 +190,30 @@ KEPT_NONFINITE = [
     ("log(x1)", math.nan),
     ("x1 + 1", math.inf),
 ]
+# expression: (origin, message) of an operation that overflowed from finite
+# operands; the other rows have a non-finite input, which propagates
+OVERFLOWS = {
+    "x1 + x1": ("x1 + x1", "overflow in sum"),
+    "x1 - (0 - x1)": ("x1 - -x1", "overflow in difference"),
+    "x1*x1": ("x1*x1", "overflow in product"),
+    "-(x1*x1)": ("x1*x1", "overflow in product"),
+    "x1/0.5": ("x1/0.5", "overflow in quotient"),
+}
 
 
 @pytest.mark.parametrize("src, x1", KEPT_NONFINITE)
 def test_overflow_and_nonfinite_inputs_are_returned(src, x1):
+    # one point and a batch return the same: the overflow's EvaluationError
+    # at its origin, or the value of a non-finite input
     e = parse(src, 1, 1)
+    if src in OVERFLOWS:
+        origin, message = OVERFLOWS[src]
+        for where in (x1, np.array([x1])):
+            with pytest.raises(EvaluationError) as err:
+                evaluate(e, bnd(1, 1, x1=where))
+            assert err.value.expression is parse(origin, 1, 1)
+            assert str(err.value) == f"{message} in `{origin}`"
+        return
     one = evaluate(e, bnd(1, 1, x1=x1))
     batch = evaluate(e, bnd(1, 1, x1=np.array([x1])))
     assert not math.isfinite(one)
@@ -202,6 +229,41 @@ def test_non_finite_inside_a_finite_root_does_not_raise(src):
     batch = evaluate(e, bnd(1, 1, x1=np.array([0.0])))
     assert one == 0.0 and type(one) is float
     assert batch.tobytes() == np.array(one).tobytes()
+
+
+# per tape operator: a finite x1 and a literal right operand (None for a
+# function) where its value is not finite, and the message that raises
+OPERATOR_FAILURES = {
+    "+": (1e308, 1e308, "overflow in sum"),
+    "-": (-1e308, 1e308, "overflow in difference"),
+    "*": (1e200, 1e200, "overflow in product"),
+    "/": (1e308, 0.5, "overflow in quotient"),
+    "^": (1e200, 2.5, "overflow in power"),
+    "exp": (1000.0, None, "overflow in exp"),
+    "sinh": (800.0, None, "overflow in sinh"),
+    "cosh": (-800.0, None, "overflow in cosh"),
+    "log": (0.0, None, "log of non-positive value 0.0"),
+    "sqrt": (-1.0, None, "sqrt of negative value -1.0"),
+}
+# finite wherever their operand is finite
+ALWAYS_FINITE = {"neg", "sin", "cos", "tan"}
+
+
+def test_every_operator_raises_where_its_value_leaves_finite_operands():
+    # a new tape operator must join one of the two tables, so none can bring
+    # back a non-finite value from finite operands that is returned
+    ops = set(ex._BINARY_ARRAY) | set(ex._UNARY_ARRAY)
+    assert set(OPERATOR_FAILURES) | ALWAYS_FINITE == ops
+    x1 = ex.x_var(1)
+    for op, (value, right, message) in OPERATOR_FAILURES.items():
+        node = ex.Unary(op, x1) if right is None else ex.Binary(op, x1, ex.num(right))
+        for where in (value, np.array([0.5, value])):
+            with pytest.raises(EvaluationError) as info:
+                evaluate(node, bnd(1, 1, x1=where))
+            assert str(info.value) == f"{message} in `{node}`", op
+    extremes = np.array([-1e308, -1.0, 0.0, math.pi / 2, 1e308])
+    for op in ALWAYS_FINITE:
+        assert np.isfinite(evaluate(ex.Unary(op, x1), bnd(1, 1, x1=extremes))).all()
 
 
 def test_evaluate_integer_power_of_negative_base():
@@ -1031,43 +1093,46 @@ def test_batch_domain_rule_raises_at_the_first_bad_point():
     with pytest.raises(EvaluationError) as info:
         ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
     assert str(info.value) == "log of non-positive value -1.5 in `log(x1)`"
-    # what stands at one point stands in the batch: an overflow, a nan input
-    for bad in (1000.0, float("nan")):
-        x1 = np.array([0.5, bad])
-        got = ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
-        alone = [ex.evaluate_nested(family, bnd(1, 1, x1=u)) for u in x1]
-        assert got.tobytes() == np.stack(alone, axis=-1).tobytes()
-        assert not np.isfinite(got[:, 1]).all()
-    # an overflow at an earlier point does not hide a domain error at a later
-    # one: the batch raises what a scan of single points raises
-    x1 = np.array([1000.0, -1.0])
-    with pytest.raises(EvaluationError) as info:
-        ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
-    assert str(info.value) == "log of non-positive value -1.0 in `log(x1)`"
+    # a nan input propagates in the batch as it does at one point
+    x1 = np.array([0.5, float("nan")])
+    got = ex.evaluate_nested(family, Bindings.jet(1, 1, x=x1[None]))
+    alone = [ex.evaluate_nested(family, bnd(1, 1, x1=u)) for u in x1]
+    assert got.tobytes() == np.stack(alone, axis=-1).tobytes()
+    assert np.isnan(got[:, 1]).all()
+    # the overflow raises at its point: before a domain error at a later
+    # point, and after a nan input at an earlier one
+    for x1 in ([1000.0, -1.0], [float("nan"), 1000.0]):
+        with pytest.raises(EvaluationError) as info:
+            ex.evaluate_nested(family, Bindings.jet(1, 1, x=np.array([x1])))
+        assert str(info.value) == "overflow in product in `x1*1e+308`"
 
 
 # ordinary values, a zero, values that overflow and a nan input
 DOMAIN_POOL = (-1.5, -1.0, 0.0, 0.5, 2.0, 1000.0, 1e300, math.nan)
+# finite values, with the largest floats, whose sums and doubles overflow
+FINITE_POOL = (-1e308,) + DOMAIN_POOL[:-1] + (1e308,)
 
 
-def _domain_batch(count):
+def _domain_batch(count, pool=DOMAIN_POOL):
     """Coordinates (t, x, v stacked: 8 rows) of ``count`` points."""
     size = (BIND_M + BIND_N + BIND_N * BIND_M) * count
-    return st.lists(st.sampled_from(DOMAIN_POOL), min_size=size, max_size=size).map(
+    return st.lists(st.sampled_from(pool), min_size=size, max_size=size).map(
         lambda vals: np.array(vals).reshape(-1, count)
     )
 
 
-def _first_origin(e, points):
-    """The origin of ``e`` at the first single point where it is not finite."""
-    for one in points:
-        try:
-            value = evaluate(e, one)
-        except EvaluationError as err:
-            return err.expression
-        if not math.isfinite(value):
-            return next(origin for _, origin, _ in ex._scan([e], [value], one))
+def _origin(e, bindings):
+    """The expression of the error evaluating ``e`` raises, or None."""
+    try:
+        evaluate(e, bindings)
+    except EvaluationError as err:
+        return err.expression
     return None
+
+
+def _first_origin(e, points):
+    """The origin of ``e``'s error at the first single point that raises."""
+    return next(filter(None, (_origin(e, one) for one in points)), None)
 
 
 def _entry(name: str, family: tuple, t, x, v):
@@ -1108,7 +1173,36 @@ def test_batch_raises_what_a_scan_of_single_points_raises(family, coords):
     batch = Bindings.jet(m, n, t, x, v)
     points = [Bindings.jet(m, n, *one) for one in singles]
     for e in family:
-        assert ex.nonfinite_origin(e, batch) is _first_origin(e, points)
+        assert _origin(e, batch) is _first_origin(e, points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.lists(EXPRESSIONS, min_size=1, max_size=3).map(tuple),
+    coords=st.integers(1, 5).flatmap(lambda count: _domain_batch(count, FINITE_POOL)),
+)
+def test_finite_inputs_give_finite_values_or_raise(family, coords):
+    # one non-finite rule: from finite inputs, evaluation raises or returns
+    # only finite values, and the batch raises what its first failing point
+    # raises alone
+    m, n, count = BIND_M, BIND_N, coords.shape[1]
+    t, x, v = coords[:m], coords[m : m + n], coords[m + n :].reshape(n, m, count)
+    batch = Bindings.jet(m, n, t, x, v)
+    columns = []
+    for k in range(count):
+        point = Bindings.jet(m, n, t[:, k], x[:, k], v[..., k])
+        try:
+            one = ex.evaluate_nested(family, point)
+        except EvaluationError as err:
+            with pytest.raises(EvaluationError) as info:
+                ex.evaluate_nested(family, batch)
+            assert str(info.value) == str(err)
+            assert info.value.expression is err.expression
+            return
+        assert np.isfinite(one).all()
+        columns.append(one)
+    got = ex.evaluate_nested(family, batch)
+    assert got.tobytes() == np.stack(columns, axis=-1).tobytes()
 
 
 def test_one_point_family_lowers_one_tape():
@@ -1136,7 +1230,7 @@ def test_one_point_family_lowers_one_tape():
             ex.evaluate_nested(family, batch)
         assert len(lowered) == 2 and lowered[0] == 9
         lowered.clear()
-        assert ex.nonfinite_origin(family[0][0], batch) is parse("log(x1 + 0)", 1, 2)
+        assert _origin(family[0][0], batch) is parse("log(x1 + 0)", 1, 2)
         assert len(lowered) == 2 and lowered[0] == 1
 
 
@@ -1153,10 +1247,11 @@ def test_domain_error_scan_walks_the_dag_once():
 
 
 def test_domain_error_walks_only_points_where_an_operation_left_its_domain():
-    # 1e200*x1 overflows at every point and stands, so no point but the
-    # last, where log(x2) leaves its domain, is walked back to an origin
+    # 1e200*x1 overflows at all 16,000 points: the walk back stops at the
+    # first, whose error the batch raises, so no other point is walked
     family = (parse("(1e200*x1)*x1", 1, 2), parse("log(x2)", 1, 2))
-    x = np.array([[1e200] * 5, [0.5, 1.5, 2.0, 0.25, 0.5]])
+    x = np.stack([np.full(16_000, 1e200), np.linspace(0.5, 2.0, 16_000)])
+    x[1, -1] = -1.0
     calls = []
     real = ex._domain_error
 
@@ -1165,10 +1260,7 @@ def test_domain_error_walks_only_points_where_an_operation_left_its_domain():
         return real(node, operands)
 
     with mock.patch.object(ex, "_domain_error", counted):
-        values = ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
-        assert np.isinf(values[0]).all() and calls == []
-        x[1, -1] = -1.0
         with pytest.raises(EvaluationError) as info:
             ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
-    assert calls == [parse("1e200*x1", 1, 2), family[1]]
-    assert str(info.value) == "log of non-positive value -1.0 in `log(x2)`"
+    assert calls == [parse("1e200*x1", 1, 2)]
+    assert str(info.value) == "overflow in product in `1e+200*x1`"

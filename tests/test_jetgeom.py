@@ -553,6 +553,20 @@ def test_first_order_nan_gap_counts_as_asymmetric(monkeypatch):
         assert not build_first_order_system(X, 2, 1).symmetric
 
 
+def test_first_order_probe_overflow_is_an_evaluation_error():
+    # the flow overflows at every probe point: the probe raises, as it does
+    # where a value leaves log's domain, instead of storing a nan gap
+    X = {
+        (1, 1): parse("(1e200*x1)*(1e200*t2)", 2, 1),
+        (1, 2): parse("(1e200*x1)*(1e200*t1)", 2, 1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.EvaluationError) as info:
+            build_first_order_system(X, 2, 1)
+    assert str(info.value) == "overflow in product in `1e+200*(1e+200*t2)`"
+
+
 def test_first_order_symmetry_probe_lowers_one_tape():
     # a timing-free guard on batching: the raw grid is evaluated once over
     # the sample points, not once per entry and point
