@@ -24,6 +24,7 @@ from .jetgeom import (
     PdeSystem,
     christoffel_sym,
     require_metric,
+    uniform_draws,
 )
 from .kcccore import InvariantPipeline
 
@@ -365,9 +366,8 @@ class ExtractionDiagnostics(NamedTuple):
     rebuild_residual: float
 
 
-def _probe_velocities(n: int, m: int) -> list:
-    rng = np.random.default_rng(97)  # fixed: extraction must be deterministic
-    return [rng.uniform(-1.0, 1.0, (n, m)) for _ in range(5)]
+def _probe_velocities(n: int, m: int) -> np.ndarray:
+    return -1.0 + 2.0 * uniform_draws(97, (5, n, m))  # fixed: extraction is deterministic
 
 
 def extract_structure(

@@ -38,6 +38,7 @@ from .jetgeom import (
     build_first_order_system,
     point_set,
     sample_jet_points,
+    uniform_draws,
 )
 from .kcccore import (
     INVARIANT_NAMES,
@@ -538,14 +539,20 @@ def _render(value, indent: int, out: list, seen: dict) -> None:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    # the whole report is rendered before anything is written
+    # rendered whole before anything is written; written in slices, never encoded whole
     text = render_json(report)
+
+    def write(fh):
+        fh.writelines(text[k : k + 65536] for k in range(0, len(text), 65536))
+        fh.write("\n")
+        fh.flush()  # a closed pipe fails here, not at exit
+
     try:
         if out_path is None:
-            print(text, flush=True)  # a closed pipe fails here, not at exit
+            write(sys.stdout)
         else:
             with open(out_path, "w", encoding="utf-8") as fh:
-                print(text, file=fh)
+                write(fh)
     except OSError as err:
         if out_path is None:  # leave nothing for the flush at exit to fail on
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -927,9 +934,8 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
             "in the problem file"
         )
     count = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    rng = np.random.default_rng(args.seed)
     lo, hi = problem.t_box
-    t_points = rng.uniform(lo, hi, size=(count, problem.m))
+    t_points = lo + (hi - lo) * uniform_draws(args.seed, (count, problem.m))
 
     resid = jacobi_identity_residual(
         problem.system, problem.h, problem.section, problem.variation, t_points.T

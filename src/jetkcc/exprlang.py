@@ -970,15 +970,15 @@ def _run(roots, bindings: Bindings) -> list:
 
 
 def _scan(roots, values, bindings: Bindings):
-    """At each point where some root is not finite, in sample (C) order, and
-    for each such root in order, walks back through the first non-finite
-    operand until all operands are finite and yields the EvaluationError of
-    that origin (``_domain_error``); an origin that is a leaf, a non-finite
-    input, yields nothing.  ``values`` are the roots' values: floats at one
-    point, else arrays or scalars of the batch shape, each tested for
-    finiteness alone.  One tape of every node, lowered from the one walk
-    that lists them, runs over those points only (one point stays on
-    floats)."""
+    """At each point where some root is not finite, in sample (C) order,
+    searches depth first from those roots through non-finite operands, in
+    operand order, and yields the EvaluationError (``_domain_error``) of each
+    origin it meets, a node not finite while its operands are; a leaf (a
+    non-finite input) yields nothing.  ``values`` are the roots' values:
+    floats at one point, else arrays or scalars of the batch shape, each
+    tested for finiteness alone.  One tape of every node, lowered from the
+    one walk that lists them, runs over those points only (on floats at one
+    point)."""
     shape = _batch_shape(bindings)
     if shape is None:
         bad = [] if all(map(math.isfinite, values)) else [0]
@@ -1003,12 +1003,15 @@ def _scan(roots, values, bindings: Bindings):
             v = table[node]
             return float(v[k] if np.ndim(v) else v)
 
-        for root in (r for r in roots if not math.isfinite(value(r))):
-            node = root
-            while failing := [kid for kid in node.kids if not math.isfinite(value(kid))]:
-                node = failing[0]
-            message = _domain_error(node, [value(kid) for kid in node.kids])
-            if message:
+        stack, seen = [r for r in reversed(roots) if not math.isfinite(value(r))], set()
+        while stack:
+            if (node := stack.pop()) in seen:
+                continue
+            seen.add(node)
+            operands = [value(kid) for kid in node.kids]
+            failing = [kid for kid, u in zip(node.kids, operands) if not math.isfinite(u)]
+            stack += reversed(failing)
+            if not failing and (message := _domain_error(node, operands)):
                 yield EvaluationError(message, node)
 
 

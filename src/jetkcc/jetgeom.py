@@ -12,6 +12,8 @@ PDE-system container, and the two system builders used throughout.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from typing import NamedTuple
 
@@ -107,6 +109,70 @@ class JetPointSet(_JetBlocks):
         return f"JetPointSet(m={self.m}, n={self.n}, count={len(self)})"
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _seed_sequence(seed) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)`` for an int seed."""
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {seed}")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+    def fold(value: int) -> int:  # to 32 bits, then the closing xor-shift
+        return (value & _M32) ^ (value & _M32) >> 16
+
+    def hasher(const: int, mult: int):
+        def hash_word(value: int) -> int:
+            nonlocal const
+            return fold((value ^ const) * (const := const * mult & _M32))
+
+        return hash_word
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = fold(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]))
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = fold(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word))
+    words = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _jump(hi, lo, a: int, c: int):
+    """``a*s + c mod 2**128`` for s = hi*2**64 + lo (uint64 arrays), by 32-bit limbs."""
+    a_hi, a_lo, c_hi, c_lo = a >> 64, a & _M64, c >> 64, c & _M64
+    l0, l1, a0, a1 = lo & _M32, lo >> 32, a_lo & _M32, a_lo >> 32
+    p01, p10 = l0 * a1, l1 * a0
+    mid = (l0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = l1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * a_lo + c_lo
+    return carry + hi * a_lo + lo * a_hi + c_hi + (new_lo < c_lo), new_lo
+
+
+def uniform_draws(seed, shape: tuple) -> np.ndarray:
+    """numpy's ``default_rng(seed).random(shape)`` bit for bit, whatever numpy
+    is installed: SeedSequence(seed), PCG64 (128-bit LCG, XSL-RR output), then
+    each output's top 53 bits times 2**-53.  States L..2L-1 are the L-step
+    jump (A_L, C_L) of states 0..L-1, so N draws take O(log N) array steps."""
+    w0, w1, w2, w3 = _seed_sequence(seed)
+    a, c = 0x2360ED051FC65DA44385DF649FCCF645, ((w2 << 64 | w3) << 1 | 1) & _M128
+    state = (c + (w0 << 64 | w1)) * a + c  # a: PCG64's multiplier; set up, one step
+    count = int(np.prod(shape, dtype=np.int64))
+    hi, lo = np.empty(count, np.uint64), np.empty(count, np.uint64)
+    done = min(count, 64)  # the first states one by one, as Python ints
+    states = [state := (state * a + c) & _M128 for _ in range(done)]
+    hi[:done], lo[:done] = ([s >> k & _M64 for s in states] for k in (64, 0))
+    for _ in range(6):  # (a, c) becomes the 64-step jump
+        a, c = a * a & _M128, (a * c + c) & _M128
+    while done < count:
+        k = min(done, count - done)
+        hi[done : done + k], lo[done : done + k] = _jump(hi[:k], lo[:k], a, c)
+        a, c, done = a * a & _M128, (a * c + c) & _M128, done + k
+    out, turn = hi ^ lo, hi >> 58
+    out = out >> turn | out << (-turn & 63)
+    return ((out >> 11) * 2.0**-53).reshape(shape)
+
+
 def sample_jet_points(
     m: int,
     n: int,
@@ -116,22 +182,17 @@ def sample_jet_points(
     x_box: tuple[float, float] = (-1.0, 1.0),
     v_box: tuple[float, float] = (-2.0, 2.0),
 ) -> JetPointSet:
-    """Deterministic uniform sample of jet points (one rng stream per call).
+    """Deterministic uniform sample of jet points (one draw stream per call).
 
     Point k takes draws k*w .. k*w + w - 1 of the stream, w = m + n + n*m:
     first its t, then its x, then its v row by row, each scaled into its
     box as ``low + (high - low) * u``, which is what ``Generator.uniform``
     computes, so the values are those of m, n and n*m uniform draws per
     point in that order."""
-    u = np.random.default_rng(seed).random((count, m + n + n * m))
-
-    def scale(block, box):
-        return box[0] + (box[1] - box[0]) * block
-
-    t = scale(u[:, :m].T, t_box)
-    x = scale(u[:, m : m + n].T, x_box)
-    v = scale(np.moveaxis(u[:, m + n :].reshape(count, n, m), 0, -1), v_box)
-    return JetPointSet(t, x, v)
+    box = np.repeat([t_box, x_box, v_box], [m, n, n * m], axis=0)
+    u = box[:, 0] + (box[:, 1] - box[:, 0]) * uniform_draws(seed, (count, len(box)))
+    v = np.moveaxis(u[:, m + n :].reshape(count, n, m), 0, -1)
+    return JetPointSet(u[:, :m].T, u[:, m : m + n].T, v)
 
 
 def point_set(points) -> JetPointSet:

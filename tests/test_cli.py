@@ -819,6 +819,29 @@ def test_jacobi_oscillator_closed_form(tmp_path):
     assert report["checks"][0]["value"] <= 1e-10
 
 
+def test_jacobi_t_points_are_the_default_rng_uniforms(tmp_path):
+    doc = {
+        "m": 2,
+        "n": 1,
+        "temporal_metric": [["1", "0"], ["0", "1"]],
+        "system": {"F": [
+            {"i": 1, "alpha": a, "beta": b, "expr": "0"}
+            for a, b in ((1, 1), (1, 2), (2, 2))
+        ]},
+        "section": ["0.5*t1 - t2"],
+        "variation": ["1 + 0.25*t2"],
+        "sample_box": {"t": [0.5, 3.0]},
+    }
+    path = write_json(tmp_path, "flatlin2.json", doc)
+    code, report = run_cli(
+        ["check", "jacobi", path, "--samples", "9", "--seed", "41"], tmp_path
+    )
+    assert code == 0
+    want = np.random.default_rng(41).uniform(0.5, 3.0, size=(9, 2))
+    got = np.array([row["t"] for row in report["points"]])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_jacobi_requires_section_and_variation(tmp_path, capsys):
     path = write_json(tmp_path, "bare.json", OSC)
     assert main(["check", "jacobi", path]) == 2
@@ -1680,6 +1703,49 @@ def test_readme_command_renders_its_report_in_one_call(name, tmp_path, monkeypat
     code, _ = run_golden_command(name, tmp_path)
     assert code == 0
     assert calls.count(0) == 1
+
+
+def test_emit_writes_the_rendered_report_and_a_newline(tmp_path, capsys):
+    # the text is written in slices; the bytes are those of the whole text
+    row = np.linspace(-1.0, 1.0, 40)
+    report = {"rows": [row * k for k in range(3000)], "name": "slices"}
+    want = (cli.render_json(report) + "\n").encode("utf-8")
+    assert len(want) > 4 * 65536
+    out = tmp_path / "report.json"
+    cli._emit(report, str(out))
+    cli._emit(report, None)
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+NO_NUMPY_RANDOM_CHILD = """
+import json, sys
+import numpy
+alone = "numpy.random" in sys.modules
+import jetkcc.cli as cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([alone, codes, "numpy.random" in sys.modules]))
+"""
+
+
+def test_readme_commands_never_import_numpy_random(tmp_path):
+    # every sample is drawn by jetgeom.uniform_draws, so no command pays for
+    # importing numpy.random (numpy 2 imports it lazily, on first use)
+    argvs = [
+        GOLDEN_COMMANDS[name] + ["--out", str(tmp_path / f"{name}.json")]
+        for name in README_COMMANDS
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM_CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    alone, codes, loaded = json.loads(proc.stdout)
+    if alone:
+        pytest.skip("this numpy imports numpy.random when numpy is imported")
+    assert codes == [0] * len(argvs) and len(argvs) == 6
+    assert loaded is False
 
 
 def test_emit_renders_the_whole_report_before_writing(tmp_path, capsys):

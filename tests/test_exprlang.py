@@ -1107,6 +1107,19 @@ def test_batch_domain_rule_raises_at_the_first_bad_point():
         assert str(info.value) == "overflow in product in `x1*1e+308`"
 
 
+@pytest.mark.parametrize("src", ["x2 + x1*x1", "x1*x1 + x2"])
+def test_overflow_beside_a_nan_input_raises_in_either_operand_order(src):
+    # the search goes on past the nan input x2 to the overflow in x1*x1,
+    # whichever operand comes first, at one point and in a batch
+    e = parse(src, 1, 2)
+    point = bnd(1, 2, x1=1e200, x2=math.nan)
+    batch = Bindings.jet(1, 2, x=np.array([[0.5, 1e200], [1.0, math.nan]]))
+    for bindings in (point, batch):
+        with pytest.raises(EvaluationError) as info:
+            ex.evaluate(e, bindings)
+        assert str(info.value) == "overflow in product in `x1*x1`"
+
+
 # ordinary values, a zero, values that overflow and a nan input
 DOMAIN_POOL = (-1.5, -1.0, 0.0, 0.5, 2.0, 1000.0, 1e300, math.nan)
 # finite values, with the largest floats, whose sums and doubles overflow

@@ -1,8 +1,11 @@
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from jetkcc import characterize, dtransform, kcccore
@@ -27,7 +30,10 @@ from jetkcc.jetgeom import (
     curvature_sym,
     point_set,
     sample_jet_points,
+    uniform_draws,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +62,64 @@ def test_sample_jet_points_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.t, pb.t)
         assert np.array_equal(pa.v, pb.v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**200),
+    shape=st.lists(st.integers(0, 40), max_size=3).map(tuple),
+)
+def test_uniform_draws_are_the_default_rng_doubles(seed, shape):
+    got = uniform_draws(seed, shape)
+    want = np.random.default_rng(seed).random(shape)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "seed, first_four",
+    [
+        (0, ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+             "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"]),
+        (41, ["0x1.e8867e4d5409fp-1", "0x1.892e651da8596p-1",
+              "0x1.01fcf36daa090p-3", "0x1.a76afb7e8224cp-1"]),
+        (2**64, ["0x1.cc0542cb8f230p-2", "0x1.906d382019ab4p-2",
+                 "0x1.276873df88cbbp-1", "0x1.28726b4e6dfb0p-2"]),
+    ],
+)
+def test_uniform_draws_keep_their_pinned_stream(seed, first_four):
+    # pinned here, not read from numpy, so no numpy release can move them
+    assert [float(u).hex() for u in uniform_draws(seed, (4,))] == first_four
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_uniform_draws_refuse_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        uniform_draws(seed, (3,))
+
+
+def test_characterize_probes_are_the_default_rng_uniforms():
+    rng = np.random.default_rng(97)
+    want = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(5)]
+    got = characterize._probe_velocities(3, 2)
+    assert len(got) == 5
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_no_module_draws_from_numpy_random():
+    # every sample comes from uniform_draws, whose stream no numpy release
+    # can move, and no command pays for importing numpy.random
+    named = re.compile(r"\b(np|numpy)\.random\b|from\s+numpy\s+import\s+[^\n]*\brandom\b")
+    paths = sorted((ROOT / "src" / "jetkcc").glob("*.py"))
+    assert len(paths) > 1
+    found = [
+        f"{path.name}:{number}"
+        for path in paths
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if named.search(line)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(
