@@ -27,6 +27,10 @@ creation order is topological.  Walks and constant folding read these
 fields instead of dispatching on the class; ``free_variables`` decodes the mask;
 ``differentiate`` does not enter a subtree whose mask lacks its variable
 (the derivative there is ``ZERO``); tapes are lowered by a sort on ``index``.
+The derivative rules are one table keyed by operator, ``_DERIVATIVE``, with
+a rule for each operator of the tape; an operator without one raises
+``KeyError``.  The smart constructors coerce only arguments that are not
+nodes already (``as_expr``).
 
 An indexed family of expressions (a system, a connection, an invariant) is
 nested tuples, built by ``nested`` from one entry function, frozen by
@@ -284,6 +288,7 @@ def _binary_node(op: str, left: Expression, right: Expression) -> Binary:
 
 ZERO = Num(0.0)
 ONE = Num(1.0)
+TWO = Num(2.0)
 PI = Const("pi")
 E = Const("e")
 
@@ -329,7 +334,7 @@ def as_expr(x) -> Expression:
 
 
 def neg(a) -> Expression:
-    a = as_expr(a)
+    a = a if isinstance(a, Expression) else as_expr(a)
     if isinstance(a, Unary) and a.op == "neg":
         return a.kids[0]
     if is_zero(a):
@@ -338,7 +343,8 @@ def neg(a) -> Expression:
 
 
 def add(a, b) -> Expression:
-    a, b = as_expr(a), as_expr(b)
+    a = a if isinstance(a, Expression) else as_expr(a)
+    b = b if isinstance(b, Expression) else as_expr(b)
     av, bv = a.lit, b.lit
     if av is None and bv is None:
         return _binary_node("+", a, b)
@@ -354,7 +360,8 @@ def add(a, b) -> Expression:
 
 
 def sub(a, b) -> Expression:
-    a, b = as_expr(a), as_expr(b)
+    a = a if isinstance(a, Expression) else as_expr(a)
+    b = b if isinstance(b, Expression) else as_expr(b)
     if a is b:
         # same node: difference is 0 wherever the operand is defined
         return ZERO
@@ -371,7 +378,8 @@ def sub(a, b) -> Expression:
 
 
 def mul(a, b) -> Expression:
-    a, b = as_expr(a), as_expr(b)
+    a = a if isinstance(a, Expression) else as_expr(a)
+    b = b if isinstance(b, Expression) else as_expr(b)
     av, bv = a.lit, b.lit
     if av is None and bv is None:
         return _binary_node("*", a, b)
@@ -400,7 +408,8 @@ def mul(a, b) -> Expression:
 
 
 def div(a, b) -> Expression:
-    a, b = as_expr(a), as_expr(b)
+    a = a if isinstance(a, Expression) else as_expr(a)
+    b = b if isinstance(b, Expression) else as_expr(b)
     av, bv = a.lit, b.lit
     if bv == 1.0:
         return a
@@ -416,7 +425,8 @@ def div(a, b) -> Expression:
 
 
 def pow_(a, b) -> Expression:
-    a, b = as_expr(a), as_expr(b)
+    a = a if isinstance(a, Expression) else as_expr(a)
+    b = b if isinstance(b, Expression) else as_expr(b)
     av, bv = a.lit, b.lit
     if bv == 1.0:
         return a
@@ -447,7 +457,7 @@ def _unary(op: str, a: Expression) -> Expression:
 
 def _function(op: str):
     def build(a) -> Expression:
-        return _unary(op, as_expr(a))
+        return _unary(op, a if isinstance(a, Expression) else as_expr(a))
 
     build.__name__ = build.__qualname__ = op
     return build
@@ -731,6 +741,9 @@ class Family(Frozen):
 # ---------------------------------------------------------------------------
 
 
+_BY_INDEX = operator.attrgetter("index")
+
+
 def _reachable(roots, enter=None) -> list:
     """Every node the roots reach, in creation (so topological) order: the
     one walk of the DAG, so each pass is a loop over this list that reads a
@@ -738,12 +751,13 @@ def _reachable(roots, enter=None) -> list:
     only where ``enter(kid)`` holds; the roots are always listed."""
     seen = set(roots)
     stack = list(seen)
+    see, push, pop = seen.add, stack.append, stack.pop
     while stack:
-        for kid in stack.pop().kids:
+        for kid in pop().kids:
             if kid not in seen and (enter is None or enter(kid)):
-                seen.add(kid)
-                stack.append(kid)
-    return sorted(seen, key=operator.attrgetter("index"))
+                see(kid)
+                push(kid)
+    return sorted(seen, key=_BY_INDEX)
 
 
 def _bottom_up(root: Expression, compute):
@@ -874,6 +888,40 @@ _BINARY_ARRAY = {
 }
 
 
+def _product_rule(f, l, r, dl, dr):
+    if dl is ZERO or dr is ZERO:  # the full rule adds ZERO to the other term
+        return mul(l, dr) if dl is ZERO else mul(dl, r)
+    return add(mul(dl, r), mul(l, dr))
+
+
+def _power_rule(f, l, r, dl, dr):
+    if r.lit is not None:  # a literal exponent: its derivative is ZERO
+        return mul(mul(r, pow_(l, num(r.lit - 1.0))), dl)
+    # general u^w: u^w * (dw*log(u) + w*du/u)
+    return mul(f, add(mul(dr, log(l)), mul(r, div(dl, l))))
+
+
+# the derivative of an operation node f from f, its operands and their
+# derivatives (``differentiate`` calls it only when those are not all ZERO):
+# one rule per operator of the tape
+_DERIVATIVE = {
+    "neg": lambda f, a, da: neg(da),
+    "sin": lambda f, a, da: mul(cos(a), da),
+    "cos": lambda f, a, da: neg(mul(sin(a), da)),
+    "tan": lambda f, a, da: mul(add(ONE, pow_(tan(a), TWO)), da),
+    "exp": lambda f, a, da: mul(f, da),
+    "log": lambda f, a, da: div(da, a),
+    "sqrt": lambda f, a, da: div(da, mul(TWO, f)),
+    "sinh": lambda f, a, da: mul(cosh(a), da),
+    "cosh": lambda f, a, da: mul(sinh(a), da),
+    "+": lambda f, l, r, dl, dr: add(dl, dr),
+    "-": lambda f, l, r, dl, dr: sub(dl, dr),
+    "*": _product_rule,
+    "/": lambda f, l, r, dl, dr: div(sub(mul(dl, r), mul(l, dr)), pow_(r, TWO)),
+    "^": _power_rule,
+}
+
+
 def _variable_power(a, b):
     """``a ^ b`` for an exponent that depends on jet variables.  A float
     exponent of 2, -1 or 0.5 takes a NumPy fast path that rounds unlike the
@@ -978,7 +1026,9 @@ def _scan(roots, values, bindings: Bindings):
     floats at one point, else arrays or scalars of the batch shape, each
     tested for finiteness alone.  One tape of every node, lowered from the
     one walk that lists them, runs over those points only (on floats at one
-    point)."""
+    point).  A point whose inputs are all finite has an origin; one with a
+    non-finite input is walked only if the table shows an origin there,
+    which is tested for all such points at once."""
     shape = _batch_shape(bindings)
     if shape is None:
         bad = [] if all(map(math.isfinite, values)) else [0]
@@ -997,7 +1047,16 @@ def _scan(roots, values, bindings: Bindings):
         bindings = Bindings(bindings.m, bindings.n, flat)
     nodes = _reachable(roots)
     table = dict(zip(nodes, _Tape(nodes, nodes).run(bindings)))
-    for k in range(len(bad)):
+    walked = np.ones(len(bad), dtype=bool)  # points whose inputs are finite
+    for v in bindings.values.values():
+        walked &= np.isfinite(v)
+    if not walked.all():  # a point with a non-finite input may have no origin
+        finite = {node: np.isfinite(v) for node, v in table.items()}
+        for node in nodes:
+            if node.kids:
+                a, b = node.kids[0], node.kids[-1]
+                walked |= ~finite[node] & finite[a] & finite[b]
+    for k in np.flatnonzero(walked):
 
         def value(node):  # a 0-d array comes from a one-point variable power
             v = table[node]
@@ -1101,7 +1160,9 @@ def differentiate(e: Expression, var) -> Expression:
     All jet variables are independent coordinates here: d v1_1/d x1 == 0.
     Results come out pre-simplified (built through the smart constructors).
     The walk does not enter a subtree whose mask lacks the variable: its
-    derivative is ``ZERO``, which the full rules give there too.
+    derivative is ``ZERO``, which the full rules give there too.  A node
+    whose operands' derivatives are all ``ZERO`` gets ``ZERO``; any other
+    gets the rule of its operator in ``_DERIVATIVE``.
     """
     vid = var.vid if isinstance(var, Var) else var
     if not isinstance(vid, VariableId):
@@ -1111,58 +1172,23 @@ def differentiate(e: Expression, var) -> Expression:
         return ZERO
     memo = _DERIVATIVES.setdefault(vid, {})
     if e not in memo:
+        known = memo.get  # the memo holds only nodes that depend on the variable
         for node in _reachable([e], lambda k: k.mask & bit and k not in memo):
-            kids = [memo[k] if k.mask & bit else ZERO for k in node.kids]
-            memo[node] = _derivative(node, kids)
+            kids = node.kids
+            if not kids:
+                memo[node] = ONE  # the variable itself
+            elif len(kids) == 1:
+                a = kids[0]
+                da = known(a, ZERO)
+                memo[node] = ZERO if da is ZERO else _DERIVATIVE[node.op](node, a, da)
+            else:
+                l, r = kids
+                dl, dr = known(l, ZERO), known(r, ZERO)
+                memo[node] = (
+                    ZERO if dl is ZERO and dr is ZERO
+                    else _DERIVATIVE[node.op](node, l, r, dl, dr)
+                )
     return memo[e]
-
-
-def _derivative(node: Expression, kids: list) -> Expression:
-    """The derivative of ``node`` (which depends on the variable) from its
-    children's derivatives ``kids``."""
-    if not kids:
-        return ONE  # the variable itself
-    if kids[0] is ZERO and kids[-1] is ZERO:
-        return ZERO  # constant in the variable, like a subtree the walk skips
-    op = node.op
-    if len(kids) == 1:
-        (da,) = kids
-        (a,) = node.kids
-        if op == "neg":
-            return neg(da)
-        if op == "sin":
-            return mul(cos(a), da)
-        if op == "cos":
-            return neg(mul(sin(a), da))
-        if op == "tan":
-            return mul(add(ONE, pow_(tan(a), 2.0)), da)
-        if op == "exp":
-            return mul(node, da)
-        if op == "log":
-            return div(da, a)
-        if op == "sqrt":
-            return div(da, mul(2.0, node))
-        if op == "sinh":
-            return mul(cosh(a), da)
-        return mul(sinh(a), da)  # cosh
-    dl, dr = kids
-    l, r = node.kids
-    if op == "+":
-        return add(dl, dr)
-    if op == "-":
-        return sub(dl, dr)
-    if op == "*":
-        if dl is ZERO or dr is ZERO:  # the full rule adds ZERO to the other term
-            return mul(l, dr) if dl is ZERO else mul(dl, r)
-        return add(mul(dl, r), mul(l, dr))
-    if op == "/":
-        return div(sub(mul(dl, r), mul(l, dr)), pow_(r, 2.0))
-    # power
-    rv = r.lit
-    if rv is not None:
-        return mul(mul(num(rv), pow_(l, num(rv - 1.0))), dl)
-    # general u^w: u^w * (dw*log(u) + w*du/u)
-    return mul(node, add(mul(dr, log(l)), mul(r, div(dl, l))))
 
 
 def fd_partial(e: Expression, var, bindings: Bindings, step: float = 1e-6):

@@ -649,11 +649,16 @@ def fifth_invariant(system: PdeSystem):
 
     Partial derivatives commute, so each distinct derivative triple is
     built once (in sorted order) and shared across all permutations of the
-    three (spatial, temporal) derivative pairs.
+    three (spatial, temporal) derivative pairs.  A block whose triples are
+    all ``ZERO`` (F^i_ab quadratic in v) is one shared all-``ZERO`` nesting.
     """
     m, n = system.m, system.n
     pairs = [(j, g) for j in range(n) for g in range(m)]
     vv = {p: ex.v_var(p[0] + 1, p[1] + 1) for p in pairs}
+    extents = (n, m, n, m, n, m)
+    zero_block = ex.ZERO
+    for extent in reversed(extents):
+        zero_block = (zero_block,) * extent
 
     def block_nested(i, a, b):
         base = system.component(i + 1, a + 1, b + 1)
@@ -668,11 +673,13 @@ def fifth_invariant(system: PdeSystem):
             for p3 in pairs:
                 if p3 >= p2:
                     d3[(p1, p2, p3)] = differentiate(e, vv[p3])
+        if all(d is ex.ZERO for d in d3.values()):
+            return zero_block
 
         def entry(j, g, k, e, l, u):
             return d3[tuple(sorted(((j, g), (k, e), (l, u))))]
 
-        return ex.nested((n, m, n, m, n, m), entry)
+        return ex.nested(extents, entry)
 
     return ex.nested((n, m, m), block_nested)
 

@@ -248,45 +248,38 @@ def jacobians(cc, p: JetPoint):
 
 
 @contextlib.contextmanager
-def _recorded_tapes(measure):
-    """A list that gets ``measure(tape, roots)`` of each tape lowered inside
-    the block."""
-    lowered = []
-    init = ex._Tape.__init__
+def recorded_calls(owner, name: str, record=lambda *args, **kwargs: args):
+    """A list that gets ``record(*args, **kwargs)`` of each call of the
+    attribute ``name`` of ``owner`` (a module or a class) made inside the
+    block, appended when the call returns; the call itself goes through."""
+    calls = []
+    real = getattr(owner, name)
 
-    def counted(self, roots, *nodes):
-        init(self, roots, *nodes)
-        lowered.append(measure(self, roots))
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(record(*args, **kwargs))
+        return result
 
-    with mock.patch.object(ex._Tape, "__init__", counted):
-        yield lowered
+    with mock.patch.object(owner, name, recorded):
+        yield calls
 
 
-@contextlib.contextmanager
 def reachable_walks():
     """A list that gets the root count of each walk of the DAG
     (``exprlang._reachable``) inside the block."""
-    walks = []
-    walk = ex._reachable
-
-    def counted(roots, enter=None):
-        walks.append(len(roots))
-        return walk(roots, enter)
-
-    with mock.patch.object(ex, "_reachable", counted):
-        yield walks
+    return recorded_calls(ex, "_reachable", lambda roots, enter=None: len(roots))
 
 
 def lowered_tapes():
     """A list that gets the root count of each tape lowered inside the block
     (a timing-free measure of how often evaluation starts over)."""
-    return _recorded_tapes(lambda tape, roots: len(roots))
+    return recorded_calls(ex._Tape, "__init__", lambda tape, roots, *_: len(roots))
 
 
 def lowered_slots():
     """A list that gets the slot count of each tape lowered inside the block
     (a timing-free measure of how much evaluation runs)."""
-    return _recorded_tapes(lambda tape, roots: len(tape.nodes))
+    return recorded_calls(ex._Tape, "__init__", lambda tape, *_: len(tape.nodes))
 
 
 def metric_fn(metric: MetricField):

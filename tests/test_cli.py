@@ -873,27 +873,19 @@ SPHERE_EQUATOR = {
 
 
 @pytest.mark.parametrize("samples", ["5", "50"])
-def test_jacobi_builds_once_whatever_the_number_of_t(tmp_path, monkeypatch, samples):
+def test_jacobi_builds_once_whatever_the_number_of_t(tmp_path, samples):
     # one pipeline, and one substitution per leaf (2 of the SODE residual and
     # 2 of the Jacobi residual on the 1x2 sphere), however many t are sampled
     import jetkcc.kcccore as kc
 
-    calls = {"pipelines": 0, "substitute": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    init = kc.InvariantPipeline.__init__
-    monkeypatch.setattr(kc.InvariantPipeline, "__init__", counted(init, "pipelines"))
-    monkeypatch.setattr(kc, "substitute", counted(ex.substitute, "substitute"))
     path = write_json(tmp_path, "sphere.json", SPHERE_EQUATOR)
-    code, report = run_cli(["check", "jacobi", path, "--samples", samples], tmp_path)
+    with support.recorded_calls(kc.InvariantPipeline, "__init__") as pipelines:
+        with support.recorded_calls(kc, "substitute") as substituted:
+            code, report = run_cli(
+                ["check", "jacobi", path, "--samples", samples], tmp_path
+            )
     assert code == 0 and len(report["points"]) == int(samples)
-    assert calls == {"pipelines": 1, "substitute": 4}
+    assert (len(pipelines), len(substituted)) == (1, 4)
 
 
 def test_jacobi_out_of_domain_section_is_exit_3(tmp_path, capsys):
@@ -1604,24 +1596,19 @@ def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     )
 
 
-def test_stress_report_formats_only_its_distinct_rows(tmp_path, monkeypatch):
+def test_stress_report_formats_only_its_distinct_rows(tmp_path):
     # 52 of the report's 92 component rows are not zero, and 20 of those
     # (R: 4, B: 16) are the bitwise negation of an earlier row: 32 rows are
     # formatted value by value, the mirrors and the zero rows not at all
-    formatted = []
-    real = cli._format_row
-
-    def counting(row, indent):
-        formatted.append(row.size)
-        return real(row, indent)
-
-    monkeypatch.setattr(cli, "_format_row", counting)
     args = [
         "invariants", str(PROBLEMS / "affine_curved.json"),
         "--which", "eps,P,R,B,D", "--samples", "2000", "--seed", "0",
         "--out", str(tmp_path / "stress.json"),
     ]
-    assert main(args) == 0
+    with support.recorded_calls(
+        cli, "_format_row", lambda row, indent: row.size
+    ) as formatted:
+        assert main(args) == 0
     assert formatted == [2000] * 32
 
 

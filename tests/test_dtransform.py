@@ -485,6 +485,20 @@ def test_fourth_invariant_build_memoizes_only_derivatives_that_can_be_nonzero():
     assert all(size <= 2400 for size in sizes), sizes
 
 
+def test_pushforward_build_coerces_only_numbers():
+    # a timing-free guard on the per-node cost of the build: from empty
+    # memos, the pushed pair's five families made 28,529 as_expr calls when
+    # every smart constructor coerced both arguments, and about 900 once
+    # only arguments that are not already nodes are coerced
+    with mock.patch.object(ex, "_DERIVATIVES", {}):
+        with support.recorded_calls(ex, "as_expr", lambda x: None) as calls:
+            h, _, system = affine_setup22()
+            pipe = InvariantPipeline(*pushforward_system(change22(), system, h))
+            for name in ("eps", "P", "R", "B", "D"):
+                pipe.expressions(name)
+    assert len(calls) <= 2000, len(calls)
+
+
 def test_third_invariant_build_memoizes_only_derivatives_it_reads():
     # R differentiates P only for j < k: 1,506 derivatives per velocity
     # variable, where all n*n*n*m entries of dP/dv memoized about 2,480

@@ -1054,6 +1054,13 @@ def test_mask_decodes_to_the_variables_of_the_walk(e):
             assert bin(node.mask).count("1") == isinstance(node, ex.Var)
 
 
+def test_every_tape_operator_has_one_derivative_rule():
+    # the rule table and the tape's operators name the same operators, so
+    # no operator is differentiated by another's rule
+    operators = set(ex._UNARY_ARRAY) | set(ex._BINARY_ARRAY)
+    assert set(ex._DERIVATIVE) == operators
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(e=SIGNED_EXPRESSIONS, second=st.integers(0, 7))
 def test_pruned_derivative_is_the_full_rule_node(e, second):
@@ -1114,7 +1121,10 @@ def test_overflow_beside_a_nan_input_raises_in_either_operand_order(src):
     e = parse(src, 1, 2)
     point = bnd(1, 2, x1=1e200, x2=math.nan)
     batch = Bindings.jet(1, 2, x=np.array([[0.5, 1e200], [1.0, math.nan]]))
-    for bindings in (point, batch):
+    # and after 1,999 points whose nan input makes no origin
+    late = np.stack([np.full(2000, 0.5), np.full(2000, math.nan)])
+    late[0, -1] = 1e200
+    for bindings in (point, batch, Bindings.jet(1, 2, x=late)):
         with pytest.raises(EvaluationError) as info:
             ex.evaluate(e, bindings)
         assert str(info.value) == "overflow in product in `x1*x1`"
@@ -1265,15 +1275,20 @@ def test_domain_error_walks_only_points_where_an_operation_left_its_domain():
     family = (parse("(1e200*x1)*x1", 1, 2), parse("log(x2)", 1, 2))
     x = np.stack([np.full(16_000, 1e200), np.linspace(0.5, 2.0, 16_000)])
     x[1, -1] = -1.0
-    calls = []
-    real = ex._domain_error
-
-    def counted(node, operands):
-        calls.append(node)
-        return real(node, operands)
-
-    with mock.patch.object(ex, "_domain_error", counted):
+    with support.recorded_calls(ex, "_domain_error", lambda node, _: node) as calls:
         with pytest.raises(EvaluationError) as info:
             ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
     assert calls == [parse("1e200*x1", 1, 2)]
     assert str(info.value) == "overflow in product in `1e+200*x1`"
+
+
+def test_nan_inputs_without_an_origin_are_not_walked():
+    # x1 = nan at all 2,000 points makes every entry nan, but no operation
+    # left its domain or overflowed: the bulk origin test over the scan's
+    # table finds none, so no point is walked back and the nan propagates
+    family = tuple(parse(f"x1*x2 + sin(x1 + {k})", 1, 2) for k in range(8))
+    x = np.stack([np.full(2000, math.nan), np.linspace(0.5, 2.0, 2000)])
+    with support.recorded_calls(ex, "_domain_error") as calls:
+        got = ex.evaluate_nested(family, Bindings.jet(1, 2, x=x))
+    assert got.shape == (8, 2000) and np.isnan(got).all()
+    assert calls == []
