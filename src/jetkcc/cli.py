@@ -60,6 +60,7 @@ from .characterize import (
 )
 
 DEFAULT_SAMPLES = 20
+MAX_SAMPLES = 1_000_000  # --samples above it is a usage error
 DEFAULT_SEED = 0
 DEFAULT_T_BOX = (-1.0, 1.0)
 DEFAULT_X_BOX = (-1.0, 1.0)
@@ -957,8 +958,8 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low`` (else a usage error)."""
+def _int_at_least(low: int, high: float = math.inf):
+    """An argparse type: an integer from ``low`` to ``high`` (else a usage error)."""
 
     def parse(text: str) -> int:
         try:
@@ -967,6 +968,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -998,35 +1001,101 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_sampling(parser):
-    parser.add_argument(
-        "--samples",
-        type=_int_at_least(1),
-        default=None,
-        metavar="N",
-        help="number of random jet points to draw",
-    )
-    parser.add_argument(
-        "--seed",
-        type=_int_at_least(0),
-        default=DEFAULT_SEED,
-        metavar="S",
-        help="rng seed for sampling (always recorded in the report)",
-    )
+_PROBLEM = {"problem": dict(help="problem JSON file")}
+_SAMPLING = {
+    "--samples": dict(type=_int_at_least(1, MAX_SAMPLES), default=None, metavar="N",
+                      help="number of random jet points to draw"),
+    "--seed": dict(type=_int_at_least(0), default=DEFAULT_SEED, metavar="S",
+                   help="rng seed for sampling (always recorded in the report)"),
+}
+_OUT = {"--out": dict(default=None, metavar="FILE",
+                      help="write the report here instead of stdout")}
+
+# The one grammar of the command line: each command path's help, handler and
+# arguments (names and flags with their add_argument keywords, in help order).
+_COMMANDS = {
+    ("invariants",): ("evaluate invariants at jet points", _cmd_invariants, {
+        **_PROBLEM,
+        "--which": dict(default=",".join(INVARIANT_NAMES), help=(
+            "comma-separated selectors from eps,P,R,B,D (default: all)")),
+        "--points": dict(default=None, metavar="FILE", help="JSON file of jet points"),
+        **_SAMPLING, **_OUT}),
+    ("check", "transform"): (
+        "two-path tensor-law check under a coordinate change", _cmd_check_transform,
+        {**_PROBLEM, "change": dict(help="coordinate-change JSON file"), **_SAMPLING,
+         "--tol": dict(type=_tolerance, default=1e-6, help="pass tolerance"), **_OUT}),
+    ("check", "fd"): (
+        "symbolic derivatives of F vs central finite differences", _cmd_check_fd,
+        {**_PROBLEM,
+         "--step": dict(type=_step_size, default=1e-5, help="finite-difference step"),
+         "--tol": dict(type=_tolerance, default=1e-5, help="pass tolerance"),
+         **_SAMPLING, **_OUT}),
+    ("check", "jacobi"): (
+        "residual of the deviation form along the file's section", _cmd_check_jacobi,
+        {"problem": dict(help="problem JSON file (needs section/variation)"),
+         "--tol": dict(type=_tolerance, default=1e-6, help="pass tolerance"),
+         **_SAMPLING, **_OUT}),
+    ("characterize",): (
+        "extract connection and coupling coefficients at a base point",
+        _cmd_characterize,
+        {**_PROBLEM, "--base": dict(required=True, help=(
+            "comma-separated base coordinates: m time values then n space values")),
+         **_OUT}),
+    ("nullspace",): (
+        "null space of the coupling constraint system for a temporal metric",
+        _cmd_nullspace,
+        {"metric": dict(help="metric JSON file with 'temporal_metric' rows"),
+         "--t": dict(required=True, help="comma-separated time coordinates"),
+         "--m": dict(type=int, default=None, help="number of times (cross-checked)"),
+         **_OUT}),
+}
+_GROUP_HELP = {"check": "consistency checks"}
 
 
-def _add_out(parser):
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the report here instead of stdout",
-    )
+def _table_parse(argv: list) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` of a well-formed command line, read
+    from ``_COMMANDS``; None, for argparse to decide, on help, ``--``, an
+    abbreviated, unknown, repeated or missing option, a missing or refused value,
+    a space-form value or positional starting with ``-``, a wrong command or count."""
+    path = next((p for p in _COMMANDS if tuple(argv[: len(p)]) == p), None)
+    if path is None:
+        return None
+    _, handler, arguments = _COMMANDS[path]
+    positionals, given = [], {}
+    tokens = iter(argv[len(path) :])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a missing value declines as one
+            if value.startswith("-"):  # argparse's option rules decide it
+                return None
+        if flag not in arguments or flag in given or value == "--":
+            return None
+        given[flag] = value
+    names = [name for name in arguments if not name.startswith("-")]
+    required = {flag for flag, kw in arguments.items() if kw.get("required")}
+    if len(positionals) != len(names) or not given.keys() >= required:
+        return None
+    fields = {"command": path[0], "handler": handler, **dict(zip(names, positionals))}
+    fields.update({f"{word}_command": name for word, name in zip(path, path[1:])})
+    try:
+        for flag, keywords in arguments.items():
+            if flag in given:
+                fields[flag[2:]] = keywords.get("type", str)(given[flag])
+            elif flag not in names:
+                fields[flag[2:]] = keywords.get("default")
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**fields)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use."""
+    """argparse's parser of ``_COMMANDS``, built on first use: it parses what
+    ``_table_parse`` declines and writes every help and usage text."""
     parser = argparse.ArgumentParser(
         prog="jetkcc",
         description=(
@@ -1034,86 +1103,17 @@ def build_parser() -> argparse.ArgumentParser:
             "jet spaces and run consistency checks, from JSON problem files."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    inv = sub.add_parser(
-        "invariants", help="evaluate invariants at jet points"
-    )
-    inv.add_argument("problem", help="problem JSON file")
-    inv.add_argument(
-        "--which",
-        default=",".join(INVARIANT_NAMES),
-        help="comma-separated selectors from eps,P,R,B,D (default: all)",
-    )
-    inv.add_argument(
-        "--points", default=None, metavar="FILE", help="JSON file of jet points"
-    )
-    _add_sampling(inv)
-    _add_out(inv)
-    inv.set_defaults(handler=_cmd_invariants)
-
-    chk = sub.add_parser("check", help="consistency checks")
-    chk_sub = chk.add_subparsers(dest="check_command", required=True)
-
-    tr = chk_sub.add_parser(
-        "transform", help="two-path tensor-law check under a coordinate change"
-    )
-    tr.add_argument("problem", help="problem JSON file")
-    tr.add_argument("change", help="coordinate-change JSON file")
-    _add_sampling(tr)
-    tr.add_argument("--tol", type=_tolerance, default=1e-6, help="pass tolerance")
-    _add_out(tr)
-    tr.set_defaults(handler=_cmd_check_transform)
-
-    fd = chk_sub.add_parser(
-        "fd", help="symbolic derivatives of F vs central finite differences"
-    )
-    fd.add_argument("problem", help="problem JSON file")
-    fd.add_argument(
-        "--step", type=_step_size, default=1e-5, help="finite-difference step"
-    )
-    fd.add_argument("--tol", type=_tolerance, default=1e-5, help="pass tolerance")
-    _add_sampling(fd)
-    _add_out(fd)
-    fd.set_defaults(handler=_cmd_check_fd)
-
-    jac = chk_sub.add_parser(
-        "jacobi",
-        help="residual of the deviation form along the file's section",
-    )
-    jac.add_argument("problem", help="problem JSON file (needs section/variation)")
-    jac.add_argument("--tol", type=_tolerance, default=1e-6, help="pass tolerance")
-    _add_sampling(jac)
-    _add_out(jac)
-    jac.set_defaults(handler=_cmd_check_jacobi)
-
-    ch = sub.add_parser(
-        "characterize",
-        help="extract connection and coupling coefficients at a base point",
-    )
-    ch.add_argument("problem", help="problem JSON file")
-    ch.add_argument(
-        "--base",
-        required=True,
-        help="comma-separated base coordinates: m time values then n space values",
-    )
-    _add_out(ch)
-    ch.set_defaults(handler=_cmd_characterize)
-
-    ns = sub.add_parser(
-        "nullspace",
-        help="null space of the coupling constraint system for a temporal metric",
-    )
-    ns.add_argument("metric", help="metric JSON file with 'temporal_metric' rows")
-    ns.add_argument(
-        "--t", required=True, help="comma-separated time coordinates"
-    )
-    ns.add_argument(
-        "--m", type=int, default=None, help="number of times (cross-checked)"
-    )
-    _add_out(ns)
-    ns.set_defaults(handler=_cmd_nullspace)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (text, handler, arguments) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in groups:  # added before its first command
+            sub = groups[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            dest = f"{group[0]}_command"
+            groups[group] = sub.add_subparsers(dest=dest, required=True)
+        leaf = groups[group].add_parser(path[-1], help=text)
+        for name, keywords in arguments.items():
+            leaf.add_argument(name, **keywords)
+        leaf.set_defaults(handler=handler)
     return parser
 
 
@@ -1137,8 +1137,8 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _table_parse(argv) or build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
         _emit(report, args.out)

@@ -1216,6 +1216,19 @@ def test_samples_below_one_is_usage_error(command, capsys):
 
 
 @SAMPLING_COMMANDS
+def test_samples_above_the_bound_is_usage_error(command, capsys):
+    # 2**63 and 10**20 ended in a traceback from jetgeom.uniform_draws; every
+    # count here is refused while parsing, so nothing is drawn
+    args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
+    for bad in (cli.MAX_SAMPLES + 1, 2**63, 10**20):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--samples", str(bad)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --samples: must be at most 1000000, got {bad}\n" in err
+
+
+@SAMPLING_COMMANDS
 def test_negative_seed_is_usage_error(command, capsys):
     # numpy rejects a negative seed: this ended in a traceback with exit 1
     args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
