@@ -381,46 +381,39 @@ def _list_layout(parts: list, indent: int) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(size: int, indent: int) -> str:
-    """``_list_layout`` of ``size`` finite floats as a ``%`` template
-    (``"%.17g" % x`` is ``format(x, ".17g")``): a finite float takes at
-    most 24 characters at 17 digits, so the layout depends on the count
-    alone."""
-    return _list_layout(["%.17g"] * size, indent)
-
-
-@functools.lru_cache(maxsize=64)
 def _zero_row(size: int, indent: int) -> str:
-    """``_row_template`` filled with ``size`` zeros."""
-    return _row_template(size, indent) % ((0.0,) * size)
+    """``_list_layout`` of ``size`` zeros."""
+    return _list_layout(["0"] * size, indent)
 
 
-def _format_row(row: np.ndarray, indent: int) -> str:
-    """A finite 1-D float array's text, formatted value by value."""
-    return _row_template(row.size, indent) % tuple(row.tolist())
+def _magnitude_texts(magnitudes: np.ndarray) -> list:
+    """``"%.17g"`` of each of a 1-D array of finite floats, in one fill."""
+    return ("%.17g\0" * magnitudes.size % tuple(magnitudes.tolist())).split("\0")[:-1]
 
 
-def _negated(text: str, indent: int) -> str:
-    """A finite row's text with each value's sign flipped (``"%.17g"`` of -x
-    is ``"-"`` + that of x); values follow "[", ", " or the inner indent."""
-    if text[1] == "\n":  # one value per line
-        lead = "\n" + "  " * (indent + 1)
-        return text.replace(lead, lead + "-").replace("--", "")
-    return ("[-" + text[1:].replace(" ", " -")).replace("--", "")
-
-
-def _render_row(row: np.ndarray, indent: int, seen: dict) -> str:
-    """A 1-D float array, as ``render_json`` renders the list of its values."""
-    row = row.astype(float, copy=False)  # "%.17g" reads a float64 anyway
-    if not row.any() and not np.signbit(row).any():  # all +0.0, so no -0
-        return _zero_row(row.size, indent)
-    if not np.isfinite(row).all():
-        return _list_layout([_fmt_float(u) for u in row.tolist()], indent)
-    key = (indent, row.tobytes())
-    if key not in seen:
-        mirror = seen.get((indent, (-row).tobytes()))
-        seen[key] = _negated(mirror, indent) if mirror else _format_row(row, indent)
-    return seen[key]
+def _render_rows(grid: np.ndarray, indent: int) -> list:
+    """The text of each row of a 2-D float array, as ``render_json`` renders
+    the list of its values: the cached zero row if all +0.0 (one test finds
+    those), value by value if one is not finite, else from its magnitude
+    group's texts, one per distinct magnitude, with a "-" where the sign bit
+    is set (``"%.17g"`` of -x is ``"-"`` + that of x, for -0.0 too)."""
+    grid = grid.astype(float, copy=False)  # "%.17g" reads a float64 anyway
+    texts = [_zero_row(grid.shape[1], indent)] * len(grid)
+    groups: dict = {}
+    for k in np.flatnonzero(grid.any(axis=1) | np.signbit(grid).any(axis=1)).tolist():
+        if np.isfinite(grid[k]).all():
+            groups.setdefault(np.abs(grid[k]).tobytes(), []).append(k)
+        else:
+            texts[k] = _list_layout([_fmt_float(u) for u in grid[k].tolist()], indent)
+    while groups:  # popped: a group's key is freed once its rows are written
+        key, members = groups.popitem()
+        magnitudes, inverse = np.unique(np.frombuffer(key), return_inverse=True)
+        plain = _magnitude_texts(magnitudes)
+        table = np.array([plain, ["-" + t for t in plain]], object)
+        signs = np.signbit(grid[members]).view(np.int8)
+        for k, parts in zip(members, table[signs, inverse].tolist()):
+            texts[k] = _list_layout(parts, indent)
+    return texts
 
 
 class Records(dict):
@@ -430,15 +423,14 @@ class Records(dict):
     lists of w values (r, w <= 12)."""
 
 
-def _render_records(columns: Records, indent: int, out: list, seen: dict) -> None:
+def _render_records(columns: Records, indent: int, out: list) -> None:
     """Append the text of the list of ``columns``' records, as ``_render``
     renders their dicts: one ``%`` template per record layout, one fill.  A
     list of at most 12 ints or floats is inline (a float takes at most 24
     characters at 17 digits), and a list of lists is inline unless one of its
     lists, ``"[" + ", ".join(parts) + "]"``, is 25 characters or longer.  A
-    longer float row breaks: its text comes from ``_render_row``, or is the
-    cached zero row (all-+0.0 rows are found in one test), and is appended
-    by reference between the filled heads."""
+    longer float row breaks: its text comes from ``_render_rows`` and is
+    appended by reference between the filled heads."""
     count = len(next(iter(columns.values())))
     inner = "  " * (indent + 2)
     heads, fills, layout, rows = [], [], 0, []
@@ -450,10 +442,7 @@ def _render_records(columns: Records, indent: int, out: list, seen: dict) -> Non
             fills.append(col)
         elif col.ndim == 2 and width > 12:
             heads.append((head + "\0",) * 2)
-            texts = [_zero_row(width, indent + 2)] * count
-            for k in np.flatnonzero(col.any(axis=1) | np.signbit(col).any(axis=1)):
-                texts[k] = _render_row(col[k], indent + 2, seen)
-            rows.append(texts)
+            rows.append(_render_rows(col, indent + 2))
         else:
             flat = col.ravel().tolist()
             texts = (
@@ -488,16 +477,16 @@ def render_json(value, indent: int = 0) -> str:
     insertion order (construction order is itself deterministic).  A 1-D
     float array renders as the list of its values, a JetPointSet as the list
     of its points' {"t", "x", "v"} dicts and a Records as the list of its
-    record dicts.  The text is joined once.  A finite row bitwise equal (as
-    float64s) to an earlier one at the same indent reuses its text, or flips
-    each value's sign in it if equal to its negation."""
+    record dicts.  The text is joined once.  Float rows come from
+    ``_render_rows``: the rows of one array with the same magnitudes share one
+    text per distinct magnitude, with a "-" where a value's sign bit is set."""
     out: list = []
-    _render(value, indent, out, {})
+    _render(value, indent, out)
     return "".join(out)
 
 
-def _render(value, indent: int, out: list, seen: dict) -> None:
-    """Append the text of ``value`` to ``out``; ``seen`` is the row memo."""
+def _render(value, indent: int, out: list) -> None:
+    """Append the text of ``value`` to ``out``."""
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -512,7 +501,7 @@ def _render(value, indent: int, out: list, seen: dict) -> None:
         start = len(out)
         for v in value:
             out.append("")  # v's separator, set below; no other fragment is ""
-            _render(v, indent + 1, out, seen)
+            _render(v, indent + 1, out)
         if len(out) - start == 2 * len(value):  # one fragment per item
             out[start:] = [_list_layout(out[start + 1 :: 2], indent)]
         else:  # an item holds a dict, so it spans lines: one item per line
@@ -521,18 +510,18 @@ def _render(value, indent: int, out: list, seen: dict) -> None:
             out[start] = "[" + inner
             out.append("\n" + "  " * indent + "]")
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        out.append(_render_row(value, indent, seen))
+        out.append(_render_rows(value[None], indent)[0])
     elif isinstance(value, Records):
-        _render_records(value, indent, out, seen)
+        _render_records(value, indent, out)
     elif isinstance(value, JetPointSet):
         points = Records(t=value.t.T, x=value.x.T, v=np.moveaxis(value.v, -1, 0))
-        _render_records(points, indent, out, seen)
+        _render_records(points, indent, out)
     elif isinstance(value, dict):
         inner = "\n" + "  " * (indent + 1)
         sep, rest = "{" + inner, "," + inner
         for k, v in value.items():
             out.append(f"{sep}{json.encoder.encode_basestring_ascii(str(k))}: ")
-            _render(v, indent + 1, out, seen)
+            _render(v, indent + 1, out)
             sep = rest
         out.append("\n" + "  " * indent + "}" if value else "{}")
     else:
@@ -1001,6 +990,16 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+class _Store(argparse.Action):
+    """argparse's store action, except that the ``[]`` Python 3.11's argparse
+    makes of an ``=``-form value ``--`` (``--out=--``) is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 _PROBLEM = {"problem": dict(help="problem JSON file")}
 _SAMPLING = {
     "--samples": dict(type=_int_at_least(1, MAX_SAMPLES), default=None, metavar="N",
@@ -1112,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
             groups[group] = sub.add_subparsers(dest=dest, required=True)
         leaf = groups[group].add_parser(path[-1], help=text)
         for name, keywords in arguments.items():
-            leaf.add_argument(name, **keywords)
+            leaf.add_argument(name, action=_Store, **keywords)
         leaf.set_defaults(handler=handler)
     return parser
 

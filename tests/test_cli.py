@@ -1508,8 +1508,8 @@ def test_render_json_reused_and_negated_rows_match_per_element_renderer(
 
 
 def test_render_json_rows_with_equal_bytes_and_other_values_do_not_share_text():
-    # a row is reused by the bytes of its values as float64s: the same bytes
-    # read as float32s, or in the other byte order, are other values
+    # rows are grouped by the bytes of their magnitudes as float64s: the same
+    # bytes read as float32s, or in the other byte order, are other values
     row = np.array([1.5, -2.0, 1e-300])
     swapped = row.astype(">f8").view("<f8")
     rows = [row, row.view(np.float32), swapped, -swapped, row.astype(">f8")]
@@ -1580,6 +1580,53 @@ def test_render_json_component_records_match_per_component_dicts(
     )
 
 
+# magnitudes whose texts run from 1 to 23 characters, 24 with a "-"
+_MAGNITUDES = [
+    0.0, 5e-324, 1.0, 0.5, 3.0, 123456.78901234567, 1.2345678901234567e-05,
+    2.2250738585072014e-308, 1.7976931348623157e+308,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=30),  # values per row
+    st.integers(min_value=0, max_value=4),
+)
+def test_rows_sharing_magnitudes_match_per_element_renderer(data, width, indent):
+    # rows drawn from a few magnitude rows with random signs (so -0.0 too):
+    # many rows share their magnitudes and some mirror each other, and a few
+    # hold a non-finite value; each renders as a Records column and bare
+    magnitude_rows = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(_MAGNITUDES), min_size=width, max_size=width),
+            min_size=1, max_size=3,
+        )
+    )
+    signs = st.lists(st.booleans(), min_size=width, max_size=width)
+    picks = data.draw(
+        st.lists(st.tuples(st.sampled_from(magnitude_rows), signs), min_size=1, max_size=8)
+    )
+    rows = np.array([np.where(neg, -np.array(mag), mag) for mag, neg in picks])
+    for k, column, value in data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(rows) - 1), st.integers(0, width - 1),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
+            max_size=2,
+        )
+    ):
+        rows[k, column] = value
+    index = np.arange(len(rows)).reshape(-1, 1) + 1
+    report = {"rows": list(rows), "components": Records(index=index, values=rows)}
+    plain = {
+        "rows": rows.tolist(),
+        "components": [{"index": [k + 1], "values": r.tolist()} for k, r in enumerate(rows)],
+    }
+    assert render_json(report, indent) == _oracle_render(plain, indent)
+
+
 def test_render_json_empty_records_and_scalar_columns():
     # characterize's coefficient rows: one float per record, and no records
     # when no coupling exists
@@ -1611,18 +1658,21 @@ def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
 
 def test_stress_report_formats_only_its_distinct_rows(tmp_path):
     # 52 of the report's 92 component rows are not zero, and 20 of those
-    # (R: 4, B: 16) are the bitwise negation of an earlier row: 32 rows are
-    # formatted value by value, the mirrors and the zero rows not at all
+    # (R: 4, B: 16) are the bitwise negation of another row: 32 groups of
+    # rows with the same magnitudes, which hold 34,649 distinct magnitudes
+    # among their 64,000 values (the eps rows and half of the B rows are
+    # rounding noise near 1e-17); the mirrors and zero rows format nothing
     args = [
         "invariants", str(PROBLEMS / "affine_curved.json"),
         "--which", "eps,P,R,B,D", "--samples", "2000", "--seed", "0",
         "--out", str(tmp_path / "stress.json"),
     ]
     with support.recorded_calls(
-        cli, "_format_row", lambda row, indent: row.size
+        cli, "_magnitude_texts", lambda magnitudes: magnitudes.size
     ) as formatted:
         assert main(args) == 0
-    assert formatted == [2000] * 32
+    assert len(formatted) == 32
+    assert sum(formatted) == 34_649
 
 
 def _gen44() -> dict:
@@ -1647,7 +1697,7 @@ COUNTING_CHILD = """
 import collections, json, sys
 import jetkcc.cli as cli
 calls = collections.Counter()
-for name in ("_format_row", "_render"):
+for name in ("_magnitude_texts", "_render"):
     def counting(*args, _real=getattr(cli, name), _name=name):
         calls[_name] += 1
         return _real(*args)
@@ -1659,8 +1709,8 @@ print(json.dumps(dict(calls, code=code)))
 
 def test_gen44_report_renders_each_distinct_row_once(tmp_path):
     # D of gen44 at 20 samples: 262,144 components, 64 not zero and one
-    # distinct node, so one or two rows are formatted, and the components
-    # render as one record list instead of one _render call per value.  The
+    # distinct node, so the rows form one or two magnitude groups, and the
+    # components render as one record list, not one _render call per value.  The
     # 105 MB report is the one the per-component renderer wrote
     problem = tmp_path / "gen44.json"
     problem.write_text(json.dumps(_gen44(), indent=1), encoding="utf-8")
@@ -1676,7 +1726,7 @@ def test_gen44_report_renders_each_distinct_row_once(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     out.unlink()
     assert calls["code"] == 0
-    assert calls["_format_row"] <= 2
+    assert calls["_magnitude_texts"] <= 2
     assert calls["_render"] <= 300
     assert digest == "de122b398f6dc3e8ddf9178776de8d17362c7f604bbd93dad523cc9ee5cdc859"
 

@@ -6,7 +6,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -195,3 +197,56 @@ def test_well_formed_commands_build_no_parser(tmp_path, monkeypatch, capsys):
     finally:
         cli.build_parser.cache_clear()
     capsys.readouterr()
+
+
+# imports jetkcc.cli, then runs each argv of the JSON list in argv[1] through
+# main and prints, per command, the modules it loaded beyond that import
+MODULES_CHILD = """
+import json, sys
+import jetkcc.cli as cli
+loaded = set(sys.modules)
+news = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    news.append([code, sorted(set(sys.modules) - loaded)])
+print(json.dumps(news))
+"""
+
+
+def test_commands_load_no_module_beyond_the_cli_import(tmp_path):
+    # a module imported lazily by a command (numpy.ma through one numpy call,
+    # say) would cost every run of that command its import
+    run = _bench_run()
+    argvs = [a for name, a in GOLDEN_COMMANDS.items() if name.startswith("readme_")]
+    argvs += [
+        cmd.argv for workload in run.WORKLOADS.values() for cmd in workload.commands(41)
+    ]
+    argvs = [a + ["--out", str(tmp_path / f"cmd{k}.json")] for k, a in enumerate(argvs)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_CHILD, json.dumps(argvs)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, []]] * len(argvs)
+
+
+def _dash_dash_cases():
+    """argv per (command path, option): the positionals and required options
+    filled in, and the option given as ``--option=--``."""
+    for path, (_, _, arguments) in cli._COMMANDS.items():
+        head = list(path) + ["p.json"] * sum(not a.startswith("-") for a in arguments)
+        required = [f for f, kw in arguments.items() if kw.get("required")]
+        for flag in arguments:
+            if flag.startswith("-"):
+                others = [f"{f}=1" for f in required if f != flag]
+                yield pytest.param(head + others + [f"{flag}=--"], flag, id=f"{path}{flag}")
+
+
+@pytest.mark.parametrize("argv, flag", list(_dash_dash_cases()))
+def test_dash_dash_value_is_a_usage_error(argv, flag):
+    # Python 3.11's argparse drops a "--" from an =-form value and leaves the
+    # option holding [], which no command can read
+    result = run_usage(argv)
+    assert result["code"] == 2 and result["stdout"] == ""
+    assert result["stderr"].endswith(f"error: argument {flag}: expected one argument\n")
