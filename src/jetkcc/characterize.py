@@ -194,6 +194,7 @@ def coupling_constraint_residual(
     what its first failing point raises alone (h, then the coupling field);
     a non-finite input propagates as nan."""
     m, n = coupling.m, coupling.n
+    require_metric(h, TEMPORAL, m)
     if m < 2:
         return 0.0
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)

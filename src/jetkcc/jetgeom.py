@@ -427,6 +427,7 @@ def canonical_temporal_connection(h: MetricField, n: int):
 
 def canonical_spatial_connection(phi: MetricField, m: int):
     """N0[i][a][j] = sum_r Gs^i_jr v^r_a."""
+    require_metric(phi, SPATIAL)
     n = phi.dim
     gs = christoffel_sym(phi)
     return ex.nested(
@@ -494,6 +495,7 @@ def canonical_tensors(h: MetricField, point: JetPoint):
     (spatial-up, temporal-down) signature; the second is h_ab * delta^i_j.
     """
     m, n = point.m, point.n
+    require_metric(h, TEMPORAL, m)
     c_val = DTensorValue(
         m,
         n,

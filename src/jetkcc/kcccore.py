@@ -4,13 +4,14 @@ Everything in this module is derived from a second-order system
 x''^i_ab + F^i_ab(t, x, v) = 0 together with a temporal metric h.  The
 central object is :class:`InvariantPipeline`, which builds the connection
 and the five deviation invariants of the pair symbolically exactly once
-and caches them.  Each module-level function along a section builds its
-family of jet expressions once per call, restricts it to the section's
-prolongation once and evaluates it at one t or at a batch of t.  After the
-build phase every cached expression is immutable, so point evaluation is
-pure and safe to run from multiple threads (a pipeline's memo of batch
-grids is keyed on one point set, so a race between threads can only repeat
-work).
+and caches them.  A quantity along a section (a covariant derivative, the
+linearized system, a residual) is a family of jet expressions, built by the
+pipeline or by ``variational_family``; ``on_section`` restricts a family to
+the section's prolongation once and evaluates it at one t or at a batch of
+t.  After the build phase every cached expression is immutable, so point
+evaluation is pure and safe to run from multiple threads (a pipeline's
+memo of batch grids is keyed on one point set, so a race between threads
+can only repeat work).
 """
 
 from __future__ import annotations
@@ -684,7 +685,7 @@ def fifth_invariant(system: PdeSystem):
     return ex.nested((n, m, m), block_nested)
 
 
-def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
+def on_section(family, sigma: SectionMap, t) -> np.ndarray:
     """Values of a nested family of jet expressions on the prolongation of
     sigma, as an array of the nesting's shape.
 
@@ -700,32 +701,6 @@ def _on_section(family, sigma: SectionMap, t) -> np.ndarray:
     return ex.evaluate_nested(leaves, Bindings.jet(sigma.m, sigma.n, t=t))
 
 
-def covariant_derivative_section(
-    T, system: PdeSystem, h: MetricField, sigma: SectionMap, t
-) -> np.ndarray:
-    """Values of the covariant derivative of T[i][a] along sigma at t.
-
-    T may depend on all jet variables; its plain derivative is taken as the
-    total derivative along the prolonged section (with x'' supplied by the
-    system), then the connection terms are added and everything is
-    restricted to the prolongation.
-    """
-    fam = InvariantPipeline(system, h).covariant_derivative_family(T)
-    return _on_section(fam, sigma, t)
-
-
-def covariant_derivative_variation(
-    xi: VariationField,
-    system: PdeSystem,
-    h: MetricField,
-    sigma: SectionMap,
-    t,
-) -> np.ndarray:
-    """Values of (grad xi)^i_a = d xi^i/d t^a + N^i_ar xi^r along sigma."""
-    fam = InvariantPipeline(system, h).variation_derivative(xi)
-    return _on_section(fam, sigma, t)
-
-
 def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
     """x''^i_ab + F^i_ab on the prolongation of sigma at t."""
     if sigma.m != system.m or sigma.n != system.n:
@@ -737,11 +712,14 @@ def sode_residual(system: PdeSystem, sigma: SectionMap, t) -> np.ndarray:
             system.component(i + 1, a + 1, b + 1),
         ),
     )
-    return _on_section(fam, sigma, t)
+    return on_section(fam, sigma, t)
 
 
-def _variational_family(system: PdeSystem, xi: VariationField):
-    """Jet expressions of the linearization of the system applied to xi."""
+def variational_family(system: PdeSystem, xi: VariationField):
+    """Jet expressions of the linearization of the system applied to xi:
+
+    xi''_ab + (dF^i_ab/dx^k) xi^k + (dF^i_ab/dv^r_u) dxi^r/dt^u.
+    """
     if xi.m != system.m or xi.n != system.n:
         raise ValueError("variation field dimensions do not match")
     m, n = system.m, system.n
@@ -763,29 +741,6 @@ def _variational_family(system: PdeSystem, xi: VariationField):
     return ex.nested((n, m, m), entry)
 
 
-def variational_residual(
-    system: PdeSystem, sigma: SectionMap, xi: VariationField, t
-) -> np.ndarray:
-    """Linearization of the system along sigma applied to xi:
-
-    xi''_ab + (dF^i_ab/dx^k) xi^k + (dF^i_ab/dv^r_u) dxi^r/dt^u,
-    with the F-derivatives restricted to the prolongation of sigma.
-    """
-    return _on_section(_variational_family(system, xi), sigma, t)
-
-
-def variational_residual_h_trace(
-    system: PdeSystem,
-    h: MetricField,
-    sigma: SectionMap,
-    xi: VariationField,
-    t,
-) -> np.ndarray:
-    """Metric trace h^{ab} of the full variational residual: n values."""
-    pipe = InvariantPipeline(system, h)
-    return _on_section(pipe.h_trace(_variational_family(system, xi)), sigma, t)
-
-
 def jacobi_identity_residual(
     system: PdeSystem,
     h: MetricField,
@@ -802,6 +757,7 @@ def jacobi_identity_residual(
     batch of t raises what its first failing t raises alone
     (``ex.by_point``).
     """
+    pipe = InvariantPipeline(system, h)
 
     def stages(t):
         h.evaluate(t)
@@ -811,8 +767,7 @@ def jacobi_identity_residual(
             k = off[0]
             at = t.reshape(len(t), -1)[:, k]
             raise SectionNotSolutionError(float(np.ravel(worst)[k]), SOLUTION_TOL, at)
-        family = InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi)
-        return _on_section(family, sigma, t)
+        return on_section(pipe.jacobi_lhs_minus_rhs(xi), sigma, t)
 
     t = np.asarray(t, dtype=float)
     return ex.by_point(stages, t, t.T if t.ndim > 1 else ())

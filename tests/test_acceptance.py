@@ -33,8 +33,8 @@ from jetkcc.kcccore import (
     Semispray,
     VariationField,
     connection_part_from_temporal_semispray,
-    covariant_derivative_section,
     jacobi_identity_residual,
+    on_section,
     sode_residual,
     spatial_semispray_from_connection,
     temporal_semispray_from_connection_part,
@@ -919,7 +919,7 @@ def test_criterion_10_jacobi_identity():
     )
     worst_display = 0.0
     for tval in (0.35, 1.2):
-        grad2 = covariant_derivative_section(first, geo, unit_h, equator, [tval])
+        grad2 = on_section(pipe.covariant_derivative_family(first), equator, [tval])
         p = equator.prolongation_point([tval])
         b = p.bindings()
         tb = Bindings.from_names(1, 2, {"t1": tval})

@@ -247,14 +247,19 @@ def _guard_cases():
     sigma = kcccore.SectionMap(2, (ex.ZERO, ex.ZERO))
     xi = kcccore.VariationField(2, (ex.ZERO, ex.ZERO))
     t = x = np.zeros(2)
+    point = JetPoint(t, x, np.zeros((2, 2)))
     change = dtransform.identity_change(2, 2)
     # need a temporal metric of dimension m = 2
     sized = {
         "pipeline": lambda g: kcccore.InvariantPipeline(system, g),
         "semispray": lambda g: kcccore.spatial_semispray_from_system(system, g),
-        "h-trace": lambda g: kcccore.variational_residual_h_trace(
+        "jacobi": lambda g: kcccore.jacobi_identity_residual(
             system, g, sigma, xi, t
         ),
+        "coupling-residual": lambda g: characterize.coupling_constraint_residual(
+            coupling, g, t, x
+        ),
+        "canonical-tensors": lambda g: canonical_tensors(g, point),
         "pushforward": lambda g: dtransform.pushforward_system(change, system, g),
         "build": lambda g: characterize.build_characterized_system(
             gamma, coupling, g
@@ -273,6 +278,7 @@ def _guard_cases():
         "temporal-semispray": (lambda g: canonical_temporal_semispray(g, 2), phi),
         "spatial-semispray": (lambda g: canonical_spatial_semispray(g, 2), h),
         "curvature": (curvature_sym, h),
+        "spatial-connection": (lambda g: canonical_spatial_connection(g, 2), h),
     }
     for name, (call, metric) in kinds.items():
         kind, other = (

@@ -31,17 +31,15 @@ from jetkcc.kcccore import (
     Semispray,
     VariationField,
     connection_part_from_temporal_semispray,
-    covariant_derivative_section,
-    covariant_derivative_variation,
     fifth_invariant,
     invariant_slots,
     jacobi_identity_residual,
+    on_section,
     sode_residual,
     spatial_semispray_from_connection,
     spatial_semispray_from_system,
     temporal_semispray_from_connection_part,
-    variational_residual,
-    variational_residual_h_trace,
+    variational_family,
 )
 
 
@@ -944,7 +942,8 @@ def test_grad_of_velocity_equals_first_invariant():
     sigma = SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))
     T = tuple(tuple(ex.v_var(i + 1, a + 1) for a in range(1)) for i in range(2))
     for tval in (0.0, 0.4, 1.3):
-        got = covariant_derivative_section(T, system, unit_h1(), sigma, [tval])
+        fam = InvariantPipeline(system, unit_h1()).covariant_derivative_family(T)
+        got = on_section(fam, sigma, [tval])
         want = pipe.evaluate("eps", sigma.prolongation_point([tval])).values
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -955,9 +954,8 @@ def test_grad_constant_flat_zero():
     T = tuple(
         tuple(ex.num(1.5 + i + a) for a in range(2)) for i in range(2)
     )
-    got = covariant_derivative_section(
-        T, system, support.flat_metric(ex.TEMPORAL, 2), sigma, [0.2, -0.7]
-    )
+    pipe = InvariantPipeline(system, support.flat_metric(ex.TEMPORAL, 2))
+    got = on_section(pipe.covariant_derivative_family(T), sigma, [0.2, -0.7])
     assert np.max(np.abs(got)) == 0.0
 
 
@@ -967,9 +965,8 @@ def test_grad_velocity_flat_linear_section_zero():
         2, (parse("0.3*t1 - t2", 2, 2), parse("1.2*t2 + 0.1", 2, 2))
     )
     T = tuple(tuple(ex.v_var(i + 1, a + 1) for a in range(2)) for i in range(2))
-    got = covariant_derivative_section(
-        T, system, support.flat_metric(ex.TEMPORAL, 2), sigma, [0.5, 0.25]
-    )
+    pipe = InvariantPipeline(system, support.flat_metric(ex.TEMPORAL, 2))
+    got = on_section(pipe.covariant_derivative_family(T), sigma, [0.5, 0.25])
     assert np.max(np.abs(got)) == 0.0
 
 
@@ -977,7 +974,8 @@ def test_grad_variation_zero_field():
     system, _ = sphere_pipeline()
     sigma = SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))
     xi = VariationField(1, (ex.ZERO, ex.ZERO))
-    got = covariant_derivative_variation(xi, system, unit_h1(), sigma, [0.3])
+    fam = InvariantPipeline(system, unit_h1()).variation_derivative(xi)
+    got = on_section(fam, sigma, [0.3])
     assert np.max(np.abs(got)) == 0.0
 
 
@@ -989,9 +987,8 @@ def test_grad_variation_affine_reduction():
     sigma = SectionMap(1, (parse("1.1 + 0.2*t1", 1, 2), parse("0.5*t1", 1, 2)))
     xi = VariationField(1, (parse("sin(t1)", 1, 2), parse("t1^2", 1, 2)))
     for tval in (0.1, 0.8):
-        got = covariant_derivative_variation(
-            xi, system, unit_h1(), sigma, [tval]
-        )
+        fam = InvariantPipeline(system, unit_h1()).variation_derivative(xi)
+        got = on_section(fam, sigma, [tval])
         p = sigma.prolongation_point([tval])
         b = p.bindings()
         tb = Bindings.from_names(1, 2, {"t1": tval})
@@ -1013,10 +1010,9 @@ def test_grad_variation_flat_linear_is_constant():
     system, _ = zero_system_flat()
     sigma = SectionMap(2, (parse("t1", 2, 2), parse("t2", 2, 2)))
     xi = VariationField(2, (parse("2*t1 - t2", 2, 2), parse("0.5*t2", 2, 2)))
+    pipe = InvariantPipeline(system, support.flat_metric(ex.TEMPORAL, 2))
     vals = [
-        covariant_derivative_variation(
-            xi, system, support.flat_metric(ex.TEMPORAL, 2), sigma, t
-        )
+        on_section(pipe.variation_derivative(xi), sigma, t)
         for t in ([0.0, 0.0], [0.7, -0.3], [-1.0, 1.0])
     ]
     for v in vals[1:]:
@@ -1073,7 +1069,7 @@ def test_variational_zero_field_and_flat_linear():
     zero_xi = VariationField(2, (ex.ZERO, ex.ZERO))
     lin_xi = VariationField(2, (parse("t1 - 2*t2", 2, 2), parse("3*t1", 2, 2)))
     for xi in (zero_xi, lin_xi):
-        got = variational_residual(system, sigma, xi, [0.3, 0.5])
+        got = on_section(variational_family(system, xi), sigma, [0.3, 0.5])
         assert np.max(np.abs(got)) == 0.0
 
 
@@ -1084,7 +1080,7 @@ def test_variational_sphere_jacobi_field():
     sigma = SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))
     xi = VariationField(1, (parse("sin(t1)", 1, 2), ex.ZERO))
     for tval in (0.0, 0.5, 1.4, 2.8):
-        got = variational_residual(system, sigma, xi, [tval])
+        got = on_section(variational_family(system, xi), sigma, [tval])
         assert np.max(np.abs(got)) <= 1e-8
 
 
@@ -1094,10 +1090,11 @@ def test_variational_h_trace_matches_numeric_trace():
     sigma = SectionMap(2, (parse("0.2*t1", 2, 2), parse("0.1*t2 + 0.4", 2, 2)))
     xi = VariationField(2, (parse("sin(t1)*t2", 2, 2), parse("t1^2", 2, 2)))
     t = [0.3, -0.6]
-    full = variational_residual(system, sigma, xi, t)
+    full = on_section(variational_family(system, xi), sigma, t)
     hinv = np.linalg.inv(h.evaluate(np.asarray(t)))
     want = np.einsum("ab,iab->i", hinv, full)
-    got = variational_residual_h_trace(system, h, sigma, xi, t)
+    traced = InvariantPipeline(system, h).h_trace(variational_family(system, xi))
+    got = on_section(traced, sigma, t)
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -1135,7 +1132,10 @@ def test_jacobi_equals_h_trace_variational_for_any_variation():
     )
     for tval in (0.25, 0.9, 1.7):
         jr = jacobi_identity_residual(system, unit_h1(), sigma, xi, [tval])
-        vr = variational_residual_h_trace(system, unit_h1(), sigma, xi, [tval])
+        traced = InvariantPipeline(system, unit_h1()).h_trace(
+            variational_family(system, xi)
+        )
+        vr = on_section(traced, sigma, [tval])
         assert np.max(np.abs(jr - vr)) <= 1e-10
 
 
@@ -1157,9 +1157,10 @@ def test_jacobi_affine_display_cross_check():
         for i in range(2)
     )
     for tval in (0.35, 1.2):
-        grad2 = covariant_derivative_section(
-            first, system, unit_h1(), sigma, [tval]
+        fam = InvariantPipeline(system, unit_h1()).covariant_derivative_family(
+            first
         )
+        grad2 = on_section(fam, sigma, [tval])
         p = sigma.prolongation_point([tval])
         b = p.bindings()
         tb = Bindings.from_names(1, 2, {"t1": tval})
@@ -1193,6 +1194,21 @@ def test_jacobi_batch_raises_at_the_first_failing_t():
     assert err.value.t == (0.7,)
 
 
+def test_jacobi_builds_one_pipeline_along_its_error_path():
+    # the batch fails at t = -0.9, then runs t by t up to it; every run
+    # shares the one pipeline built before the stages
+    system = PdeSystem.from_upper(1, 1, {(1, 1, 1): parse("x1", 1, 1)})
+    sigma = SectionMap(1, (parse("sin(t1)", 1, 1),))
+    xi = VariationField(1, (parse("log(t1 + 0.5)", 1, 1),))
+    with support.recorded_calls(InvariantPipeline, "__init__") as pipelines:
+        with pytest.raises(ex.EvaluationError) as err:
+            jacobi_identity_residual(
+                system, unit_h1(), sigma, xi, [[0.1, 0.2, -0.9, 0.3]]
+            )
+    assert str(err.value).startswith("log of non-positive value -0.4 in ")
+    assert len(pipelines) == 1
+
+
 def _section_cases():
     """(system, h, section, variation, T[i][a], batch of t) for the sphere
     equator and a flat linear section."""
@@ -1222,19 +1238,21 @@ def _section_cases():
     }
 
 
+# each quantity along a section: the two module functions, and the four
+# families the pipeline or variational_family builds, through on_section
 SECTION_FUNCTIONS = {
-    "covariant_derivative_section": lambda s, h, sig, xi, T, t: (
-        covariant_derivative_section(T, s, h, sig, t)
+    "covariant_derivative_section": lambda s, h, sig, xi, T, t: on_section(
+        InvariantPipeline(s, h).covariant_derivative_family(T), sig, t
     ),
-    "covariant_derivative_variation": lambda s, h, sig, xi, T, t: (
-        covariant_derivative_variation(xi, s, h, sig, t)
+    "covariant_derivative_variation": lambda s, h, sig, xi, T, t: on_section(
+        InvariantPipeline(s, h).variation_derivative(xi), sig, t
     ),
     "sode_residual": lambda s, h, sig, xi, T, t: sode_residual(s, sig, t),
-    "variational_residual": lambda s, h, sig, xi, T, t: (
-        variational_residual(s, sig, xi, t)
+    "variational_residual": lambda s, h, sig, xi, T, t: on_section(
+        variational_family(s, xi), sig, t
     ),
-    "variational_residual_h_trace": lambda s, h, sig, xi, T, t: (
-        variational_residual_h_trace(s, h, sig, xi, t)
+    "variational_residual_h_trace": lambda s, h, sig, xi, T, t: on_section(
+        InvariantPipeline(s, h).h_trace(variational_family(s, xi)), sig, t
     ),
     "jacobi_identity_residual": lambda s, h, sig, xi, T, t: (
         jacobi_identity_residual(s, h, sig, xi, t)
