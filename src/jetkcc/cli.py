@@ -552,15 +552,6 @@ def _emit(report: dict, out_path: str | None) -> None:
         raise InputError(f"cannot write '{where}': {err}") from err
 
 
-def _envelope(command: str, problem_sha: str) -> dict:
-    return {
-        "tool": "jetkcc",
-        "version": __version__,
-        "command": command,
-        "input_sha256": problem_sha,
-    }
-
-
 def _slot_labels(name: str) -> list:
     return [
         f"{s.kind}-{'up' if s.upper else 'down'}" for s in invariant_slots(name)
@@ -575,22 +566,6 @@ def _check(name: str, value: float, tolerance: float) -> dict:
         "tolerance": tolerance,
         "pass": value <= tolerance,
     }
-
-
-def _finish_checks(report: dict, checks: list) -> int:
-    """Attach check rows, print the first failure, return the exit code."""
-    report["checks"] = checks
-    ok = all(c["pass"] for c in checks)
-    report["pass"] = ok
-    if not ok:
-        first = next(c for c in checks if not c["pass"])
-        print(
-            f"check failed: {first['name']} "
-            f"(value {first['value']:.3e} > tolerance {first['tolerance']:.3e})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -678,19 +653,16 @@ def run_invariants(problem: ProblemFile, points, which: list) -> dict:
     return {"invariants": blocks}
 
 
-def _cmd_invariants(args) -> tuple[dict, int]:
+def _cmd_invariants(args) -> tuple[str, dict, list]:
     problem = load_problem(args.problem)
     which = _parse_which(args.which)
     points, meta = _select_points(problem, args)
-    report = _envelope("invariants", problem.sha256)
-    report["m"], report["n"] = problem.m, problem.n
-    report["which"] = which
-    report["seed"] = meta["seed"]
-    report["points"] = dict(meta, values=points)
-    report.update(run_invariants(problem, points, which))
-    report["checks"] = []
-    report["pass"] = True
-    return report, 0
+    fields = {"m": problem.m, "n": problem.n}
+    fields["which"] = which
+    fields["seed"] = meta["seed"]
+    fields["points"] = dict(meta, values=points)
+    fields.update(run_invariants(problem, points, which))
+    return problem.sha256, fields, []
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +681,7 @@ def _scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b) / scale))
 
 
-def _cmd_check_transform(args) -> tuple[dict, int]:
+def _cmd_check_transform(args) -> tuple[str, dict, list]:
     problem = load_problem(args.problem)
     cc, change_sha = load_change(args.change, problem.m, problem.n)
     points, meta = _select_points(problem, args)
@@ -725,14 +697,11 @@ def _cmd_check_transform(args) -> tuple[dict, int]:
         for name, (pushed, direct) in paths.items()
     ]
 
-    report = _envelope("check transform", problem.sha256)
-    report["change_sha256"] = change_sha
-    report["m"], report["n"] = problem.m, problem.n
-    report["seed"] = meta["seed"]
-    report["samples"] = meta["count"]
-    report["tolerance"] = args.tol
-    code = _finish_checks(report, checks)
-    return report, code
+    fields = {"change_sha256": change_sha, "m": problem.m, "n": problem.n}
+    fields["seed"] = meta["seed"]
+    fields["samples"] = meta["count"]
+    fields["tolerance"] = args.tol
+    return problem.sha256, fields, checks
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +709,7 @@ def _cmd_check_transform(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_fd(args) -> tuple[dict, int]:
+def _cmd_check_fd(args) -> tuple[str, dict, list]:
     problem = load_problem(args.problem)
     points, meta = _select_points(problem, args)
     step = args.step
@@ -769,17 +738,13 @@ def _cmd_check_fd(args) -> tuple[dict, int]:
                         )
                     )
 
-    report = _envelope("check fd", problem.sha256)
-    report["m"], report["n"] = problem.m, problem.n
-    report["seed"] = meta["seed"]
-    report["samples"] = meta["count"]
-    report["step"] = step
-    report["tolerance"] = args.tol
-    report["max_deviation"] = float(
-        np.max([c["value"] for c in checks], initial=0.0)
-    )
-    code = _finish_checks(report, checks)
-    return report, code
+    fields = {"m": problem.m, "n": problem.n}
+    fields["seed"] = meta["seed"]
+    fields["samples"] = meta["count"]
+    fields["step"] = step
+    fields["tolerance"] = args.tol
+    fields["max_deviation"] = float(np.max([c["value"] for c in checks], initial=0.0))
+    return problem.sha256, fields, checks
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +770,7 @@ def _coordinates(text: str, count: int, option: str, order: str = "") -> np.ndar
     return np.array(vals)
 
 
-def _cmd_characterize(args) -> tuple[dict, int]:
+def _cmd_characterize(args) -> tuple[str, dict, list]:
     problem = load_problem(args.problem)
     m, n = problem.m, problem.n
     base = _coordinates(args.base, m + n, "--base", " (t then x)")
@@ -830,16 +795,15 @@ def _cmd_characterize(args) -> tuple[dict, int]:
         ),
     ]
 
-    report = _envelope("characterize", problem.sha256)
-    report["m"], report["n"] = m, n
-    report["base"] = {"t": [float(u) for u in t], "x": [float(u) for u in x]}
-    report["spatial_coefficients"] = Records(
+    fields = {"m": m, "n": n}
+    fields["base"] = {"t": [float(u) for u in t], "x": [float(u) for u in x]}
+    fields["spatial_coefficients"] = Records(
         index=np.argwhere(upper) + 1, value=gamma[upper]
     )
-    report["coupling_coefficients"] = Records(
+    fields["coupling_coefficients"] = Records(
         index=np.argwhere(off) + 1, value=coupling[off]
     )
-    report["diagnostics"] = {
+    fields["diagnostics"] = {
         "fifth_invariant_max_abs": diag.fifth_max,
         "first_invariant_max_abs": diag.eps_max,
         "temporal_symmetry_residual": diag.symmetry_residual,
@@ -848,8 +812,7 @@ def _cmd_characterize(args) -> tuple[dict, int]:
         "spatial_coefficient_spread": diag.gamma_spread,
         "rebuild_residual": diag.rebuild_residual,
     }
-    code = _finish_checks(report, checks)
-    return report, code
+    return problem.sha256, fields, checks
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +820,7 @@ def _cmd_characterize(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_nullspace(args) -> tuple[dict, int]:
+def _cmd_nullspace(args) -> tuple[str, dict, list]:
     doc, digest = _read_json(args.metric)
     root = _require_dict(
         doc, "<root>", allowed=("m", "temporal_metric"), required=("temporal_metric",)
@@ -883,32 +846,29 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
     except ValueError as err:  # e.g. a single time: no constraint system
         raise InputError(str(err)) from err
 
-    report = _envelope("nullspace", digest)
-    report["m"] = m
-    report["t"] = [float(u) for u in t]
-    report["unknown_pairs"] = [list(p) for p in temporal_pairs(m)]
-    report["dimension"] = result.dimension
-    report["singular_values"] = [float(s) for s in result.singular_values]
-    report["basis"] = [
+    fields = {"m": m}
+    fields["t"] = [float(u) for u in t]
+    fields["unknown_pairs"] = [list(p) for p in temporal_pairs(m)]
+    fields["dimension"] = result.dimension
+    fields["singular_values"] = [float(s) for s in result.singular_values]
+    fields["basis"] = [
         {
             "components": [float(u) for u in vec],
             "residual": result.residual(vec),
         }
         for vec in result.basis
     ]
-    report["zero_vector_residual"] = result.residual(
+    fields["zero_vector_residual"] = result.residual(
         np.zeros(len(result.pairs))
     )
-    report["caveat"] = result.caveat
+    fields["caveat"] = result.caveat
     if result.caveat:
-        report["caveat_note"] = (
+        fields["caveat_note"] = (
             "with two times the constraints only force antisymmetry, so a "
             "one-dimensional family always exists; dimension counts for "
             "m = 2 say nothing about larger m"
         )
-    report["checks"] = []
-    report["pass"] = True
-    return report, 0
+    return digest, fields, []
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +876,7 @@ def _cmd_nullspace(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_jacobi(args) -> tuple[dict, int]:
+def _cmd_check_jacobi(args) -> tuple[str, dict, list]:
     problem = load_problem(args.problem)
     if problem.section is None or problem.variation is None:
         raise InputError(
@@ -931,15 +891,13 @@ def _cmd_check_jacobi(args) -> tuple[dict, int]:
         problem.system, problem.h, problem.section, problem.variation, t_points.T
     )
     worst = float(np.max(np.abs(resid)))
-    report = _envelope("check jacobi", problem.sha256)
-    report["m"], report["n"] = problem.m, problem.n
-    report["seed"] = args.seed
-    report["samples"] = count
-    report["tolerance"] = args.tol
-    report["points"] = Records(t=t_points, residual=resid.T)
+    fields = {"m": problem.m, "n": problem.n}
+    fields["seed"] = args.seed
+    fields["samples"] = count
+    fields["tolerance"] = args.tol
+    fields["points"] = Records(t=t_points, residual=resid.T)
     checks = [_check("deviation form of the variational equations", worst, args.tol)]
-    code = _finish_checks(report, checks)
-    return report, code
+    return problem.sha256, fields, checks
 
 
 # ---------------------------------------------------------------------------
@@ -1138,8 +1096,19 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _table_parse(argv) or build_parser().parse_args(argv)
+    # a handler returns (input digest, its own fields, its check rows); the
+    # envelope, "pass", the first failing row's line and the exit code are set here
     try:
-        report, code = args.handler(args)
+        sha, fields, checks = args.handler(args)
+        first = next((c for c in checks if not c["pass"]), None)
+        words = [args.command, getattr(args, "check_command", None)]
+        report = {"tool": "jetkcc", "version": __version__}
+        report.update(command=" ".join(filter(None, words)), input_sha256=sha)
+        report.update(fields, checks=checks)
+        report["pass"] = first is None
+        if first is not None:
+            msg = "check failed: {name} (value {value:.3e} > tolerance {tolerance:.3e})"
+            print(msg.format_map(first), file=sys.stderr)
         _emit(report, args.out)
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
@@ -1157,7 +1126,7 @@ def _main(argv) -> int:
     ) as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
-    return code
+    return 0 if first is None else 1
 
 
 if __name__ == "__main__":

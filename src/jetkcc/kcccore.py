@@ -515,17 +515,20 @@ class InvariantPipeline:
         return family
 
     def evaluate(self, name: str, point: JetPoint) -> DTensorValue:
-        """Components at one point; raises DegenerateMetricError where h is
-        degenerate, as ``evaluate_batch`` does."""
+        """Components at one point; raises a ValueError for a point of another
+        (m, n), then DegenerateMetricError where h is degenerate, as
+        ``evaluate_batch`` does."""
+        bindings = Bindings.jet(self.m, self.n, point.t, point.x, point.v)
         self.h.evaluate(point.t)
-        vals = ex.evaluate_nested(self.expressions(name), point.bindings())
+        vals = ex.evaluate_nested(self.expressions(name), bindings)
         return DTensorValue(self.m, self.n, invariant_slots(name), vals)
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
         """Read-only component grid with a trailing axis over the supplied
-        points.  The batch checks h, then evaluates, and raises what its
-        first failing point raises alone (``ex.by_point``): h's error there,
-        else the first failing leaf's domain error.
+        points.  The batch refuses a set of another (m, n) (a ValueError),
+        checks h, then evaluates, and raises what its first failing point
+        raises alone (``ex.by_point``): h's error there, else the first
+        failing leaf's domain error.
 
         The pipeline remembers one ``JetPointSet`` (by identity; its stacks
         are read-only) and the grids computed over it.  A call over a set it
@@ -541,6 +544,7 @@ class InvariantPipeline:
         points = point_set(points)
         remembered, grids = self._memo
         if points is not remembered or name not in grids:
+            Bindings.jet(self.m, self.n, points.t, points.x, points.v)  # (m, n) checked
             grids = self._grids(points)
             self._memo = (points, grids)  # one assignment: a race repeats work
         return grids[name]
@@ -757,7 +761,7 @@ def jacobi_identity_residual(
     batch of t raises what its first failing t raises alone
     (``ex.by_point``).
     """
-    pipe = InvariantPipeline(system, h)
+    family = InvariantPipeline(system, h).jacobi_lhs_minus_rhs(xi)
 
     def stages(t):
         h.evaluate(t)
@@ -767,7 +771,7 @@ def jacobi_identity_residual(
             k = off[0]
             at = t.reshape(len(t), -1)[:, k]
             raise SectionNotSolutionError(float(np.ravel(worst)[k]), SOLUTION_TOL, at)
-        return on_section(pipe.jacobi_lhs_minus_rhs(xi), sigma, t)
+        return on_section(family, sigma, t)
 
     t = np.asarray(t, dtype=float)
     return ex.by_point(stages, t, t.T if t.ndim > 1 else ())

@@ -1831,6 +1831,21 @@ def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
     )
 
 
+def test_failed_check_is_printed_before_an_unwritable_out_path(tmp_path, capsys):
+    # the first failing row's line comes first, then the write error, and the
+    # write error's exit code wins
+    out = tmp_path / "missing" / "x.json"
+    problem = str(PROBLEMS / "rotation_flow.json")
+    assert main(["check", "fd", problem, "--tol", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failed, write, *rest = captured.err.splitlines()
+    assert failed.startswith("check failed: dF[1,1,1]/dv2_1 vs central FD (value ")
+    assert failed.endswith(" > tolerance 0.000e+00)")
+    assert write.startswith(f"input error: cannot write '{out}': ")
+    assert rest == []
+
+
 def test_importing_the_cli_builds_no_dataclass():
     # every command pays for what its imports build; numpy, argparse, json
     # and hashlib do not load dataclasses, so only jetkcc code could

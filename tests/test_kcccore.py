@@ -1196,17 +1196,20 @@ def test_jacobi_batch_raises_at_the_first_failing_t():
 
 def test_jacobi_builds_one_pipeline_along_its_error_path():
     # the batch fails at t = -0.9, then runs t by t up to it; every run
-    # shares the one pipeline built before the stages
+    # shares the one pipeline and the one deviation family built before the
+    # stages
     system = PdeSystem.from_upper(1, 1, {(1, 1, 1): parse("x1", 1, 1)})
     sigma = SectionMap(1, (parse("sin(t1)", 1, 1),))
     xi = VariationField(1, (parse("log(t1 + 0.5)", 1, 1),))
-    with support.recorded_calls(InvariantPipeline, "__init__") as pipelines:
-        with pytest.raises(ex.EvaluationError) as err:
-            jacobi_identity_residual(
-                system, unit_h1(), sigma, xi, [[0.1, 0.2, -0.9, 0.3]]
-            )
+    with (
+        support.recorded_calls(InvariantPipeline, "__init__") as pipelines,
+        support.recorded_calls(InvariantPipeline, "jacobi_lhs_minus_rhs") as families,
+        pytest.raises(ex.EvaluationError) as err,
+    ):
+        jacobi_identity_residual(system, unit_h1(), sigma, xi, [[0.1, 0.2, -0.9, 0.3]])
     assert str(err.value).startswith("log of non-positive value -0.4 in ")
     assert len(pipelines) == 1
+    assert len(families) == 1
 
 
 def _section_cases():
@@ -1326,3 +1329,16 @@ def test_unknown_selector_and_dimension_mismatch():
         InvariantPipeline(system, unit_h1())
     with pytest.raises(ValueError):
         InvariantPipeline(system, support.flat_metric(ex.SPATIAL, 2))
+
+
+@pytest.mark.parametrize("method", ["evaluate", "evaluate_batch"])
+@pytest.mark.parametrize("m, n, block", [(1, 2, "x"), (2, 1, "t"), (2, 2, "t")])
+def test_pipeline_refuses_points_of_another_jet_space(method, m, n, block):
+    # an n = 2 point has an x1 and a v1_1, which an m = n = 1 pipeline must
+    # not read as its own; the first block of the wrong shape is named
+    system = PdeSystem.from_upper(1, 1, {(1, 1, 1): parse("x1*v1_1", 1, 1)})
+    pipe = InvariantPipeline(system, unit_h1())
+    points = sample_jet_points(m, n, 3, seed=0)
+    given = points if method == "evaluate_batch" else points[0]
+    with pytest.raises(ValueError, match=f"^{block} coordinates: expected shape"):
+        getattr(pipe, method)("eps", given)
