@@ -66,6 +66,7 @@ DEFAULT_T_BOX = (-1.0, 1.0)
 DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_V_BOX = (-2.0, 2.0)
 REBUILD_TOL = 1e-8
+RECORD_BLOCK = 4096  # records per template fill when rendering a Records
 
 
 class InputError(ValueError):
@@ -425,13 +426,17 @@ class Records(dict):
 
 def _render_records(columns: Records, indent: int, out: list) -> None:
     """Append the text of the list of ``columns``' records, as ``_render``
-    renders their dicts: one ``%`` template per record layout, one fill.  A
-    list of at most 12 ints or floats is inline (a float takes at most 24
-    characters at 17 digits), and a list of lists is inline unless one of its
-    lists, ``"[" + ", ".join(parts) + "]"``, is 25 characters or longer.  A
-    longer float row breaks: its text comes from ``_render_rows`` and is
-    appended by reference between the filled heads."""
+    renders their dicts: one ``%`` template per record layout, filled in
+    blocks of ``RECORD_BLOCK`` records.  A list of at most 12 ints or floats
+    is inline (a float takes at most 24 characters at 17 digits), and a list
+    of lists is inline unless one of its lists, ``"[" + ", ".join(parts) +
+    "]"``, is 25 characters or longer.  A longer float row breaks: its text
+    comes from ``_render_rows`` and is appended by reference between the
+    filled pieces of its block."""
     count = len(next(iter(columns.values())))
+    if not count:
+        out.append("[]")
+        return
     inner = "  " * (indent + 2)
     heads, fills, layout, rows = [], [], 0, []
     for key, col in columns.items():
@@ -466,23 +471,30 @@ def _render_records(columns: Records, indent: int, out: list) -> None:
         for code in set(codes)
     }
     items = [templates[c] for c in codes]
-    text = _list_layout(items, indent) % tuple(np.hstack(fills).ravel().tolist())
-    pieces = text.split("\0")  # the rows go between them
-    out.append(pieces[0])
-    out += [f for pair in zip([t for r in zip(*rows) for t in r], pieces[1:]) for f in pair]
+    table = np.hstack(fills) if fills else np.empty((count, 0))
+    line = "\n" + "  " * (indent + 1)  # each record starts one
+    for start in range(0, count, RECORD_BLOCK):
+        stop = start + RECORD_BLOCK
+        text = ("," if start else "[") + line + ("," + line).join(items[start:stop])
+        pieces = (text % tuple(table[start:stop].ravel().tolist())).split("\0")
+        out.append(pieces[0])  # the block's wide rows go between its pieces
+        wide = [t for texts in zip(*(col[start:stop] for col in rows)) for t in texts]
+        out += [f for pair in zip(wide, pieces[1:]) for f in pair]
+    out.append("\n" + "  " * indent + "]")
 
 
-def render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON text: floats at 17 significant digits, dicts in
-    insertion order (construction order is itself deterministic).  A 1-D
-    float array renders as the list of its values, a JetPointSet as the list
-    of its points' {"t", "x", "v"} dicts and a Records as the list of its
-    record dicts.  The text is joined once.  Float rows come from
-    ``_render_rows``: the rows of one array with the same magnitudes share one
-    text per distinct magnitude, with a "-" where a value's sign bit is set."""
+def render_json(value, indent: int = 0) -> list:
+    """Deterministic JSON text, as the list of fragments that joined make it:
+    floats at 17 significant digits, dicts in insertion order (construction
+    order is itself deterministic).  A 1-D float array renders as the list of
+    its values, a JetPointSet as the list of its points' {"t", "x", "v"}
+    dicts and a Records as the list of its record dicts.  Float rows come
+    from ``_render_rows``: the rows of one array with the same magnitudes
+    share one text per distinct magnitude, with a "-" where a value's sign
+    bit is set."""
     out: list = []
     _render(value, indent, out)
-    return "".join(out)
+    return out
 
 
 def _render(value, indent: int, out: list) -> None:
@@ -529,11 +541,13 @@ def _render(value, indent: int, out: list) -> None:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    # rendered whole before anything is written; written in slices, never encoded whole
-    text = render_json(report)
+    """Write ``report`` and a newline to ``out_path``, or to stdout if None.
+    The report is rendered whole before anything is written, then written
+    fragment by fragment: it is never joined, nor encoded whole."""
+    parts = render_json(report)
 
     def write(fh):
-        fh.writelines(text[k : k + 65536] for k in range(0, len(text), 65536))
+        fh.writelines(parts)
         fh.write("\n")
         fh.flush()  # a closed pipe fails here, not at exit
 

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1328,7 +1329,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def test_render_json_seventeen_digit_floats():
-    text = render_json({"a": 0.1, "b": [1.0, -2.5e-17], "c": True, "d": None})
+    text = "".join(render_json({"a": 0.1, "b": [1.0, -2.5e-17], "c": True, "d": None}))
     assert '"a": 0.10000000000000001' in text
     assert "-2.4999999999999999e-17" in text
     assert '"c": true' in text and '"d": null' in text
@@ -1411,7 +1412,7 @@ _ROW_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _EDGE_FL
 )
 def test_render_json_float_array_matches_per_element_renderer(values, indent):
     row = np.array(values, dtype=float)
-    assert render_json(row, indent) == _oracle_render(row.tolist(), indent)
+    assert "".join(render_json(row, indent)) == _oracle_render(row.tolist(), indent)
 
 
 @pytest.mark.parametrize("size", [12, 13])
@@ -1419,7 +1420,7 @@ def test_render_json_float_array_matches_per_element_renderer(values, indent):
 def test_render_json_float_array_layout_boundary(size, fill):
     # at most 12 floats render inline, more break one per line
     row = np.full(size, fill)
-    text = render_json(row, 2)
+    text = "".join(render_json(row, 2))
     assert text == _oracle_render(row.tolist(), 2)
     assert ("\n" in text) == (size > 12)
 
@@ -1429,9 +1430,10 @@ def test_zero_row_with_one_negative_zero_renders_it(size):
     # an all-zero row renders from cached text only when no zero is -0.0
     row = np.zeros(size)
     row[1] = -0.0
-    text = render_json(row, 2)
+    text = "".join(render_json(row, 2))
     assert text == _oracle_render(row.tolist(), 2)
-    assert "-0" in text and render_json(np.zeros(size), 2) == text.replace("-0", "0")
+    zeros = "".join(render_json(np.zeros(size), 2))
+    assert "-0" in text and zeros == text.replace("-0", "0")
 
 
 @settings(max_examples=100, deadline=None)
@@ -1450,7 +1452,7 @@ def test_render_json_point_set_matches_per_point_dicts(m, n, values, indent):
     dicts = [
         {"t": p.t.tolist(), "x": p.x.tolist(), "v": p.v.tolist()} for p in points
     ]
-    assert render_json(points, indent) == _oracle_render(dicts, indent)
+    assert "".join(render_json(points, indent)) == _oracle_render(dicts, indent)
 
 
 def _plain(value):
@@ -1503,7 +1505,7 @@ def test_render_json_reused_and_negated_rows_match_per_element_renderer(
             report["rows"].append(row)
         else:
             report["deep"].append([row])
-    text = render_json(report, indent)
+    text = "".join(render_json(report, indent))
     assert text == _oracle_render(_plain(report), indent)
 
 
@@ -1513,7 +1515,7 @@ def test_render_json_rows_with_equal_bytes_and_other_values_do_not_share_text():
     row = np.array([1.5, -2.0, 1e-300])
     swapped = row.astype(">f8").view("<f8")
     rows = [row, row.view(np.float32), swapped, -swapped, row.astype(">f8")]
-    assert render_json(rows, 1) == _oracle_render([r.tolist() for r in rows], 1)
+    assert "".join(render_json(rows, 1)) == _oracle_render([r.tolist() for r in rows], 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1529,7 +1531,7 @@ def test_render_json_jacobi_records_match_per_row_dicts(m, n, values, indent):
     flat = np.resize(np.array(values, dtype=float), (count, m + n))
     rows = Records(t=flat[:, :m], residual=flat[:, m:])
     dicts = [{"t": r[:m].tolist(), "residual": r[m:].tolist()} for r in flat]
-    assert render_json({"points": rows}, indent) == _oracle_render(
+    assert "".join(render_json({"points": rows}, indent)) == _oracle_render(
         {"points": dicts}, indent
     )
 
@@ -1575,7 +1577,7 @@ def test_render_json_component_records_match_per_component_dicts(
         }
         for b in blocks
     ]
-    assert render_json({"invariants": blocks}, indent) == _oracle_render(
+    assert "".join(render_json({"invariants": blocks}, indent)) == _oracle_render(
         {"invariants": plain}, indent
     )
 
@@ -1624,7 +1626,7 @@ def test_rows_sharing_magnitudes_match_per_element_renderer(data, width, indent)
         "rows": rows.tolist(),
         "components": [{"index": [k + 1], "values": r.tolist()} for k, r in enumerate(rows)],
     }
-    assert render_json(report, indent) == _oracle_render(plain, indent)
+    assert "".join(render_json(report, indent)) == _oracle_render(plain, indent)
 
 
 def test_render_json_empty_records_and_scalar_columns():
@@ -1634,9 +1636,45 @@ def test_render_json_empty_records_and_scalar_columns():
     rows = Records(index=index, value=np.array([-0.0, math.inf]))
     empty = Records(index=np.zeros((0, 5), int), value=np.zeros(0))
     plain = [{"index": [1, 2], "value": -0.0}, {"index": [2, 1], "value": math.inf}]
-    assert render_json({"spatial": rows, "coupling": empty}, 1) == _oracle_render(
-        {"spatial": plain, "coupling": []}, 1
-    )
+    text = "".join(render_json({"spatial": rows, "coupling": empty}, 1))
+    assert text == _oracle_render({"spatial": plain, "coupling": []}, 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+@pytest.mark.parametrize("width", [13, 20])
+def test_render_json_records_of_wide_float_columns_only(count, width):
+    # no column fills the template: its pieces hold only the rows' texts
+    values = np.linspace(-1.0, 1.0, count * width).reshape(count, width)
+    rows = Records(values=values, mirror=-values)
+    plain = [{"values": v.tolist(), "mirror": (-v).tolist()} for v in values]
+    assert "".join(render_json({"rows": rows}, 1)) == _oracle_render({"rows": plain}, 1)
+
+
+_BLOCK = cli.RECORD_BLOCK
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+)
+@pytest.mark.parametrize("indent", [0, 3])
+def test_render_json_records_across_fill_blocks(count, indent):
+    # records are filled RECORD_BLOCK at a time: an int index, a wide float
+    # column of zero rows, rows holding a -0.0 and full rows, and a list of
+    # lists whose layout (inline or broken) changes from record to record
+    minus_zero = np.where(np.arange(13) == 4, -0.0, 0.0)
+    full = np.linspace(-1.0, 2.0, 13) / 3.0
+    pool = np.array([np.zeros(13), minus_zero, full, -full])
+    index = np.arange(count)[:, None] * [1, 7] % 1000
+    values = pool[np.arange(count) % 4]
+    lists = np.array([[[1.0, 2.0, 3.0], [0.1, -0.5, 1.0 / 3.0]]])
+    nested = np.where((np.arange(count) % 3 == 0)[:, None, None], lists, lists[:, ::-1])
+    records = Records(index=index, values=values, lists=nested)
+    plain = [
+        {"index": i.tolist(), "values": v.tolist(), "lists": n.tolist()}
+        for i, v, n in zip(index, values, nested)
+    ]
+    text = "".join(render_json({"records": records}, indent))
+    assert text == _oracle_render({"records": plain}, indent)
 
 
 def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
@@ -1756,10 +1794,11 @@ def test_readme_command_renders_its_report_in_one_call(name, tmp_path, monkeypat
 
 
 def test_emit_writes_the_rendered_report_and_a_newline(tmp_path, capsys):
-    # the text is written in slices; the bytes are those of the whole text
+    # the text is written fragment by fragment; the bytes are those of the
+    # whole text
     row = np.linspace(-1.0, 1.0, 40)
     report = {"rows": [row * k for k in range(3000)], "name": "slices"}
-    want = (cli.render_json(report) + "\n").encode("utf-8")
+    want = ("".join(cli.render_json(report)) + "\n").encode("utf-8")
     assert len(want) > 4 * 65536
     out = tmp_path / "report.json"
     cli._emit(report, str(out))
@@ -1798,6 +1837,26 @@ def test_readme_commands_never_import_numpy_random(tmp_path):
     assert loaded is False
 
 
+def test_emit_keeps_no_joined_copy_of_the_report():
+    # the rendered fragments are what is written: _emit's peak holds them and
+    # no joined copy of the whole text beside them (a join makes it 2.1x)
+    count = 20_000
+    magnitudes = np.abs(np.sin(np.arange(4 * 30) + 0.5)).reshape(4, 30)
+    signs = np.arange(count)[:, None] >> np.arange(30) % 15 & 1
+    values = np.where(signs, -1.0, 1.0) * magnitudes[np.arange(count) % 4]
+    index = np.arange(count * 2).reshape(count, 2) % 5 + 1
+    report = {"components": Records(index=index, values=values)}
+    size = sum(map(len, cli.render_json(report)))
+    tracemalloc.start()
+    try:
+        cli._emit(report, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 16_000_000
+    assert peak < 1.6 * size
+
+
 def test_emit_renders_the_whole_report_before_writing(tmp_path, capsys):
     # a value that cannot be serialized, after a row that can, leaves no
     # partial report on stdout or in the --out file
@@ -1814,7 +1873,7 @@ def test_emit_renders_the_whole_report_before_writing(tmp_path, capsys):
     cli._emit(good, str(out))
     printed = capsys.readouterr().out
     assert printed.encode("utf-8") == out.read_bytes()
-    assert printed == render_json(good) + "\n"
+    assert printed == "".join(render_json(good)) + "\n"
 
 
 def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
