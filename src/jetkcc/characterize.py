@@ -197,14 +197,11 @@ def coupling_constraint_residual(
     require_metric(h, TEMPORAL, m)
     if m < 2:
         return 0.0
-    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    # one point is a batch of one: (d,) becomes (d, 1)
+    t, x = (np.asarray(a, dtype=float).reshape(len(a), -1) for a in (t, x))
     hm, vals = ex.by_point(
-        lambda tx: (h.evaluate(tx[0]), coupling.evaluate(*tx)),
-        (t, x),
-        zip(t.T, x.T) if t.ndim == 2 else (),
+        lambda tx: (h.evaluate(tx[0]), coupling.evaluate(*tx)), (t, x), zip(t.T, x.T)
     )
-    if hm.ndim == 2:  # one point
-        hm, vals = hm[..., None], vals[..., None]
     pairs = temporal_pairs(m)
     residuals = []
     for k in range(hm.shape[-1]):

@@ -110,6 +110,8 @@ def _read_json(path: str):
             f"'{path}' is not valid JSON: {err.msg} "
             f"(line {err.lineno}, column {err.colno})"
         ) from err
+    except RecursionError as err:  # the decoder recurses once per open bracket
+        raise InputError(f"'{path}' is nested too deeply to read as JSON") from err
     return doc, digest
 
 

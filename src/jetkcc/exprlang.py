@@ -110,16 +110,27 @@ class VariableId(NamedTuple):
         return 1 <= self.i <= n and 1 <= self.alpha <= m
 
 
-class Expression:
+class Frozen:
+    """Base of the immutable value classes and expression nodes: each attribute
+    is set once; assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        kind = type(self).__name__
+        raise AttributeError(f"{kind} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Expression(Frozen):
     """Base class; nodes are interned and immutable (see the module doc)."""
 
     __slots__ = ("kids", "lit", "mask", "index")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: the interned node
@@ -637,23 +648,6 @@ def _extents(axes: str, m: int, n: int) -> tuple:
     return tuple(n if axis == "s" else m for axis in axes)
 
 
-class Frozen:
-    """Base of the immutable value classes: a constructor sets each attribute
-    once through ``_set``; assigning or deleting one raises AttributeError."""
-
-    __slots__ = ()
-
-    def _set(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        kind = type(self).__name__
-        raise AttributeError(f"{kind} is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-
 class Family(Frozen):
     """An indexed family on a jet space of m times and n coordinates: nested
     tuples ``comps``, frozen by ``freeze`` and checked by ``check_family``
@@ -803,10 +797,9 @@ class Bindings:
     """Values for jet variables; scalar floats or numpy arrays (all of one
     common shape) for vectorized evaluation."""
 
-    __slots__ = ("m", "n", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, m: int, n: int, values: dict | None = None):
-        self.m, self.n = m, n
+    def __init__(self, values: dict | None = None):
         self.values = {} if values is None else values  # VariableId -> value
 
     @classmethod
@@ -844,14 +837,14 @@ class Bindings:
             rows = np.ascontiguousarray(arr.reshape(len(vids[label]), -1))
             one_point = arr.ndim == len(extents)
             vals.update(zip(vids[label], rows[:, 0].tolist() if one_point else rows))
-        return cls(m, n, vals)
+        return cls(vals)
 
     @classmethod
     def from_names(cls, m: int, n: int, by_name: dict) -> "Bindings":
-        return cls(m, n, {_classify(k, m, n, 0): v for k, v in by_name.items()})
+        return cls({_classify(k, m, n, 0): v for k, v in by_name.items()})
 
     def with_value(self, vid: VariableId, value) -> "Bindings":
-        return Bindings(self.m, self.n, {**self.values, vid: value})
+        return Bindings({**self.values, vid: value})
 
 
 _VAR_NAME_RE = re.compile(r"^(?:t([0-9]+)|x([0-9]+)|v([0-9]+)_([0-9]+))$")
@@ -1012,17 +1005,17 @@ def _run(roots, bindings: Bindings) -> list:
     values = _Tape(roots).run(bindings)
     if _batch_shape(bindings) is None:
         values = list(map(float, values))
-    for error in _scan(roots, values, bindings):
-        raise error  # the first, in sample order
+    if (error := _scan(roots, values, bindings)) is not None:
+        raise error
     return values
 
 
-def _scan(roots, values, bindings: Bindings):
-    """At each point where some root is not finite, in sample (C) order,
-    searches depth first from those roots through non-finite operands, in
-    operand order, and yields the EvaluationError (``_domain_error``) of each
-    origin it meets, a node not finite while its operands are; a leaf (a
-    non-finite input) yields nothing.  ``values`` are the roots' values:
+def _scan(roots, values, bindings: Bindings) -> EvaluationError | None:
+    """The EvaluationError (``_domain_error``) of the first origin, a node not
+    finite while its operands are, or None.  At each point where some root is
+    not finite, in sample (C) order, it searches depth first from those roots
+    through non-finite operands, in operand order; a leaf (a non-finite
+    input) is no origin.  ``values`` are the roots' values:
     floats at one point, else arrays or scalars of the batch shape, each
     tested for finiteness alone.  One tape of every node, lowered from the
     one walk that lists them, runs over those points only (on floats at one
@@ -1038,13 +1031,13 @@ def _scan(roots, values, bindings: Bindings):
             finite &= np.isfinite(v)
         bad = np.flatnonzero(~finite)
     if not len(bad):
-        return
+        return None
     if shape is not None:
         flat = {
             vid: np.broadcast_to(v, shape).reshape(-1)[bad]
             for vid, v in bindings.values.items()
         }
-        bindings = Bindings(bindings.m, bindings.n, flat)
+        bindings = Bindings(flat)
     nodes = _reachable(roots)
     table = dict(zip(nodes, _Tape(nodes, nodes).run(bindings)))
     walked = np.ones(len(bad), dtype=bool)  # points whose inputs are finite
@@ -1071,7 +1064,8 @@ def _scan(roots, values, bindings: Bindings):
             failing = [kid for kid, u in zip(node.kids, operands) if not math.isfinite(u)]
             stack += reversed(failing)
             if not failing and (message := _domain_error(node, operands)):
-                yield EvaluationError(message, node)
+                return EvaluationError(message, node)
+    return None
 
 
 def by_point(stages, batch, points):
@@ -1335,93 +1329,79 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list.
+# the binding power of each operator the parser stacks, the printer's
+# precedences; an open parenthesis or function call has none
+_POWER = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL}
+_POWER |= {"neg": _PREC_NEG, "^": _PREC_POW}
 
-    Grammar (loosest to tightest): sums, products, unary minus, powers
-    (right-associative), atoms.  No implicit multiplication.
-    """
 
-    def __init__(self, text: str, m: int, n: int):
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.m = m
-        self.n = n
+def _expected(what: str, token: tuple) -> ParseError:
+    _, text, pos = token
+    return ParseError(f"expected {what}, found '{text or 'end of input'}'", pos)
 
-    def peek(self):
-        return self.tokens[self.k]
 
-    def take(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+def _atom(kind: str, text: str, pos: int, m: int, n: int) -> Expression:
+    """The leaf of a number or of a name that is not a function."""
+    if kind == "num":
+        value = float(text)
+        if not math.isfinite(value):  # an inf literal would propagate as an input
+            raise ParseError(f"number '{text}' is beyond the float range", pos)
+        return Num(value)
+    if text == "pi":
+        return PI
+    if text == "e":
+        return E
+    return Var(_classify(text, m, n, pos))
 
-    def expect_op(self, symbol: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != symbol:
-            shown = text if text else "end of input"
-            raise ParseError(f"expected '{symbol}', found '{shown}'", pos)
-        return self.take()
 
-    def parse(self) -> Expression:
-        e = self.sum_()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input '{text}'", pos)
-        return e
+def _raw_tree(text: str, m: int, n: int) -> Expression:
+    """The tree of ``text`` as written, from one operator-precedence pass
+    over its tokens: sums, products, unary minus, powers (right-associative)
+    and atoms, loosest to tightest, with no implicit multiplication.  An
+    operator waits on a stack until one that binds no tighter follows its
+    right operand, its parenthesis closes or the input ends."""
+    tokens = iter(_tokenize(text))
+    operands: list[Expression] = []
+    pending: list[str] = []  # operators, "(" and function names, innermost last
 
-    def chain(self, ops: str, operand) -> Expression:
-        """Left-associative chain of ``operand`` joined by one of ``ops``."""
-        e = operand()
-        while True:
-            kind, text, _ = self.peek()
-            if kind != "op" or text not in ops:
-                return e
-            self.take()
-            e = Binary(text, e, operand())
+    def apply(op: str):
+        if op in _BINARY_ARRAY:
+            right = operands.pop()
+            operands[-1] = Binary(op, operands[-1], right)
+        else:  # "neg" or a function
+            operands[-1] = Unary(op, operands[-1])
 
-    def sum_(self) -> Expression:
-        return self.chain("+-", lambda: self.chain("*/", self.factor))
-
-    def factor(self) -> Expression:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.take()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
-            return Binary("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expression:
-        kind, text, pos = self.take()
-        if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):  # an inf literal would propagate as an input
-                raise ParseError(f"number '{text}' is beyond the float range", pos)
-            return Num(value)
-        if kind == "op" and text == "(":
-            e = self.sum_()
-            self.expect_op(")")
-            return e
-        if kind == "ident":
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.sum_()
-                self.expect_op(")")
-                return Unary(text, arg)
-            if text == "pi":
-                return PI
-            if text == "e":
-                return E
-            return Var(_classify(text, self.m, self.n, pos))
-        shown = text if text else "end of input"
-        raise ParseError(f"expected an expression, found '{shown}'", pos)
+    while True:  # an operand is due: prefixes, then an atom
+        kind, word, pos = token = next(tokens)
+        if kind == "op" and word in ("-", "("):
+            pending.append("neg" if word == "-" else word)
+            continue
+        if kind == "ident" and word in FUNCTIONS:
+            if (opener := next(tokens))[:2] != ("op", "("):
+                raise _expected("'('", opener)
+            pending.append(word)
+            continue
+        if kind not in ("num", "ident"):
+            raise _expected("an expression", token)
+        operands.append(_atom(kind, word, pos, m, n))
+        while True:  # an operand ended: a binary operator, a ")" or the end
+            kind, word, pos = token = next(tokens)
+            if kind == "op" and word in _BINARY_ARRAY:
+                power = _POWER[word] + (word == "^")  # "^" is right-associative
+                while pending and _POWER.get(pending[-1], 0) >= power:
+                    apply(pending.pop())
+                pending.append(word)
+                break
+            while pending and pending[-1] in _POWER:
+                apply(pending.pop())
+            if not pending:
+                if kind == "end":
+                    return operands[0]
+                raise ParseError(f"unexpected trailing input '{word}'", pos)
+            if kind != "op" or word != ")":
+                raise _expected("')'", token)
+            if (opener := pending.pop()) != "(":
+                apply(opener)
 
 
 def parse(text: str, m: int, n: int) -> Expression:
@@ -1432,4 +1412,4 @@ def parse(text: str, m: int, n: int) -> Expression:
     ParseError with the offending position.
     """
     check_dimensions(m, n)
-    return simplify(_Parser(text, m, n).parse())
+    return simplify(_raw_tree(text, m, n))

@@ -186,7 +186,7 @@ def classical_deviation_curvature(F_fn, t, x, v, step=1e-4):
 def raw_parse(text: str, m: int, n: int) -> ex.Expression:
     """The tree of ``text`` as written, before ``parse`` makes it canonical,
     so the smart constructors' rules can be checked against it."""
-    return ex._Parser(text, m, n).parse()
+    return ex._raw_tree(text, m, n)
 
 
 def flat_metric(kind: str, d: int) -> MetricField:

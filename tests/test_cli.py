@@ -177,6 +177,23 @@ def test_json_syntax_and_duplicate_keys_reported(tmp_path):
         load_problem(str(path))
 
 
+def test_json_nested_too_deeply_is_input_error(tmp_path, capsys):
+    # the JSON decoder recurses once per open bracket
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: '{path}' is nested too deeply to read as JSON\n"
+
+
+def test_deeply_nested_expression_is_read(tmp_path, capsys):
+    deep = dict(OSC, system=_f_system((1, 1, 1, "(" * 400 + "x1" + ")" * 400)))
+    code, report = run_cli(["invariants", write_json(tmp_path, "deep.json", deep)], tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    _, flat = run_cli(["invariants", write_json(tmp_path, "osc.json", OSC)], tmp_path)
+    assert report["invariants"] == flat["invariants"]
+
+
 def test_first_order_builder_requires_full_cover(tmp_path):
     doc = {
         "m": 1,

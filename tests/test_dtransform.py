@@ -218,17 +218,10 @@ def jacobian_data(cc: CoordinateChange, p: JetPoint):
     B = np.linalg.inv(Jt)
 
     tb = ex.Bindings(
-        m,
-        n,
-        {
-            ex.VariableId(ex.TEMPORAL, alpha=a + 1): float(p.t[a])
-            for a in range(m)
-        },
+        {ex.VariableId(ex.TEMPORAL, alpha=a + 1): float(p.t[a]) for a in range(m)}
     )
     xb = ex.Bindings(
-        m,
-        n,
-        {ex.VariableId(ex.SPATIAL, i=i + 1): float(p.x[i]) for i in range(n)},
+        {ex.VariableId(ex.SPATIAL, i=i + 1): float(p.x[i]) for i in range(n)}
     )
     dJt = np.array(
         [

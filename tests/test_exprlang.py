@@ -132,6 +132,51 @@ def test_no_implicit_multiplication():
         parse("2 t1", 1, 1)
 
 
+# one input per error branch of the parser, with its message and position
+# (m = 1, n = 2)
+PARSE_ERRORS = [
+    ("", "expected an expression, found 'end of input'", 0),
+    ("x1 x2", "unexpected trailing input 'x2'", 3),
+    ("(x1 x2", "expected ')', found 'x2'", 4),
+    ("(x1", "expected ')', found 'end of input'", 3),
+    ("sin x1", "expected '(', found 'x1'", 4),
+    ("sin", "expected '(', found 'end of input'", 3),
+    ("sin-x1", "expected '(', found '-'", 3),
+    ("()", "expected an expression, found ')'", 1),
+    ("2^", "expected an expression, found 'end of input'", 2),
+    (")", "expected an expression, found ')'", 0),
+    ("x1)", "unexpected trailing input ')'", 2),
+    ("1neg", "unexpected trailing input 'neg'", 1),
+    ("x1 neg x2", "unexpected trailing input 'neg'", 3),
+    ("2 $", "unexpected character '$'", 2),
+    ("1e400", "number '1e400' is beyond the float range", 0),
+    ("y1", "unknown identifier 'y1'", 0),
+    ("x9", "spatial index 9 out of range 1..2 in 'x9'", 0),
+    ("sin(x1", "expected ')', found 'end of input'", 6),
+    ("-", "expected an expression, found 'end of input'", 1),
+    ("2*/3", "expected an expression, found '/'", 2),
+    ("pi e", "unexpected trailing input 'e'", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_parse_error_names_the_token_and_its_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, 1, 2)
+    assert (err.value.message, err.value.position) == (message, position)
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_parse_depth_is_not_bounded_by_the_call_stack():
+    # nesting lives on the parser's own stacks, so any depth parses
+    x1 = ex.x_var(1)
+    assert parse("(" * 5000 + "x1" + ")" * 5000, 1, 1) is x1
+    assert parse("-" * 5001 + "x1", 1, 1) is ex.neg(x1)
+    tower = functools.reduce(lambda right, _: ex.Binary("^", x1, right), range(2999), x1)
+    assert ex._raw_tree("^".join(["x1"] * 3000), 1, 1) is tower
+    assert parse("^".join(["x1"] * 3000), 1, 1) is simplify(tower)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -676,7 +721,7 @@ def test_folded_constant_equals_its_evaluation(e):
         return  # not folded: it evaluates as an expression
     batch = Bindings.jet(1, 1, x=[[0.5, 1.5]])
     try:
-        value = evaluate(e, Bindings(1, 1))
+        value = evaluate(e, Bindings())
     except EvaluationError as err:
         # undefined inside, where the fold annihilates it (0*log(0) is 0);
         # a batch raises the same
@@ -781,6 +826,30 @@ def test_printed_expression_parses_to_the_same_object(e):
     assert parse(to_string(e), BIND_M, BIND_N) is e
     s = simplify(e)
     assert parse(to_string(s), BIND_M, BIND_N) is s
+
+
+# raw trees built directly, not parsed: non-negative finite literals,
+# variables, constants and every operator, in any nesting
+RAW_TREES = st.recursive(
+    st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(abs).map(ex.Num),
+        st.sampled_from(LEAVES[:8]).map(lambda name: parse(name, BIND_M, BIND_N)),
+        st.sampled_from((ex.PI, ex.E)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(ex.Unary, st.sampled_from(("neg",) + ex.FUNCTIONS), inner),
+        st.builds(ex.Binary, st.sampled_from("+-*/^"), inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(tree=RAW_TREES)
+def test_printed_raw_tree_reads_back_as_written(tree):
+    # to_string places parentheses by its own precedence rules, so this pins
+    # the parser's precedence and associativity without a reference parser
+    assert ex._raw_tree(to_string(tree), BIND_M, BIND_N) is tree
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
