@@ -35,6 +35,7 @@ from .exprlang import (
     substitute,
 )
 from .jetgeom import (
+    C_SLOTS,
     DTensorValue,
     JetPointSet,
     MetricField,
@@ -176,9 +177,9 @@ def _matrices(J) -> np.ndarray:
 
 
 def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPointSet:
-    """New-chart coordinates of jet points; velocities contract with the
-    spatial Jacobian on the left and the inverse temporal Jacobian on the
-    right.  The maps and Jacobians are evaluated once over all the points;
+    """New-chart coordinates of jet points; velocities move as the canonical
+    tensor C = v^i_a, by ``transform_dtensor`` over its slots ``C_SLOTS``.
+    The maps and Jacobians are evaluated once over all the points;
     ``jacobians``, the pair (temporal, spatial) already evaluated at these
     points, skips the latter.  A batch raises what its first failing point
     raises alone."""
@@ -189,10 +190,8 @@ def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPoin
     def move(p: JetPointSet, jacobians=None) -> JetPointSet:
         if jacobians is None:
             jacobians = cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
-        Jt, A = map(_matrices, jacobians)
-        v_new = A @ np.ascontiguousarray(np.moveaxis(p.v, -1, 0)) @ np.linalg.inv(Jt)
-        t_new, x_new = cc.forward_t(p.t), cc.forward_x(p.x)
-        return JetPointSet(t_new, x_new, np.moveaxis(v_new, 0, -1))
+        v = transform_dtensor(DTensorValue(p.m, p.n, C_SLOTS, p.v), *jacobians)
+        return JetPointSet(cc.forward_t(p.t), cc.forward_x(p.x), v.values)
 
     # the Jacobians given are the whole batch's: a point alone evaluates its own
     points = (point_set([q]) for q in p)
@@ -207,9 +206,7 @@ def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
     with a trailing axis over K points; each slot is then one matrix product
     over all of them.  Upper spatial slots contract with the spatial
     Jacobian, lower spatial ones with its transposed inverse; temporal slots
-    use the temporal Jacobian the same way.  Jet-paired slots need no
-    special treatment — their combined factor is exactly the product of the
-    two.
+    use the temporal Jacobian the same way.
     """
     if np.shape(Jt)[0] != val.m or np.shape(A)[0] != val.n:
         raise ValueError("tensor dimensions do not match the Jacobians")

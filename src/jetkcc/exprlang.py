@@ -563,7 +563,12 @@ def _nested(extents, entry, *index):
 def entry_at(family, index, kinds: str):
     """The entry of a nested family at a 1-based index.  ``kinds`` gives
     each position's range, "s" for spatial (1..n) or "t" for temporal
-    (1..m); an index outside its range raises ValueError naming it."""
+    (1..m); an index of the wrong length or outside its range raises
+    ValueError naming it."""
+    if len(index) != len(kinds):
+        raise ValueError(
+            f"component {tuple(index)}: expected {len(kinds)} indices, got {len(index)}"
+        )
     node = family
     for pos, (k, kind) in enumerate(zip(index, kinds)):
         if not 1 <= k <= len(node):

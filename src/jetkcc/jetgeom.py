@@ -444,17 +444,15 @@ def canonical_spatial_connection(phi: MetricField, m: int):
 
 
 class Slot(NamedTuple):
-    """One index slot of a d-tensor value.
-
-    ``pair`` groups a (spatial upper, temporal lower) or (spatial lower,
-    temporal upper) couple born from a jet coordinate or a velocity partial;
-    paired slots still transform independently, the grouping is structural
-    metadata and is validated for shape.
-    """
+    """One index slot of a d-tensor value: its kind and its variance, which
+    alone decide the Jacobian factor it picks up."""
 
     kind: str  # TEMPORAL or SPATIAL
     upper: bool
-    pair: int = 0
+
+
+# the canonical tensor C = v^i_a of the jet coordinates: spatial up, temporal down
+C_SLOTS = (Slot(SPATIAL, True), Slot(TEMPORAL, False))
 
 
 class DTensorValue(ex.Frozen):
@@ -469,55 +467,25 @@ class DTensorValue(ex.Frozen):
         shape = values.shape
         if shape[: len(expect)] != expect or len(shape) > len(expect) + 1:
             raise ValueError(f"component shape {shape} != slot extents {expect}")
-        groups: dict[int, list[Slot]] = {}
-        for s in slots:
-            if s.pair:
-                groups.setdefault(s.pair, []).append(s)
-        for gid, members in groups.items():
-            if len(members) != 2:
-                raise ValueError(f"jet pair {gid} must group exactly two slots")
-            kinds = {(s.kind, s.upper) for s in members}
-            if kinds not in (
-                {(SPATIAL, True), (TEMPORAL, False)},
-                {(SPATIAL, False), (TEMPORAL, True)},
-            ):
-                raise ValueError(
-                    f"jet pair {gid} must couple spatial-up with temporal-down "
-                    "or spatial-down with temporal-up"
-                )
         self._set(m=m, n=n, slots=slots, values=values)
 
 
 def canonical_tensors(h: MetricField, point: JetPoint):
     """The two canonical d-tensors at a point.
 
-    The first is the jet coordinate block itself, v^i_a, with a paired
-    (spatial-up, temporal-down) signature; the second is h_ab * delta^i_j.
+    The first is the jet coordinate block itself, v^i_a, with the
+    (spatial-up, temporal-down) signature ``C_SLOTS``; the second is
+    h_ab * delta^i_j.
     """
     m, n = point.m, point.n
     require_metric(h, TEMPORAL, m)
-    c_val = DTensorValue(
-        m,
-        n,
-        (Slot(SPATIAL, True, pair=1), Slot(TEMPORAL, False, pair=1)),
-        point.v.copy(),
-    )
+    c_val = DTensorValue(m, n, C_SLOTS, point.v.copy())
     hm = h.evaluate(point.t)
     jv = np.zeros((n, m, m, n))
     for i in range(n):
         jv[i, :, :, i] = hm
-    j_val = DTensorValue(
-        m,
-        n,
-        (
-            Slot(SPATIAL, True, pair=1),
-            Slot(TEMPORAL, False, pair=1),
-            Slot(TEMPORAL, False),
-            Slot(SPATIAL, False),
-        ),
-        jv,
-    )
-    return c_val, j_val
+    j_slots = C_SLOTS + (Slot(TEMPORAL, False), Slot(SPATIAL, False))
+    return c_val, DTensorValue(m, n, j_slots, jv)
 
 
 # ---------------------------------------------------------------------------

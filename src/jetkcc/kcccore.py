@@ -36,6 +36,7 @@ from .exprlang import (
     substitute,
 )
 from .jetgeom import (
+    C_SLOTS,
     DTensorValue,
     JetPoint,
     JetPointSet,
@@ -229,22 +230,16 @@ def spatial_semispray_from_connection(
 
 # each selector the command-line surface and reports use: the pipeline
 # attribute that builds its family, and its index signature in storage order
-# (Slot(kind, upper, pair); a pair couples a jet coordinate's two slots)
+# (Slot(kind, upper), which alone decide each slot's Jacobian factor)
 _S_UP, _S_DOWN = Slot(SPATIAL, True), Slot(SPATIAL, False)
 _T_UP, _T_DOWN = Slot(TEMPORAL, True), Slot(TEMPORAL, False)
-_EPS_SLOTS = (Slot(SPATIAL, True, 1), Slot(TEMPORAL, False, 1), _T_DOWN)
+_EPS_SLOTS = C_SLOTS + (_T_DOWN,)
 _INVARIANTS = {
     "eps": ("first_invariant", _EPS_SLOTS),
     "P": ("deviation_curvature", (_S_UP, _S_DOWN)),
     "R": ("third_invariant", (_S_UP, _T_UP, _S_DOWN, _S_DOWN)),
     "B": ("fourth_invariant", (_S_UP, _T_UP, _S_DOWN, _S_DOWN, _S_DOWN, _T_UP)),
-    "D": (
-        "fifth_invariant",
-        _EPS_SLOTS
-        + (Slot(SPATIAL, False, 2), Slot(TEMPORAL, True, 2))
-        + (Slot(SPATIAL, False, 3), Slot(TEMPORAL, True, 3))
-        + (Slot(SPATIAL, False, 4), Slot(TEMPORAL, True, 4)),
-    ),
+    "D": ("fifth_invariant", _EPS_SLOTS + (_S_DOWN, _T_UP) * 3),
 }
 INVARIANT_NAMES = tuple(_INVARIANTS)
 
@@ -321,8 +316,8 @@ class InvariantPipeline:
 
     @cached_property
     def _half_traced_drift(self):
-        """drift[a] = (1/2) sum_g H^g h_{ga}; shared by N's diagonal and
-        the velocity terms of the first invariant."""
+        """drift[a] = (1/2) sum_g H^g h_{ga}, the diagonal term of N's
+        spatial part; built once for all n of its diagonal entries."""
         hrows = self.h.rows
         return tuple(
             mul(

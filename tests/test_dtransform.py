@@ -776,7 +776,7 @@ def test_inverse_change_undoes_the_transform():
     cc = change22()
     back = swap_change(cc)
     rng = np.random.default_rng(30)
-    slots = (Slot(ex.SPATIAL, True, pair=1), Slot(ex.TEMPORAL, False, pair=1))
+    slots = (Slot(ex.SPATIAL, True), Slot(ex.TEMPORAL, False))
     for p in domain_points(2, 2, 6, seed=19):
         val = DTensorValue(2, 2, slots, rng.normal(size=(2, 2)))
         restored = transform_dtensor(

@@ -295,6 +295,38 @@ def test_only_exprlang_orders_index_pairs():
     assert found == []
 
 
+def _matrix_algebra(node) -> bool:
+    """A matrix product ``@`` or a reference to ``np.linalg.inv``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "inv"
+        and ast.unparse(node.value) == "np.linalg"
+    )
+
+
+def test_only_transform_dtensor_applies_jacobians():
+    # jet points and invariants move by the one slot law: every matrix
+    # product and inverse in dtransform sits inside transform_dtensor
+    path = ROOT / "src" / "jetkcc" / "dtransform.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    law = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == "transform_dtensor"
+        for node in ast.walk(top)
+        if _matrix_algebra(node)
+    }
+    assert law  # the law itself is still found
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if _matrix_algebra(node) and id(node) not in law
+    ]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # what every family constructor refuses (``exprlang.check_family``)
 # ---------------------------------------------------------------------------

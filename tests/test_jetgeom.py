@@ -469,18 +469,6 @@ def test_dtensor_value_shape_validation():
         DTensorValue(2, 1, (Slot(ex.SPATIAL, True),), np.zeros(2))
 
 
-def test_dtensor_value_pair_validation():
-    with pytest.raises(ValueError, match="exactly two"):
-        DTensorValue(1, 1, (Slot(ex.SPATIAL, True, pair=1),), np.zeros(1))
-    with pytest.raises(ValueError, match="couple"):
-        DTensorValue(
-            1,
-            1,
-            (Slot(ex.SPATIAL, True, pair=1), Slot(ex.TEMPORAL, True, pair=1)),
-            np.zeros((1, 1)),
-        )
-
-
 def test_canonical_tensors_values():
     h = MetricField.temporal(
         ((ex.add(2.0, ex.sin(ex.t_var(1))), ex.ZERO), (ex.ZERO, ex.ONE))
@@ -524,6 +512,10 @@ def test_pde_system_component_refuses_indices_outside_their_ranges():
         ((1, 1, 2), 3, "temporal range 1..1"),
     ]:
         message = f"index {pos} is {index[pos - 1]}, outside the {label}"
+        with pytest.raises(ValueError, match=message):
+            sys_.component(*index)
+    for index in [(1, 1), (1, 1, 1, 7)]:
+        message = f"expected 3 indices, got {len(index)}"
         with pytest.raises(ValueError, match=message):
             sys_.component(*index)
 

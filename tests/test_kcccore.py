@@ -24,6 +24,7 @@ from jetkcc.jetgeom import (
     sample_jet_points,
 )
 from jetkcc.kcccore import (
+    INVARIANT_NAMES,
     InvariantPipeline,
     NonlinearConnection,
     SectionMap,
@@ -178,6 +179,8 @@ def test_semispray_component_refuses_indices_outside_their_ranges():
         ((2, 1, 1), "index 1 is 2, outside the spatial range 1..1"),
         ((1, -1, 1), "index 2 is -1, outside the temporal range 1..2"),
         ((1, 1, 3), "index 3 is 3, outside the temporal range 1..2"),
+        ((1, 1), "expected 3 indices, got 2"),
+        ((1, 1, 1, 7), "expected 3 indices, got 4"),
     ]:
         with pytest.raises(ValueError, match=message):
             H.component(*index)
@@ -552,12 +555,8 @@ def test_first_invariant_slots():
     _, pipe = sphere_pipeline()
     p = support.jet_point_on_sphere(1.1, 0.4, [[0.3], [0.7]])
     val = pipe.evaluate("eps", p)
-    kinds = [(s.kind, s.upper, s.pair) for s in val.slots]
-    assert kinds == [
-        (ex.SPATIAL, True, 1),
-        (ex.TEMPORAL, False, 1),
-        (ex.TEMPORAL, False, 0),
-    ]
+    kinds = [(s.kind, s.upper) for s in val.slots]
+    assert kinds == [(ex.SPATIAL, True), (ex.TEMPORAL, False), (ex.TEMPORAL, False)]
     assert val.values.shape == (2, 1, 1)
 
 
@@ -1312,10 +1311,18 @@ def test_one_point_evaluation_refuses_a_degenerate_temporal_metric():
 
 
 def test_invariant_slot_signatures():
-    assert [s.kind for s in invariant_slots("P")] == [ex.SPATIAL, ex.SPATIAL]
-    assert [s.upper for s in invariant_slots("R")] == [True, True, False, False]
-    assert len(invariant_slots("B")) == 6
-    assert len(invariant_slots("D")) == 9
+    S, T = ex.SPATIAL, ex.TEMPORAL
+    eps = [(S, True), (T, False), (T, False)]
+    want = {
+        "eps": eps,
+        "P": [(S, True), (S, False)],
+        "R": [(S, True), (T, True), (S, False), (S, False)],
+        "B": [(S, True), (T, True), (S, False), (S, False), (S, False), (T, True)],
+        "D": eps + [(S, False), (T, True)] * 3,
+    }
+    assert list(want) == list(INVARIANT_NAMES)
+    for name, signature in want.items():
+        assert [(s.kind, s.upper) for s in invariant_slots(name)] == signature
     with pytest.raises(KeyError):
         invariant_slots("Q")
 
