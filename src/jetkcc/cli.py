@@ -542,14 +542,32 @@ def _render(value, indent: int, out: list) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
+# ``_emit`` joins each run of ``_WRITE_RUN`` fragments into one write when
+# their text has at most ``_WRITE_CHARS`` characters
+_WRITE_RUN, _WRITE_CHARS = 256, 1 << 16
+
+
+def _writes(parts: list):
+    """The texts to write for ``parts``, in order: each run of
+    ``_WRITE_RUN`` fragments joined into one, or its fragments one by one
+    where the run is longer than ``_WRITE_CHARS``."""
+    for start in range(0, len(parts), _WRITE_RUN):
+        run = parts[start : start + _WRITE_RUN]
+        if sum(map(len, run)) <= _WRITE_CHARS:
+            yield "".join(run)
+        else:
+            yield from run
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     """Write ``report`` and a newline to ``out_path``, or to stdout if None.
-    The report is rendered whole before anything is written, then written
-    fragment by fragment: it is never joined, nor encoded whole."""
+    The report is rendered whole before anything is written, then written in
+    bounded runs of fragments (``_writes``): it is never joined, nor encoded
+    whole."""
     parts = render_json(report)
 
     def write(fh):
-        fh.writelines(parts)
+        fh.writelines(_writes(parts))
         fh.write("\n")
         fh.flush()  # a closed pipe fails here, not at exit
 

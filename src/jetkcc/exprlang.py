@@ -2,14 +2,15 @@
 
 Expression nodes are hash-consed: every constructor (``Num``, ``Const``,
 ``Var``, ``Unary``, ``Binary``) returns the one node of that structure,
-looked up in a table keyed on the node's class, operator and children tuple
-(interned too, so compared by identity), on the ``VariableId`` of a
-variable, or on the bit pattern of a literal (``Num(-0.0)`` is not ``ZERO``,
-but ``num`` folds ``-0.0`` to ``ZERO``).  Structurally equal expressions are
-therefore the same object: equality is ``is`` and hashing is O(1).  The
-table holds its nodes for the life of the process, so ids are never reused,
-and ``differentiate`` keeps its results (one memo per variable, keyed by
-node) for the life of the process too.
+looked up in the table of its operator or leaf class (``_NODES``): an
+operator node under its own children tuple (interned too, so compared by
+identity; the one tuple is both key and ``kids``), a variable under its
+``VariableId`` and a literal under its bit pattern (``Num(-0.0)`` is not
+``ZERO``, but ``num`` folds ``-0.0`` to ``ZERO``).  Structurally equal
+expressions are therefore the same object: equality is ``is`` and hashing
+is O(1).  The tables hold their nodes for the life of the process, so ids
+are never reused, and ``differentiate`` keeps its results (one memo per
+variable, keyed by node) for the life of the process too.
 
 Nodes are canonical: the smart constructors (``add``, ``mul``, ``neg``, ...)
 build every node, and ``parse`` returns ``simplify`` of the tree as written,
@@ -17,16 +18,18 @@ so no builder needs to simplify what it composes.  Calling ``Unary`` or
 ``Binary`` directly gives a raw node; only the smart constructors and the
 parser call them.
 
-Interning also sets four fields on each node: ``kids`` (its children),
-``lit`` (its value if it is a literal or a negated literal, else None),
+Interning also sets three fields on each node: ``kids`` (its children),
 ``mask`` (a bit per jet variable it depends on) and ``index`` (its creation
-number), besides its own one: a leaf's ``value``, ``name`` or ``vid``, an
-operator node's ``op``.  ``left``, ``right`` and ``arg`` are read-only views
-of ``kids``.  Children are interned before their parents, so
-creation order is topological.  Walks and constant folding read these
-fields instead of dispatching on the class; ``free_variables`` decodes the mask;
-``differentiate`` does not enter a subtree whose mask lacks its variable
-(the derivative there is ``ZERO``); tapes are lowered by a sort on ``index``.
+number, from a counter), besides its own one: a leaf's ``value``, ``name``
+or ``vid``, an operator node's ``op``.  ``lit`` is a node's value if it is
+a literal or a negated literal, else None: a literal's ``value``, a field
+of a ``Unary`` node, and None on the other classes.  ``left``, ``right``
+and ``arg`` are read-only views of ``kids``.  Children are interned before
+their parents, so creation order is topological.  Walks and constant
+folding read these fields instead of dispatching on the class;
+``free_variables`` decodes the mask; ``differentiate`` does not enter a
+subtree whose mask lacks its variable (the derivative there is ``ZERO``);
+tapes are lowered by a sort on ``index``.
 The derivative rules are one table keyed by operator, ``_DERIVATIVE``, with
 a rule for each operator of the tape; an operator without one raises
 ``KeyError``.  The smart constructors coerce only arguments that are not
@@ -48,15 +51,16 @@ never an issue.  A family's nesting is read one way too: ``family_array``
 makes it an object array, whose shape gives the extents and ``.flat`` the
 leaves.
 
-There is one evaluator: a family's union DAG is lowered to one tape, run
-with numpy on Python floats (one point) or on arrays (a batch), and constant
-folding calls the same numpy functions, so every path rounds alike.  It has
-one non-finite rule: an operation whose operands are finite and whose value
-is not (it left its domain, or overflowed) is an EvaluationError, and a
-batch raises what its first failing point raises alone (``_scan``).  Only a
-non-finite input propagates.  A batch that runs in stages (a metric's
-entries, then its determinant, say) goes through the one staged-batch
-helper, ``by_point``.
+There is one evaluator: a family's union DAG is lowered to one tape (a flat
+program of six list entries per instruction), run with numpy on Python
+floats (one point) or on arrays (a batch), and constant folding calls the
+same numpy functions, so every path rounds alike.  It has one non-finite
+rule: an operation whose operands are finite and whose value is not (it
+left its domain, or overflowed) is an EvaluationError, and a batch raises
+what its first failing point raises alone (``_scan``).  Only a non-finite
+input propagates.  A batch that runs in stages (a metric's entries, then
+its determinant, say) goes through the one staged-batch helper,
+``by_point``.
 
 Variables are 1-based: ``t1..tm`` (temporal), ``x1..xn`` (spatial) and
 ``v<i>_<a>`` (velocity of x^i in the t^a direction).
@@ -130,7 +134,8 @@ class Frozen:
 class Expression(Frozen):
     """Base class; nodes are interned and immutable (see the module doc)."""
 
-    __slots__ = ("kids", "lit", "mask", "index")
+    __slots__ = ("kids", "mask", "index")
+    lit = None  # read by Binary, Var and Const; Num and Unary override it
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: the interned node
@@ -174,31 +179,28 @@ class Expression(Frozen):
     __repr__ = __str__
 
 
-# every node ever built, by structure; never emptied, so ids stay unique and
-# its size is the next creation number.  A leaf is keyed on its class and
-# value, an inner node on its operator and children: ``(op, arg)`` or
-# ``(op, left, right)`` (no operator is both unary and binary)
-_NODES: dict[tuple, Expression] = {}
 # the mask bit of each jet variable, given out as variables are first used
 _VAR_BITS: dict[VariableId, int] = {}
+# creation numbers, given out as nodes are built
+_CREATED = itertools.count()
 _new = object.__new__
-_set_kids, _set_lit, _set_mask, _set_index = (
+_set_kids, _set_mask, _set_index = (
     getattr(Expression, f).__set__ for f in Expression.__slots__
 )
 
 
-def _leaf(cls, key: tuple, value, lit=None, mask=0):
-    """The leaf stored under ``key``; on first use it is built with ``value``
-    in its one own field and the per-node fields."""
-    node = _NODES.get(key)
+def _leaf(cls, key, value, mask=0):
+    """The leaf stored under ``key`` in its class's table; on first use it is
+    built with ``value`` in its one own field and the per-node fields."""
+    table = _NODES[cls]
+    node = table.get(key)
     if node is None:
         node = _new(cls)
         getattr(cls, cls.__slots__[0]).__set__(node, value)
         _set_kids(node, ())
-        _set_lit(node, lit)
         _set_mask(node, mask)
-        _set_index(node, len(_NODES))
-        _NODES[key] = node
+        _set_index(node, next(_CREATED))
+        table[key] = node
     return node
 
 
@@ -210,7 +212,10 @@ class Num(Expression):
 
     def __new__(cls, value: float):
         value = float(value)
-        return _leaf(cls, (cls, value.hex()), value, lit=value)
+        return _leaf(cls, value.hex(), value)
+
+
+Num.lit = Num.value  # a literal's ``lit`` is its value, read from that slot
 
 
 class Const(Expression):
@@ -219,7 +224,7 @@ class Const(Expression):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _leaf(cls, (cls, name), name)
+        return _leaf(cls, name, name)
 
 
 class Var(Expression):
@@ -227,14 +232,14 @@ class Var(Expression):
 
     def __new__(cls, vid: VariableId):
         bit = _VAR_BITS.setdefault(vid, 1 << len(_VAR_BITS))
-        return _leaf(cls, (cls, vid), vid, mask=bit)
+        return _leaf(cls, vid, vid, mask=bit)
 
 
 class Unary(Expression):
     """Called directly it gives a raw node, which need not be canonical; only
     the smart constructors and the parser call it."""
 
-    __slots__ = ("op",)  # "neg" or a function name
+    __slots__ = ("op", "lit")  # "neg" or a function name; -value of neg(Num)
 
     def __new__(cls, op: str, arg: Expression):
         return _unary_node(op, arg)
@@ -262,38 +267,44 @@ class Binary(Expression):
         return self.kids[1]
 
 
-_set_unary_op = Unary.op.__set__
+# every node ever built, by structure: one table per leaf class, keyed on the
+# leaf's value (a literal on its bit pattern), and one per operator, keyed on
+# the node's own ``kids`` tuple (interned nodes, so compared by identity), so
+# one tuple is both key and kids.  Never emptied, so ids stay unique.
+_NODES: dict = {
+    key: {} for key in (Num, Const, Var, "neg", *FUNCTIONS, "+", "-", "*", "/", "^")
+}
+_set_unary_op, _set_unary_lit = Unary.op.__set__, Unary.lit.__set__
 _set_binary_op = Binary.op.__set__
 
 
 def _unary_node(op: str, arg: Expression) -> Unary:
     """The interned raw node ``op(arg)``; the smart constructors call this
     instead of ``Unary``, which costs a type call more."""
-    key = (op, arg)
-    node = _NODES.get(key)
+    table, kids = _NODES[op], (arg,)
+    node = table.get(kids)
     if node is None:
         node = _new(Unary)
         _set_unary_op(node, op)
-        _set_kids(node, (arg,))
-        _set_lit(node, -arg.value if op == "neg" and type(arg) is Num else None)
+        _set_kids(node, kids)
+        _set_unary_lit(node, -arg.value if op == "neg" and type(arg) is Num else None)
         _set_mask(node, arg.mask)
-        _set_index(node, len(_NODES))
-        _NODES[key] = node
+        _set_index(node, next(_CREATED))
+        table[kids] = node
     return node
 
 
 def _binary_node(op: str, left: Expression, right: Expression) -> Binary:
     """The interned raw node ``left op right`` (see ``_unary_node``)."""
-    key = (op, left, right)
-    node = _NODES.get(key)
+    table, kids = _NODES[op], (left, right)
+    node = table.get(kids)
     if node is None:
         node = _new(Binary)
         _set_binary_op(node, op)
-        _set_kids(node, (left, right))
-        _set_lit(node, None)
+        _set_kids(node, kids)
         _set_mask(node, left.mask | right.mask)
-        _set_index(node, len(_NODES))
-        _NODES[key] = node
+        _set_index(node, next(_CREATED))
+        table[kids] = node
     return node
 
 
@@ -956,37 +967,44 @@ class _Tape:
         read = bytearray(len(nodes))  # 1 where a later slot reads it; roots are kept
         for s in self.outputs:
             read[s] = 1
-        self.leaves = []  # (slot, node) for literals and variables
-        # (function, left slot, right slot or -1, out slot, drop left, drop right)
-        self.code = []
-        for s in range(len(nodes) - 1, -1, -1):  # last readers first
-            node = nodes[s]
+        self.leaves = []  # the slots of literals, constants and variables
+        # six entries per instruction (see ``instructions``), each slot the
+        # int ``slot_of`` holds; appended last reader first, then reversed
+        self.code = code = []
+        for node, s in reversed(slot_of.items()):
             kids = node.kids
             if not kids:
-                self.leaves.append((s, node))
+                self.leaves.append(s)
             elif len(kids) == 1:
                 a = slot_of[kids[0]]
-                self.code.append((_UNARY_ARRAY[node.op], a, -1, s, not read[a], False))
+                code += False, not read[a], s, -1, a, _UNARY_ARRAY[node.op]
                 read[a] = 1
             else:
                 a, b = slot_of[kids[0]], slot_of[kids[1]]
                 fn = _BINARY_ARRAY[node.op]
                 if node.op == "^" and kids[1].mask:
                     fn = _variable_power
-                self.code.append((fn, a, b, s, not read[a], not read[b]))
+                code += not read[b], not read[a], s, b, a, fn
                 read[a] = read[b] = 1
-        self.code.reverse()
+        code.reverse()
         self.leaves.reverse()
+
+    def instructions(self):
+        """The program in order: per instruction (function, left slot, right
+        slot or -1, out slot, drop left, drop right)."""
+        entries = iter(self.code)
+        return zip(*[entries] * 6)
 
     def run(self, bindings: Bindings) -> list:
         """The root values, in the order of the roots."""
-        slots = [None] * len(self.nodes)
+        nodes = self.nodes
+        slots = [None] * len(nodes)
         values = bindings.values
-        for s, node in self.leaves:
-            slots[s] = _leaf_value(node, values)
+        for s in self.leaves:
+            slots[s] = _leaf_value(nodes[s], values)
         if self.code:
             with np.errstate(all="ignore"):
-                for fn, a, b, out, drop_a, drop_b in self.code:
+                for fn, a, b, out, drop_a, drop_b in self.instructions():
                     slots[out] = fn(slots[a]) if b < 0 else fn(slots[a], slots[b])
                     if drop_a:
                         slots[a] = None

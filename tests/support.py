@@ -282,6 +282,19 @@ def lowered_slots():
     return recorded_calls(ex._Tape, "__init__", lambda tape, *_: len(tape.nodes))
 
 
+def interned_nodes() -> list:
+    """Every expression node interned so far, in creation order."""
+    nodes = [node for table in ex._NODES.values() for node in table.values()]
+    return sorted(nodes, key=lambda node: node.index)
+
+
+def tape_instructions(tape):
+    """An iterator over a lowered tape's program, in order: one tuple
+    (function, left slot, right slot or -1, out slot, drop left, drop right)
+    per instruction."""
+    return tape.instructions()
+
+
 def metric_fn(metric: MetricField):
     """Numeric callable z -> (d, d) from a MetricField (for FD oracles)."""
 

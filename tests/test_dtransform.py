@@ -505,15 +505,16 @@ def test_third_invariant_build_memoizes_only_derivatives_it_reads():
 UNREAD_NODES = """
 import sys
 from jetkcc import cli, exprlang as ex
+from support import interned_nodes
 tapes = []
 lower = ex._Tape.__init__
 def recorded(tape, roots):
     lower(tape, roots)
     tapes.append(tape)
 ex._Tape.__init__ = recorded
-before = {id(node) for node in ex._NODES.values()}
+before = {id(node) for node in interned_nodes()}
 assert cli.main(sys.argv[1:]) == 0
-new = [node for node in ex._NODES.values() if id(node) not in before]
+new = [node for node in interned_nodes() if id(node) not in before]
 read = {id(node) for tape in tapes for node in tape.nodes}
 print(len(new), sum(id(node) not in read for node in new))
 """
@@ -530,7 +531,8 @@ def test_pushforward_transform_builds_few_nodes_that_no_tape_reads(tmp_path):
         str(inputs / "change22.json"), "--samples", "20", "--seed", "41",
         "--out", str(tmp_path / "report.json"),
     ]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    paths = [str(root / "src"), str(root / "tests")]  # tests/ for support
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", UNREAD_NODES, *argv],
         env=env, capture_output=True, text=True,
@@ -558,7 +560,8 @@ def test_batch_evaluation_is_one_tape_over_the_family_dag():
         grid = ex.evaluate_nested(family, point_set(points).bindings())
     assert grid.shape[-1] == 4 and grid[..., 0].size == len(_leaves(family))
     assert [len(t.nodes) for t in tapes] == [identity]
-    assert len(tapes[0].code) + len(tapes[0].leaves) == identity
+    instructions = list(support.tape_instructions(tapes[0]))
+    assert len(instructions) + len(tapes[0].leaves) == identity
 
 
 def test_pushforward_batch_matches_one_point_evaluation():

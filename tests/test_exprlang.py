@@ -3,6 +3,7 @@ import functools
 import math
 import operator
 import pickle
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -458,6 +459,12 @@ def test_zero_over_zero_is_not_folded():
         evaluate(e, bnd(1, 1, t1=0.5))
     # a zero numerator still folds over a divisor that is not a literal zero
     assert parse("0/x1 + 0/2", 1, 1) is ex.ZERO
+
+
+def test_division_by_minus_one_is_negation():
+    x = ex.x_var(1)
+    assert parse("x1/(-1)", 1, 1) is ex.neg(x)
+    assert ex.div(x, ex.num(-1.0)) is ex.neg(x)
 
 
 SIMPLIFY_EQUIV_CASES = [
@@ -1157,10 +1164,37 @@ def test_tape_instructions_read_only_earlier_slots(family, pick):
     tape = ex._Tape(roots)
     assert [n.index for n in tape.nodes] == sorted(n.index for n in tape.nodes)
     assert len(set(tape.nodes)) == len(tape.nodes)
-    for fn, a, b, out, _, _ in tape.code:
+    for fn, a, b, out, _, _ in support.tape_instructions(tape):
         assert 0 <= a < out and b < out
         assert tape.nodes[out].kids == tuple(tape.nodes[s] for s in (a, b) if s >= 0)
     assert [tape.nodes[s] for s in tape.outputs] == roots
+
+
+def test_interning_and_lowering_hold_no_tuple_per_node():
+    # a timing-free memory guard.  A new binary node holds its object (64 B),
+    # its kids tuple (56 B), which is also its key in the operator's table,
+    # and its creation number (32 B); a key tuple of its own would add 64 B.
+    # A lowered tape holds per slot its node's place in the slot list, six
+    # entries of the flat program and one int; a tuple per instruction and a
+    # second int would add about 120 B
+    c = ex.Num(0.8125e-7)  # a literal chain, so every node is new and its mask 0
+    count = 3000
+    tracemalloc.start()
+    try:
+        e = c
+        for _ in range(count):
+            e = ex.Binary("*", e, c)
+        # the node table grows by a few large blocks, each node by small ones
+        traces = tracemalloc.take_snapshot().traces
+        interned = sum(trace.size for trace in traces if trace.size <= 256)
+        before = tracemalloc.get_traced_memory()[0]
+        tape = ex._Tape([e])
+        lowered = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == count + 1
+    assert interned <= 168 * count, interned / count
+    assert lowered <= 112 * len(tape.nodes), lowered / len(tape.nodes)
 
 
 def test_batch_domain_rule_raises_at_the_first_bad_point():
