@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -1114,11 +1115,14 @@ def main(argv=None) -> int:
     # again.  The caller's state comes back whether the command returns or
     # raises.  When the caller has frozen nothing, what the command left alive
     # is moved into the oldest generation (a freeze and an unfreeze, no pass),
-    # so no young pass walks it once the collector is back on.
+    # so no young pass walks it once the collector is back on.  A warning is
+    # one stderr line, `warning: <message>`; the caller's filters still apply.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print("warning:", msg, file=sys.stderr)
+            return _main(argv)
     finally:
         if not gc.get_freeze_count():
             gc.freeze()

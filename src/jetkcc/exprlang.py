@@ -14,7 +14,8 @@ variable, keyed by node) for the life of the process too.
 
 Nodes are canonical: the smart constructors (``add``, ``mul``, ``neg``, ...)
 build every node, and ``parse`` returns ``simplify`` of the tree as written,
-so no builder needs to simplify what it composes.  Calling ``Unary`` or
+so no builder needs to simplify what it composes.  They are the one way to
+combine nodes; a node has no arithmetic operators.  Calling ``Unary`` or
 ``Binary`` directly gives a raw node; only the smart constructors and the
 parser call them.
 
@@ -142,36 +143,6 @@ class Expression(Frozen):
         if self.kids:
             return (type(self), (self.op, *self.kids))
         return (type(self), (getattr(self, type(self).__slots__[0]),))
-
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, as_expr(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self) -> str:
         return to_string(self)

@@ -200,8 +200,12 @@ def random_spd_metric(kind: str, d: int, seed: int) -> MetricField:
     coord = ex.t_var if kind == ex.TEMPORAL else ex.x_var
     B = [
         [
-            ex.num(rng.uniform(-0.5, 0.5))
-            + ex.num(rng.uniform(-0.3, 0.3)) * coord(int(1 + rng.integers(0, d)))
+            ex.add(
+                ex.num(rng.uniform(-0.5, 0.5)),
+                ex.mul(
+                    ex.num(rng.uniform(-0.3, 0.3)), coord(int(1 + rng.integers(0, d)))
+                ),
+            )
             for _ in range(d)
         ]
         for _ in range(d)

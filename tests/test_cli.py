@@ -255,6 +255,19 @@ def test_symmetrized_first_order_flow_is_not_probed(tmp_path):
     assert report["pass"] is True
 
 
+def test_asymmetric_first_order_flow_warns_in_one_line(tmp_path, capsys):
+    # the warning is one stderr line, without the source line it came from
+    doc = dict(OSC, m=2, temporal_metric=[["1", "0"], ["0", "1"]])
+    doc["system"] = _x_system((1, 1, "x1*t2"), (1, 2, "x1"))
+    path = write_json(tmp_path, "asym_flow.json", doc)
+    code, report = run_cli(["invariants", path, "--samples", "2"], tmp_path)
+    assert code == 0 and report["pass"] is True
+    assert capsys.readouterr().err == (
+        "warning: first-order prolongation is asymmetric in its time indices "
+        "(max deviation 2.132e+00 at sample points); storing as written\n"
+    )
+
+
 def _f_system(*entries):
     return {"F": [dict(zip(("i", "alpha", "beta", "expr"), e)) for e in entries]}
 

@@ -366,9 +366,11 @@ def test_differentiate_linearity():
     f = parse("sin(t1)*x1^2", 1, 1)
     g = parse("exp(x1)/(2 + v1_1^2)", 1, 1)
     var = ex.x_var(1)
-    combo = 2.5 * f - 1.5 * g
+    combo = ex.sub(ex.mul(2.5, f), ex.mul(1.5, g))
     d_combo = differentiate(combo, var)
-    d_sep = 2.5 * differentiate(f, var) - 1.5 * differentiate(g, var)
+    d_sep = ex.sub(
+        ex.mul(2.5, differentiate(f, var)), ex.mul(1.5, differentiate(g, var))
+    )
     for _ in range(20):
         b = bnd(1, 1, t1=rng.uniform(-2, 2), x1=rng.uniform(-2, 2), v1_1=rng.uniform(-2, 2))
         assert evaluate(d_combo, b) == pytest.approx(evaluate(d_sep, b), rel=1e-12)
@@ -467,6 +469,25 @@ def test_division_by_minus_one_is_negation():
     assert ex.div(x, ex.num(-1.0)) is ex.neg(x)
 
 
+# Python's arithmetic operators on a node: none is defined, so the smart
+# constructors are the one way to combine nodes
+NODE_OPERATORS = {
+    "add": lambda x: x + x,
+    "sub": lambda x: x - 1.0,
+    "rsub": lambda x: 1.0 - x,
+    "rmul": lambda x: 2.0 * x,
+    "truediv": lambda x: x / x,
+    "pow": lambda x: x**2,
+    "neg": lambda x: -x,
+}
+
+
+@pytest.mark.parametrize("combine", NODE_OPERATORS.values(), ids=list(NODE_OPERATORS))
+def test_nodes_have_no_arithmetic_operators(combine):
+    with pytest.raises(TypeError):
+        combine(ex.x_var(1))
+
+
 SIMPLIFY_EQUIV_CASES = [
     "t1*(x1 + 0) - 0*v1_1 + (x1^1)*1",
     "sin(t1)^2 + cos(t1)^2 + 0*exp(x1)",
@@ -560,7 +581,7 @@ def test_shared_subtrees_evaluate_once_deep_dag():
     # chain of squarings: a tree copy would have 2^60 leaves
     e = parse("t1 + 1", 1, 1)
     for _ in range(60):
-        e = e * e
+        e = ex.mul(e, e)
     b = bnd(1, 1, t1=0.0)
     assert evaluate(e, b) == 1.0
     d = differentiate(e, ex.t_var(1))

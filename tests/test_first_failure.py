@@ -101,7 +101,8 @@ def two_path_row() -> Row:
     # the spatial Jacobian 3 x^2 is singular at point 0, the temporal one
     # 3 t^2 at point 1
     t, x = ex.t_var(1), ex.x_var(1)
-    cube = CoordinateChange(1, 1, (t * t * t,), (x * x * x,), (t,), (x,))
+    t3, x3 = ex.mul(ex.mul(t, t), t), ex.mul(ex.mul(x, x), x)
+    cube = CoordinateChange(1, 1, (t3,), (x3,), (t,), (x,))
     system, h = _system("x1"), _metric("1")
 
     def batch(pts):

@@ -600,14 +600,12 @@ def test_classical_reduction_m1():
     pipe = InvariantPipeline(system, unit_h1())
     t1, x1, v11 = ex.t_var(1), ex.x_var(1), ex.v_var(1, 1)
     dFdv = ex.differentiate(F, v11)
-    eps_cl = -F + 0.5 * dFdv * v11
-    P_cl = (
-        -ex.differentiate(F, x1)
-        + 0.5 * ex.differentiate(dFdv, t1)
-        + 0.5 * ex.differentiate(dFdv, x1) * v11
-        - 0.5 * ex.differentiate(dFdv, v11) * F
-        + 0.25 * dFdv * dFdv
-    )
+    eps_cl = ex.add(ex.neg(F), ex.mul(ex.mul(0.5, dFdv), v11))
+    P_cl = ex.neg(ex.differentiate(F, x1))
+    P_cl = ex.add(P_cl, ex.mul(0.5, ex.differentiate(dFdv, t1)))
+    P_cl = ex.add(P_cl, ex.mul(ex.mul(0.5, ex.differentiate(dFdv, x1)), v11))
+    P_cl = ex.sub(P_cl, ex.mul(ex.mul(0.5, ex.differentiate(dFdv, v11)), F))
+    P_cl = ex.add(P_cl, ex.mul(ex.mul(0.25, dFdv), dFdv))
     worst = 0.0
     for p in sample_jet_points(1, 1, 30, seed=16):
         b = p.bindings()
