@@ -293,7 +293,7 @@ def build_characterized_system(
 # ---------------------------------------------------------------------------
 
 
-class QuadraticDecomposition(ex.Frozen):
+class QuadraticDecomposition(NamedTuple):
     """Numeric quadratic / linear / constant parts of a velocity-quadratic
     system at one base point:
 
@@ -302,16 +302,9 @@ class QuadraticDecomposition(ex.Frozen):
 
     with ``quadratic`` symmetrized over the paired slots ((j,g), (k,e))."""
 
-    __slots__ = ("m", "n", "quadratic", "linear", "constant")
-
-    def __init__(self, m: int, n: int, quadratic, linear, constant):
-        if quadratic.shape != (n, m, m, n, m, n, m):
-            raise ValueError("quadratic part has the wrong shape")
-        if linear.shape != (n, m, m, n, m):
-            raise ValueError("linear part has the wrong shape")
-        if constant.shape != (n, m, m):
-            raise ValueError("constant part has the wrong shape")
-        self._set(m=m, n=n, quadratic=quadratic, linear=linear, constant=constant)
+    quadratic: np.ndarray
+    linear: np.ndarray
+    constant: np.ndarray
 
     def reconstruct(self, v: np.ndarray) -> np.ndarray:
         return (
@@ -347,7 +340,7 @@ def quadratic_decomposition(
     quad[..., q, p] = mixed
     linear = 0.5 * (plus - minus)
     return QuadraticDecomposition(
-        m, n, quad.reshape(n, m, m, n, m, n, m), linear.reshape(n, m, m, n, m), const
+        quad.reshape(n, m, m, n, m, n, m), linear.reshape(n, m, m, n, m), const
     )
 
 

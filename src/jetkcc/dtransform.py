@@ -36,10 +36,10 @@ from .exprlang import (
 )
 from .jetgeom import (
     C_SLOTS,
-    DTensorValue,
     JetPointSet,
     MetricField,
     PdeSystem,
+    Slot,
     point_set,
     require_metric,
 )
@@ -190,26 +190,29 @@ def transform_jet_point(cc: CoordinateChange, points, jacobians=None) -> JetPoin
     def move(p: JetPointSet, jacobians=None) -> JetPointSet:
         if jacobians is None:
             jacobians = cc.temporal_jacobian(p.t), cc.spatial_jacobian(p.x)
-        v = transform_dtensor(DTensorValue(p.m, p.n, C_SLOTS, p.v), *jacobians)
-        return JetPointSet(cc.forward_t(p.t), cc.forward_x(p.x), v.values)
+        v = transform_dtensor(p.v, C_SLOTS, *jacobians)
+        return JetPointSet(cc.forward_t(p.t), cc.forward_x(p.x), v)
 
     # the Jacobians given are the whole batch's: a point alone evaluates its own
     points = (point_set([q]) for q in p)
     return ex.by_point(lambda q: move(q, jacobians if q is p else None), p, points)
 
 
-def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
+def transform_dtensor(values, slots: tuple[Slot, ...], Jt, A) -> np.ndarray:
     """Apply one Jacobian factor per index slot of a component array.
 
-    ``Jt`` and ``A`` are the temporal and spatial Jacobians, of shapes
-    (m, m) and (n, n) at one point, or (m, m, K) and (n, n, K) for a value
-    with a trailing axis over K points; each slot is then one matrix product
-    over all of them.  Upper spatial slots contract with the spatial
-    Jacobian, lower spatial ones with its transposed inverse; temporal slots
-    use the temporal Jacobian the same way.
+    ``values`` has one axis per slot (extent m if temporal, n if spatial) and
+    may have one trailing axis over K points; any other shape is a
+    ValueError.  ``Jt`` and ``A`` are the temporal and spatial Jacobians,
+    (m, m) and (n, n) at one point or (m, m, K) and (n, n, K) over K points;
+    each slot is then one matrix product over all of them.  Upper spatial
+    slots contract with the spatial Jacobian, lower spatial ones with its
+    transposed inverse; temporal slots use the temporal Jacobian the same way.
     """
-    if np.shape(Jt)[0] != val.m or np.shape(A)[0] != val.n:
-        raise ValueError("tensor dimensions do not match the Jacobians")
+    values = np.asarray(values, dtype=float)
+    expect = tuple(np.shape(Jt if s.kind == TEMPORAL else A)[0] for s in slots)
+    if values.shape[: len(expect)] != expect or values.ndim > len(expect) + 1:
+        raise ValueError(f"component shape {values.shape} != slot extents {expect}")
     Jt, A = _matrices(Jt), _matrices(A)
     factors = {
         (SPATIAL, True): A,
@@ -217,15 +220,14 @@ def transform_dtensor(val: DTensorValue, Jt, A) -> DTensorValue:
         (TEMPORAL, True): Jt,
         (TEMPORAL, False): np.swapaxes(np.linalg.inv(Jt), -1, -2),
     }
-    r = len(val.slots)
-    nb = val.values.ndim - r  # 1 with a point axis, which goes first
-    out = np.moveaxis(val.values, range(r, r + nb), range(nb))
-    for axis, slot in enumerate(val.slots, start=nb):
+    r = len(slots)
+    nb = values.ndim - r  # 1 with a point axis, which goes first
+    out = np.moveaxis(values, range(r, r + nb), range(nb))
+    for axis, slot in enumerate(slots, start=nb):
         w = np.moveaxis(out, axis, nb)
         prod = factors[slot.kind, slot.upper] @ w.reshape(w.shape[: nb + 1] + (-1,))
         out = np.moveaxis(prod.reshape(w.shape), nb, axis)
-    values = np.moveaxis(out, range(nb), range(r, r + nb))
-    return DTensorValue(val.m, val.n, val.slots, values)
+    return np.moveaxis(out, range(nb), range(r, r + nb))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +375,8 @@ def two_path_invariants(
         out = {}
         for name in selectors:
             old = pipe.evaluate_batch(name, batch)
-            val = DTensorValue(cc.m, cc.n, invariant_slots(name), old)
             direct = new_pipe.evaluate_batch(name, moved)
-            out[name] = (transform_dtensor(val, Jt, A).values, direct)
+            out[name] = (transform_dtensor(old, invariant_slots(name), Jt, A), direct)
         return out
 
     return ex.by_point(compare, points, (point_set([q]) for q in points))

@@ -439,12 +439,12 @@ def canonical_spatial_connection(phi: MetricField, m: int):
 
 
 # ---------------------------------------------------------------------------
-# d-tensor values
+# d-tensor slots and the canonical tensors
 # ---------------------------------------------------------------------------
 
 
 class Slot(NamedTuple):
-    """One index slot of a d-tensor value: its kind and its variance, which
+    """One index slot of a d-tensor: its kind and its variance, which
     alone decide the Jacobian factor it picks up."""
 
     kind: str  # TEMPORAL or SPATIAL
@@ -453,39 +453,23 @@ class Slot(NamedTuple):
 
 # the canonical tensor C = v^i_a of the jet coordinates: spatial up, temporal down
 C_SLOTS = (Slot(SPATIAL, True), Slot(TEMPORAL, False))
-
-
-class DTensorValue(ex.Frozen):
-    """Numeric component array of a distinguished tensor at one jet point,
-    or with a trailing axis over a batch of points."""
-
-    __slots__ = ("m", "n", "slots", "values")
-
-    def __init__(self, m: int, n: int, slots: tuple[Slot, ...], values):
-        values = np.asarray(values, dtype=float)
-        expect = tuple(m if s.kind == TEMPORAL else n for s in slots)
-        shape = values.shape
-        if shape[: len(expect)] != expect or len(shape) > len(expect) + 1:
-            raise ValueError(f"component shape {shape} != slot extents {expect}")
-        self._set(m=m, n=n, slots=slots, values=values)
+# the canonical tensor J = h_ab * delta^i_j: C's slots, then temporal and spatial down
+J_SLOTS = C_SLOTS + (Slot(TEMPORAL, False), Slot(SPATIAL, False))
 
 
 def canonical_tensors(h: MetricField, point: JetPoint):
-    """The two canonical d-tensors at a point.
+    """The component arrays of the two canonical d-tensors at a point.
 
-    The first is the jet coordinate block itself, v^i_a, with the
-    (spatial-up, temporal-down) signature ``C_SLOTS``; the second is
-    h_ab * delta^i_j.
+    The first is the jet coordinate block itself, v^i_a, with the slots
+    ``C_SLOTS``; the second is h_ab * delta^i_j, with the slots ``J_SLOTS``.
     """
     m, n = point.m, point.n
     require_metric(h, TEMPORAL, m)
-    c_val = DTensorValue(m, n, C_SLOTS, point.v.copy())
     hm = h.evaluate(point.t)
     jv = np.zeros((n, m, m, n))
     for i in range(n):
         jv[i, :, :, i] = hm
-    j_slots = C_SLOTS + (Slot(TEMPORAL, False), Slot(SPATIAL, False))
-    return c_val, DTensorValue(m, n, j_slots, jv)
+    return point.v.copy(), jv
 
 
 # ---------------------------------------------------------------------------

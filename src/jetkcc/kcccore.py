@@ -37,7 +37,6 @@ from .exprlang import (
 )
 from .jetgeom import (
     C_SLOTS,
-    DTensorValue,
     JetPoint,
     JetPointSet,
     MetricField,
@@ -509,14 +508,14 @@ class InvariantPipeline:
         family = self._built[name] = getattr(self, _invariant(name)[0])
         return family
 
-    def evaluate(self, name: str, point: JetPoint) -> DTensorValue:
-        """Components at one point; raises a ValueError for a point of another
+    def evaluate(self, name: str, point: JetPoint) -> np.ndarray:
+        """Component array at one point, whose slots are
+        ``invariant_slots(name)``; raises a ValueError for a point of another
         (m, n), then DegenerateMetricError where h is degenerate, as
         ``evaluate_batch`` does."""
         bindings = Bindings.jet(self.m, self.n, point.t, point.x, point.v)
         self.h.evaluate(point.t)
-        vals = ex.evaluate_nested(self.expressions(name), bindings)
-        return DTensorValue(self.m, self.n, invariant_slots(name), vals)
+        return ex.evaluate_nested(self.expressions(name), bindings)
 
     def evaluate_batch(self, name: str, points) -> np.ndarray:
         """Read-only component grid with a trailing axis over the supplied

@@ -16,6 +16,8 @@ import support
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import Bindings, differentiate, evaluate, fd_partial, parse
 from jetkcc.jetgeom import (
+    C_SLOTS,
+    J_SLOTS,
     JetPoint,
     MetricField,
     PdeSystem,
@@ -283,7 +285,7 @@ def test_criterion_03_first_order_flow_closed_forms():
                     )
                     christ = sum(gtv[u, a, c] * p.v[i, u] for u in range(2))
                     want_eps[i, a, c] = dt + 0.5 * dx + drift - christ
-        worst_eps = max(worst_eps, support.rel_max(pipe.evaluate("eps", p).values, want_eps))
+        worst_eps = max(worst_eps, support.rel_max(pipe.evaluate("eps", p), want_eps))
 
         kv = evaluate(k_expr, b)
         dx1 = np.empty((2, 2, 2))  # dX^i_a/dx^r
@@ -322,7 +324,7 @@ def test_criterion_03_first_order_flow_closed_forms():
                         cross = sum(dx1[i, a, r] * dx1[r, c, j] for r in range(2))
                         acc += hinv[a, c] * (0.5 * (mixed + spatial2) + 0.25 * cross)
                 want_p[i, j] = acc + (kv if i == j else 0.0)
-        worst_p = max(worst_p, support.rel_max(pipe.evaluate("P", p).values, want_p))
+        worst_p = max(worst_p, support.rel_max(pipe.evaluate("P", p), want_p))
 
     higher = max(
         float(np.max(np.abs(pipe.evaluate_batch(name, pts))))
@@ -372,11 +374,11 @@ def two_path_worst(system, h, cc, points):
         c_new, j_new = canonical_tensors(new_h, transform_jet_point(cc, [p])[0])
         worst = max(
             worst,
-            support.rel_max(transform_dtensor(c_old, *jac).values, c_new.values),
+            support.rel_max(transform_dtensor(c_old, C_SLOTS, *jac), c_new),
         )
         worst = max(
             worst,
-            support.rel_max(transform_dtensor(j_old, *jac).values, j_new.values),
+            support.rel_max(transform_dtensor(j_old, J_SLOTS, *jac), j_new),
         )
     return worst
 

@@ -14,7 +14,8 @@ from jetkcc import exprlang as ex
 from jetkcc.cli import load_problem
 from jetkcc.exprlang import parse, substitute
 from jetkcc.jetgeom import (
-    DTensorValue,
+    C_SLOTS,
+    J_SLOTS,
     JetPoint,
     MetricField,
     PdeSystem,
@@ -573,7 +574,7 @@ def test_pushforward_batch_matches_one_point_evaluation():
     for name in ("eps", "P", "R", "B", "D"):
         grid = pipe.evaluate_batch(name, points)
         for k, p in enumerate(points):
-            one = pipe.evaluate(name, p).values
+            one = pipe.evaluate(name, p)
             assert np.all(np.isfinite(one))
             assert one.tobytes() == np.ascontiguousarray(grid[..., k]).tobytes(), name
 
@@ -705,10 +706,9 @@ def test_two_path_on_the_pushed_pair_lowers_one_tape_per_pipeline():
 def test_scalar_tensor_is_unchanged():
     cc = change22()
     p = domain_points(2, 2, 1, seed=2)[0]
-    val = DTensorValue(2, 2, (), np.array(3.25))
-    out = transform_dtensor(val, *support.jacobians(cc, p))
-    assert out.values == pytest.approx(3.25, abs=0.0)
-    assert out.slots == ()
+    out = transform_dtensor(np.array(3.25), (), *support.jacobians(cc, p))
+    assert out == pytest.approx(3.25, abs=0.0)
+    assert out.shape == ()
 
 
 def test_identity_change_fixes_tensors():
@@ -719,10 +719,10 @@ def test_identity_change_fixes_tensors():
         Slot(ex.TEMPORAL, False),
         Slot(ex.SPATIAL, False),
     )
-    val = DTensorValue(2, 2, slots, rng.normal(size=(2, 2, 2)))
+    val = rng.normal(size=(2, 2, 2))
     p = domain_points(2, 2, 1, seed=1)[0]
-    out = transform_dtensor(val, *support.jacobians(idc, p))
-    assert np.array_equal(out.values, val.values)
+    out = transform_dtensor(val, slots, *support.jacobians(idc, p))
+    assert np.array_equal(out, val)
 
 
 def test_liouville_tensor_transforms_like_the_velocities():
@@ -730,9 +730,9 @@ def test_liouville_tensor_transforms_like_the_velocities():
     h, _ = curved_pair22()
     for p in domain_points(2, 2, 6, seed=9):
         c_val, _ = canonical_tensors(h, p)
-        moved = transform_dtensor(c_val, *support.jacobians(cc, p))
+        moved = transform_dtensor(c_val, C_SLOTS, *support.jacobians(cc, p))
         q = transform_jet_point(cc, [p])[0]
-        assert support.rel_max(moved.values, q.v) < 1e-12
+        assert support.rel_max(moved, q.v) < 1e-12
 
 
 def test_full_contractions_are_invariant_scalars():
@@ -741,14 +741,14 @@ def test_full_contractions_are_invariant_scalars():
     cc = change22()
     rng = np.random.default_rng(21)
     p = domain_points(2, 2, 1, seed=14)[0]
-    u = DTensorValue(2, 2, (Slot(ex.SPATIAL, True),), rng.normal(size=2))
-    w = DTensorValue(2, 2, (Slot(ex.SPATIAL, False),), rng.normal(size=2))
-    s = DTensorValue(2, 2, (Slot(ex.TEMPORAL, True),), rng.normal(size=2))
-    r = DTensorValue(2, 2, (Slot(ex.TEMPORAL, False),), rng.normal(size=2))
-    before = float(u.values @ w.values) * float(s.values @ r.values)
+    u, w, s, r = (rng.normal(size=2) for _ in range(4))
+    before = float(u @ w) * float(s @ r)
     jac = support.jacobians(cc, p)
-    mu, mw, ms, mr = (transform_dtensor(z, *jac) for z in (u, w, s, r))
-    after = float(mu.values @ mw.values) * float(ms.values @ mr.values)
+    mu = transform_dtensor(u, (Slot(ex.SPATIAL, True),), *jac)
+    mw = transform_dtensor(w, (Slot(ex.SPATIAL, False),), *jac)
+    ms = transform_dtensor(s, (Slot(ex.TEMPORAL, True),), *jac)
+    mr = transform_dtensor(r, (Slot(ex.TEMPORAL, False),), *jac)
+    after = float(mu @ mw) * float(ms @ mr)
     assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -766,13 +766,14 @@ def test_transform_is_multiplicative_under_composition():
     rng = np.random.default_rng(4)
     slots = (Slot(ex.SPATIAL, True), Slot(ex.TEMPORAL, False))
     for p in domain_points(1, 1, 6, seed=17):
-        val = DTensorValue(1, 1, slots, rng.normal(size=(1, 1)))
+        val = rng.normal(size=(1, 1))
         two_step = transform_dtensor(
-            transform_dtensor(val, *support.jacobians(first, p)),
+            transform_dtensor(val, slots, *support.jacobians(first, p)),
+            slots,
             *support.jacobians(second, transform_jet_point(first, [p])[0]),
         )
-        one_step = transform_dtensor(val, *support.jacobians(combined, p))
-        assert support.rel_max(one_step.values, two_step.values) < 1e-8
+        one_step = transform_dtensor(val, slots, *support.jacobians(combined, p))
+        assert support.rel_max(one_step, two_step) < 1e-8
 
 
 def test_inverse_change_undoes_the_transform():
@@ -781,12 +782,13 @@ def test_inverse_change_undoes_the_transform():
     rng = np.random.default_rng(30)
     slots = (Slot(ex.SPATIAL, True), Slot(ex.TEMPORAL, False))
     for p in domain_points(2, 2, 6, seed=19):
-        val = DTensorValue(2, 2, slots, rng.normal(size=(2, 2)))
+        val = rng.normal(size=(2, 2))
         restored = transform_dtensor(
-            transform_dtensor(val, *support.jacobians(cc, p)),
+            transform_dtensor(val, slots, *support.jacobians(cc, p)),
+            slots,
             *support.jacobians(back, transform_jet_point(cc, [p])[0]),
         )
-        assert support.rel_max(restored.values, val.values) < 1e-8
+        assert support.rel_max(restored, val) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +842,7 @@ def test_affine_first_invariant_vanishes_after_pushforward():
     pipe = InvariantPipeline(new_system, new_h)
     worst = 0.0
     for p in domain_points(2, 2, 20, seed=31):
-        val = pipe.evaluate("eps", transform_jet_point(cc, [p])[0]).values
+        val = pipe.evaluate("eps", transform_jet_point(cc, [p])[0])
         worst = max(worst, float(np.max(np.abs(val))))
     assert worst < 1e-9
 
@@ -945,18 +947,32 @@ def test_affine_invariants_transform_as_tensors():
     # The pushforward pipelines are built once and shared across the five
     # invariants; the deviation is the relative form with a 1e-12 floor.
     h, _, system = affine_setup22()
-    cc = change22()
-    pts = domain_points(2, 2, 6, seed=47)
-    paths = two_path_invariants(system, h, cc, pts, ("eps", "P", "R", "B", "D"))
-    for name in ("P", "R", "B", "D"):
-        assert relative_deviation(*paths[name]) <= 1e-6, name
-    # The first invariant of the affine pair is identically zero, which the
-    # per-component relative report cannot certify beyond its noise floor;
-    # the invariance statement that is meaningful here is that both paths
-    # vanish absolutely.
-    pushed, direct = paths["eps"]
-    assert np.max(np.abs(pushed)) < 1e-12
-    assert np.max(np.abs(direct)) < 1e-12
+    # change22's time map is linear, so its d2t vanishes; the second change
+    # bends time along t2, so d2t^1_22 = -0.6 and B = dt_old/dt_new is not
+    # symmetric wherever t2 != 0, which tells B[b][g] from B[g][b]
+    base = change22()
+    bent = CoordinateChange(
+        2,
+        2,
+        t_forward=(parse("t1 + 0.3*t2^2", 2, 2), parse("t2", 2, 2)),
+        x_forward=base.x_forward,
+        t_inverse=(parse("t1 - 0.3*t2^2", 2, 2), parse("t2", 2, 2)),
+        x_inverse=base.x_inverse,
+    )
+    for cc, pts in (
+        (base, domain_points(2, 2, 6, seed=47)),
+        (bent, domain_points(2, 2, 5, seed=7)),
+    ):
+        paths = two_path_invariants(system, h, cc, pts, ("eps", "P", "R", "B", "D"))
+        for name in ("P", "R", "B", "D"):
+            assert relative_deviation(*paths[name]) <= 1e-6, name
+        # The first invariant of the affine pair is identically zero, which
+        # the per-component relative report cannot certify beyond its noise
+        # floor; the invariance statement that is meaningful here is that
+        # both paths vanish absolutely.
+        pushed, direct = paths["eps"]
+        assert np.max(np.abs(pushed)) < 1e-12
+        assert np.max(np.abs(direct)) < 1e-12
 
 
 def test_cubic_first_invariant_two_path():
@@ -1036,14 +1052,14 @@ def test_singular_jacobian_names_the_first_singular_point():
     assert str(err.value) == want
 
 
-def _tensordot_reference(val: DTensorValue, Jt, A) -> np.ndarray:
+def _tensordot_reference(values, slots, Jt, A) -> np.ndarray:
     """The slot law point by point with ``np.tensordot``, as the transform
     was computed before it was batched."""
     out_all = []
-    for k in range(val.values.shape[-1]):
+    for k in range(values.shape[-1]):
         Jk, Ak = Jt[..., k], A[..., k]
-        out = val.values[..., k]
-        for axis, slot in enumerate(val.slots):
+        out = values[..., k]
+        for axis, slot in enumerate(slots):
             if slot.kind == ex.SPATIAL:
                 M = Ak if slot.upper else np.linalg.inv(Ak).T
             else:
@@ -1063,12 +1079,11 @@ def test_batch_slot_law_has_the_bits_of_the_pointwise_tensordot(m, n):
     for name in INVARIANT_NAMES:
         slots = invariant_slots(name)
         shape = tuple(n if s.kind == ex.SPATIAL else m for s in slots)
-        val = DTensorValue(m, n, slots, rng.normal(size=shape + (count,)))
-        want = _tensordot_reference(val, Jt, A)
-        got = transform_dtensor(val, Jt, A).values
+        val = rng.normal(size=shape + (count,))
+        want = _tensordot_reference(val, slots, Jt, A)
+        got = transform_dtensor(val, slots, Jt, A)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-        one = DTensorValue(m, n, slots, val.values[..., 1])
-        got_one = transform_dtensor(one, Jt[..., 1], A[..., 1]).values
+        got_one = transform_dtensor(val[..., 1], slots, Jt[..., 1], A[..., 1])
         assert got_one.tobytes() == np.ascontiguousarray(want[..., 1]).tobytes()
 
 
@@ -1086,9 +1101,10 @@ def test_canonical_tensors_obey_the_slot_law():
         q = transform_jet_point(cc, [p])[0]
         c_new, j_new = canonical_tensors(new_h, q)
         jac = support.jacobians(cc, p)
-        c_moved, j_moved = (transform_dtensor(z, *jac) for z in (c_old, j_old))
-        assert support.rel_max(c_moved.values, c_new.values) < 1e-8
-        assert support.rel_max(j_moved.values, j_new.values) < 1e-8
+        c_moved = transform_dtensor(c_old, C_SLOTS, *jac)
+        j_moved = transform_dtensor(j_old, J_SLOTS, *jac)
+        assert support.rel_max(c_moved, c_new) < 1e-8
+        assert support.rel_max(j_moved, j_new) < 1e-8
 
 
 def test_canonical_temporal_semispray_rule():

@@ -12,8 +12,9 @@ from jetkcc import characterize, dtransform, kcccore
 from jetkcc import exprlang as ex
 from jetkcc.exprlang import Bindings, parse
 from jetkcc.jetgeom import (
+    C_SLOTS,
     DegenerateMetricError,
-    DTensorValue,
+    J_SLOTS,
     JetPoint,
     JetPointSet,
     MetricField,
@@ -466,7 +467,9 @@ def test_canonical_spatial_objects_match_direct_contraction():
 
 def test_dtensor_value_shape_validation():
     with pytest.raises(ValueError, match="slot extents"):
-        DTensorValue(2, 1, (Slot(ex.SPATIAL, True),), np.zeros(2))
+        dtransform.transform_dtensor(
+            np.zeros(2), (Slot(ex.SPATIAL, True),), np.eye(2), np.eye(1)
+        )
 
 
 def test_canonical_tensors_values():
@@ -475,11 +478,13 @@ def test_canonical_tensors_values():
     )
     p = JetPoint([0.3, 0.1], [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
     c_val, j_val = canonical_tensors(h, p)
-    assert np.array_equal(c_val.values, p.v)
+    assert np.array_equal(c_val, p.v)
+    # J = h_ab delta^i_j: C's slots, then a temporal and a spatial lower slot
+    assert J_SLOTS == C_SLOTS + (Slot(ex.TEMPORAL, False), Slot(ex.SPATIAL, False))
     hm = h.evaluate(p.t)
     for i in range(2):
         for j in range(2):
-            block = j_val.values[i, :, :, j]
+            block = j_val[i, :, :, j]
             if i == j:
                 assert np.allclose(block, hm)
             else:
@@ -658,3 +663,14 @@ def test_first_order_symmetrize_averages():
     expect = 0.5 * (-(1.2 + 0.3 * -0.4) + 0.0)
     assert got[0, 0, 1] == pytest.approx(expect, rel=1e-12)
     assert got[0, 0, 1] == got[0, 1, 0]
+    # both entries of X^1_a move, so F^1_12 and F^1_21 are both non-zero and
+    # differ: the stored average is theirs, entry for entry and bit for bit
+    X = {(1, 1): parse("x1*t2", 2, 1), (1, 2): parse("x1", 2, 1)}
+    with pytest.warns(RuntimeWarning, match="asymmetric"):
+        written = build_first_order_system(X, 2, 1)
+    averaged = build_first_order_system(X, 2, 1, symmetrize=True)
+    p = point_set(sample_jet_points(2, 1, 7, seed=11))
+    F = written.evaluate(p.t, p.x, p.v)
+    assert np.min(np.abs(F[:, 0, 1] - F[:, 1, 0])) > 0.0
+    got = averaged.evaluate(p.t, p.x, p.v)
+    assert got.tobytes() == (0.5 * (F + F.swapaxes(1, 2))).tobytes()

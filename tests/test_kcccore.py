@@ -502,7 +502,7 @@ def test_affine_first_invariant_vanishes():
     _, pipe = affine_curved_pipeline()
     worst = 0.0
     for p in sample_jet_points(2, 2, 100, seed=11):
-        worst = max(worst, float(np.max(np.abs(pipe.evaluate("eps", p).values))))
+        worst = max(worst, float(np.max(np.abs(pipe.evaluate("eps", p)))))
     assert worst <= 1e-9
 
 
@@ -519,7 +519,7 @@ def test_linear_flow_first_invariant_closed_form():
     worst = 0.0
     for p in sample_jet_points(2, 2, 25, seed=12):
         b = p.bindings()
-        got = pipe.evaluate("eps", p).values
+        got = pipe.evaluate("eps", p)
         hm = h.evaluate(p.t)
         hinv = np.linalg.inv(hm)
         gtv = np.array(
@@ -555,9 +555,9 @@ def test_first_invariant_slots():
     _, pipe = sphere_pipeline()
     p = support.jet_point_on_sphere(1.1, 0.4, [[0.3], [0.7]])
     val = pipe.evaluate("eps", p)
-    kinds = [(s.kind, s.upper) for s in val.slots]
+    kinds = [(s.kind, s.upper) for s in invariant_slots("eps")]
     assert kinds == [(ex.SPATIAL, True), (ex.TEMPORAL, False), (ex.TEMPORAL, False)]
-    assert val.values.shape == (2, 1, 1)
+    assert val.shape == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ def test_affine_deviation_matches_curvature_contraction():
         hinv = np.linalg.inv(h.evaluate(p.t))
         Rv = eval_curvature(curved_phi2(), b)
         want = -np.einsum("ab,ipqj,pa,qb->ij", hinv, Rv, p.v, p.v)
-        got = pipe.evaluate("P", p).values
+        got = pipe.evaluate("P", p)
         worst = max(worst, support.rel_max(got, want))
     assert worst <= 1e-8
 
@@ -761,7 +761,7 @@ def test_linear_flow_deviation_closed_form():
                             0.5 * (mixed + spatial2) + 0.25 * cross
                         )
                 want[i, j] = acc + (kv if i == j else 0.0)
-        worst = max(worst, support.rel_max(pipe.evaluate("P", p).values, want))
+        worst = max(worst, support.rel_max(pipe.evaluate("P", p), want))
     assert worst <= 1e-10
 
 
@@ -779,7 +779,7 @@ def test_affine_third_invariant_closed_form():
         hinv = np.linalg.inv(h.evaluate(p.t))
         Rv = eval_curvature(curved_phi2(), b)
         want = np.einsum("am,ipjk,pm->iajk", hinv, Rv, p.v)
-        got = pipe.evaluate("R", p).values
+        got = pipe.evaluate("R", p)
         worst = max(worst, support.rel_max(got, want))
     assert worst <= 1e-8
 
@@ -788,8 +788,8 @@ def test_linear_flow_higher_invariants_vanish():
     _, system = linear_flow_system()
     pipe = InvariantPipeline(system, curved_h2())
     for p in sample_jet_points(2, 2, 10, seed=20):
-        assert np.max(np.abs(pipe.evaluate("R", p).values)) <= 1e-12
-        assert np.max(np.abs(pipe.evaluate("B", p).values)) <= 1e-12
+        assert np.max(np.abs(pipe.evaluate("R", p))) <= 1e-12
+        assert np.max(np.abs(pipe.evaluate("B", p))) <= 1e-12
     assert all(ex.is_zero(e) for e in flatten(pipe.fifth_invariant))
 
 
@@ -844,7 +844,7 @@ def test_affine_fourth_invariant_closed_form():
         hinv = np.linalg.inv(h.evaluate(p.t))
         Rv = eval_curvature(curved_phi2(), b)
         want = np.einsum("ab,iljk->iajklb", hinv, Rv)
-        got = pipe.evaluate("B", p).values
+        got = pipe.evaluate("B", p)
         worst = max(worst, support.rel_max(got, want))
     assert worst <= 1e-8
 
@@ -941,7 +941,7 @@ def test_grad_of_velocity_equals_first_invariant():
     for tval in (0.0, 0.4, 1.3):
         fam = InvariantPipeline(system, unit_h1()).covariant_derivative_family(T)
         got = on_section(fam, sigma, [tval])
-        want = pipe.evaluate("eps", sigma.prolongation_point([tval])).values
+        want = pipe.evaluate("eps", sigma.prolongation_point([tval]))
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -1122,18 +1122,37 @@ def test_jacobi_sphere_closed_form_field():
 def test_jacobi_equals_h_trace_variational_for_any_variation():
     # the deviation-form rewriting is an identity along solutions: for an
     # arbitrary (non-solution) variation field both residuals coincide
-    system, _ = sphere_pipeline()
-    sigma = SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))
+    sphere, _ = sphere_pipeline()
+    # a system solved by sigma = (t1, 0) whose P is not symmetric there, so
+    # the residual tells P^i_r from P^r_i
+    asymmetric = PdeSystem.from_upper(
+        1,
+        2,
+        {
+            (1, 1, 1): parse("x2*v1_1^2 + sin(x1)*v2_1", 1, 2),
+            (2, 1, 1): parse("x1*x2 + v2_1*v1_1^3 + x2^2", 1, 2),
+        },
+    )
+    along = SectionMap(1, (ex.t_var(1), ex.ZERO))
+    P = InvariantPipeline(asymmetric, unit_h1()).expressions("P")
+    P = on_section(P, along, [[0.25, 0.9, 1.7]])
+    assert np.min(np.abs(P[0, 1] - P[1, 0])) > 0.4
+    cases = [
+        (sphere, SectionMap(1, (ex.num(math.pi / 2), ex.t_var(1)))),
+        (asymmetric, along),
+    ]
     xi = VariationField(
         1, (parse("0.7*sin(2*t1) + 0.1", 1, 2), parse("0.3*t1^2", 1, 2))
     )
-    for tval in (0.25, 0.9, 1.7):
-        jr = jacobi_identity_residual(system, unit_h1(), sigma, xi, [tval])
-        traced = InvariantPipeline(system, unit_h1()).h_trace(
-            variational_family(system, xi)
-        )
-        vr = on_section(traced, sigma, [tval])
-        assert np.max(np.abs(jr - vr)) <= 1e-10
+    for system, sigma in cases:
+        for tval in (0.25, 0.9, 1.7):
+            assert np.max(np.abs(sode_residual(system, sigma, [tval]))) <= 1e-12
+            jr = jacobi_identity_residual(system, unit_h1(), sigma, xi, [tval])
+            traced = InvariantPipeline(system, unit_h1()).h_trace(
+                variational_family(system, xi)
+            )
+            vr = on_section(traced, sigma, [tval])
+            assert np.max(np.abs(jr - vr)) <= 1e-10
 
 
 def test_jacobi_affine_display_cross_check():
@@ -1287,7 +1306,7 @@ def test_evaluate_batch_matches_pointwise():
     batch = pipe.evaluate_batch("P", pts)
     assert batch.shape == (2, 2, 6)
     for k, p in enumerate(pts):
-        single = pipe.evaluate("P", p).values
+        single = pipe.evaluate("P", p)
         assert np.max(np.abs(batch[..., k] - single)) <= 1e-14
 
 
