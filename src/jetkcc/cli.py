@@ -13,7 +13,6 @@ evaluation.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import hashlib
@@ -21,6 +20,7 @@ import json
 import math
 import os
 import sys
+import types
 import warnings
 from typing import NamedTuple
 
@@ -68,6 +68,8 @@ DEFAULT_X_BOX = (-1.0, 1.0)
 DEFAULT_V_BOX = (-2.0, 2.0)
 REBUILD_TOL = 1e-8
 RECORD_BLOCK = 4096  # records per template fill when rendering a Records
+FLOAT_KERNEL_MIN = 600  # shorter float arrays are cheaper in one "%" fill
+FLOAT_KERNEL_CHUNK = 2048  # floats per _exact_texts call: its arrays stay small
 
 
 class InputError(ValueError):
@@ -390,9 +392,84 @@ def _zero_row(size: int, indent: int) -> str:
     return _list_layout(["0"] * size, indent)
 
 
+def _halves(u: np.ndarray) -> tuple:
+    """Veltkamp's split of u into two halves of at most 26 significant bits."""
+    t = u * 134217729.0  # 2**27 + 1
+    return t - (t - u), u - (t - (t - u))
+
+
+_POWER_HALVES = _halves(10.0 ** np.arange(23))  # 10**0 to 10**22 are exact
+# What "%.17g" can write for a magnitude in (1e-6, 1e17): a sign, the "0.000"
+# of 1e-4 to 1e-1, 17 digits each with a point after it, "e-05"/"e-06" and "\0"
+_CHARS = np.frombuffer(b"-0.000" + b"d." * 16 + b"de-056\0", np.uint8)
+
+
+@functools.cache
+def _kept_chars() -> np.ndarray:
+    """Row ((X + 6) * 17 + s - 1) * 2 + sign bit: the ``_CHARS`` that ``%.17g``
+    writes for decimal exponent X (-6 to 16) and s significant digits."""
+    x, s, neg, col = np.ix_(range(-6, 17), range(1, 18), range(2), range(45))
+    # g: the digit at or before a column of the 17 digits and their points
+    g, sci, body = (col - 6) // 2, x < -4, (6 <= col) & (col < 39)
+    return (
+        (col == 0) & (neg == 1) | (col == 44)
+        | (1 <= col) & (col < 2 - x) & (-4 <= x) & (x < 0)
+        | body & (col % 2 == 0) & ((g < s) | (g <= x))
+        | body & (col % 2 == 1) & (g == np.where(sci, 0, x)) & (g + 1 < s)
+        | ((39 <= col) & (col < 42) | (col == 37 - x)) & sci
+    ).reshape(-1, 45)
+
+
+def _exact_texts(values: np.ndarray) -> list:
+    """``"%.17g"`` of each of a 1-D array of floats of magnitude in (1e-6,
+    1e17): the decimal exponent X, the 17 digits D = round-half-even(|x| *
+    10**(16 - X)) from an exact product, and D laid out as ``%g`` writes it."""
+    a = np.abs(values)
+    (ah, al), x = _halves(a), np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    for _ in range(2):  # an exact test of 1e16 <= p + e < 1e17 fixes a log10 one off
+        bh, bl = (h[16 - x] for h in _POWER_HALVES)
+        p = a * (bh + bl)  # p + e = a * 10**(16 - x) exactly (Dekker 1971, no FMA)
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        x += (p > 1e17) | (p == 1e17) & (e >= 0)
+        x -= (p < 1e16) | (p == 1e16) & (e < 0)
+    floor = np.floor(e)  # p > 2**53 is an integer, and e - floor is exact
+    d, frac = p.astype(np.int64) + floor.astype(np.int64), e - floor
+    # no D rounds up to 10**17: that needs a double within 5e-18 (relative)
+    # below a power of ten, and from 1e-5 to 1e17 the nearest is 4.5e-17 below
+    d += (frac > 0.5) | (frac == 0.5) & (d % 2 == 1)
+    # D's first 8 and last 9 digits, as two uint32 rows, make digit-major rows
+    # 0-8 and 9-17 (row 0, the first half's ninth digit, is 0)
+    halves = np.stack([d // 10**9, d % 10**9]).astype(np.uint32)
+    digits = np.empty((18, d.size), np.uint8)
+    for row in range(8, -1, -1):
+        np.subtract(halves, halves // 10 * 10, out=digits[row::9], casting="unsafe")
+        halves //= 10
+    s = 17 - np.argmax(digits[:0:-1] != 0, axis=0)  # less D's trailing zeros
+    rows = np.broadcast_to(_CHARS, (d.size, 45)).copy()
+    rows[:, 6:39:2] = digits[1:].T + 48
+    code = ((x + 6) * 17 + s - 1) * 2 + np.signbit(values)
+    kept = np.compress(_kept_chars()[code].ravel(), rows)  # compress beats a mask
+    return str(kept, "ascii").split("\0")[:-1]
+
+
+def _float_texts(values: np.ndarray) -> list:
+    """``"%.17g"`` of each of a 1-D array of finite floats: ``_exact_texts``
+    in chunks, or one ``%`` fill where it does not apply or does not pay."""
+    exact = (np.abs(values) > 1e-6) & (np.abs(values) < 1e17)
+    if values.size < FLOAT_KERNEL_MIN or not exact.any():
+        return ("%.17g\0" * values.size % tuple(values.tolist())).split("\0")[:-1]
+    inside, texts = np.where(exact, values, 1.0), []
+    for start in range(0, values.size, FLOAT_KERNEL_CHUNK):
+        texts += _exact_texts(inside[start : start + FLOAT_KERNEL_CHUNK])
+    outside = np.flatnonzero(~exact)
+    for k, text in zip(outside.tolist(), _float_texts(values[outside])):
+        texts[k] = text
+    return texts
+
+
 def _magnitude_texts(magnitudes: np.ndarray) -> list:
-    """``"%.17g"`` of each of a 1-D array of finite floats, in one fill."""
-    return ("%.17g\0" * magnitudes.size % tuple(magnitudes.tolist())).split("\0")[:-1]
+    """The texts of one block of ``_render_rows``' distinct magnitudes."""
+    return _float_texts(magnitudes)
 
 
 def _render_rows(grid: np.ndarray, indent: int) -> list:
@@ -400,7 +477,8 @@ def _render_rows(grid: np.ndarray, indent: int) -> list:
     the list of its values: the cached zero row if all +0.0 (one test finds
     those), value by value if one is not finite, else from its magnitude
     group's texts, one per distinct magnitude, with a "-" where the sign bit
-    is set (``"%.17g"`` of -x is ``"-"`` + that of x, for -0.0 too)."""
+    is set (``"%.17g"`` of -x is ``"-"`` + that of x, for -0.0 too).  The
+    groups' magnitudes are formatted in blocks of at least ``RECORD_BLOCK``."""
     grid = grid.astype(float, copy=False)  # "%.17g" reads a float64 anyway
     texts = [_zero_row(grid.shape[1], indent)] * len(grid)
     groups: dict = {}
@@ -409,14 +487,20 @@ def _render_rows(grid: np.ndarray, indent: int) -> list:
             groups.setdefault(np.abs(grid[k]).tobytes(), []).append(k)
         else:
             texts[k] = _list_layout([_fmt_float(u) for u in grid[k].tolist()], indent)
-    while groups:  # popped: a group's key is freed once its rows are written
+    block: list = []
+    while groups:  # popped: a group's key is freed once it is in a block
         key, members = groups.popitem()
-        magnitudes, inverse = np.unique(np.frombuffer(key), return_inverse=True)
-        plain = _magnitude_texts(magnitudes)
-        table = np.array([plain, ["-" + t for t in plain]], object)
-        signs = np.signbit(grid[members]).view(np.int8)
-        for k, parts in zip(members, table[signs, inverse].tolist()):
-            texts[k] = _list_layout(parts, indent)
+        block.append((members, *np.unique(np.frombuffer(key), return_inverse=True)))
+        if groups and sum(m.size for _, m, _ in block) < RECORD_BLOCK:
+            continue
+        plain = _magnitude_texts(np.concatenate([m for _, m, _ in block]))
+        for members, magnitudes, inverse in block:
+            own, plain = plain[: magnitudes.size], plain[magnitudes.size :]
+            table = np.array([own, ["-" + t for t in own]], object)
+            signs = np.signbit(grid[members]).view(np.int8)
+            for k, parts in zip(members, table[signs, inverse].tolist()):
+                texts[k] = _list_layout(parts, indent)
+        block = []
     return texts
 
 
@@ -452,10 +536,9 @@ def _render_records(columns: Records, indent: int, out: list) -> None:
             heads.append((head + "\0",) * 2)
             rows.append(_render_rows(col, indent + 2))
         else:
-            flat = col.ravel().tolist()
             texts = (
-                ("%.17g\0" * len(flat) % tuple(flat)).split("\0")[:-1]
-                if np.isfinite(col).all() else [_fmt_float(u) for u in flat]
+                _float_texts(col.ravel()) if np.isfinite(col).all()
+                else [_fmt_float(u) for u in col.ravel().tolist()]
             )
             fills.append(np.array(texts, object).reshape(count, math.prod(col.shape[1:])))
             row = _inline(["%s"] * width) if col.ndim > 1 else "%s"
@@ -940,57 +1023,39 @@ def _cmd_check_jacobi(args) -> tuple[str, dict, list]:
 # ---------------------------------------------------------------------------
 
 
+class _RefusedValue(ValueError):
+    """An option value its type function refuses: a usage error."""
+
+
 def _int_at_least(low: int, high: float = math.inf):
-    """An argparse type: an integer from ``low`` to ``high`` (else a usage error)."""
+    """An option type: an integer from ``low`` to ``high`` (else a usage error)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise _RefusedValue(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise _RefusedValue(f"must be at least {low}, got {value}")
         if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise _RefusedValue(f"must be at most {high}, got {value}")
         return value
 
     return parse
 
 
-def _finite_float(text: str) -> float:
+def _nonnegative(text: str, strict: bool = False) -> float:
+    """An option value: finite and at least 0, or greater than 0 if ``strict``."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise _RefusedValue(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise _RefusedValue(f"must be finite, got {text!r}")
+    if value < 0.0 or strict and value == 0.0:
+        bound = "greater than" if strict else "at least"
+        raise _RefusedValue(f"must be {bound} 0, got {text!r}")
     return value
-
-
-def _step_size(text: str) -> float:
-    """``--step`` value: finite and greater than 0 (else a usage error)."""
-    step = _finite_float(text)
-    if not step > 0.0:
-        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text!r}")
-    return step
-
-
-def _tolerance(text: str) -> float:
-    """``--tol`` value: finite and at least 0 (else a usage error)."""
-    tol = _finite_float(text)
-    if tol < 0.0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
-    return tol
-
-
-class _Store(argparse.Action):
-    """argparse's store action, except that the ``[]`` Python 3.11's argparse
-    makes of an ``=``-form value ``--`` (``--out=--``) is a usage error."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, values)
 
 
 _PROBLEM = {"problem": dict(help="problem JSON file")}
@@ -1015,17 +1080,18 @@ _COMMANDS = {
     ("check", "transform"): (
         "two-path tensor-law check under a coordinate change", _cmd_check_transform,
         {**_PROBLEM, "change": dict(help="coordinate-change JSON file"), **_SAMPLING,
-         "--tol": dict(type=_tolerance, default=1e-6, help="pass tolerance"), **_OUT}),
+         "--tol": dict(type=_nonnegative, default=1e-6, help="pass tolerance"), **_OUT}),
     ("check", "fd"): (
         "symbolic derivatives of F vs central finite differences", _cmd_check_fd,
         {**_PROBLEM,
-         "--step": dict(type=_step_size, default=1e-5, help="finite-difference step"),
-         "--tol": dict(type=_tolerance, default=1e-5, help="pass tolerance"),
+         "--step": dict(type=functools.partial(_nonnegative, strict=True), default=1e-5,
+                        help="finite-difference step"),
+         "--tol": dict(type=_nonnegative, default=1e-5, help="pass tolerance"),
          **_SAMPLING, **_OUT}),
     ("check", "jacobi"): (
         "residual of the deviation form along the file's section", _cmd_check_jacobi,
         {"problem": dict(help="problem JSON file (needs section/variation)"),
-         "--tol": dict(type=_tolerance, default=1e-6, help="pass tolerance"),
+         "--tol": dict(type=_nonnegative, default=1e-6, help="pass tolerance"),
          **_SAMPLING, **_OUT}),
     ("characterize",): (
         "extract connection and coupling coefficients at a base point",
@@ -1044,7 +1110,7 @@ _COMMANDS = {
 _GROUP_HELP = {"check": "consistency checks"}
 
 
-def _table_parse(argv: list) -> argparse.Namespace | None:
+def _table_parse(argv: list) -> types.SimpleNamespace | None:
     """``build_parser().parse_args(argv)`` of a well-formed command line, read
     from ``_COMMANDS``; None, for argparse to decide, on help, ``--``, an
     abbreviated, unknown, repeated or missing option, a missing or refused value,
@@ -1079,15 +1145,36 @@ def _table_parse(argv: list) -> argparse.Namespace | None:
                 fields[flag[2:]] = keywords.get("type", str)(given[flag])
             elif flag not in names:
                 fields[flag[2:]] = keywords.get("default")
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except (TypeError, ValueError):  # a _RefusedValue among them
         return None
-    return argparse.Namespace(**fields)
+    return types.SimpleNamespace(**fields)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """argparse's parser of ``_COMMANDS``, built on first use: it parses what
-    ``_table_parse`` declines and writes every help and usage text."""
+    """argparse's parser of ``_COMMANDS``, built (and argparse imported) on
+    first use: it parses what ``_table_parse`` declines and writes every help
+    and usage text."""
+    import argparse
+
+    class Store(argparse.Action):
+        """argparse's store action, except that the ``[]`` Python 3.11's argparse
+        makes of an ``=``-form value ``--`` (``--out=--``) is a usage error."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
+    def usage_type(parse):  # parse, with a _RefusedValue as a usage error
+        def checked(text):
+            try:
+                return parse(text)
+            except _RefusedValue as err:
+                raise argparse.ArgumentTypeError(str(err)) from None
+
+        return functools.wraps(parse)(checked)  # argparse names a type by __name__
+
     parser = argparse.ArgumentParser(
         prog="jetkcc",
         description=(
@@ -1104,7 +1191,9 @@ def build_parser() -> argparse.ArgumentParser:
             groups[group] = sub.add_subparsers(dest=dest, required=True)
         leaf = groups[group].add_parser(path[-1], help=text)
         for name, keywords in arguments.items():
-            leaf.add_argument(name, action=_Store, **keywords)
+            if "type" in keywords:
+                keywords = dict(keywords, type=usage_type(keywords["type"]))
+            leaf.add_argument(name, action=Store, **keywords)
         leaf.set_defaults(handler=handler)
     return parser
 

@@ -1707,6 +1707,110 @@ def test_render_json_records_across_fill_blocks(count, indent):
     assert text == _oracle_render({"records": plain}, indent)
 
 
+# ---------------------------------------------------------------------------
+# the exact "%.17g" kernel (arrays of at least FLOAT_KERNEL_MIN floats)
+# ---------------------------------------------------------------------------
+
+
+def _formats_as_17g(values) -> bool:
+    values = np.asarray(values, dtype=float)
+    return cli._float_texts(values) == [format(x, ".17g") for x in values.tolist()]
+
+
+_KERNEL_EDGES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, 1e-6, 1e17, -9.999999999999999e16]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1500, 3000),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | _KERNEL_EDGES,
+             max_size=40),
+)
+def test_float_texts_match_format_on_long_arrays(size, seed, drawn):
+    # decades 1e-12 to 1e21 hold the kernel's range and both sides of it
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 22, size)
+    values[: len(drawn)] = drawn
+    assert _formats_as_17g(rng.permutation(values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1500, 3000), st.integers(0, 2**32 - 1))
+def test_float_texts_match_format_on_bit_patterns(size, seed):
+    # raw uint64 patterns; half get a binary exponent from -21 to 57, around
+    # the kernel's range (1e-6, 1e17)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64)
+    exponent = rng.integers(1023 - 21, 1023 + 58, size // 2).astype(np.uint64)
+    mask = np.uint64(0x7FF) << np.uint64(52)
+    bits[: size // 2] = bits[: size // 2] & ~mask | exponent << np.uint64(52)
+    values = bits.view(np.float64)
+    assert _formats_as_17g(values[np.isfinite(values)])
+
+
+def _kernel_table() -> np.ndarray:
+    """Fixed cases: each power of ten from 1e-8 to 1e18 with two neighbours on
+    each side, the ends of the kernel's range, exact ties at one and two
+    decimals near 1e15 and 1e14, literals of 17 and 18 nines, the extremes."""
+    cases = []
+    for j in range(-8, 19):
+        below = above = 10.0**j
+        cases.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            cases += [below, above]
+    for end in (1e-6, 1e17):
+        cases += [np.nextafter(end, 0.0), end, np.nextafter(end, np.inf)]
+    odd = 2 * np.arange(2 * 10**15, 2 * 10**15 + 150) + 1
+    cases += list(odd / 4) + list(odd / 8) + list(odd / 40) + list(odd / 80)
+    cases += [float(f"{'9' * k}e{j}") for k in (17, 18) for j in range(-24, 2)]
+    cases += [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    return np.array(cases + [-u for u in cases])
+
+
+def test_float_texts_fixed_table():
+    table = _kernel_table()
+    assert table.size >= cli.FLOAT_KERNEL_MIN
+    assert _formats_as_17g(table)
+
+
+def test_float_texts_size_rule():
+    # the measured crossover: shorter arrays keep the one "%" fill, and an
+    # array one value shorter or longer gives the same texts
+    assert cli.FLOAT_KERNEL_MIN == 600
+    rng = np.random.default_rng(7)
+    size = cli.FLOAT_KERNEL_MIN + 1
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 18, size)
+    values[::61] = 0.0
+    for stop, kernel_calls in ((size - 2, 0), (size - 1, 1), (size, 1)):
+        with support.recorded_calls(cli, "_exact_texts") as calls:
+            assert _formats_as_17g(values[:stop])
+        assert len(calls) == kernel_calls
+
+
+def test_render_json_wide_rows_with_mirrors_through_the_kernel():
+    # a 2000-wide component row, its negation, its magnitudes and a zero row
+    rng = np.random.default_rng(11)
+    row = rng.standard_normal(2000) * 10.0 ** rng.integers(-9, 19, 2000)
+    row[::50], row[1::50], row[2::97] = 0.0, -0.0, 1e-17
+    grid = np.array([row, -row, np.abs(row), np.zeros(2000)])
+    index = np.arange(1, 5)[:, None]
+    plain = [{"index": [k + 1], "values": r.tolist()} for k, r in enumerate(grid)]
+    text = "".join(render_json({"rows": Records(index=index, values=grid)}, 1))
+    assert text == _oracle_render({"rows": plain}, 1)
+
+
+def test_render_json_large_point_set_through_the_kernel():
+    # 2000 points at m = n = 2: columns of 4000, 4000 and 8000 floats
+    points = sample_jet_points(2, 2, 2000, seed=5)
+    dicts = [{"t": p.t.tolist(), "x": p.x.tolist(), "v": p.v.tolist()} for p in points]
+    assert "".join(render_json(points, 2)) == _oracle_render(dicts, 2)
+
+
 def test_stress_invariants_report_keeps_its_bytes(tmp_path, capsys):
     # the 2000-sample baseline: sha256 of the report the per-element
     # renderer wrote, with stdout and --out alike
@@ -1729,7 +1833,9 @@ def test_stress_report_formats_only_its_distinct_rows(tmp_path):
     # (R: 4, B: 16) are the bitwise negation of another row: 32 groups of
     # rows with the same magnitudes, which hold 34,649 distinct magnitudes
     # among their 64,000 values (the eps rows and half of the B rows are
-    # rounding noise near 1e-17); the mirrors and zero rows format nothing
+    # rounding noise near 1e-17); the mirrors and zero rows format nothing.
+    # Each family's groups are formatted in blocks of at least RECORD_BLOCK
+    # magnitudes: 9 calls over the five families
     args = [
         "invariants", str(PROBLEMS / "affine_curved.json"),
         "--which", "eps,P,R,B,D", "--samples", "2000", "--seed", "0",
@@ -1739,7 +1845,7 @@ def test_stress_report_formats_only_its_distinct_rows(tmp_path):
         cli, "_magnitude_texts", lambda magnitudes: magnitudes.size
     ) as formatted:
         assert main(args) == 0
-    assert len(formatted) == 32
+    assert len(formatted) == 9
     assert sum(formatted) == 34_649
 
 

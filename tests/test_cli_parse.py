@@ -199,6 +199,20 @@ def test_well_formed_commands_build_no_parser(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_importing_the_cli_loads_no_argparse():
+    # argparse and its gettext serve only help and usage errors, which build
+    # the parser; every other start would pay for their import
+    code = (
+        "import sys, jetkcc.cli; "
+        "assert not {'argparse', 'gettext'} & set(sys.modules), sys.modules.keys()"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # imports jetkcc.cli, then runs each argv of the JSON list in argv[1] through
 # main and prints, per command, the modules it loaded beyond that import
 MODULES_CHILD = """
